@@ -19,11 +19,14 @@ package hybrid
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
+	"repro/internal/bitset"
 	"repro/internal/dep"
 	"repro/internal/engine"
+	"repro/internal/graph"
 	"repro/internal/netlist"
 	"repro/internal/obs"
 	"repro/internal/rsn"
@@ -58,6 +61,18 @@ type Analysis struct {
 	regModule []int
 	// nodeModule maps every combined index to its module.
 	nodeModule []int
+	// nDenoted counts the combined indices that survived bridging.
+	nDenoted int
+	// pathIn and pathOut are compressed-sparse-row copies of Base's path
+	// edges (PathDependsOn and PathDependents rows), the adjacency the
+	// propagation worklist and the culprit search walk: the bridged
+	// matrix averages about one path edge per node, so scanning dense
+	// bitset rows per evaluation cost far more than the edges themselves.
+	pathIn, pathOut graph.CSR
+	// headReg maps the combined index of each register's scan flip-flop
+	// 0 — the node its wiring input feeds — to the register, and every
+	// other index to -1.
+	headReg []int32
 	// eng is the engine configuration the analysis was built under;
 	// propagation and resolution report their stats through it.
 	eng engine.Options
@@ -157,12 +172,21 @@ func NewAnalysisOpts(nw *rsn.Network, circuit *netlist.Netlist, internal []netli
 	bridgeSpan := opts.StartSpan("bridge", obs.Int("internal_ffs", int64(len(internal))),
 		obs.Int("deps_before", int64(a.DepStats.DepsBeforeBridge)))
 	dep.Bridge(m, internal)
+	a.pathIn = bitsetCSR(a.total, m.PathDependsOn)
+	a.pathOut = bitsetCSR(a.total, m.PathDependents)
 	bridgeSpan.End()
 	bridgeDone()
 	a.DepStats.BridgedFFs = len(internal)
 	a.DepStats.FFsDenoted = a.total - len(internal)
 	a.DepStats.DepsAfterBridge = m.CountDeps()
 	a.Base = m
+	a.headReg = make([]int32, a.total)
+	for i := range a.headReg {
+		a.headReg[i] = -1
+	}
+	for r := range a.regOffset {
+		a.headReg[a.regOffset[r]] = int32(r)
+	}
 	opts.Logf("bridge: %d internal FFs eliminated, %d -> %d deps",
 		len(internal), a.DepStats.DepsBeforeBridge, a.DepStats.DepsAfterBridge)
 	if err := opts.Err(); err != nil {
@@ -186,6 +210,11 @@ func NewAnalysisOpts(nw *rsn.Network, circuit *netlist.Netlist, internal []netli
 	}
 	for _, k := range internal {
 		a.Denoted[k] = false
+	}
+	for _, d := range a.Denoted {
+		if d {
+			a.nDenoted++
+		}
 	}
 	if err := opts.Err(); err != nil {
 		return nil, err
@@ -333,27 +362,122 @@ func (a *Analysis) srcIdx(ref rsn.Ref) int {
 	return -1
 }
 
+// bitsetCSR copies the n bitset rows rowOf(0..n-1) into CSR form, each
+// row ascending.
+func bitsetCSR(n int, rowOf func(int) *bitset.Set) graph.CSR {
+	return graph.NewCSR(n, func(add func(src, dst int)) {
+		for i := 0; i < n; i++ {
+			rowOf(i).ForEach(func(j int) { add(i, j) })
+		}
+	})
+}
+
+// wiring is the reverse adjacency of a network's inter-register
+// connections: sinks(s) lists, ascending, the propagation nodes (bit-0
+// scan flip-flops and mux pseudo-nodes) to re-evaluate when node s's
+// out-attribute changes. The fixed Base edges are not included; they
+// are read from the CSR arrays. A trial wiring derived by trialWiring
+// shares its parent's rows and overrides only the rows of sources whose
+// sinks changed.
+type wiring struct {
+	rows     graph.CSR
+	patchSrc []int32
+	patchRow [][]int32
+}
+
+// sinks returns the nodes fed by node s.
+func (w *wiring) sinks(s int) []int32 {
+	for i, p := range w.patchSrc {
+		if int(p) == s {
+			return w.patchRow[i]
+		}
+	}
+	if s < w.rows.Len() {
+		return w.rows.Row(s)
+	}
+	return nil
+}
+
 // buildWiring derives the reverse wiring adjacency of the network's
-// current inter-register connections: node -> nodes to re-evaluate when
-// its out-attribute changes. The fixed Base edges are not included —
-// they are read from the matrix directly.
-func (a *Analysis) buildWiring(nw *rsn.Network) [][]int32 {
-	size := a.total + len(nw.Muxes)
-	wdep := make([][]int32, size)
-	addDep := func(src rsn.Ref, sink int) {
-		if s := a.srcIdx(src); s >= 0 {
-			wdep[s] = append(wdep[s], int32(sink))
+// current inter-register connections.
+func (a *Analysis) buildWiring(nw *rsn.Network) *wiring {
+	return &wiring{rows: graph.NewCSR(a.total+len(nw.Muxes), func(add func(src, dst int)) {
+		for r := range nw.Registers {
+			if s := a.srcIdx(nw.Registers[r].In); s >= 0 {
+				add(s, a.ScanIndex(r, 0))
+			}
+		}
+		for m := range nw.Muxes {
+			for _, in := range nw.Muxes[m].Inputs {
+				if s := a.srcIdx(in); s >= 0 {
+					add(s, a.total+m)
+				}
+			}
+		}
+	})}
+}
+
+// nodeSources appends the propagation nodes feeding node n under nw's
+// wiring (the scan-in port is no node and is skipped): the register
+// input of a bit-0 scan flip-flop or a mux's inputs.
+func (a *Analysis) nodeSources(dst []int32, nw *rsn.Network, n int) []int32 {
+	var refs []rsn.Ref
+	if n >= a.total {
+		refs = nw.Muxes[n-a.total].Inputs
+	} else if r := a.headReg[n]; r >= 0 {
+		refs = []rsn.Ref{nw.Registers[r].In}
+	}
+	for _, ref := range refs {
+		if s := a.srcIdx(ref); s >= 0 {
+			dst = append(dst, int32(s))
 		}
 	}
-	for r := range nw.Registers {
-		addDep(nw.Registers[r].In, a.ScanIndex(r, 0))
-	}
-	for m := range nw.Muxes {
-		for _, in := range nw.Muxes[m].Inputs {
-			addDep(in, a.total+m)
+	return dst
+}
+
+// trialWiring derives the wiring of nw after the candidate change rw,
+// given pw, the wiring of nw before it, and returns it with the nodes
+// whose inputs rw changed (the delta seeds). Only the rows of sources
+// that lost a sink to rw or feed a changed node are rebuilt — each as
+// pw's row without the changed nodes plus the changed nodes that now
+// read the source, sorted: exactly the row buildWiring(nw) produces.
+func (a *Analysis) trialWiring(pw *wiring, nw *rsn.Network, rw rsn.Rewiring) (*wiring, []int32) {
+	changed := a.seeds(rw.Elems(nw))
+	var srcs []int32
+	for i, pin := range rw.Pins {
+		// The scan-out port is no wiring sink: its old source lost nothing.
+		if s := a.srcIdx(rw.Prev[i]); s >= 0 && pin.Elem.Kind != rsn.KScanOut {
+			srcs = append(srcs, int32(s))
 		}
 	}
-	return wdep
+	for _, c := range changed {
+		srcs = a.nodeSources(srcs, nw, int(c))
+	}
+	w := &wiring{rows: pw.rows}
+	var ins []int32
+	for _, s := range srcs {
+		if slices.Contains(w.patchSrc, s) {
+			continue
+		}
+		var row []int32
+		for _, d := range pw.sinks(int(s)) {
+			if !slices.Contains(changed, d) {
+				row = append(row, d)
+			}
+		}
+		for _, c := range changed {
+			ins = a.nodeSources(ins[:0], nw, int(c))
+			for _, in := range ins {
+				if in == s {
+					row = append(row, c)
+				}
+			}
+		}
+		slices.Sort(row)
+		w.patchSrc = append(w.patchSrc, s)
+		w.patchRow = append(w.patchRow, row)
+	}
+	return w, changed
 }
 
 // runWorklist drives the monotone-decreasing attribute iteration to its
@@ -362,8 +486,9 @@ func (a *Analysis) buildWiring(nw *rsn.Network) [][]int32 {
 // compacted in place once the dead prefix dominates, so the worklist
 // never retains its backing array's consumed half (the former
 // queue=queue[1:] pattern leaked the whole array until completion).
-// It returns the number of node evaluations.
-func (a *Analysis) runWorklist(nw *rsn.Network, wdep [][]int32, p *propagation, queue []int32, inQueue []bool) int64 {
+// It returns the number of node evaluations and the queue's backing
+// slice, emptied, for reuse; inQueue is all false again on return.
+func (a *Analysis) runWorklist(nw *rsn.Network, w *wiring, p *propagation, queue []int32, inQueue []bool) (int64, []int32) {
 	all := secspec.AllCats(a.Spec.NumCategories)
 	evals := int64(0)
 	head := 0
@@ -388,12 +513,12 @@ func (a *Analysis) runWorklist(nw *rsn.Network, wdep [][]int32, p *propagation, 
 			}
 			out = in
 		} else {
-			a.Base.PathDependsOn(n).ForEach(func(u int) {
+			for _, u := range a.pathIn.Row(n) {
 				if a.Denoted[u] {
 					in &= p.attrOut[u]
 				}
-			})
-			if r, bit, ok := a.IsScanNode(n); ok && bit == 0 {
+			}
+			if r := a.headReg[n]; r >= 0 {
 				if s := a.srcIdx(nw.Registers[r].In); s >= 0 {
 					in &= p.attrOut[s]
 				}
@@ -405,21 +530,24 @@ func (a *Analysis) runWorklist(nw *rsn.Network, wdep [][]int32, p *propagation, 
 			continue
 		}
 		p.attrOut[n] = out
-		// Re-evaluate everything fed by n.
-		push := func(d int32) {
+		// Re-evaluate everything fed by n. Base edges end at combined
+		// indices, active when denoted; wiring sinks may be muxes.
+		if n < a.total {
+			for _, d := range a.pathOut.Row(n) {
+				if a.Denoted[d] && !inQueue[d] {
+					inQueue[d] = true
+					queue = append(queue, d)
+				}
+			}
+		}
+		for _, d := range w.sinks(n) {
 			if a.active(int(d)) && !inQueue[d] {
 				inQueue[d] = true
 				queue = append(queue, d)
 			}
 		}
-		if n < a.total {
-			a.Base.PathDependents(n).ForEach(func(d int) { push(int32(d)) })
-		}
-		for _, d := range wdep[n] {
-			push(d)
-		}
 	}
-	return evals
+	return evals, queue[:0]
 }
 
 // propagate computes the omnidirectional fixed point of security
@@ -450,7 +578,6 @@ func (a *Analysis) propagate(nw *rsn.Network) *propagation {
 		p.attrIn[i] = all
 		p.attrOut[i] = all
 	}
-	wdep := a.buildWiring(nw)
 	inQueue := make([]bool, size)
 	queue := make([]int32, 0, size)
 	for n := 0; n < size; n++ {
@@ -459,9 +586,15 @@ func (a *Analysis) propagate(nw *rsn.Network) *propagation {
 			inQueue[n] = true
 		}
 	}
-	evals := a.runWorklist(nw, wdep, p, queue, inQueue)
+	evals, _ := a.runWorklist(nw, a.buildWiring(nw), p, queue, inQueue)
 	stage.AddQueries(evals)
 	return p
+}
+
+// violates reports whether the active combined index n lacks its own
+// module's trust category in the propagation's incoming attribute.
+func (a *Analysis) violates(p *propagation, n int) bool {
+	return !p.attrIn[n].Has(a.Spec.Trust[a.nodeModule[n]])
 }
 
 // propagateDelta computes the fixed point of nw's wiring by re-seeding
@@ -481,6 +614,31 @@ func (a *Analysis) propagate(nw *rsn.Network) *propagation {
 // (TestIncrementalPropagateMatchesFull checks this differentially on
 // every candidate change of catalog benchmarks).
 func (a *Analysis) propagateDelta(parent *propagation, parentNW, nw *rsn.Network) *propagation {
+	p, _ := a.propagateDeltaOn(parent, a.buildWiring(nw), nw, a.seeds(nw.ChangedInputs(parentNW)))
+	return p
+}
+
+// seeds maps elements whose inputs changed to their propagation nodes:
+// a register's bit-0 scan flip-flop, a mux's pseudo-node. The scan-out
+// port is not a propagation node.
+func (a *Analysis) seeds(elems []rsn.Ref) []int32 {
+	var seeds []int32
+	for _, e := range elems {
+		switch e.Kind {
+		case rsn.KRegister:
+			seeds = append(seeds, int32(a.ScanIndex(int(e.ID), 0)))
+		case rsn.KMux:
+			seeds = append(seeds, int32(a.total+int(e.ID)))
+		}
+	}
+	return seeds
+}
+
+// propagateDeltaOn re-propagates the dirty cone of the seeds over nw's
+// wiring w from the parent fixed point, and returns the new fixed point
+// with the change in the number of violating nodes, counted over the
+// cone alone (nodes outside it keep the parent's attributes).
+func (a *Analysis) propagateDeltaOn(parent *propagation, w *wiring, nw *rsn.Network, seeds []int32) (*propagation, int) {
 	stage := a.eng.Stage("propagate-delta")
 	defer stage.Start()()
 	// A high-frequency trace span (one per candidate trial); sample it
@@ -488,30 +646,13 @@ func (a *Analysis) propagateDelta(parent *propagation, parentNW, nw *rsn.Network
 	span := a.eng.StartSpan("propagate-delta")
 	defer span.End()
 	all := secspec.AllCats(a.Spec.NumCategories)
-	nMux := len(nw.Muxes)
-	size := a.total + nMux
-	pMux := len(parentNW.Muxes)
-
-	// Seeds: nodes whose evaluation equation changed between the two
-	// wirings. Base edges are fixed infrastructure and never change;
-	// the scan-out source is not a propagation node.
-	var seeds []int32
-	for r := range nw.Registers {
-		if nw.Registers[r].In != parentNW.Registers[r].In {
-			seeds = append(seeds, int32(a.ScanIndex(r, 0)))
-		}
-	}
-	for m := 0; m < nMux; m++ {
-		if m >= pMux || !refsEqual(nw.Muxes[m].Inputs, parentNW.Muxes[m].Inputs) {
-			seeds = append(seeds, int32(a.total+m))
-		}
-	}
+	size := a.total + len(nw.Muxes)
 
 	p := &propagation{
 		attrIn:  make([]secspec.CatSet, size),
 		attrOut: make([]secspec.CatSet, size),
 	}
-	common := a.total + min(nMux, pMux)
+	common := min(size, len(parent.attrIn))
 	copy(p.attrIn, parent.attrIn[:common])
 	copy(p.attrOut, parent.attrOut[:common])
 	for i := common; i < size; i++ {
@@ -520,75 +661,85 @@ func (a *Analysis) propagateDelta(parent *propagation, parentNW, nw *rsn.Network
 	}
 
 	// Dirty cone: forward closure of the seeds over nw's edges.
-	wdep := a.buildWiring(nw)
-	inQueue := make([]bool, size)
-	queue := make([]int32, 0, len(seeds)*4)
+	sc, _ := deltaScratchPool.Get().(*deltaScratch)
+	if sc == nil {
+		sc = &deltaScratch{}
+	}
+	defer deltaScratchPool.Put(sc)
+	if len(sc.inQueue) < size {
+		sc.inQueue = make([]bool, size+size/4)
+	}
+	inQueue := sc.inQueue
+	cone := sc.cone[:0]
 	for _, s := range seeds {
 		if a.active(int(s)) && !inQueue[s] {
 			inQueue[s] = true
-			queue = append(queue, s)
+			cone = append(cone, s)
 		}
 	}
-	for head := 0; head < len(queue); head++ {
-		n := int(queue[head])
-		push := func(d int32) {
-			if a.active(int(d)) && !inQueue[d] {
-				inQueue[d] = true
-				queue = append(queue, d)
+	for head := 0; head < len(cone); head++ {
+		n := int(cone[head])
+		if n < a.total {
+			for _, d := range a.pathOut.Row(n) {
+				if a.Denoted[d] && !inQueue[d] {
+					inQueue[d] = true
+					cone = append(cone, d)
+				}
 			}
 		}
-		if n < a.total {
-			a.Base.PathDependents(n).ForEach(func(d int) { push(int32(d)) })
-		}
-		for _, d := range wdep[n] {
-			push(d)
+		for _, d := range w.sinks(n) {
+			if a.active(int(d)) && !inQueue[d] {
+				inQueue[d] = true
+				cone = append(cone, d)
+			}
 		}
 	}
-	// Reset the cone to top and re-run the worklist from it.
-	for _, n := range queue {
+	// Reset the cone to top and re-run the worklist from it, counting
+	// the cone's violating scan and circuit flip-flops on both sides.
+	dv := 0
+	for _, n := range cone {
 		if int(n) >= a.total {
 			p.attrIn[n] = all
 			p.attrOut[n] = all
-		} else {
-			p.attrIn[n] = all
-			p.attrOut[n] = all & a.Spec.Accepts[a.nodeModule[n]]
+			continue
+		}
+		if a.violates(p, int(n)) {
+			dv--
+		}
+		p.attrIn[n] = all
+		p.attrOut[n] = all & a.Spec.Accepts[a.nodeModule[n]]
+	}
+	dirty := len(cone)
+	evals, queue := a.runWorklist(nw, w, p, append(sc.queue[:0], cone...), inQueue)
+	sc.cone, sc.queue = cone, queue
+	for _, n := range cone {
+		if int(n) < a.total && a.violates(p, int(n)) {
+			dv++
 		}
 	}
-	dirty := len(queue)
-	evals := a.runWorklist(nw, wdep, p, queue, inQueue)
 	stage.AddQueries(evals)
 	stage.AddItems(int64(dirty))
 	saved := a.activeCount(nw) - dirty
 	stage.AddSaved(int64(saved))
 	span.SetAttrs(obs.Int("dirty", int64(dirty)), obs.Int("saved", int64(saved)),
 		obs.Int("evals", evals))
-	return p
+	return p, dv
 }
+
+// deltaScratch is the dirty-cone state propagateDeltaOn reuses across
+// calls through deltaScratchPool (candidate trials run concurrently):
+// the membership marks, all false between uses, the cone and the
+// worklist queue.
+type deltaScratch struct {
+	inQueue     []bool
+	cone, queue []int32
+}
+
+var deltaScratchPool sync.Pool
 
 // activeCount returns the number of attribute-carrying nodes of the
 // combined graph under the given wiring.
-func (a *Analysis) activeCount(nw *rsn.Network) int {
-	n := len(nw.Muxes)
-	for i := 0; i < a.total; i++ {
-		if a.Denoted[i] {
-			n++
-		}
-	}
-	return n
-}
-
-// refsEqual reports whether two wiring source lists are identical.
-func refsEqual(x, y []rsn.Ref) bool {
-	if len(x) != len(y) {
-		return false
-	}
-	for i := range x {
-		if x[i] != y[i] {
-			return false
-		}
-	}
-	return true
-}
+func (a *Analysis) activeCount(nw *rsn.Network) int { return a.nDenoted + len(nw.Muxes) }
 
 // propWiringEqual reports whether two networks have identical
 // propagation-relevant wiring: register inputs and mux input lists.
@@ -597,13 +748,8 @@ func propWiringEqual(x, y *rsn.Network) bool {
 	if len(x.Registers) != len(y.Registers) || len(x.Muxes) != len(y.Muxes) {
 		return false
 	}
-	for r := range x.Registers {
-		if x.Registers[r].In != y.Registers[r].In {
-			return false
-		}
-	}
-	for m := range x.Muxes {
-		if !refsEqual(x.Muxes[m].Inputs, y.Muxes[m].Inputs) {
+	for _, e := range y.ChangedInputs(x) {
+		if e.Kind != rsn.KScanOut {
 			return false
 		}
 	}

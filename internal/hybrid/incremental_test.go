@@ -1,11 +1,15 @@
 package hybrid
 
 import (
+	"bytes"
+	"slices"
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/bitset"
 	"repro/internal/dep"
 	"repro/internal/engine"
+	"repro/internal/icl"
 	"repro/internal/netlist"
 	"repro/internal/pure"
 	"repro/internal/rsn"
@@ -54,19 +58,100 @@ func propEqual(tb testing.TB, ctx string, full, delta *propagation) {
 	}
 }
 
+// scaleCase builds a 1000-flip-flop rsngen SIB hierarchy with an
+// attached circuit and a protocol-style specification (confidential
+// annotations on the circuit's data sources) that produces hybrid
+// violations and no insecure circuit logic.
+func scaleCase(tb testing.TB) (*Analysis, *rsn.Network) {
+	tb.Helper()
+	var buf bytes.Buffer
+	if _, err := bench.StreamScaleICL(&buf, nil, bench.ScaleGenConfig{TargetScanFFs: 1000, Seed: 3}); err != nil {
+		tb.Fatal(err)
+	}
+	nw, err := icl.ParseNetwork(buf.String(), nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	att := bench.AttachCircuit(nw, bench.DefaultCircuitConfig(), 3)
+	an := NewAnalysis(nw, att.Circuit, att.Internal, nil, dep.Exact)
+	for specSeed := int64(0); specSeed < 32; specSeed++ {
+		a := an.WithSpec(secspec.GenerateWithRoles(len(nw.Modules), att.DataSources, secspec.DefaultGenConfig(), specSeed))
+		if len(a.InsecureModulePairs()) == 0 && len(a.violationsFrom(a.propagate(nw))) > 0 {
+			return a, nw
+		}
+	}
+	tb.Fatal("scale network: no spec seed with resolvable violations found")
+	return nil, nil
+}
+
+// checkAdjacency asserts that the CSR arrays hold Base's path edges row
+// for row and that headReg maps exactly each register's bit 0.
+func checkAdjacency(t *testing.T, a *Analysis) {
+	t.Helper()
+	for n := 0; n < a.total; n++ {
+		for _, c := range []struct {
+			name string
+			row  []int32
+			want *bitset.Set
+		}{
+			{"pathIn", a.pathIn.Row(n), a.Base.PathDependsOn(n)},
+			{"pathOut", a.pathOut.Row(n), a.Base.PathDependents(n)},
+		} {
+			var want []int32
+			c.want.ForEach(func(j int) { want = append(want, int32(j)) })
+			if !slices.Equal(c.row, want) {
+				t.Fatalf("%s row %d = %v, Base has %v", c.name, n, c.row, want)
+			}
+		}
+		r, bit, ok := a.IsScanNode(n)
+		if want := int32(-1); ok && bit == 0 {
+			want = int32(r)
+			if a.headReg[n] != want {
+				t.Fatalf("headReg[%d] = %d, want %d", n, a.headReg[n], want)
+			}
+		} else if a.headReg[n] != want {
+			t.Fatalf("headReg[%d] = %d, want -1", n, a.headReg[n])
+		}
+	}
+}
+
+// wiringEqual compares a (possibly patched) wiring with a freshly built
+// one over every node of nw's wiring.
+func wiringEqual(tb testing.TB, a *Analysis, nw *rsn.Network, got *wiring) {
+	tb.Helper()
+	want := a.buildWiring(nw)
+	for n := 0; n < a.total+len(nw.Muxes); n++ {
+		if g, w := got.sinks(n), want.sinks(n); !slices.Equal(g, w) {
+			tb.Fatalf("wiring row %d = %v, buildWiring has %v", n, g, w)
+		}
+	}
+}
+
 // TestIncrementalPropagateMatchesFull is the differential check of the
 // delta worklist: it drives the resolve loop over catalog benchmarks
-// and, at every iteration, evaluates EVERY candidate cut/reconnect
-// change — all compatible pure-path predecessors of each wiring hop,
-// uncapped, plus the scan-in fallback — comparing the incremental
-// propagation (re-seeded from the parent wiring's fixed point) against
-// a from-scratch propagation, attribute for attribute. It also checks
-// deltas from a stale ancestor fixed point (the multi-change diff the
-// shared cache produces under parallel candidate evaluation).
+// and a 1000-flip-flop rsngen hierarchy with an attached circuit and,
+// at every iteration, evaluates EVERY candidate cut/reconnect change —
+// all compatible pure-path predecessors of each wiring hop, uncapped,
+// plus the scan-in fallback — comparing the incremental propagation
+// against a from-scratch propagation, attribute for attribute: the
+// candidate-trial path (the change applied in place, the round's wiring
+// patched at the changed sinks, the violation count derived from the
+// dirty cone), the delta from the parent wiring, and the delta from a
+// stale ancestor fixed point (the multi-change diff the shared cache
+// produces under parallel candidate evaluation). It also checks the CSR
+// adjacency against Base.
 func TestIncrementalPropagateMatchesFull(t *testing.T) {
-	for _, name := range []string{"BasicSCB", "TreeFlat", "MBIST_1_5_5"} {
+	cases := []string{"BasicSCB", "TreeFlat", "MBIST_1_5_5", "scale1000"}
+	for _, name := range cases {
 		t.Run(name, func(t *testing.T) {
-			a, nw := catalogCase(t, name, 0.15, 7)
+			var a *Analysis
+			var nw *rsn.Network
+			if name == "scale1000" {
+				a, nw = scaleCase(t)
+			} else {
+				a, nw = catalogCase(t, name, 0.15, 7)
+			}
+			checkAdjacency(t, a)
 			p0 := a.propagate(nw)
 			nw0 := nw.Clone()
 			candidates := 0
@@ -81,6 +166,8 @@ func TestIncrementalPropagateMatchesFull(t *testing.T) {
 				if err != nil {
 					break // insecure-logic flow: nothing to transform
 				}
+				parentNW := nw.Clone()
+				pw := a.buildWiring(nw)
 				for _, h := range hops {
 					pin := rsn.Sink{Elem: rsn.Reg(h.To), Idx: 0}
 					var srcs []rsn.Ref
@@ -91,14 +178,27 @@ func TestIncrementalPropagateMatchesFull(t *testing.T) {
 					}
 					srcs = append(srcs, rsn.ScanIn)
 					for _, src := range srcs {
-						trial := nw.Clone()
-						if _, err := trial.CutAndReconnect(pin, src); err != nil || trial.Validate() != nil {
+						rw, err := nw.Rewire(pin, src)
+						if err != nil {
 							continue
 						}
-						full := a.propagate(trial)
-						propEqual(t, "parent delta", full, a.propagateDelta(parent, nw, trial))
-						propEqual(t, "ancestor delta", full, a.propagateDelta(p0, nw0, trial))
-						candidates++
+						if nw.Validate() == nil {
+							full := a.propagate(nw)
+							tw, seeds := a.trialWiring(pw, nw, rw)
+							wiringEqual(t, a, nw, tw)
+							tp, dv := a.propagateDeltaOn(parent, tw, nw, seeds)
+							propEqual(t, "trial", full, tp)
+							if want := len(a.violationsFrom(full)) - len(viols); dv != want {
+								t.Fatalf("trial violation delta %d, want %d", dv, want)
+							}
+							propEqual(t, "parent delta", full, a.propagateDelta(parent, parentNW, nw))
+							propEqual(t, "ancestor delta", full, a.propagateDelta(p0, nw0, nw))
+							candidates++
+						}
+						nw.Undo(rw)
+						if len(nw.ChangedInputs(parentNW)) != 0 || len(nw.Muxes) != len(parentNW.Muxes) {
+							t.Fatal("Undo did not restore the wiring")
+						}
 					}
 				}
 				if _, next, err := a.resolveOne(nw, parent, u, v, hops, len(viols)); err != nil {

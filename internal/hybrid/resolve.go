@@ -64,16 +64,16 @@ func (a *Analysis) culpritPath(nw *rsn.Network, v int) (int, []hop, error) {
 }
 
 // flowChain is culpritPath plus the full node chain from culprit to
-// target (used by Explain). The BFS state is kept in dense slices keyed
-// by combined index — the search runs once per violation inside the
-// resolve loop, where the former per-call maps dominated the allocation
-// profile: visited/parentNext/parentWire are flat arrays of a.total
-// entries, and a wiring hop is reconstructed from the registers of its
-// two endpoint scan flip-flops instead of being stored per edge.
+// target (used by Explain). The BFS runs once per violation inside the
+// resolve loop, so its state lives in dense slices keyed by combined
+// index and it walks the CSR copy of Base's path in-edges:
+// visited/parentNext/wireFrom are flat arrays of a.total entries, and
+// a wiring hop records its source register on the edge's tail, its
+// fed register being the one whose bit 0 is the edge's head.
 func (a *Analysis) flowChain(nw *rsn.Network, v int) (int, []int, []hop, error) {
 	visited := make([]bool, a.total)
 	parentNext := make([]int32, a.total) // node x flows into parentNext[x], toward v
-	parentWire := make([]bool, a.total)  // the x -> parentNext[x] edge is a wiring hop
+	wireFrom := make([]int32, a.total)   // r+1 if x -> parentNext[x] is a wiring hop out of register r, else 0
 	visited[v] = true
 	queue := make([]int32, 0, 64)
 	queue = append(queue, int32(v))
@@ -81,36 +81,35 @@ func (a *Analysis) flowChain(nw *rsn.Network, v int) (int, []int, []hop, error) 
 	var culprit = -1
 	for head := 0; head < len(queue) && culprit < 0; head++ {
 		y := int(queue[head])
-		expand := func(x int, wire bool) {
+		expand := func(x int, wire int32) {
 			if visited[x] || !a.Denoted[x] {
 				return
 			}
 			visited[x] = true
 			parentNext[x] = int32(y)
-			parentWire[x] = wire
+			wireFrom[x] = wire
 			if a.Spec.Violates(a.nodeModule[x], vmod) {
 				culprit = x
 			}
 			queue = append(queue, int32(x))
 		}
-		a.Base.PathDependsOn(y).ForEach(func(x int) {
-			if culprit < 0 {
-				expand(x, false)
+		for _, x := range a.pathIn.Row(y) {
+			if expand(int(x), 0); culprit >= 0 {
+				break
 			}
-		})
+		}
 		if culprit >= 0 {
 			break
 		}
-		if r, bit, ok := a.IsScanNode(y); ok && bit == 0 {
+		if r := a.headReg[y]; r >= 0 {
 			// Each node is dequeued at most once, so resolving the
 			// register's wiring sources here (instead of precomputing
 			// them for every register) does no repeated work.
-			for _, src := range nw.EffectiveSources(r) {
+			for _, src := range nw.EffectiveSources(int(r)) {
 				if src.Kind != rsn.KRegister {
 					continue
 				}
-				expand(a.lastIndex(int(src.ID)), true)
-				if culprit >= 0 {
+				if expand(a.lastIndex(int(src.ID)), src.ID+1); culprit >= 0 {
 					break
 				}
 			}
@@ -123,12 +122,8 @@ func (a *Analysis) flowChain(nw *rsn.Network, v int) (int, []int, []hop, error) 
 	chain := []int{culprit}
 	for n := culprit; n != v; {
 		next := int(parentNext[n])
-		if parentWire[n] {
-			// The hop's endpoints: n is the last scan flip-flop of the
-			// source register, next the first of the fed register.
-			fromReg, _, _ := a.IsScanNode(n)
-			toReg, _, _ := a.IsScanNode(next)
-			hops = append(hops, hop{From: fromReg, To: toReg})
+		if from := wireFrom[n]; from > 0 {
+			hops = append(hops, hop{From: int(from - 1), To: int(a.headReg[next])})
 		}
 		n = next
 		chain = append(chain, n)
@@ -230,42 +225,44 @@ func (a *Analysis) resolveOne(nw *rsn.Network, cur *propagation, u, v int, hops 
 		cands = append(cands, candidate{pin, rsn.ScanIn})
 	}
 
-	// Evaluate every candidate on its own clone, in parallel over the
-	// worker pool. Each result lands in its candidate's slot; the trial
-	// fixed points are exact (delta propagation from cur reproduces the
-	// unique greatest fixed point), so scheduling cannot change any
-	// score. Structural validation is deferred to winner selection —
-	// candidates rarely fail it, so scoring first and validating only
-	// prospective winners trades a per-candidate graph traversal for a
-	// per-change one without affecting which valid candidate wins.
+	// Evaluate every candidate in parallel over the worker pool, each
+	// worker applying candidates to its own copy of the network in place
+	// and undoing them (a single worker uses nw itself). Each result
+	// lands in its candidate's slot; the trial fixed points are exact
+	// (delta propagation from cur reproduces the unique greatest fixed
+	// point), so scheduling cannot change any score. Structural
+	// validation is deferred to winner selection — candidates rarely
+	// fail it, so scoring first and validating only prospective winners
+	// trades a per-candidate graph traversal for a per-change one
+	// without affecting which valid candidate wins.
 	type scored struct {
 		ok      bool
 		muxes   int
 		removed bool
 		after   int
-		trial   *rsn.Network
 		p       *propagation
 	}
 	results := make([]scored, len(cands))
 	stage := a.eng.Stage("resolve")
 	stage.AddItems(int64(len(cands)))
-	evalCand := func(i int) {
+	// The current wiring's reverse adjacency, built once per round; each
+	// trial patches only the sinks its cut/reconnect changed.
+	w := a.buildWiring(nw)
+	evalCand := func(net *rsn.Network, i int) {
 		c := cands[i]
-		trial := nw.Clone()
-		muxes, err := trial.CutAndReconnect(c.pin, c.newSrc)
+		rw, err := net.Rewire(c.pin, c.newSrc)
 		if err != nil {
 			return
 		}
-		tp := a.propagateDelta(cur, nw, trial)
-		after := a.violationsFrom(tp)
-		if len(after) > before {
-			return
+		tw, seeds := a.trialWiring(w, net, rw)
+		tp, dv := a.propagateDeltaOn(cur, tw, net, seeds)
+		if after := before + dv; after <= before {
+			results[i] = scored{
+				ok: true, muxes: len(net.Muxes) - rw.Muxes,
+				removed: !a.violates(tp, v), after: after, p: tp,
+			}
 		}
-		results[i] = scored{
-			ok: true, muxes: muxes,
-			removed: !violatesNode(after, v), after: len(after),
-			trial: trial, p: tp,
-		}
+		net.Undo(rw)
 	}
 	if workers := a.eng.WorkerCount(); workers > 1 && len(cands) > 1 {
 		if workers > len(cands) {
@@ -277,29 +274,31 @@ func (a *Analysis) resolveOne(nw *rsn.Network, cur *propagation, u, v int, hops 
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
+				net := nw.Clone()
 				for {
 					i := int(next.Add(1)) - 1
 					if i >= len(cands) {
 						return
 					}
-					evalCand(i)
+					evalCand(net, i)
 				}
 			}()
 		}
 		wg.Wait()
 	} else {
 		for i := range cands {
-			evalCand(i)
+			evalCand(nw, i)
 		}
 	}
 
 	// Pick the winner with a strict tie-break in candidate order: the
 	// first candidate strictly better than everything chosen before it,
 	// byte-identical to the former sequential scan. A prospective
-	// winner that fails structural validation is discarded and the scan
-	// repeated — removing an invalid maximum one at a time selects
-	// exactly the maximum over the valid candidates, so deferring
-	// validation cannot change the applied change.
+	// winner is validated by applying it to nw; one that fails is undone
+	// and discarded and the scan repeated — removing an invalid maximum
+	// one at a time selects exactly the maximum over the valid
+	// candidates, so deferring validation cannot change the applied
+	// change.
 	betterThan := func(s, t *scored) bool {
 		if t == nil {
 			return true
@@ -312,9 +311,8 @@ func (a *Analysis) resolveOne(nw *rsn.Network, cur *propagation, u, v int, hops 
 		}
 		return s.muxes < t.muxes
 	}
-	best := -1
 	for {
-		best = -1
+		best := -1
 		for i := range results {
 			if !results[i].ok {
 				continue
@@ -327,34 +325,27 @@ func (a *Analysis) resolveOne(nw *rsn.Network, cur *propagation, u, v int, hops 
 				best = i
 			}
 		}
-		if best < 0 || results[best].trial.Validate() == nil {
-			break
+		if best < 0 {
+			return Change{}, nil, fmt.Errorf("hybrid: no valid candidate to sever flow %s -> %s", a.NodeName(u), a.NodeName(v))
 		}
-		results[best].ok = false
-	}
-	if best < 0 {
-		return Change{}, nil, fmt.Errorf("hybrid: no valid candidate to sever flow %s -> %s", a.NodeName(u), a.NodeName(v))
-	}
-	oldSrc := nw.SinkSource(cands[best].pin)
-	muxes, err := nw.CutAndReconnect(cands[best].pin, cands[best].newSrc)
-	if err != nil {
-		return Change{}, nil, err
-	}
-	return Change{
-		Cut:      cands[best].pin,
-		OldSrc:   oldSrc,
-		NewSrc:   cands[best].newSrc,
-		NewMuxes: muxes,
-		Culprit:  u,
-		Target:   v,
-	}, results[best].p, nil
-}
-
-func violatesNode(vs []Violation, n int) bool {
-	for _, v := range vs {
-		if v.Node == n {
-			return true
+		c := cands[best]
+		oldSrc := nw.SinkSource(c.pin)
+		rw, err := nw.Rewire(c.pin, c.newSrc)
+		if err != nil {
+			return Change{}, nil, err
 		}
+		if nw.Validate() != nil {
+			nw.Undo(rw)
+			results[best].ok = false
+			continue
+		}
+		return Change{
+			Cut:      c.pin,
+			OldSrc:   oldSrc,
+			NewSrc:   c.newSrc,
+			NewMuxes: results[best].muxes,
+			Culprit:  u,
+			Target:   v,
+		}, results[best].p, nil
 	}
-	return false
 }

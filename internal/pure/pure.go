@@ -17,82 +17,310 @@ package pure
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
+	"repro/internal/graph"
 	"repro/internal/rsn"
 	"repro/internal/secspec"
 )
 
 // Propagation holds the forward-propagated security attributes of one
 // network under one specification. Attributes live in flat per-element
-// arrays keyed by the network's dense reference index — the resolve
-// loop re-propagates once per candidate trial, where the former
-// map-of-Ref representation dominated the allocation profile.
+// arrays keyed by a dense element index — the two ports, then the
+// registers, then the muxes, so the muxes a trial re-attachment inserts
+// extend the arrays at the end. The resolve loop derives one
+// propagation per candidate trial from the round's current one,
+// re-evaluating only the elements downstream of the trial's changed
+// connections.
 type Propagation struct {
 	nw *rsn.Network
 	// in and out hold the attribute (accepted-category mask) arriving
-	// at and leaving each element, keyed by Network.RefIndex.
+	// at and leaving each element, keyed by elemIndex.
 	in, out []secspec.CatSet
 	// Violating lists the registers whose trust category is missing
 	// from their incoming attribute, ascending.
 	Violating []int
 }
 
+// Element indices of the ports; register r is 2+r, mux m is 2+R+m.
+const (
+	scanInElem  = 0
+	scanOutElem = 1
+)
+
+// elemIndex maps an element reference to its dense element index.
+func elemIndex(nw *rsn.Network, r rsn.Ref) int {
+	switch r.Kind {
+	case rsn.KScanIn:
+		return scanInElem
+	case rsn.KScanOut:
+		return scanOutElem
+	case rsn.KRegister:
+		return 2 + int(r.ID)
+	}
+	return 2 + len(nw.Registers) + int(r.ID)
+}
+
+// numElems returns the size of nw's element index space.
+func numElems(nw *rsn.Network) int { return 2 + len(nw.Registers) + len(nw.Muxes) }
+
 // In returns the attribute arriving at the element.
-func (p *Propagation) In(r rsn.Ref) secspec.CatSet { return p.in[p.nw.RefIndex(r)] }
+func (p *Propagation) In(r rsn.Ref) secspec.CatSet { return p.in[elemIndex(p.nw, r)] }
 
 // Out returns the attribute leaving the element.
-func (p *Propagation) Out(r rsn.Ref) secspec.CatSet { return p.out[p.nw.RefIndex(r)] }
+func (p *Propagation) Out(r rsn.Ref) secspec.CatSet { return p.out[elemIndex(p.nw, r)] }
 
-// Propagate computes security attributes over all pure scan paths with
-// a single forward traversal in topological order.
+// Propagate computes security attributes over all pure scan paths,
+// evaluating every element once its sources are final. The network must
+// be acyclic (Validate checks it); Propagate panics otherwise.
 func Propagate(nw *rsn.Network, spec *secspec.Spec) *Propagation {
-	all := secspec.AllCats(spec.NumCategories)
-	n := nw.NumRefs()
-	p := &Propagation{
-		nw:  nw,
-		in:  make([]secspec.CatSet, n),
-		out: make([]secspec.CatSet, n),
+	p, ok := newPropagator(spec).full(nw)
+	if !ok {
+		panic("pure: Propagate on cyclic network")
 	}
-	// Source attributes are read through out[RefIndex(src)]; an invalid
-	// source (an unconnected pin) contributes no constraint, matching a
-	// missing input. The topological order guarantees sources are final
-	// before their sinks are evaluated.
-	srcOut := func(src rsn.Ref) secspec.CatSet {
-		if src == rsn.NoRef || !src.IsValid() {
-			return all
-		}
-		return p.out[nw.RefIndex(src)]
-	}
-	for _, r := range nw.ElementTopoOrder() {
-		idx := nw.RefIndex(r)
-		switch r.Kind {
-		case rsn.KScanIn:
-			p.in[idx] = all
-			p.out[idx] = all
-		case rsn.KRegister:
-			reg := &nw.Registers[r.ID]
-			in := srcOut(reg.In)
-			p.in[idx] = in
-			if !in.Has(spec.Trust[reg.Module]) {
-				p.Violating = append(p.Violating, int(r.ID))
-			}
-			p.out[idx] = in & spec.Accepts[reg.Module]
-		case rsn.KMux:
-			in := all
-			for _, src := range nw.Muxes[r.ID].Inputs {
-				in &= srcOut(src)
-			}
-			p.in[idx] = in
-			p.out[idx] = in
-		case rsn.KScanOut:
-			in := srcOut(nw.OutSrc)
-			p.in[idx] = in
-			p.out[idx] = in
-		}
-	}
-	sort.Ints(p.Violating)
 	return p
+}
+
+// propagator evaluates element attributes over a set of elements (the
+// cone) in topological order — Kahn's algorithm restricted to the cone,
+// reading every source outside it from the propagation being derived
+// from. Its scratch buffers are reused across the trials of a resolve
+// run.
+type propagator struct {
+	spec *secspec.Spec
+	all  secspec.CatSet
+	// mark[e] == epoch flags cone membership for the current run.
+	mark  []uint32
+	epoch uint32
+	indeg []int32
+	cone  []int32
+	ready []int32
+	ins   []int32
+	cons  []int32
+	// changed lists the elements whose inputs differ from the fanout's
+	// wiring, and added their current input edges.
+	changed []int32
+	added   []edge
+}
+
+// edge is one connection from element src to element dst.
+type edge struct{ src, dst int32 }
+
+func newPropagator(spec *secspec.Spec) *propagator {
+	return &propagator{spec: spec, all: secspec.AllCats(spec.NumCategories)}
+}
+
+// newFanout builds nw's element fanout: row e lists, with
+// multiplicity, the elements fed by element e.
+func newFanout(nw *rsn.Network) graph.CSR {
+	n := numElems(nw)
+	var ins []int32
+	return graph.NewCSR(n, func(add func(src, dst int)) {
+		for e := 1; e < n; e++ {
+			ins = appendInputs(ins[:0], nw, e)
+			for _, s := range ins {
+				add(int(s), e)
+			}
+		}
+	})
+}
+
+// appendInputs appends the element indices feeding element e; an
+// unconnected input contributes no constraint and no index.
+func appendInputs(dst []int32, nw *rsn.Network, e int) []int32 {
+	nr := len(nw.Registers)
+	var srcs []rsn.Ref
+	switch {
+	case e == scanInElem:
+		return dst
+	case e == scanOutElem:
+		srcs = []rsn.Ref{nw.OutSrc}
+	case e < 2+nr:
+		srcs = []rsn.Ref{nw.Registers[e-2].In}
+	default:
+		srcs = nw.Muxes[e-2-nr].Inputs
+	}
+	for _, src := range srcs {
+		if src != rsn.NoRef && src.IsValid() {
+			dst = append(dst, int32(elemIndex(nw, src)))
+		}
+	}
+	return dst
+}
+
+// setChanged records the elements whose inputs differ between nw and
+// the wiring the fanout passed to consumers was built from.
+func (q *propagator) setChanged(nw *rsn.Network, changed []int32) {
+	q.changed, q.added = changed, q.added[:0]
+	for _, c := range changed {
+		q.ins = appendInputs(q.ins[:0], nw, int(c))
+		for _, s := range q.ins {
+			q.added = append(q.added, edge{s, c})
+		}
+	}
+}
+
+// consumers returns the elements fed by element e under nw's wiring:
+// fan's row without the changed elements, plus the changed elements
+// that now read e.
+func (q *propagator) consumers(fan *graph.CSR, e int32) []int32 {
+	q.cons = q.cons[:0]
+	if int(e) < fan.Len() {
+		for _, d := range fan.Row(int(e)) {
+			if !slices.Contains(q.changed, d) {
+				q.cons = append(q.cons, d)
+			}
+		}
+	}
+	for _, a := range q.added {
+		if a.src == e {
+			q.cons = append(q.cons, a.dst)
+		}
+	}
+	return q.cons
+}
+
+// reset sizes the scratch for n elements and starts a new cone.
+func (q *propagator) reset(n int) {
+	if len(q.mark) < n {
+		// Slack for the muxes later rounds insert.
+		q.mark = make([]uint32, n+n/4+8)
+		q.indeg = make([]int32, len(q.mark))
+		q.epoch = 0
+	}
+	q.epoch++
+	q.cone = q.cone[:0]
+}
+
+// add puts element e into the cone.
+func (q *propagator) add(e int32) {
+	if q.mark[e] != q.epoch {
+		q.mark[e] = q.epoch
+		q.cone = append(q.cone, e)
+	}
+}
+
+// eval re-evaluates the cone's elements into p in topological order of
+// nw's wiring. It reports false, leaving p partially evaluated, when the
+// cone contains a cycle.
+func (q *propagator) eval(p *Propagation, nw *rsn.Network, fan *graph.CSR) bool {
+	for _, e := range q.cone {
+		n := int32(0)
+		q.ins = appendInputs(q.ins[:0], nw, int(e))
+		for _, s := range q.ins {
+			if q.mark[s] == q.epoch {
+				n++
+			}
+		}
+		q.indeg[e] = n
+	}
+	q.ready = q.ready[:0]
+	for _, e := range q.cone {
+		if q.indeg[e] == 0 {
+			q.ready = append(q.ready, e)
+		}
+	}
+	nr := len(nw.Registers)
+	for head := 0; head < len(q.ready); head++ {
+		e := int(q.ready[head])
+		in := q.all
+		q.ins = appendInputs(q.ins[:0], nw, e)
+		for _, s := range q.ins {
+			in &= p.out[s]
+		}
+		p.in[e] = in
+		p.out[e] = in
+		if e >= 2 && e < 2+nr {
+			p.out[e] = in & q.spec.Accepts[nw.Registers[e-2].Module]
+		}
+		for _, d := range q.consumers(fan, int32(e)) {
+			if q.mark[d] == q.epoch {
+				if q.indeg[d]--; q.indeg[d] == 0 {
+					q.ready = append(q.ready, d)
+				}
+			}
+		}
+	}
+	return len(q.ready) == len(q.cone)
+}
+
+// violates reports whether register r's trust category is missing from
+// its incoming attribute in p.
+func (q *propagator) violates(p *Propagation, nw *rsn.Network, r int) bool {
+	return !p.in[2+r].Has(q.spec.Trust[nw.Registers[r].Module])
+}
+
+// setViolating fills p.Violating from p's attributes.
+func (q *propagator) setViolating(p *Propagation) {
+	p.Violating = p.Violating[:0]
+	for r := range p.nw.Registers {
+		if q.violates(p, p.nw, r) {
+			p.Violating = append(p.Violating, r)
+		}
+	}
+}
+
+// full propagates nw from scratch, every element being in the cone. It
+// reports false if nw is cyclic.
+func (q *propagator) full(nw *rsn.Network) (*Propagation, bool) {
+	n := numElems(nw)
+	p := &Propagation{nw: nw, in: make([]secspec.CatSet, n), out: make([]secspec.CatSet, n)}
+	q.reset(n)
+	for e := 0; e < n; e++ {
+		q.add(int32(e))
+	}
+	f := newFanout(nw)
+	q.setChanged(nw, nil)
+	if !q.eval(p, nw, &f) {
+		return nil, false
+	}
+	q.setViolating(p)
+	return p, true
+}
+
+// derive propagates nw after the rewiring rw from p, the propagation of
+// nw's wiring before rw, whose fanout is fan: only the elements whose
+// inputs rw changed and everything downstream of them are re-evaluated.
+// Since the scan network is acyclic the attributes are the unique
+// solution of the element equations, so elements outside the dirty
+// cone keep p's values exactly. It returns the rewired propagation
+// (without its Violating list) and its number of violating registers,
+// or ok=false if the rewired wiring is cyclic.
+func (q *propagator) derive(p *Propagation, fan *graph.CSR, nw *rsn.Network, rw rsn.Rewiring) (tp *Propagation, violating int, ok bool) {
+	var changed []int32
+	for _, e := range rw.Elems(nw) {
+		changed = append(changed, int32(elemIndex(nw, e)))
+	}
+	q.setChanged(nw, changed)
+	n := numElems(nw)
+	tp = &Propagation{nw: nw, in: make([]secspec.CatSet, n), out: make([]secspec.CatSet, n)}
+	copy(tp.in, p.in)
+	copy(tp.out, p.out)
+	q.reset(n)
+	for _, c := range changed {
+		q.add(c)
+	}
+	for head := 0; head < len(q.cone); head++ {
+		for _, d := range q.consumers(fan, q.cone[head]) {
+			q.add(d)
+		}
+	}
+	if !q.eval(tp, nw, fan) {
+		return nil, 0, false
+	}
+	violating = len(p.Violating)
+	nr := len(nw.Registers)
+	for _, e := range q.cone {
+		if r := int(e) - 2; r >= 0 && r < nr {
+			if q.violates(p, nw, r) {
+				violating--
+			}
+			if q.violates(tp, nw, r) {
+				violating++
+			}
+		}
+	}
+	return tp, violating, true
 }
 
 // ViolatingRegisters returns the registers with a pure-path violation,
@@ -152,18 +380,20 @@ func maxRounds(nw *rsn.Network) int { return 4*len(nw.Registers) + 16 }
 
 // Resolve repeatedly finds and repairs pure-path violations until the
 // network is pure-path secure. It mutates nw and returns the applied
-// changes. The current wiring's attributes are propagated once per
-// round and reused for candidate filtering and the before count —
-// only candidate trials re-propagate.
+// changes. The network is propagated once up front; every candidate
+// trial is then scored by re-evaluating only the dirty cone downstream
+// of its changed connections, and the winning trial's propagation
+// becomes the next round's current one (CutAndReconnect is
+// deterministic, so applying the winning change to nw reproduces the
+// trial wiring exactly).
 func Resolve(nw *rsn.Network, spec *secspec.Spec) (*Result, error) {
-	res := &Result{}
-	first := true
+	q := newPropagator(spec)
+	p, ok := q.full(nw)
+	if !ok {
+		return &Result{}, fmt.Errorf("pure: scan network %q is cyclic", nw.Name)
+	}
+	res := &Result{ViolatingBefore: len(p.Violating)}
 	for round := 0; ; round++ {
-		p := Propagate(nw, spec)
-		if first {
-			res.ViolatingBefore = len(p.Violating)
-			first = false
-		}
 		if len(p.Violating) == 0 {
 			return res, nil
 		}
@@ -172,20 +402,22 @@ func Resolve(nw *rsn.Network, spec *secspec.Spec) (*Result, error) {
 		if !ok {
 			return res, fmt.Errorf("pure: register R%d violates but no culprit found", y)
 		}
-		ch, err := resolveOne(nw, spec, p, x, y, round >= maxRounds(nw))
+		ch, next, err := q.resolveOne(nw, p, x, y, round >= maxRounds(nw))
 		if err != nil {
 			return res, err
 		}
 		res.Changes = append(res.Changes, ch)
+		p = next
 	}
 }
 
 // resolveOne repairs the flow from register x into register y by
 // cutting a connection on the way and re-connecting the separated
-// segments. p is the current wiring's propagation. With fallbackOnly
+// segments. p is the current wiring's propagation; the returned one is
+// the propagation of the applied change's wiring. With fallbackOnly
 // set, only the always-valid candidate (connect y to the scan-in port)
 // is considered.
-func resolveOne(nw *rsn.Network, spec *secspec.Spec, p *Propagation, x, y int, fallbackOnly bool) (Change, error) {
+func (q *propagator) resolveOne(nw *rsn.Network, p *Propagation, x, y int, fallbackOnly bool) (Change, *Propagation, error) {
 	type candidate struct {
 		pin    rsn.Sink
 		newSrc rsn.Ref
@@ -197,8 +429,8 @@ func resolveOne(nw *rsn.Network, spec *secspec.Spec, p *Propagation, x, y int, f
 	if !fallbackOnly {
 		// Re-connecting y to a pure-path predecessor keeps y deep in the
 		// network; acceptable when the predecessor's data is compatible.
-		// The candidate count is capped: evaluating every predecessor of
-		// a deep chain position costs a clone and a re-propagation each.
+		// The candidate count is capped: every predecessor of a deep
+		// chain position would cost a trial each.
 		const maxPredCandidates = 6
 		preds := nw.PurePredecessors(y)
 		ymod := nw.Registers[y].Module
@@ -207,7 +439,7 @@ func resolveOne(nw *rsn.Network, spec *secspec.Spec, p *Propagation, x, y int, f
 			if src == oldSrc {
 				continue
 			}
-			if p.Out(src).Has(spec.Trust[ymod]) {
+			if p.Out(src).Has(q.spec.Trust[ymod]) {
 				cands = append(cands, candidate{pin, src})
 				if len(cands) >= maxPredCandidates {
 					break
@@ -218,76 +450,70 @@ func resolveOne(nw *rsn.Network, spec *secspec.Spec, p *Propagation, x, y int, f
 	// The scan-in fallback is always valid and provably terminating.
 	cands = append(cands, candidate{pin, rsn.ScanIn})
 
+	// Each candidate is applied to nw in place, scored against the
+	// round's fanout and undone.
 	before := len(p.Violating)
+	fan := newFanout(nw)
 	type scored struct {
 		c     candidate
 		cost  int
 		after int
-		trial *rsn.Network
+		tp    *Propagation
 	}
 	var results []scored
 	for _, c := range cands {
-		trial := nw.Clone()
-		muxes, err := trial.CutAndReconnect(c.pin, c.newSrc)
+		rw, err := nw.Rewire(c.pin, c.newSrc)
 		if err != nil {
 			continue
 		}
-		tp := Propagate(trial, spec)
-		// The targeted violation must be gone and the overall number of
-		// violating registers must not grow.
-		if containsInt(tp.Violating, y) && stillFlows(trial, x, y) {
-			continue
+		tp, after, ok := q.derive(p, &fan, nw, rw)
+		// A cyclic wiring is no scan network. Otherwise the targeted
+		// violation must be gone and the overall number of violating
+		// registers must not grow.
+		if ok && !(q.violates(tp, nw, y) && stillFlows(nw, x, y)) && after <= before {
+			results = append(results, scored{c, 1 + len(nw.Muxes) - rw.Muxes, after, tp})
 		}
-		if len(tp.Violating) > before {
-			continue
-		}
-		results = append(results, scored{c, 1 + muxes, len(tp.Violating), trial})
+		nw.Undo(rw)
 	}
 	// Structural validation is deferred to winner selection: candidates
 	// rarely fail it, and discarding an invalid minimum one at a time
-	// selects exactly the minimum-cost valid candidate.
-	var best *scored
+	// selects exactly the minimum-cost valid candidate. The winner is
+	// validated by re-applying it, which also applies the change.
 	for {
-		best = nil
+		var best *scored
 		for i := range results {
 			s := &results[i]
-			if s.trial == nil {
+			if s.tp == nil {
 				continue
 			}
 			if best == nil || s.cost < best.cost || (s.cost == best.cost && s.after < best.after) {
 				best = s
 			}
 		}
-		if best == nil || best.trial.Validate() == nil {
-			break
+		if best == nil {
+			// The fallback candidate cannot fail validation; reaching
+			// this point indicates an internal inconsistency.
+			return Change{}, nil, fmt.Errorf("pure: no valid candidate to separate R%d from R%d", x, y)
 		}
-		best.trial = nil
-	}
-	if best == nil {
-		// The fallback candidate cannot fail validation; reaching this
-		// point indicates an internal inconsistency.
-		return Change{}, fmt.Errorf("pure: no valid candidate to separate R%d from R%d", x, y)
-	}
-	muxes, err := nw.CutAndReconnect(best.c.pin, best.c.newSrc)
-	if err != nil {
-		return Change{}, err
-	}
-	return Change{
-		Cut:       best.c.pin,
-		OldSrc:    oldSrc,
-		NewSrc:    best.c.newSrc,
-		NewMuxes:  muxes,
-		Violation: [2]int{x, y},
-	}, nil
-}
-
-func containsInt(xs []int, v int) bool {
-	for _, x := range xs {
-		if x == v {
-			return true
+		rw, err := nw.Rewire(best.c.pin, best.c.newSrc)
+		if err != nil {
+			return Change{}, nil, err
 		}
+		if nw.Validate() != nil {
+			nw.Undo(rw)
+			best.tp = nil
+			continue
+		}
+		next := best.tp
+		q.setViolating(next)
+		return Change{
+			Cut:       best.c.pin,
+			OldSrc:    oldSrc,
+			NewSrc:    best.c.newSrc,
+			NewMuxes:  best.cost - 1,
+			Violation: [2]int{x, y},
+		}, next, nil
 	}
-	return false
 }
 
 // stillFlows reports whether data from register x can still reach

@@ -219,8 +219,8 @@ func (nw *Network) applyEdit(op EditOp) error {
 		id := nw.AddRegister(op.Name, op.Len, op.Module)
 		nw.Connect(id, src)
 		nw.SetSink(pin, Reg(id))
-		if (old.Kind == KRegister || old.Kind == KMux) && old.IsValid() && len(nw.Sinks(old)) == 0 {
-			nw.reattach(old)
+		if (old.Kind == KRegister || old.Kind == KMux) && old.IsValid() && !nw.drives(old) {
+			nw.reattach(old, &Rewiring{})
 		}
 		return nil
 	}

@@ -2,6 +2,7 @@ package rsn
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -139,5 +140,57 @@ func TestCutAndReconnectInvariants(t *testing.T) {
 		if len(nw.Registers) != regsBefore {
 			t.Fatal("register count changed")
 		}
+	}
+}
+
+// TestRewireUndo: Rewire reports exactly the connections it changed —
+// its elements are what ChangedInputs finds against a pre-change clone —
+// and Undo restores the previous wiring, inserted muxes included.
+func TestRewireUndo(t *testing.T) {
+	rng := rand.New(rand.NewSource(56))
+	for iter := 0; iter < 60; iter++ {
+		nw := randomAccessNetwork(rng, 4+rng.Intn(8))
+		orig := nw.Clone()
+		victim := rng.Intn(len(nw.Registers))
+		src := ScanIn
+		if preds := nw.PurePredecessors(victim); len(preds) > 0 {
+			src = Reg(preds[rng.Intn(len(preds))])
+		}
+		rw, err := nw.Rewire(Sink{Elem: Reg(victim)}, src)
+		if err != nil {
+			continue
+		}
+		if rw.Muxes != len(orig.Muxes) {
+			t.Fatalf("iter %d: recorded %d muxes before, network had %d", iter, rw.Muxes, len(orig.Muxes))
+		}
+		got, want := rw.Elems(nw), nw.ChangedInputs(orig)
+		if len(got) != len(want) {
+			t.Fatalf("iter %d: Elems %v, ChangedInputs %v", iter, got, want)
+		}
+		for _, e := range want {
+			if !slices.Contains(got, e) {
+				t.Fatalf("iter %d: Elems %v misses %v", iter, got, e)
+			}
+		}
+		nw.Undo(rw)
+		if len(nw.ChangedInputs(orig)) != 0 || len(nw.Muxes) != len(orig.Muxes) {
+			t.Fatalf("iter %d: Undo left %v changed", iter, nw.ChangedInputs(orig))
+		}
+	}
+}
+
+// TestEffectiveSourcesOrder: sources come out in depth-first order over
+// the mux inputs, each once, unconnected inputs included.
+func TestEffectiveSourcesOrder(t *testing.T) {
+	nw := New("eff")
+	for i := 0; i < 4; i++ {
+		nw.AddRegister("R", 1, 0)
+	}
+	inner := nw.AddMux("inner", Reg(1), Reg(0), NoRef)
+	outer := nw.AddMux("outer", Reg(2), Mx(inner), Reg(1), ScanIn, NoRef)
+	nw.Connect(3, Mx(outer))
+	got := nw.EffectiveSources(3)
+	if want := []Ref{Reg(2), Reg(1), Reg(0), NoRef, ScanIn}; !slices.Equal(got, want) {
+		t.Fatalf("EffectiveSources = %v, want %v", got, want)
 	}
 }

@@ -14,6 +14,7 @@ package rsn
 import (
 	"fmt"
 
+	"repro/internal/graph"
 	"repro/internal/netlist"
 )
 
@@ -181,24 +182,37 @@ func (nw *Network) NumScanFFs() int {
 
 // inputsOf returns the source references feeding the element.
 func (nw *Network) inputsOf(r Ref) []Ref {
-	switch r.Kind {
-	case KScanIn:
-		return nil
-	case KScanOut:
-		if nw.OutSrc.IsValid() && nw.OutSrc != NoRef {
-			return []Ref{nw.OutSrc}
-		}
-		return nil
-	case KRegister:
-		in := nw.Registers[r.ID].In
-		if in != NoRef && in.IsValid() {
-			return []Ref{in}
-		}
-		return nil
-	case KMux:
+	if r.Kind == KMux {
 		return nw.Muxes[r.ID].Inputs
 	}
+	if in, ok := nw.inputAt(r, 0); ok {
+		return []Ref{in}
+	}
 	return nil
+}
+
+// inputAt returns the element's i-th source in inputsOf order, and
+// false past the last one. Graph walks iterate it instead of inputsOf,
+// which allocates for single-input elements.
+func (nw *Network) inputAt(r Ref, i int) (Ref, bool) {
+	var in Ref
+	switch r.Kind {
+	case KMux:
+		if ins := nw.Muxes[r.ID].Inputs; i < len(ins) {
+			return ins[i], true
+		}
+		return NoRef, false
+	case KRegister:
+		in = nw.Registers[r.ID].In
+	case KScanOut:
+		in = nw.OutSrc
+	default:
+		return NoRef, false
+	}
+	if i == 0 && in != NoRef && in.IsValid() {
+		return in, true
+	}
+	return NoRef, false
 }
 
 // Validate checks structural sanity: all references in range, scan-out
@@ -328,13 +342,12 @@ func (nw *Network) findCycle() string {
 		color[nw.refIndex(root)] = gray
 		for len(stack) > 0 {
 			f := &stack[len(stack)-1]
-			ins := nw.inputsOf(f.r)
-			if f.idx >= len(ins) {
+			next, ok := nw.inputAt(f.r, f.idx)
+			if !ok {
 				color[nw.refIndex(f.r)] = black
 				stack = stack[:len(stack)-1]
 				continue
 			}
-			next := ins[f.idx]
 			f.idx++
 			switch color[nw.refIndex(next)] {
 			case gray:
@@ -362,7 +375,13 @@ func (nw *Network) reachableBackward(r Ref) refSet {
 			continue
 		}
 		seen.marks[idx] = true
-		stack = append(stack, nw.inputsOf(cur)...)
+		for i := 0; ; i++ {
+			in, ok := nw.inputAt(cur, i)
+			if !ok {
+				break
+			}
+			stack = append(stack, in)
+		}
 	}
 	return seen
 }
@@ -371,35 +390,32 @@ func (nw *Network) reachableBackward(r Ref) refSet {
 // following fanout (i.e. all elements r's data can reach over some
 // configuration).
 func (nw *Network) reachableForward(r Ref) refSet {
-	// Dense fanout adjacency.
-	fan := make([][]Ref, nw.numRefs())
-	addFan := func(src, dst Ref) {
-		if src != NoRef && src.IsValid() {
-			i := nw.refIndex(src)
-			fan[i] = append(fan[i], dst)
+	fan := graph.NewCSR(nw.numRefs(), func(add func(src, dst int)) {
+		edge := func(src, dst Ref) {
+			if src != NoRef && src.IsValid() {
+				add(nw.refIndex(src), nw.refIndex(dst))
+			}
 		}
-	}
-	for i := range nw.Registers {
-		addFan(nw.Registers[i].In, Reg(i))
-	}
-	for i := range nw.Muxes {
-		for _, in := range nw.Muxes[i].Inputs {
-			addFan(in, Mx(i))
+		for i := range nw.Registers {
+			edge(nw.Registers[i].In, Reg(i))
 		}
-	}
-	addFan(nw.OutSrc, ScanOut)
-
+		for i := range nw.Muxes {
+			for _, in := range nw.Muxes[i].Inputs {
+				edge(in, Mx(i))
+			}
+		}
+		edge(nw.OutSrc, ScanOut)
+	})
 	seen := refSet{nw, make([]bool, nw.numRefs())}
-	stack := []Ref{r}
+	stack := []int32{int32(nw.refIndex(r))}
 	for len(stack) > 0 {
-		cur := stack[len(stack)-1]
+		idx := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		idx := nw.refIndex(cur)
 		if seen.marks[idx] {
 			continue
 		}
 		seen.marks[idx] = true
-		stack = append(stack, fan[idx]...)
+		stack = append(stack, fan.Row(int(idx))...)
 	}
 	return seen
 }
