@@ -12,6 +12,9 @@ import "repro/internal/sat"
 // Builder accumulates Tseitin clauses in a sat.Solver.
 type Builder struct {
 	S *sat.Solver
+	// cl is the scratch clause of the n-ary And/Or encodings (the
+	// solver copies every clause it keeps).
+	cl []sat.Lit
 }
 
 // NewBuilder returns a Builder emitting into a fresh solver.
@@ -42,12 +45,12 @@ func (b *Builder) And(out sat.Lit, ins ...sat.Lit) {
 		b.S.AddClause(in, out.Not())
 	}
 	// (all ins -> out): (~in1 | ~in2 | ... | out)
-	cl := make([]sat.Lit, 0, len(ins)+1)
+	cl := b.cl[:0]
 	for _, in := range ins {
 		cl = append(cl, in.Not())
 	}
-	cl = append(cl, out)
-	b.S.AddClause(cl...)
+	b.cl = append(cl, out)
+	b.S.AddClause(b.cl...)
 }
 
 // Or constrains out <-> OR(ins...). With no inputs, out is false.
@@ -55,10 +58,8 @@ func (b *Builder) Or(out sat.Lit, ins ...sat.Lit) {
 	for _, in := range ins {
 		b.S.AddClause(in.Not(), out)
 	}
-	cl := make([]sat.Lit, 0, len(ins)+1)
-	cl = append(cl, ins...)
-	cl = append(cl, out.Not())
-	b.S.AddClause(cl...)
+	b.cl = append(append(b.cl[:0], ins...), out.Not())
+	b.S.AddClause(b.cl...)
 }
 
 // Nand constrains out <-> NAND(ins...).

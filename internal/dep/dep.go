@@ -301,6 +301,27 @@ type oneCycleRow struct {
 	decisions, conflicts             int64
 }
 
+// supportLeaf is a flip-flop leaf of a root's cone.
+type supportLeaf struct {
+	ff netlist.FFID
+	li int // index into the cone's leaves
+}
+
+// oneCycleScratch is one 1-cycle worker's reusable state. Every root
+// the worker classifies walks, simulates and encodes its cone in these
+// buffers, so after warm-up a root allocates nothing but its result
+// row. Reuse cannot change a result: the querier's solver is Reset to
+// the state New returns before each encoding, and every buffer is
+// cleared or overwritten before it is read.
+type oneCycleScratch struct {
+	q         *ConeQuerier // owns the cone walker and the solver
+	sc        simCone
+	support   []supportLeaf
+	testIdx   []int
+	witnessed []bool // per leaf
+	queryable []bool // per leaf
+}
+
 // OneCycleConfig tunes the exact-mode 1-cycle computation.
 type OneCycleConfig struct {
 	// DisableSimFilter turns off the bit-parallel random-simulation
@@ -384,6 +405,7 @@ func FillOneCycleCfg(m *Matrix, n *netlist.Netlist, mode Mode, stats *Stats, opt
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			ws := oneCycleScratch{q: NewQuerier(n)}
 			for {
 				idx := int(next.Add(1)) - 1
 				if idx >= len(jobs) || cancelled.Load() {
@@ -398,17 +420,15 @@ func FillOneCycleCfg(m *Matrix, n *netlist.Netlist, mode Mode, stats *Stats, opt
 				row := &rows[idx]
 				// One cone walk serves the support computation, the
 				// simulation prefilter and (if needed) the miter encoding.
-				gates, leaves := n.Cone(root)
-				type supportLeaf struct {
-					ff netlist.FFID
-					li int // index into leaves
-				}
-				var support []supportLeaf
+				gates, leaves := ws.q.w.Walk(root)
+				support := ws.support[:0]
 				for li, l := range leaves {
 					if ff := n.FFOfNode(l); ff != netlist.NoFF {
 						support = append(support, supportLeaf{ff, li})
 					}
 				}
+				ws.support = support
+				row.entries = make([]oneCycleEntry, 0, len(support))
 				// One query span per root's cone — the high-frequency
 				// level of the trace hierarchy, subject to sampling.
 				qspan := queryOpts.StartSpan("query", obs.Int("root_ff", int64(b)))
@@ -426,13 +446,15 @@ func FillOneCycleCfg(m *Matrix, n *netlist.Netlist, mode Mode, stats *Stats, opt
 				var witnessed []bool
 				if useSim && len(support) > 0 {
 					simEnd := simStage.Start()
-					if sc := newSimCone(n, root, gates, leaves); sc != nil {
-						testIdx := make([]int, len(support))
-						for k, sl := range support {
-							testIdx[k] = sl.li
+					if sc := &ws.sc; sc.compile(n, ws.q.w, root, gates, leaves) {
+						testIdx := ws.testIdx[:0]
+						for _, sl := range support {
+							testIdx = append(testIdx, sl.li)
 						}
+						ws.testIdx = testIdx
 						wit := sc.filter(cfg.SimRounds, testIdx)
-						witnessed = make([]bool, len(leaves))
+						witnessed = grow(ws.witnessed, len(leaves))
+						ws.witnessed = witnessed
 						for k, li := range testIdx {
 							if wit[k] {
 								witnessed[li] = true
@@ -447,9 +469,9 @@ func FillOneCycleCfg(m *Matrix, n *netlist.Netlist, mode Mode, stats *Stats, opt
 					simEnd()
 				}
 				// Whatever the prefilter could not witness goes through
-				// the exact cofactor miter; the querier (and its CNF
-				// encoding) is only built if some leaf needs it.
-				var q *ConeQuerier
+				// the exact cofactor miter; the CNF encoding is only
+				// built if some leaf needs it.
+				q, encoded := ws.q, false
 				for _, sl := range support {
 					if witnessed != nil && witnessed[sl.li] {
 						row.functional++
@@ -461,21 +483,23 @@ func FillOneCycleCfg(m *Matrix, n *netlist.Netlist, mode Mode, stats *Stats, opt
 						qspan.End()
 						return
 					}
-					if q == nil {
+					if !encoded {
 						// With the prefilter's witnesses in hand, only
 						// the unwitnessed support leaves are ever
 						// queried — the miter encoding collapses around
 						// them (hard-shared leaves, single-copy gates).
 						var queryable []bool
 						if witnessed != nil {
-							queryable = make([]bool, len(leaves))
+							queryable = grow(ws.queryable, len(leaves))
+							ws.queryable = queryable
 							for _, s2 := range support {
 								if !witnessed[s2.li] {
 									queryable[s2.li] = true
 								}
 							}
 						}
-						q = newConeQuerierRestricted(n, root, gates, leaves, queryable)
+						q.encode(root, gates, leaves, queryable)
+						encoded = true
 					}
 					row.satCalls++
 					var functional bool
@@ -537,36 +561,6 @@ func FillOneCycleCfg(m *Matrix, n *netlist.Netlist, mode Mode, stats *Stats, opt
 	opts.Logf("one-cycle: %d roots, %d SAT queries (%d sim-resolved) over %d workers",
 		len(jobs), satCalls, simSolved, workers)
 	return nil
-}
-
-// fillOneCycleSequential is the pre-engine computation — one full miter
-// encoding per (root, leaf) pair on a single goroutine. It is retained
-// as the reference implementation for differential tests and the
-// sequential benchmark baseline.
-func fillOneCycleSequential(m *Matrix, n *netlist.Netlist, mode Mode, stats *Stats) {
-	if m.N() < n.NumFFs() {
-		panic("dep: matrix smaller than circuit")
-	}
-	for b := range n.FFs {
-		root := n.FFs[b].D
-		if root == netlist.NoNode {
-			continue
-		}
-		for _, a := range n.SupportFFs(root) {
-			if mode == StructuralApprox {
-				m.Set(b, int(a), Path)
-				continue
-			}
-			stats.SATCalls++
-			if NewConeQuerier(n, root).Depends(n.FFs[a].Node) {
-				stats.Functional1Cycle++
-				m.Set(b, int(a), Path)
-			} else {
-				stats.StructOnly1Cycle++
-				m.Set(b, int(a), Structural)
-			}
-		}
-	}
 }
 
 // Bridge eliminates the given internal flip-flops from the matrix, one

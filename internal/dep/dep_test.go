@@ -469,6 +469,7 @@ func TestComputeMatchesOneCycleSimulation(t *testing.T) {
 
 func BenchmarkOneCycleExact(b *testing.B) {
 	g := netlist.Generate(netlist.DefaultGenConfig([]string{"a", "b", "c", "d"}, 8), 4)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var st Stats

@@ -22,6 +22,37 @@ func catalogCircuit(t testing.TB, name string, scale float64, seed int64) *netli
 	return bench.AttachCircuit(nw, bench.DefaultCircuitConfig(), seed).Circuit
 }
 
+// fillOneCycleSequential is the pre-engine computation — one full miter
+// encoding per (root, leaf) pair on a single goroutine, with no
+// simulation prefilter and no reused scratch. It is the reference
+// implementation for the differential tests and the sequential
+// benchmark baseline.
+func fillOneCycleSequential(m *Matrix, n *netlist.Netlist, mode Mode, stats *Stats) {
+	if m.N() < n.NumFFs() {
+		panic("dep: matrix smaller than circuit")
+	}
+	for b := range n.FFs {
+		root := n.FFs[b].D
+		if root == netlist.NoNode {
+			continue
+		}
+		for _, a := range n.SupportFFs(root) {
+			if mode == StructuralApprox {
+				m.Set(b, int(a), Path)
+				continue
+			}
+			stats.SATCalls++
+			if NewConeQuerier(n, root).Depends(n.FFs[a].Node) {
+				stats.Functional1Cycle++
+				m.Set(b, int(a), Path)
+			} else {
+				stats.StructOnly1Cycle++
+				m.Set(b, int(a), Structural)
+			}
+		}
+	}
+}
+
 // TestParallelOneCycleMatchesSequential checks the engine's determinism
 // guarantee: the pooled per-root computation produces a matrix
 // bit-identical to the sequential reference, in both dependency modes,
@@ -125,6 +156,7 @@ func BenchmarkOneCycleSequential(b *testing.B) {
 func BenchmarkOneCycleParallel(b *testing.B) {
 	g := netlist.Generate(netlist.DefaultGenConfig([]string{"a", "b", "c", "d"}, 8), 4)
 	m := NewMatrix(g.N.NumFFs())
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var st Stats

@@ -95,14 +95,16 @@ func TestSimWitnessSoundness(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		g := netlist.Generate(netlist.DefaultGenConfig([]string{"x", "y"}, 4), seed)
 		n := g.N
+		// One walker and one compiled cone, reused for every root.
+		w := netlist.NewConeWalker(n)
+		var sc simCone
 		for b := range n.FFs {
 			root := n.FFs[b].D
 			if root == netlist.NoNode {
 				continue
 			}
-			gates, leaves := n.Cone(root)
-			sc := newSimCone(n, root, gates, leaves)
-			if sc == nil {
+			gates, leaves := w.Walk(root)
+			if !sc.compile(n, w, root, gates, leaves) {
 				continue
 			}
 			var testIdx []int
@@ -128,14 +130,16 @@ func TestSimConeAgreesWithEvalGate(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		g := netlist.Generate(netlist.DefaultGenConfig([]string{"p", "q"}, 3), seed)
 		n := g.N
+		// One walker and one compiled cone, reused for every root.
+		w := netlist.NewConeWalker(n)
+		var sc simCone
 		for b := range n.FFs {
 			root := n.FFs[b].D
 			if root == netlist.NoNode || n.Nodes[root].Kind != netlist.KindGate {
 				continue
 			}
-			gates, leaves := n.Cone(root)
-			sc := newSimCone(n, root, gates, leaves)
-			if sc == nil {
+			gates, leaves := w.Walk(root)
+			if !sc.compile(n, w, root, gates, leaves) {
 				continue
 			}
 			// Assign lane-0 bits and compare against scalar evaluation.

@@ -131,7 +131,9 @@ func ParseBench(r io.Reader) (*Netlist, error) {
 	)
 	curModule := "default"
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1024*1024), 16*1024*1024)
+	// Start small (the scanner grows its buffer on demand) but accept
+	// lines up to 16 MiB, e.g. a gate with a very wide fan-in.
+	sc.Buffer(nil, 16<<20)
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++

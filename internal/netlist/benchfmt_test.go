@@ -1,6 +1,7 @@
 package netlist
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -169,5 +170,30 @@ func TestParseBenchOutputIgnored(t *testing.T) {
 	src := "INPUT(a)\nOUTPUT(f)\nf = DFF(a)\n"
 	if _, err := ParseBench(strings.NewReader(src)); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestParseBenchLongLine checks that a line longer than bufio's default
+// 64 KiB token limit still parses: the scanner starts with a small
+// buffer and grows it up to the 16 MiB line cap.
+func TestParseBenchLongLine(t *testing.T) {
+	const width = 12000
+	var sb strings.Builder
+	names := make([]string, width)
+	for i := range names {
+		names[i] = fmt.Sprintf("in%d", i)
+		fmt.Fprintf(&sb, "INPUT(%s)\n", names[i])
+	}
+	gate := "g = XOR(" + strings.Join(names, ", ") + ")"
+	if len(gate) <= 64<<10 {
+		t.Fatalf("gate line is only %d bytes; the test needs > 64 KiB", len(gate))
+	}
+	sb.WriteString(gate + "\nf = DFF(g)\n")
+	n, err := ParseBench(strings.NewReader(sb.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := len(n.Nodes[n.FFs[0].D].Fanin); got != width {
+		t.Fatalf("gate fan-in = %d, want %d", got, width)
 	}
 }

@@ -287,41 +287,96 @@ func (n *Netlist) TopoOrder() []NodeID {
 
 // Cone computes the combinational fan-in cone of root: the gate nodes of
 // the cone in topological order, and the leaves (inputs, constants and
-// FF outputs) it depends on.
+// FF outputs) it depends on. It is the one-shot form of ConeWalker;
+// callers walking many cones of one netlist should reuse a walker.
 func (n *Netlist) Cone(root NodeID) (gates []NodeID, leaves []NodeID) {
-	state := make(map[NodeID]uint8, 32)
-	var stack []NodeID
+	return NewConeWalker(n).Walk(root)
+}
+
+// ConeWalker extracts fan-in cones of one netlist, reusing its scratch
+// across walks: after warm-up a walk allocates nothing and costs time
+// proportional to the cone, not to the netlist. Visit marks are
+// generation-stamped per node, so starting a walk clears nothing. A
+// ConeWalker is not safe for concurrent use.
+type ConeWalker struct {
+	n *Netlist
+	// stamp[id] == gen marks id as visited by the current walk; pos[id]
+	// is then its index in gates or leaves, or -1 while a gate's fan-in
+	// is still being expanded.
+	stamp []uint32
+	pos   []int32
+	gen   uint32
+
+	stack         []NodeID
+	gates, leaves []NodeID
+}
+
+// NewConeWalker returns a walker over n's cones.
+func NewConeWalker(n *Netlist) *ConeWalker {
+	return &ConeWalker{n: n}
+}
+
+// Walk extracts root's fan-in cone: the gate nodes in topological order
+// and the leaves (inputs, constants and FF outputs) in discovery order,
+// exactly as Cone returns them. The slices are owned by the walker and
+// valid until the next Walk; do not modify them.
+func (w *ConeWalker) Walk(root NodeID) (gates []NodeID, leaves []NodeID) {
+	n := w.n
+	if len(w.stamp) < len(n.Nodes) {
+		w.stamp = append(w.stamp, make([]uint32, len(n.Nodes)-len(w.stamp))...)
+		w.pos = append(w.pos, make([]int32, len(n.Nodes)-len(w.pos))...)
+	}
+	w.gen++
+	if w.gen == 0 {
+		// Wrapped: a stamp left by a walk 2^32 walks ago would read as
+		// current, so clear every stamp once and restart at 1.
+		clear(w.stamp)
+		w.gen = 1
+	}
+	gen := w.gen
+	w.gates, w.leaves = w.gates[:0], w.leaves[:0]
+	// push marks leaves done on sight; gates go on the stack, possibly
+	// more than once — only the first expansion counts.
 	push := func(id NodeID) {
-		if state[id] != 0 {
+		if w.stamp[id] == gen {
 			return
 		}
 		if n.Nodes[id].Kind != KindGate {
-			state[id] = 2
-			leaves = append(leaves, id)
+			w.stamp[id] = gen
+			w.pos[id] = int32(len(w.leaves))
+			w.leaves = append(w.leaves, id)
 			return
 		}
-		stack = append(stack, id)
+		w.stack = append(w.stack, id)
 	}
 	push(root)
-	for len(stack) > 0 {
-		id := stack[len(stack)-1]
-		switch state[id] {
-		case 0:
-			state[id] = 1
+	for len(w.stack) > 0 {
+		id := w.stack[len(w.stack)-1]
+		switch {
+		case w.stamp[id] != gen: // new: expand
+			w.stamp[id] = gen
+			w.pos[id] = -1
 			for _, f := range n.Nodes[id].Fanin {
-				if state[f] == 0 {
-					push(f)
-				}
+				push(f)
 			}
-		case 1:
-			state[id] = 2
-			gates = append(gates, id)
-			stack = stack[:len(stack)-1]
-		default:
-			stack = stack[:len(stack)-1]
+		case w.pos[id] < 0: // expanded: every fan-in is done
+			w.pos[id] = int32(len(w.gates))
+			w.gates = append(w.gates, id)
+			w.stack = w.stack[:len(w.stack)-1]
+		default: // a duplicate stack entry of a finished gate
+			w.stack = w.stack[:len(w.stack)-1]
 		}
 	}
-	return gates, leaves
+	return w.gates, w.leaves
+}
+
+// Pos returns id's index in the gates (for a gate node) or leaves (for
+// any other node) of the latest Walk, or -1 if id is not in that cone.
+func (w *ConeWalker) Pos(id NodeID) int {
+	if id < 0 || int(id) >= len(w.stamp) || w.stamp[id] != w.gen || w.gen == 0 {
+		return -1
+	}
+	return int(w.pos[id])
 }
 
 // SupportFFs returns the flip-flops in the structural support of root

@@ -13,7 +13,9 @@ import (
 // actual variable count grows with the literals seen.
 func ParseDIMACS(r io.Reader) (numVars int, clauses [][]Lit, err error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1024*1024), 64*1024*1024)
+	// Start small (the scanner grows its buffer on demand) but accept
+	// clause lines up to 64 MiB.
+	sc.Buffer(nil, 64<<20)
 	var cur []Lit
 	lineNo := 0
 	for sc.Scan() {

@@ -121,6 +121,13 @@ type Solver struct {
 	clauses []clause
 	watches [][]watcher // indexed by Lit
 
+	// lits is the slab holding every problem clause's literals: each
+	// stored clause's lits is a capacity-capped window into it, so a
+	// problem clause costs no allocation of its own once the slab has
+	// grown. Learnt clauses are allocated individually (reduceDB
+	// releases them).
+	lits []Lit
+
 	trail    []Lit
 	trailLim []int
 	qhead    int
@@ -141,6 +148,11 @@ type Solver struct {
 	// computeLBD calls to avoid allocation on the conflict path.
 	lbdStamp []uint64
 	lbdGen   uint64
+
+	// Conflict-analysis scratch, reused across analyze calls: the learnt
+	// clause under construction and the variables to unmark.
+	learntBuf []Lit
+	toClear   []Var
 
 	// restart state; the LBD EMAs persist across Solve calls so the
 	// adaptive policy keeps its history over an incremental query burst.
@@ -237,22 +249,61 @@ var ErrBudget = errors.New("sat: conflict budget exhausted")
 
 // New returns an empty solver.
 func New() *Solver {
-	s := &Solver{
-		varInc:    1.0,
-		clauseInc: 1.0,
-		ok:        true,
-	}
-	s.vars = make([]varData, 1) // index 0 unused
-	s.watches = make([][]watcher, 2)
+	s := &Solver{}
 	s.order = newVarHeap(s)
+	s.Reset()
 	return s
+}
+
+// Reset returns the solver to exactly the state New returns — no
+// variables, clauses, statistics, model, budget, restart policy or
+// clause trace — while keeping the capacity of its tables, so a solver
+// reused across many small formulas stops allocating once it has grown
+// to the largest of them. Every decision the solver makes depends only
+// on the values in its tables, never on their capacity, so a formula
+// solved after Reset follows the same search, and returns the same
+// status, model and Statistics, as on a fresh solver.
+func (s *Solver) Reset() {
+	s.vars = append(s.vars[:0], varData{}) // index 0 unused
+	// Watch lists past the two unused slots of variable 0 are emptied
+	// by NewVar when it re-extends the table.
+	if cap(s.watches) < 2 {
+		s.watches = make([][]watcher, 2)
+	}
+	s.watches = s.watches[:2]
+	s.clauses = s.clauses[:0]
+	s.lits = s.lits[:0]
+	s.trail = s.trail[:0]
+	s.trailLim = s.trailLim[:0]
+	s.qhead = 0
+	s.varInc, s.clauseInc = 1.0, 1.0
+	s.order.heap = s.order.heap[:0]
+	s.order.indices = s.order.indices[:0]
+	s.ok = true
+	s.model = s.model[:0]
+	s.numLearnt, s.maxLearnts = 0, 0
+	// lbdStamp keeps its marks: they are all older than lbdGen, which
+	// only ever grows, so computeLBD treats them as unmarked.
+	s.restartPolicy = RestartEMA
+	s.fastLBD, s.slowLBD = 0, 0
+	s.keptAssumps = s.keptAssumps[:0]
+	s.Stats = Statistics{}
+	s.budget = 0
+	s.clauseTrace = nil
 }
 
 // NewVar introduces a fresh variable and returns it.
 func (s *Solver) NewVar() Var {
 	v := Var(len(s.vars))
 	s.vars = append(s.vars, varData{assign: lUndef, reason: -1})
-	s.watches = append(s.watches, nil, nil)
+	if n := len(s.watches); n+2 <= cap(s.watches) {
+		// Re-slice, keeping the backing arrays of lists a Reset emptied.
+		s.watches = s.watches[:n+2]
+		s.watches[n] = s.watches[n][:0]
+		s.watches[n+1] = s.watches[n+1][:0]
+	} else {
+		s.watches = append(s.watches, nil, nil)
+	}
 	s.order.push(v)
 	return v
 }
@@ -295,18 +346,22 @@ func (s *Solver) litValue(l Lit) lbool {
 // AddClause adds a clause over the given literals. It returns false if
 // the solver is already in an unsatisfiable state (including the case
 // where the new clause is empty after simplification at level 0).
+// AddClause does not retain lits.
 func (s *Solver) AddClause(lits ...Lit) bool {
 	if !s.ok {
 		return false
 	}
 	if s.clauseTrace != nil {
-		s.clauseTrace(lits)
+		// A copy, so that lits never escapes through the callback.
+		s.clauseTrace(append([]Lit(nil), lits...))
 	}
 	// Clause addition needs level 0; drop any trail kept for
 	// assumption-prefix reuse.
 	s.cancelReuse()
-	// Normalize: sort-free dedup, drop false lits, detect tautology.
-	out := make([]Lit, 0, len(lits))
+	// Normalize onto the tail of the slab, keeping literal order:
+	// sort-free dedup, drop false lits, detect tautology. Only a clause
+	// that is stored keeps the tail.
+	start := len(s.lits)
 	for _, l := range lits {
 		if l <= 1 {
 			panic("sat: invalid literal")
@@ -314,30 +369,35 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 		s.ensureVar(l.Var())
 		switch s.litValue(l) {
 		case lTrue:
+			s.lits = s.lits[:start]
 			return true // clause already satisfied at level 0
 		case lFalse:
 			continue // literal cannot help
 		}
 		dup := false
-		for _, o := range out {
+		for _, o := range s.lits[start:] {
 			if o == l {
 				dup = true
 				break
 			}
 			if o == l.Not() {
+				s.lits = s.lits[:start]
 				return true // tautology
 			}
 		}
 		if !dup {
-			out = append(out, l)
+			s.lits = append(s.lits, l)
 		}
 	}
+	out := s.lits[start:len(s.lits):len(s.lits)]
 	switch len(out) {
 	case 0:
 		s.ok = false
 		return false
 	case 1:
-		if !s.enqueue(out[0], -1) {
+		unit := out[0]
+		s.lits = s.lits[:start]
+		if !s.enqueue(unit, -1) {
 			s.ok = false
 			return false
 		}
@@ -447,12 +507,14 @@ func (s *Solver) propagate() int {
 // analyze performs first-UIP conflict analysis. It returns the learnt
 // clause (with the asserting literal first), the backtrack level, and
 // the clause's LBD (computed while every literal is still assigned).
+// The clause lives in the solver's analysis scratch and is valid until
+// the next analyze; learnClause copies it.
 func (s *Solver) analyze(confl int) ([]Lit, int, int32) {
-	learnt := []Lit{0} // placeholder for asserting literal
+	learnt := append(s.learntBuf[:0], 0) // placeholder for asserting literal
 	seenCount := 0
 	p := Lit(0)
 	idx := len(s.trail) - 1
-	var toClear []Var
+	toClear := s.toClear[:0]
 
 	for {
 		c := &s.clauses[confl]
@@ -516,6 +578,7 @@ func (s *Solver) analyze(confl int) ([]Lit, int, int32) {
 	for _, v := range toClear {
 		s.vars[v].seen = false
 	}
+	s.learntBuf, s.toClear = learnt, toClear
 	return learnt, btLevel, s.computeLBD(learnt)
 }
 

@@ -110,14 +110,17 @@ func buildGraph(nw *rsn.Network, n *netlist.Netlist, res *Result) *graph {
 
 	// Circuit edges: exhaustively or SAT-checked functional 1-cycle
 	// dependencies, internal flip-flops included. The cone is extracted
-	// and (for the SAT path) encoded once per root via a ConeQuerier;
-	// every leaf query reuses it instead of re-walking the netlist.
+	// and (for the SAT path) encoded once per root by one ConeQuerier,
+	// Reset for every root so its walker and solver are reused; every
+	// leaf query reuses the root's encoding instead of re-walking the
+	// netlist.
+	q := dep.NewQuerier(n)
 	for b := range n.FFs {
 		root := n.FFs[b].D
 		if root == netlist.NoNode {
 			continue
 		}
-		q := dep.NewConeQuerier(n, root)
+		q.Reset(root)
 		leaves := q.Leaves()
 		free := 0
 		for _, l := range leaves {
