@@ -3,6 +3,7 @@ package icl
 import (
 	"strings"
 	"testing"
+	"unicode"
 
 	"repro/internal/netlist"
 	"repro/internal/rsn"
@@ -315,4 +316,19 @@ func sampleLookupFunc(t *testing.T) func(string) (netlist.FFID, bool) {
 	t.Helper()
 	l, _ := sampleLookup()
 	return l
+}
+
+// TestIdentClassesMatchUnicode pins the identifier byte classes to the
+// Unicode definitions: letters and '_' start an identifier, which may
+// continue with letters, digits, '_' and '.'. Bytes >= 0x80 count as
+// the Latin-1 rune of the same value.
+func TestIdentClassesMatchUnicode(t *testing.T) {
+	for i := 0; i < 256; i++ {
+		c, r := byte(i), rune(i)
+		start := r == '_' || unicode.IsLetter(r)
+		part := start || r == '.' || unicode.IsDigit(r)
+		if isIdentStart(c) != start || isIdentPart(c) != part {
+			t.Errorf("byte %#x: start=%v part=%v, want %v %v", c, isIdentStart(c), isIdentPart(c), start, part)
+		}
+	}
 }

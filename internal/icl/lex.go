@@ -26,8 +26,8 @@ package icl
 
 import (
 	"fmt"
-	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 type tokenKind uint8
@@ -117,27 +117,26 @@ scan:
 		l.pos++
 		return token{tokComma, ",", l.line}, nil
 	case c == '"':
+		// The dialect has no escapes: the token is the quoted text.
 		l.pos++
-		var sb strings.Builder
 		for l.pos < len(l.src) && l.src[l.pos] != '"' {
 			if l.src[l.pos] == '\n' {
 				return token{}, fmt.Errorf("icl: line %d: unterminated string", l.line)
 			}
-			sb.WriteByte(l.src[l.pos])
 			l.pos++
 		}
 		if l.pos >= len(l.src) {
 			return token{}, fmt.Errorf("icl: line %d: unterminated string", l.line)
 		}
 		l.pos++
-		return token{tokString, sb.String(), l.line}, nil
+		return token{tokString, l.src[start+1 : l.pos-1], l.line}, nil
 	case c >= '0' && c <= '9':
 		for l.pos < len(l.src) && l.src[l.pos] >= '0' && l.src[l.pos] <= '9' {
 			l.pos++
 		}
 		return token{tokNumber, l.src[start:l.pos], l.line}, nil
-	case isIdentStart(rune(c)):
-		for l.pos < len(l.src) && isIdentPart(rune(l.src[l.pos])) {
+	case isIdentStart(c):
+		for l.pos < len(l.src) && isIdentPart(l.src[l.pos]) {
 			l.pos++
 		}
 		return token{tokIdent, l.src[start:l.pos], l.line}, nil
@@ -145,10 +144,18 @@ scan:
 	return token{}, fmt.Errorf("icl: line %d: unexpected character %q", l.line, c)
 }
 
-func isIdentStart(r rune) bool {
-	return r == '_' || unicode.IsLetter(r)
+// isIdentStart and isIdentPart classify single bytes. A byte >= 0x80 is
+// judged as the Latin-1 rune of the same value.
+func isIdentStart(c byte) bool {
+	if c < utf8.RuneSelf {
+		return c == '_' || 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z'
+	}
+	return unicode.IsLetter(rune(c))
 }
 
-func isIdentPart(r rune) bool {
-	return r == '_' || r == '.' || unicode.IsLetter(r) || unicode.IsDigit(r)
+func isIdentPart(c byte) bool {
+	if c < utf8.RuneSelf {
+		return isIdentStart(c) || c == '.' || '0' <= c && c <= '9'
+	}
+	return unicode.IsLetter(rune(c)) || unicode.IsDigit(rune(c))
 }

@@ -128,19 +128,8 @@ func (n *Netlist) AddConst(v bool) NodeID {
 // AddGate adds a combinational gate. Arity constraints: Not and Buf are
 // unary, Mux and Maj ternary, the rest need at least one input.
 func (n *Netlist) AddGate(g GateType, fanin ...NodeID) NodeID {
-	switch g {
-	case Not, Buf:
-		if len(fanin) != 1 {
-			panic(fmt.Sprintf("netlist: %v requires exactly 1 input, got %d", g, len(fanin)))
-		}
-	case Mux, Maj:
-		if len(fanin) != 3 {
-			panic(fmt.Sprintf("netlist: %v requires exactly 3 inputs, got %d", g, len(fanin)))
-		}
-	default:
-		if len(fanin) == 0 {
-			panic(fmt.Sprintf("netlist: %v requires at least 1 input", g))
-		}
+	if err := checkArity(g, len(fanin)); err != nil {
+		panic(err.Error())
 	}
 	for _, f := range fanin {
 		if f < 0 || int(f) >= len(n.Nodes) {
@@ -150,6 +139,25 @@ func (n *Netlist) AddGate(g GateType, fanin ...NodeID) NodeID {
 	cp := make([]NodeID, len(fanin))
 	copy(cp, fanin)
 	return n.addNode(Node{Kind: KindGate, Gate: g, Fanin: cp})
+}
+
+// checkArity reports whether a gate of function g may take k inputs.
+func checkArity(g GateType, k int) error {
+	switch g {
+	case Not, Buf:
+		if k != 1 {
+			return fmt.Errorf("netlist: %v requires exactly 1 input, got %d", g, k)
+		}
+	case Mux, Maj:
+		if k != 3 {
+			return fmt.Errorf("netlist: %v requires exactly 3 inputs, got %d", g, k)
+		}
+	default:
+		if k == 0 {
+			return fmt.Errorf("netlist: %v requires at least 1 input", g)
+		}
+	}
+	return nil
 }
 
 // AddFF adds a flip-flop in the given module and returns its id. Its D
