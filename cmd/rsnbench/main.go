@@ -403,6 +403,7 @@ func run(c benchConfig) error {
 		defer sink.Flush()
 		tracer = rsnsec.NewTracer(sink)
 		tracer.SampleEvery("query", c.traceSample)
+		tracer.SampleEvery("sim-filter", c.traceSample)
 		tracer.SampleEvery("propagate-delta", c.traceSample)
 	}
 	if c.debugAddr != "" {

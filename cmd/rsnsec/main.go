@@ -202,6 +202,7 @@ func run(benchName, iclPath, benchPath string, scale float64, seed, specSeed int
 		defer tf.Close()
 		tracer = rsnsec.NewTracer(rsnsec.NewJSONLTraceSink(tf))
 		tracer.SampleEvery("query", ec.traceSample)
+		tracer.SampleEvery("sim-filter", ec.traceSample)
 		tracer.SampleEvery("propagate-delta", ec.traceSample)
 	}
 	if ec.debugAddr != "" {

@@ -117,41 +117,21 @@ func (r *Report) TotalChanges() int { return r.PureChanges + r.HybridChanges }
 // the condition is a property of the circuit, not a failure of the
 // method (such runs are excluded from the paper's averaged results).
 func Secure(nw *rsn.Network, circuit *netlist.Netlist, internal []netlist.FFID, spec *secspec.Spec, opts Options) (*Report, error) {
-	logf := opts.Log
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
-	if err := nw.Validate(); err != nil {
-		return nil, fmt.Errorf("core: input network invalid: %w", err)
-	}
-	rep := &Report{}
-	start := time.Now()
-
 	// Data-flow analysis (Section III-A): 1-cycle dependencies,
 	// presetting, bridging, multi-cycle closure. Computed once, without
 	// the reconfigurable RSN connections, and reused across all
 	// structural changes.
-	eng := opts.engineOptions()
-	st := nw.Stats()
-	span := eng.StartSpan("secure",
-		obs.Str("network", nw.Name), obs.Int("registers", int64(st.Registers)),
-		obs.Int("scan_ffs", int64(st.ScanFFs)), obs.Int("muxes", int64(st.Muxes)))
-	defer span.End()
-	defer func() {
-		span.SetAttrs(obs.Bool("secured", rep.Secured), obs.Bool("insecure_logic", rep.InsecureLogic),
-			obs.Int("pure_changes", int64(rep.PureChanges)), obs.Int("hybrid_changes", int64(rep.HybridChanges)))
-	}()
-	// Stage spans of this run nest under the pipeline span.
-	eng = eng.WithParent(span)
-	t0 := time.Now()
-	an, err := hybrid.NewAnalysisOpts(nw, circuit, internal, spec, opts.Mode, eng)
-	if err != nil {
-		return rep, fmt.Errorf("core: dependency analysis: %w", err)
-	}
-	rep.Times.DependencyCalc = time.Since(t0)
-	logf("dependency calculation: %d denoted FFs, %d dependencies (%d preset), %d SAT calls",
-		an.DepStats.FFsDenoted, an.DepStats.DepsMultiCycle, an.PresetDeps, an.DepStats.SATCalls)
-	return rep, securePipeline(an, nw, eng, rep, logf, start)
+	return secure(nw, opts, func(eng engine.Options, rep *Report, logf func(string, ...any)) (*hybrid.Analysis, error) {
+		t0 := time.Now()
+		an, err := hybrid.NewAnalysisOpts(nw, circuit, internal, spec, opts.Mode, eng)
+		if err != nil {
+			return nil, fmt.Errorf("core: dependency analysis: %w", err)
+		}
+		rep.Times.DependencyCalc = time.Since(t0)
+		logf("dependency calculation: %d denoted FFs, %d dependencies (%d preset), %d SAT calls",
+			an.DepStats.FFsDenoted, an.DepStats.DepsMultiCycle, an.PresetDeps, an.DepStats.SATCalls)
+		return an, nil
+	})
 }
 
 // SecureWithAnalysis runs the pipeline stages after the dependency
@@ -166,6 +146,16 @@ func Secure(nw *rsn.Network, circuit *netlist.Netlist, internal []netlist.FFID, 
 // DependencyCalc time is zero — that cost was paid when the analysis
 // was built.
 func SecureWithAnalysis(an *hybrid.Analysis, nw *rsn.Network, opts Options) (*Report, error) {
+	return secure(nw, opts, func(eng engine.Options, _ *Report, _ func(string, ...any)) (*hybrid.Analysis, error) {
+		return an.WithEngine(eng), nil
+	})
+}
+
+// secure validates the input network and runs the whole pipeline under
+// one "secure" span: analysis returns the dependency analysis bound to
+// the span's engine configuration, and securePipeline runs the stages
+// after it.
+func secure(nw *rsn.Network, opts Options, analysis func(engine.Options, *Report, func(string, ...any)) (*hybrid.Analysis, error)) (*Report, error) {
 	logf := opts.Log
 	if logf == nil {
 		logf = func(string, ...any) {}
@@ -185,7 +175,13 @@ func SecureWithAnalysis(an *hybrid.Analysis, nw *rsn.Network, opts Options) (*Re
 		span.SetAttrs(obs.Bool("secured", rep.Secured), obs.Bool("insecure_logic", rep.InsecureLogic),
 			obs.Int("pure_changes", int64(rep.PureChanges)), obs.Int("hybrid_changes", int64(rep.HybridChanges)))
 	}()
-	return rep, securePipeline(an.WithEngine(eng.WithParent(span)), nw, eng.WithParent(span), rep, logf, start)
+	// Stage spans of this run nest under the pipeline span.
+	eng = eng.WithParent(span)
+	an, err := analysis(eng, rep, logf)
+	if err != nil {
+		return rep, err
+	}
+	return rep, securePipeline(an, nw, eng, rep, logf, start)
 }
 
 // securePipeline runs every stage after the dependency calculation:
@@ -216,15 +212,7 @@ func securePipeline(an *hybrid.Analysis, nw *rsn.Network, eng engine.Options, re
 
 	// Pure scan paths (Section III-C first half, the IOLTS 2018 stage).
 	t0 = time.Now()
-	pureDone := eng.Stage("pure-resolve").Start()
-	pureSpan := eng.StartSpan("pure-resolve")
-	pres, err := pure.Resolve(nw, spec)
-	if pres != nil {
-		pureSpan.SetAttrs(obs.Int("violations_before", int64(pres.ViolatingBefore)),
-			obs.Int("changes", int64(len(pres.Changes))))
-	}
-	pureSpan.End()
-	pureDone()
+	pres, err := pure.Resolve(nw, spec, eng)
 	rep.Times.PureStage = time.Since(t0)
 	if err != nil {
 		return fmt.Errorf("core: pure stage: %w", err)

@@ -1,15 +1,15 @@
 // Sparse multi-cycle closure: Tarjan SCC condensation followed by
 // reverse-topological bitset row unions.
 //
-// The dense Warshall closure (ClosureWarshall) is cubic in the matrix
-// dimension regardless of how sparse the dependency graph is. After
-// bridging the graph is sparse and almost acyclic — register chains and
-// capture/update couplings produce long DAG-like strands with small
-// cycles — so the condensation is near-linear: every strongly connected
-// component's closure row is the union of its successors' rows (plus
-// its own members when the component is cyclic), and Tarjan emits
-// components in reverse topological order, meaning every successor is
-// finished before its predecessors start. Components on the same
+// The dense Warshall closure (the test-only reference) is cubic in the
+// matrix dimension regardless of how sparse the dependency graph is.
+// After bridging the graph is sparse and almost acyclic — register
+// chains and capture/update couplings produce long DAG-like strands
+// with small cycles — so the condensation is near-linear: every
+// strongly connected component's closure row is the union of its
+// successors' rows (plus its own members when the component is
+// cyclic), and Tarjan emits components in reverse topological order,
+// meaning every successor is finished before its predecessors start. Components on the same
 // topological level are independent and fan out over the engine worker
 // pool; unions of bit sets are commutative and each component writes
 // only its own rows, so results are bit-identical to the sequential
@@ -27,31 +27,40 @@ import (
 	"repro/internal/obs"
 )
 
-// ClosureOpts computes the multi-cycle dependency closure in place under
-// an engine configuration: the transitive closure of path edges and,
+// ClosureOpts returns the multi-cycle dependency closure of m under an
+// engine configuration: the transitive closure of path edges and,
 // independently, of structural edges (a chain containing any
-// only-structural link is structural). Cancellation is honored between
-// topological levels; on cancellation the matrix is left untouched and
-// the context error is returned. The stage "closure" items counter
-// receives the number of condensed components.
-func ClosureOpts(m *Matrix, opts engine.Options) error {
-	stage := opts.Stage("closure")
-	span := opts.StartSpan("closure", obs.Int("nodes", int64(m.N())))
-	defer span.End()
-	np, ncp, err := closedRows(m.path, opts)
+// only-structural link is structural). The closure is a new matrix; m
+// is left untouched. Cancellation is honored between topological
+// levels, returning the context error. The stage "closure" items
+// counter receives the number of condensed components.
+func ClosureOpts(m *Matrix, opts engine.Options) (*Matrix, error) {
+	stage := opts.Begin("closure", obs.Int("nodes", int64(m.N())))
+	defer stage.End()
+	path, ncp, err := closedRows(m.path, opts)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	ns, ncs, err := closedRows(m.str, opts)
+	str, ncs, err := closedRows(m.str, opts)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	m.path = np
-	m.str = ns
 	stage.AddItems(int64(ncp + ncs))
-	span.SetAttrs(obs.Int("sccs_path", int64(ncp)), obs.Int("sccs_structural", int64(ncs)))
-	rebuildReverse(m)
-	return nil
+	stage.SetAttrs(obs.Int("sccs_path", int64(ncp)), obs.Int("sccs_structural", int64(ncs)))
+	return &Matrix{n: m.n, path: path, str: str, rpath: reverseRows(path), rstr: reverseRows(str)}, nil
+}
+
+// reverseRows returns the transpose of a relation as fresh rows.
+func reverseRows(rows []*bitset.Set) []*bitset.Set {
+	n := len(rows)
+	rev := make([]*bitset.Set, n)
+	for i := range rev {
+		rev[i] = bitset.New(n)
+	}
+	for i, r := range rows {
+		r.ForEach(func(j int) { rev[j].Set(i) })
+	}
+	return rev
 }
 
 // closedRows returns the transitive closure of one relation as fresh

@@ -38,26 +38,45 @@ func reverseConsistent(t *testing.T, m *Matrix) {
 	}
 }
 
+// identical reports whether two matrices have equal forward and
+// reverse rows.
+func identical(a, b *Matrix) bool {
+	if !a.Equal(b) {
+		return false
+	}
+	for i := 0; i < a.N(); i++ {
+		if !a.rpath[i].Equal(b.rpath[i]) || !a.rstr[i].Equal(b.rstr[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 // TestSCCClosureMatchesWarshall is the differential check of the sparse
 // closure: on random matrices of varying size, density and cyclicity —
 // with both Path and Structural entries — and on the dependency
 // matrices of scaled catalog benchmarks in both modes, ClosureOpts must
 // produce matrices bit-identical to the dense Warshall reference at any
-// worker count, with consistent reverse adjacency.
+// worker count, with consistent reverse adjacency, and leave their input
+// untouched.
 func TestSCCClosureMatchesWarshall(t *testing.T) {
 	check := func(t *testing.T, base *Matrix) {
 		t.Helper()
 		ref := base.Clone()
-		ClosureWarshall(ref)
+		closureWarshall(ref)
 		for _, workers := range []int{1, 3, 8} {
-			m := base.Clone()
-			if err := ClosureOpts(m, engine.Options{Workers: workers}); err != nil {
+			in := base.Clone()
+			m, err := ClosureOpts(in, engine.Options{Workers: workers})
+			if err != nil {
 				t.Fatalf("workers=%d: %v", workers, err)
 			}
 			if !m.Equal(ref) {
 				t.Fatalf("workers=%d: SCC closure differs from Warshall", workers)
 			}
 			reverseConsistent(t, m)
+			if !identical(in, base) {
+				t.Fatalf("workers=%d: closure modified its input", workers)
+			}
 		}
 	}
 
@@ -101,7 +120,7 @@ func TestSCCClosureMatchesWarshall(t *testing.T) {
 					}
 					att := bench.AttachCircuit(b.Build(0.15), bench.DefaultCircuitConfig(), 7)
 					var stats Stats
-					m := OneCycleMatrix(att.Circuit, mode, &stats)
+					m := oneCycleMatrix(att.Circuit, mode, &stats)
 					Bridge(m, att.Internal)
 					check(t, m)
 				})
@@ -121,10 +140,10 @@ func TestClosureOptsCancellation(t *testing.T) {
 	m := base.Clone()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := ClosureOpts(m, engine.Options{Context: ctx}); err != context.Canceled {
+	if _, err := ClosureOpts(m, engine.Options{Context: ctx}); err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if !m.Equal(base) {
+	if !identical(m, base) {
 		t.Fatal("cancelled closure modified the matrix")
 	}
 }
@@ -137,7 +156,7 @@ func TestClosureItemsCounter(t *testing.T) {
 	m.Set(2, 1, Path)
 	m.Set(1, 2, Path) // 1 and 2 form one SCC of the path relation
 	stats := engine.NewStats()
-	if err := ClosureOpts(m, engine.Options{Stats: stats}); err != nil {
+	if _, err := ClosureOpts(m, engine.Options{Stats: stats}); err != nil {
 		t.Fatal(err)
 	}
 	// path relation: {0}, {1,2}, {3} = 3 components; str relation (a
@@ -159,6 +178,6 @@ func BenchmarkClosureWarshall(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m := base.Clone()
-		ClosureWarshall(m)
+		closureWarshall(m)
 	}
 }

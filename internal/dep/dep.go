@@ -247,44 +247,6 @@ type Stats struct {
 	BridgedFFs       int
 }
 
-// Result is the outcome of Compute: the multi-cycle dependency matrix
-// over denoted flip-flops.
-type Result struct {
-	// M is the multi-cycle dependency closure. Rows/columns of bridged
-	// (internal) flip-flops are empty.
-	M *Matrix
-	// OneCycle is the 1-cycle matrix before bridging.
-	OneCycle *Matrix
-	// Denoted[f] reports whether flip-flop f survived bridging.
-	Denoted []bool
-	Stats   Stats
-}
-
-// Kind returns the multi-cycle dependency of flip-flop i on j. Both
-// must be denoted.
-func (r *Result) Kind(i, j netlist.FFID) Kind { return r.M.Kind(int(i), int(j)) }
-
-// OneCycleMatrix builds the 1-cycle dependency matrix of the circuit.
-// In Exact mode every structural dependency is classified with a SAT
-// cofactor query; in StructuralApprox mode structural implies path.
-func OneCycleMatrix(n *netlist.Netlist, mode Mode, stats *Stats) *Matrix {
-	m := NewMatrix(n.NumFFs())
-	FillOneCycle(m, n, mode, stats)
-	return m
-}
-
-// FillOneCycle writes the circuit's 1-cycle dependencies into an
-// existing matrix whose indices 0..NumFFs-1 are the circuit flip-flops.
-// The matrix may be larger than the circuit (a combined index space
-// with scan flip-flops appended, as the hybrid analysis builds).
-// It runs the default engine configuration (all CPUs, no cancellation);
-// use FillOneCycleOpts for worker control, cancellation and
-// instrumentation.
-func FillOneCycle(m *Matrix, n *netlist.Netlist, mode Mode, stats *Stats) {
-	// The background context never cancels, so the error is always nil.
-	_ = FillOneCycleOpts(m, n, mode, stats, engine.Options{})
-}
-
 // oneCycleEntry is one classified 1-cycle dependency of a root row.
 type oneCycleEntry struct {
 	leaf netlist.FFID
@@ -322,7 +284,8 @@ type oneCycleScratch struct {
 	queryable []bool // per leaf
 }
 
-// OneCycleConfig tunes the exact-mode 1-cycle computation.
+// OneCycleConfig tunes the exact-mode 1-cycle computation; the zero
+// value is the default tuning.
 type OneCycleConfig struct {
 	// DisableSimFilter turns off the bit-parallel random-simulation
 	// prefilter, forcing every exact-mode classification through a SAT
@@ -334,34 +297,30 @@ type OneCycleConfig struct {
 	SimRounds int
 }
 
-// FillOneCycleOpts is FillOneCycle under an engine configuration with
-// the default 1-cycle tuning (simulation prefilter enabled).
-func FillOneCycleOpts(m *Matrix, n *netlist.Netlist, mode Mode, stats *Stats, opts engine.Options) error {
-	return FillOneCycleCfg(m, n, mode, stats, opts, OneCycleConfig{})
-}
-
-// FillOneCycleCfg is FillOneCycle under an engine configuration: the
-// per-root units of work — extract the root's fan-in cone once, run the
-// bit-parallel simulation prefilter over its support leaves, encode the
-// shared miter copy once for whatever the prefilter could not witness,
-// classify those leaves through an incremental ConeQuerier — fan out
-// over a worker pool of opts.WorkerCount() goroutines. Rows are merged
-// back into the matrix in root order on the calling goroutine, so
-// exact-mode results are bit-identical to the sequential computation,
-// and Stats counters are folded without races. Cancellation is honored
-// between SAT queries; on cancellation the matrix is left untouched and
-// the context error is returned.
+// FillOneCycleCfg writes the circuit's 1-cycle dependencies into an
+// existing matrix whose indices 0..NumFFs-1 are the circuit flip-flops.
+// The matrix may be larger than the circuit (a combined index space
+// with scan flip-flops appended, as the hybrid analysis builds). In
+// Exact mode every structural dependency is classified functional or
+// only structural; in StructuralApprox mode structural implies path.
+//
+// The per-root units of work — extract the root's fan-in cone once,
+// run the bit-parallel simulation prefilter over its support leaves,
+// encode the shared miter copy once for whatever the prefilter could
+// not witness, classify those leaves through an incremental
+// ConeQuerier — fan out over a worker pool of opts.WorkerCount()
+// goroutines. Rows are merged back into the matrix in root order on
+// the calling goroutine, so exact-mode results are bit-identical to the
+// sequential computation, and Stats counters are folded without races.
+// Cancellation is honored between SAT queries; on cancellation the
+// matrix is left untouched and the context error is returned.
 func FillOneCycleCfg(m *Matrix, n *netlist.Netlist, mode Mode, stats *Stats, opts engine.Options, cfg OneCycleConfig) error {
 	if m.N() < n.NumFFs() {
 		panic("dep: matrix smaller than circuit")
 	}
-	stage := opts.Stage("one-cycle")
-	defer stage.Start()()
+	stage := opts.Begin("one-cycle")
+	defer stage.End()
 	useSim := mode == Exact && !cfg.DisableSimFilter
-	var simStage *engine.StageStats // nil-tolerant when stats are off
-	if useSim {
-		simStage = opts.Stage("sim-filter")
-	}
 
 	// The units of work: flip-flops with a driven next-state cone.
 	var jobs []int
@@ -381,10 +340,8 @@ func FillOneCycleCfg(m *Matrix, n *netlist.Netlist, mode Mode, stats *Stats, opt
 		workers = 1
 	}
 
-	span := opts.StartSpan("one-cycle",
-		obs.Int("roots", int64(len(jobs))), obs.Int("workers", int64(workers)))
-	defer span.End()
-	queryOpts := opts.WithParent(span)
+	stage.SetAttrs(obs.Int("roots", int64(len(jobs))), obs.Int("workers", int64(workers)))
+	queryOpts := stage.Options()
 
 	// Solver-level metrics: per-query SAT latency and cumulative
 	// decision/conflict counts, live on the stats registry.
@@ -445,7 +402,9 @@ func FillOneCycleCfg(m *Matrix, n *netlist.Netlist, mode Mode, stats *Stats, opt
 				// every tested leaf has a live slot.
 				var witnessed []bool
 				if useSim && len(support) > 0 {
-					simEnd := simStage.Start()
+					// A child of the root's query span: the prefilter's
+					// share of the root's time.
+					sim := queryOpts.WithParent(qspan).Begin("sim-filter")
 					if sc := &ws.sc; sc.compile(n, ws.q.w, root, gates, leaves) {
 						testIdx := ws.testIdx[:0]
 						for _, sl := range support {
@@ -462,11 +421,11 @@ func FillOneCycleCfg(m *Matrix, n *netlist.Netlist, mode Mode, stats *Stats, opt
 							}
 						}
 						row.simLanes = 64 * sc.evals
-						simStage.AddQueries(int64(len(support)))
-						simStage.AddItems(row.simLanes)
-						simStage.AddSaved(int64(row.simResolved))
+						sim.AddQueries(int64(len(support)))
+						sim.AddItems(row.simLanes)
+						sim.AddSaved(int64(row.simResolved))
 					}
-					simEnd()
+					sim.End()
 				}
 				// Whatever the prefilter could not witness goes through
 				// the exact cofactor miter; the CNF encoding is only
@@ -557,7 +516,7 @@ func FillOneCycleCfg(m *Matrix, n *netlist.Netlist, mode Mode, stats *Stats, opt
 		simSolved += row.simResolved
 	}
 	stage.AddQueries(int64(satCalls))
-	span.SetAttrs(obs.Int("sat_queries", int64(satCalls)), obs.Int("sim_resolved", int64(simSolved)))
+	stage.SetAttrs(obs.Int("sat_queries", int64(satCalls)), obs.Int("sim_resolved", int64(simSolved)))
 	opts.Logf("one-cycle: %d roots, %d SAT queries (%d sim-resolved) over %d workers",
 		len(jobs), satCalls, simSolved, workers)
 	return nil
@@ -599,123 +558,4 @@ func Bridge(m *Matrix, internal []netlist.FFID) {
 		}
 		m.clearNode(k)
 	}
-}
-
-// Closure computes the multi-cycle dependency closure in place: the
-// transitive closure of path edges and, independently, of structural
-// edges (a chain containing any only-structural link is structural).
-// The algorithm is the sparse SCC condensation of closure.go; use
-// ClosureOpts for worker control and cancellation, ClosureWarshall for
-// the dense reference computation.
-func Closure(m *Matrix) {
-	// The background context never cancels, so the error is always nil.
-	_ = ClosureOpts(m, engine.Options{})
-}
-
-// ClosureWarshall is the dense bit-parallel Warshall closure — cubic in
-// the matrix dimension regardless of sparsity. It is retained as the
-// reference implementation for differential tests
-// (TestSCCClosureMatchesWarshall) and the benchmark baseline.
-func ClosureWarshall(m *Matrix) {
-	warshall := func(rows []*bitset.Set) {
-		n := len(rows)
-		for k := 0; k < n; k++ {
-			rk := rows[k]
-			if !rk.Any() {
-				continue
-			}
-			for i := 0; i < n; i++ {
-				if i != k && rows[i].Has(k) {
-					rows[i].Or(rk)
-				}
-			}
-		}
-	}
-	warshall(m.path)
-	warshall(m.str)
-	rebuildReverse(m)
-}
-
-// rebuildReverse recomputes the reverse adjacency from the forward rows.
-func rebuildReverse(m *Matrix) {
-	for i := 0; i < m.n; i++ {
-		if m.rpath[i] == nil {
-			m.rpath[i] = bitset.New(m.n)
-			m.rstr[i] = bitset.New(m.n)
-			continue
-		}
-		m.rpath[i].Reset()
-		m.rstr[i].Reset()
-	}
-	for i := 0; i < m.n; i++ {
-		m.path[i].ForEach(func(j int) { m.rpath[j].Set(i) })
-		m.str[i].ForEach(func(j int) { m.rstr[j].Set(i) })
-	}
-}
-
-// ClosureK computes the k-cycle-bounded dependency relation in place:
-// entry (i, j) is set when a dependency chain of at most k 1-cycle
-// links leads from j to i (the bounded variant of the HVC 2016
-// iterative computation; Closure is the k → ∞ fixpoint). k <= 1 leaves
-// the matrix unchanged.
-func ClosureK(m *Matrix, k int) {
-	if k <= 1 {
-		return
-	}
-	// Relax k-1 times: D_{t+1} = D_t ∪ D_1∘D_t, each step against a
-	// frozen snapshot so chains never exceed t+1 links.
-	base := m.Clone()
-	for step := 1; step < k; step++ {
-		prev := m.Clone()
-		changed := false
-		for i := 0; i < m.n; i++ {
-			base.path[i].ForEach(func(via int) {
-				if m.path[i].Or(prev.path[via]) {
-					changed = true
-				}
-			})
-			base.str[i].ForEach(func(via int) {
-				if m.str[i].Or(prev.str[via]) {
-					changed = true
-				}
-			})
-		}
-		if !changed {
-			break
-		}
-	}
-	rebuildReverse(m)
-}
-
-// Compute runs the full data-flow analysis of Section III-A over the
-// circuit: 1-cycle dependencies, bridging over the internal flip-flops,
-// and the iterative multi-cycle closure on the reduced (denoted) set.
-func Compute(n *netlist.Netlist, internal []netlist.FFID, mode Mode) *Result {
-	res := &Result{}
-	res.Stats.Mode = mode
-	res.Stats.FFsTotal = n.NumFFs()
-
-	one := OneCycleMatrix(n, mode, &res.Stats)
-	res.OneCycle = one
-	res.Stats.DepsBeforeBridge = one.CountDeps()
-
-	m := one.Clone()
-	Bridge(m, internal)
-	res.Stats.BridgedFFs = len(internal)
-	res.Stats.FFsDenoted = n.NumFFs() - len(internal)
-	res.Stats.DepsAfterBridge = m.CountDeps()
-
-	Closure(m)
-	res.M = m
-	res.Stats.DepsMultiCycle = m.CountDeps()
-	res.Stats.ClosurePathDeps = m.CountPath()
-
-	res.Denoted = make([]bool, n.NumFFs())
-	for i := range res.Denoted {
-		res.Denoted[i] = true
-	}
-	for _, k := range internal {
-		res.Denoted[k] = false
-	}
-	return res
 }

@@ -310,7 +310,7 @@ func TestClosureAgainstFloyd(t *testing.T) {
 			m.Set(i, j, k)
 			ref[i][j] = Max(ref[i][j], k)
 		}
-		Closure(m)
+		m = closure(m)
 		floydReference(ref)
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
@@ -330,7 +330,7 @@ func TestClosureChainSemantics(t *testing.T) {
 	m.Set(1, 0, Path)
 	m.Set(2, 1, Structural)
 	m.Set(3, 2, Path)
-	Closure(m)
+	m = closure(m)
 	if m.Kind(1, 0) != Path {
 		t.Error("b on a must stay path")
 	}
@@ -355,9 +355,9 @@ func TestClosureIdempotent(t *testing.T) {
 	for e := 0; e < 30; e++ {
 		m.Set(rng.Intn(n), rng.Intn(n), Kind(1+rng.Intn(2)))
 	}
-	Closure(m)
+	m = closure(m)
 	snapshot := m.Clone()
-	Closure(m)
+	m = closure(m)
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
 			if m.Kind(i, j) != snapshot.Kind(i, j) {
@@ -369,7 +369,7 @@ func TestClosureIdempotent(t *testing.T) {
 
 func TestComputeOnGeneratedCircuit(t *testing.T) {
 	g := netlist.Generate(netlist.DefaultGenConfig([]string{"a", "b", "c"}, 4), 5)
-	res := Compute(g.N, g.InternalFFs, Exact)
+	res := compute(g.N, g.InternalFFs, Exact)
 	if res.Stats.FFsTotal != g.N.NumFFs() {
 		t.Fatal("FFsTotal wrong")
 	}
@@ -401,8 +401,8 @@ func TestComputeOnGeneratedCircuit(t *testing.T) {
 
 func TestStructuralApproxDominatesExact(t *testing.T) {
 	g := netlist.Generate(netlist.DefaultGenConfig([]string{"a", "b"}, 5), 8)
-	exact := Compute(g.N, g.InternalFFs, Exact)
-	approx := Compute(g.N, g.InternalFFs, StructuralApprox)
+	exact := compute(g.N, g.InternalFFs, Exact)
+	approx := compute(g.N, g.InternalFFs, StructuralApprox)
 	if approx.Stats.SATCalls != 0 {
 		t.Fatal("approx mode must not call SAT")
 	}
@@ -432,7 +432,7 @@ func TestStructuralApproxDominatesExact(t *testing.T) {
 func TestComputeMatchesOneCycleSimulation(t *testing.T) {
 	g := netlist.Generate(netlist.DefaultGenConfig([]string{"a", "b"}, 3), 13)
 	n := g.N
-	res := Compute(n, nil, Exact) // no bridging: check 1-cycle entries
+	res := compute(n, nil, Exact) // no bridging: check 1-cycle entries
 	rng := rand.New(rand.NewSource(2))
 	// For every 1-cycle functional dep (b on a), find by random search a
 	// witness state where flipping a flips b's next state.
@@ -473,7 +473,7 @@ func BenchmarkOneCycleExact(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var st Stats
-		OneCycleMatrix(g.N, Exact, &st)
+		oneCycleMatrix(g.N, Exact, &st)
 	}
 }
 
@@ -487,7 +487,7 @@ func BenchmarkClosure(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m := base.Clone()
-		Closure(m)
+		m = closure(m)
 	}
 }
 
@@ -592,8 +592,8 @@ func TestClosureMonotone(t *testing.T) {
 		}
 		m2 := m1.Clone()
 		m2.Set(rng.Intn(n), rng.Intn(n), Path)
-		Closure(m1)
-		Closure(m2)
+		m1 = closure(m1)
+		m2 = closure(m2)
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
 				if m2.Kind(i, j) < m1.Kind(i, j) {
@@ -611,7 +611,7 @@ func TestClosureKBounded(t *testing.T) {
 		m.Set(i, i-1, Path)
 	}
 	k2 := m.Clone()
-	ClosureK(k2, 2)
+	closureK(k2, 2)
 	if k2.Kind(2, 0) != Path {
 		t.Fatal("2-chain missing at k=2")
 	}
@@ -619,12 +619,12 @@ func TestClosureKBounded(t *testing.T) {
 		t.Fatal("3-chain must be absent at k=2")
 	}
 	k3 := m.Clone()
-	ClosureK(k3, 3)
+	closureK(k3, 3)
 	if k3.Kind(3, 0) != Path || k3.Kind(4, 0) != None {
 		t.Fatalf("k=3 bounds wrong: %v %v", k3.Kind(3, 0), k3.Kind(4, 0))
 	}
 	full := m.Clone()
-	ClosureK(full, 10)
+	closureK(full, 10)
 	if full.Kind(4, 0) != Path {
 		t.Fatal("full chain missing at large k")
 	}
@@ -639,13 +639,13 @@ func TestClosureKConvergesToClosure(t *testing.T) {
 			m.Set(rng.Intn(n), rng.Intn(n), Kind(1+rng.Intn(2)))
 		}
 		bounded := m.Clone()
-		ClosureK(bounded, n+1) // chains longer than n repeat a node
+		closureK(bounded, n+1) // chains longer than n repeat a node
 		fixpoint := m.Clone()
-		Closure(fixpoint)
+		fixpoint = closure(fixpoint)
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
 				if bounded.Kind(i, j) != fixpoint.Kind(i, j) {
-					t.Fatalf("iter %d: ClosureK(n+1) != Closure at (%d,%d)", iter, i, j)
+					t.Fatalf("iter %d: closureK(n+1) != Closure at (%d,%d)", iter, i, j)
 				}
 			}
 		}
@@ -660,10 +660,10 @@ func TestClosureKMonotoneInK(t *testing.T) {
 		m.Set(rng.Intn(n), rng.Intn(n), Kind(1+rng.Intn(2)))
 	}
 	prev := m.Clone()
-	ClosureK(prev, 1)
+	closureK(prev, 1)
 	for k := 2; k <= 6; k++ {
 		cur := m.Clone()
-		ClosureK(cur, k)
+		closureK(cur, k)
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
 				if cur.Kind(i, j) < prev.Kind(i, j) {

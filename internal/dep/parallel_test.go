@@ -68,7 +68,7 @@ func TestParallelOneCycleMatchesSequential(t *testing.T) {
 				for _, workers := range []int{1, 3, 8} {
 					par := NewMatrix(n.NumFFs())
 					var parStats Stats
-					err := FillOneCycleOpts(par, n, mode, &parStats, engine.Options{Workers: workers})
+					err := FillOneCycleCfg(par, n, mode, &parStats, engine.Options{Workers: workers}, OneCycleConfig{})
 					if err != nil {
 						t.Fatalf("workers=%d: %v", workers, err)
 					}
@@ -99,7 +99,7 @@ func TestParallelOneCycleRandomCircuits(t *testing.T) {
 		fillOneCycleSequential(seq, g.N, Exact, &seqStats)
 		par := NewMatrix(g.N.NumFFs())
 		var parStats Stats
-		if err := FillOneCycleOpts(par, g.N, Exact, &parStats, engine.Options{Workers: 4}); err != nil {
+		if err := FillOneCycleCfg(par, g.N, Exact, &parStats, engine.Options{Workers: 4}, OneCycleConfig{}); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		if !par.Equal(seq) {
@@ -117,7 +117,7 @@ func TestOneCycleCancellation(t *testing.T) {
 	cancel() // cancelled before the run starts
 	m := NewMatrix(n.NumFFs())
 	var stats Stats
-	err := FillOneCycleOpts(m, n, Exact, &stats, engine.Options{Context: ctx, Workers: 2})
+	err := FillOneCycleCfg(m, n, Exact, &stats, engine.Options{Context: ctx, Workers: 2}, OneCycleConfig{})
 	if err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -129,7 +129,7 @@ func TestOneCycleCancellation(t *testing.T) {
 	dctx, dcancel := context.WithDeadline(context.Background(), time.Unix(0, 0))
 	defer dcancel()
 	m2 := NewMatrix(n.NumFFs())
-	err = FillOneCycleOpts(m2, n, Exact, &stats, engine.Options{Context: dctx})
+	err = FillOneCycleCfg(m2, n, Exact, &stats, engine.Options{Context: dctx}, OneCycleConfig{})
 	if err != context.DeadlineExceeded {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
@@ -160,7 +160,7 @@ func BenchmarkOneCycleParallel(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var st Stats
-		if err := FillOneCycleOpts(m, g.N, Exact, &st, engine.Options{}); err != nil {
+		if err := FillOneCycleCfg(m, g.N, Exact, &st, engine.Options{}, OneCycleConfig{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,0 +1,133 @@
+package dep
+
+import (
+	"repro/internal/bitset"
+	"repro/internal/engine"
+	"repro/internal/netlist"
+)
+
+// Reference computations the tests check the pipeline's entry points
+// against, and thin wrappers that run those entry points under the
+// default engine configuration.
+
+// oneCycleMatrix returns the circuit's 1-cycle dependency matrix.
+func oneCycleMatrix(n *netlist.Netlist, mode Mode, stats *Stats) *Matrix {
+	m := NewMatrix(n.NumFFs())
+	// The background context never cancels, so the error is always nil.
+	_ = FillOneCycleCfg(m, n, mode, stats, engine.Options{}, OneCycleConfig{})
+	return m
+}
+
+// closure returns the multi-cycle closure of m.
+func closure(m *Matrix) *Matrix {
+	c, _ := ClosureOpts(m, engine.Options{})
+	return c
+}
+
+// computeResult is the outcome of compute: the multi-cycle dependency
+// matrix over denoted flip-flops.
+type computeResult struct {
+	// M is the multi-cycle dependency closure. Rows/columns of bridged
+	// (internal) flip-flops are empty.
+	M *Matrix
+	// OneCycle is the 1-cycle matrix before bridging.
+	OneCycle *Matrix
+	// Denoted[f] reports whether flip-flop f survived bridging.
+	Denoted []bool
+	Stats   Stats
+}
+
+// Kind returns the multi-cycle dependency of flip-flop i on j. Both
+// must be denoted.
+func (r *computeResult) Kind(i, j netlist.FFID) Kind { return r.M.Kind(int(i), int(j)) }
+
+// compute runs the full data-flow analysis of Section III-A over the
+// circuit: 1-cycle dependencies, bridging over the internal flip-flops,
+// and the iterative multi-cycle closure on the reduced (denoted) set.
+func compute(n *netlist.Netlist, internal []netlist.FFID, mode Mode) *computeResult {
+	res := &computeResult{}
+	res.Stats.Mode = mode
+	res.Stats.FFsTotal = n.NumFFs()
+
+	one := oneCycleMatrix(n, mode, &res.Stats)
+	res.OneCycle = one
+	res.Stats.DepsBeforeBridge = one.CountDeps()
+
+	m := one.Clone()
+	Bridge(m, internal)
+	res.Stats.BridgedFFs = len(internal)
+	res.Stats.FFsDenoted = n.NumFFs() - len(internal)
+	res.Stats.DepsAfterBridge = m.CountDeps()
+
+	m = closure(m)
+	res.M = m
+	res.Stats.DepsMultiCycle = m.CountDeps()
+	res.Stats.ClosurePathDeps = m.CountPath()
+
+	res.Denoted = make([]bool, n.NumFFs())
+	for i := range res.Denoted {
+		res.Denoted[i] = true
+	}
+	for _, k := range internal {
+		res.Denoted[k] = false
+	}
+	return res
+}
+
+// closureWarshall is the dense bit-parallel Warshall closure, in place
+// — cubic in the matrix dimension regardless of sparsity. It is the
+// reference for the SCC closure (TestSCCClosureMatchesWarshall) and
+// the benchmark baseline.
+func closureWarshall(m *Matrix) {
+	warshall := func(rows []*bitset.Set) {
+		n := len(rows)
+		for k := 0; k < n; k++ {
+			rk := rows[k]
+			if !rk.Any() {
+				continue
+			}
+			for i := 0; i < n; i++ {
+				if i != k && rows[i].Has(k) {
+					rows[i].Or(rk)
+				}
+			}
+		}
+	}
+	warshall(m.path)
+	warshall(m.str)
+	m.rpath, m.rstr = reverseRows(m.path), reverseRows(m.str)
+}
+
+// closureK computes the k-cycle-bounded dependency relation in place:
+// entry (i, j) is set when a dependency chain of at most k 1-cycle
+// links leads from j to i (the bounded variant of the HVC 2016
+// iterative computation; the closure is the k → ∞ fixpoint). k <= 1
+// leaves the matrix unchanged.
+func closureK(m *Matrix, k int) {
+	if k <= 1 {
+		return
+	}
+	// Relax k-1 times: D_{t+1} = D_t ∪ D_1∘D_t, each step against a
+	// frozen snapshot so chains never exceed t+1 links.
+	base := m.Clone()
+	for step := 1; step < k; step++ {
+		prev := m.Clone()
+		changed := false
+		for i := 0; i < m.n; i++ {
+			base.path[i].ForEach(func(via int) {
+				if m.path[i].Or(prev.path[via]) {
+					changed = true
+				}
+			})
+			base.str[i].ForEach(func(via int) {
+				if m.str[i].Or(prev.str[via]) {
+					changed = true
+				}
+			})
+		}
+		if !changed {
+			break
+		}
+	}
+	m.rpath, m.rstr = reverseRows(m.path), reverseRows(m.str)
+}

@@ -30,7 +30,7 @@ func TestSimFilterMatchesPureSAT(t *testing.T) {
 			for _, workers := range []int{1, 3, 8} {
 				filt := NewMatrix(n.NumFFs())
 				var filtStats Stats
-				err := FillOneCycleOpts(filt, n, Exact, &filtStats, engine.Options{Workers: workers})
+				err := FillOneCycleCfg(filt, n, Exact, &filtStats, engine.Options{Workers: workers}, OneCycleConfig{})
 				if err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)
 				}
@@ -72,7 +72,7 @@ func TestSimFilterRandomCircuits(t *testing.T) {
 		for _, workers := range []int{1, 4} {
 			filt := NewMatrix(g.N.NumFFs())
 			var filtStats Stats
-			if err := FillOneCycleOpts(filt, g.N, Exact, &filtStats, engine.Options{Workers: workers}); err != nil {
+			if err := FillOneCycleCfg(filt, g.N, Exact, &filtStats, engine.Options{Workers: workers}, OneCycleConfig{}); err != nil {
 				t.Fatal(err)
 			}
 			if !filt.Equal(pure) {

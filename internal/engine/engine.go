@@ -3,17 +3,17 @@
 // race-safe per-stage instrumentation. The dependency computation
 // (internal/dep), the hybrid analysis (internal/hybrid), the
 // experimental protocol (internal/exp) and the command-line binaries
-// all thread an engine.Options through their entry points, so every
-// later scaling change (sharded closure, cached cones, multi-backend
-// solvers) plugs into one seam.
+// all thread an engine.Options through their entry points.
 //
-// Instrumentation sits on top of internal/obs: every StageStats
-// counter is an obs.Counter registered in the Stats' metrics registry
+// Every pipeline stage is measured once, by the Stage handle
+// Options.Begin returns: one clock reading opens the stage's trace span
+// and starts its wall time, and End feeds the same interval to the
+// span and to the stage's counters. The counters are obs.Counters
+// registered in the Stats' metrics registry
 // (engine_stage_*_total{stage="..."}), so a long-running process can
 // expose the same numbers live over expvar and the Prometheus-text
 // endpoint of obs.StartDebug while Stats.String still renders the
-// end-of-run table. Options additionally carries an optional
-// obs.Tracer and parent span, giving every stage a place in the
+// end-of-run table; the spans give every stage a place in the
 // hierarchical run > circuit > stage > query trace journal.
 //
 // All types are safe to use at their zero value: a zero Options runs
@@ -26,10 +26,12 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
+	"maps"
 	"runtime"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -98,13 +100,6 @@ func (o Options) Logf(format string, args ...any) {
 	}
 }
 
-// Stage returns the named stage collector of the configured Stats, or
-// nil when stats are not collected. The returned *StageStats tolerates
-// nil receivers, so callers never need to branch.
-func (o Options) Stage(name string) *StageStats {
-	return o.Stats.Stage(name)
-}
-
 // Registry returns the metrics registry backing the configured Stats,
 // or nil when stats are not collected. A nil registry hands out nil
 // metrics whose methods no-op.
@@ -125,6 +120,60 @@ func (o Options) WithParent(s *obs.Span) Options {
 	return o
 }
 
+// Stage is one running invocation of a named pipeline stage, opened by
+// Options.Begin and closed by End. It is a value: with stats and
+// tracing off, opening and closing a stage allocates nothing. The zero
+// Stage counts and traces nothing.
+type Stage struct {
+	st   *StageStats
+	span *obs.Span
+	t0   time.Time
+	opts Options
+}
+
+// Begin opens one invocation of the named stage: it reads the clock
+// once, looks up the stage's counters (without a lock) and opens its
+// span under the run's parent span. Close it with End.
+func (o Options) Begin(name string, attrs ...obs.Attr) Stage {
+	t0 := time.Now()
+	return Stage{
+		st:   o.Stats.Stage(name),
+		span: o.Tracer.StartAt(o.TraceParent, name, t0, attrs...),
+		t0:   t0,
+		opts: o,
+	}
+}
+
+// End closes the invocation: it adds the elapsed wall time and one call
+// to the stage's counters, ends its span at the same instant, and
+// returns the elapsed time.
+func (s Stage) End() time.Duration {
+	t1 := time.Now()
+	d := t1.Sub(s.t0)
+	if s.st != nil {
+		s.st.wall.Add(int64(d))
+		s.st.calls.Add(1)
+	}
+	s.span.EndAt(t1)
+	return d
+}
+
+// Options returns the run's options with spans nesting under this
+// stage's span.
+func (s Stage) Options() Options { return s.opts.WithParent(s.span) }
+
+// AddQueries adds n to the stage's query counter.
+func (s Stage) AddQueries(n int64) { s.st.AddQueries(n) }
+
+// AddItems adds n to the stage's work-item counter.
+func (s Stage) AddItems(n int64) { s.st.AddItems(n) }
+
+// AddSaved adds n to the stage's reuse counter.
+func (s Stage) AddSaved(n int64) { s.st.AddSaved(n) }
+
+// SetAttrs adds attributes to the stage's span.
+func (s Stage) SetAttrs(attrs ...obs.Attr) { s.span.SetAttrs(attrs...) }
+
 // Stats accumulates race-safe per-stage instrumentation of one or more
 // pipeline runs on top of an obs metrics registry: each stage's
 // counters are registered as engine_stage_*_total{stage="name"} series,
@@ -134,7 +183,9 @@ type Stats struct {
 	mu     sync.Mutex
 	reg    *obs.Registry
 	stages []*StageStats
-	byName map[string]*StageStats
+	// byName is copy-on-write: lookups of existing stages, one per
+	// stage invocation, take no lock; mu serializes additions.
+	byName atomic.Pointer[map[string]*StageStats]
 }
 
 // NewStats returns an empty stats collector backed by a private
@@ -175,13 +226,17 @@ func (s *Stats) Stage(name string) *StageStats {
 	if s == nil {
 		return nil
 	}
+	if m := s.byName.Load(); m != nil && (*m)[name] != nil {
+		return (*m)[name]
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if st, ok := s.byName[name]; ok {
-		return st
-	}
-	if s.byName == nil {
-		s.byName = make(map[string]*StageStats)
+	m := map[string]*StageStats{}
+	if old := s.byName.Load(); old != nil {
+		if st := (*old)[name]; st != nil {
+			return st
+		}
+		m = maps.Clone(*old)
 	}
 	reg := s.registryLocked()
 	label := fmt.Sprintf("{stage=%q}", name)
@@ -193,7 +248,8 @@ func (s *Stats) Stage(name string) *StageStats {
 		items:   reg.Counter("engine_stage_items_total" + label),
 		saved:   reg.Counter("engine_stage_saved_total" + label),
 	}
-	s.byName[name] = st
+	m[name] = st
+	s.byName.Store(&m)
 	s.stages = append(s.stages, st)
 	return st
 }
@@ -209,19 +265,6 @@ type StageStats struct {
 	queries *obs.Counter // SAT queries / worklist evaluations
 	items   *obs.Counter // units of work processed (SCCs, candidates, rows)
 	saved   *obs.Counter // work units reused from a cache instead of recomputed
-}
-
-// Start begins timing one invocation and returns the function that
-// ends it, adding the elapsed wall time.
-func (st *StageStats) Start() func() {
-	if st == nil {
-		return func() {}
-	}
-	t0 := time.Now()
-	return func() {
-		st.wall.Add(int64(time.Since(t0)))
-		st.calls.Add(1)
-	}
 }
 
 // AddQueries adds n to the stage's query counter.

@@ -22,8 +22,10 @@ func TestOptionsDefaults(t *testing.T) {
 		t.Fatal("background context must not be cancelled")
 	}
 	o.Logf("no sink: must not panic")
-	if o.Stage("x") != nil {
-		t.Fatal("Stage without Stats must be nil")
+	st := o.Begin("x")
+	st.AddQueries(1)
+	if st.End() < 0 {
+		t.Fatal("negative stage duration")
 	}
 }
 
@@ -47,14 +49,14 @@ func TestOptionsExplicit(t *testing.T) {
 	if len(lines) != 1 {
 		t.Fatalf("progress lines = %d", len(lines))
 	}
-	if o.Stage("s") == nil {
-		t.Fatal("Stage with Stats must not be nil")
+	o.Begin("s").End()
+	if o.Stats.Stage("s").Calls() != 1 {
+		t.Fatal("Begin/End with Stats must count one call")
 	}
 }
 
 func TestNilStageIsSafe(t *testing.T) {
 	var st *StageStats
-	st.Start()()
 	st.AddQueries(7)
 	st.AddItems(3)
 	st.AddSaved(2)
@@ -65,18 +67,22 @@ func TestNilStageIsSafe(t *testing.T) {
 	if s.Stage("x") != nil || s.Snapshot() != nil {
 		t.Fatal("nil Stats must be inert")
 	}
+	var zero Stage
+	zero.AddItems(1)
+	zero.SetAttrs(obs.Int("k", 1))
+	zero.End()
 }
 
 func TestStageAccumulates(t *testing.T) {
 	s := NewStats()
-	st := s.Stage("one-cycle")
-	done := st.Start()
+	stage := Options{Stats: s}.Begin("one-cycle")
 	time.Sleep(time.Millisecond)
-	done()
-	st.AddQueries(5)
-	st.AddItems(4)
-	st.AddItems(3)
-	st.AddSaved(11)
+	stage.AddQueries(5)
+	stage.AddItems(4)
+	stage.AddItems(3)
+	stage.AddSaved(11)
+	stage.End()
+	st := s.Stage("one-cycle")
 	if st.Wall() <= 0 {
 		t.Fatal("wall time not recorded")
 	}
@@ -104,9 +110,9 @@ func TestStatsConcurrent(t *testing.T) {
 			defer wg.Done()
 			names := []string{"one-cycle", "bridge", "closure", "propagate"}
 			for i := 0; i < perG; i++ {
-				st := s.Stage(names[(g+i)%len(names)])
-				st.Start()()
+				st := Options{Stats: s}.Begin(names[(g+i)%len(names)])
 				st.AddQueries(1)
+				st.End()
 			}
 		}(g)
 	}
@@ -220,5 +226,79 @@ func TestStatsBackedByRegistry(t *testing.T) {
 	reports := s.StageReports()
 	if len(reports) != 1 || reports[0].Name != "closure" || reports[0].Queries != 5 {
 		t.Fatalf("StageReports = %+v", reports)
+	}
+}
+
+// TestBeginEndDoesNotAllocate pins the stage handle's cost with
+// tracing off: opening and closing a stage allocates nothing, with or
+// without stats.
+func TestBeginEndDoesNotAllocate(t *testing.T) {
+	for _, o := range []Options{{}, {Stats: NewStats()}} {
+		o.Begin("warm").End() // the first use registers the stage
+		allocs := testing.AllocsPerRun(100, func() {
+			st := o.Begin("warm")
+			st.AddQueries(1)
+			st.AddItems(2)
+			st.AddSaved(3)
+			st.End()
+		})
+		if allocs != 0 {
+			t.Fatalf("stats=%v: %v allocs per Begin/End, want 0", o.Stats != nil, allocs)
+		}
+	}
+}
+
+// TestStageWallIsEndDuration checks that the stage's wall counter and
+// its span record the interval End returns.
+func TestStageWallIsEndDuration(t *testing.T) {
+	s := NewStats()
+	sink := &obs.CollectorSink{}
+	o := Options{Stats: s, Tracer: obs.NewTracer(sink)}
+	var total time.Duration
+	for i := 0; i < 3; i++ {
+		st := o.Begin("closure")
+		time.Sleep(100 * time.Microsecond)
+		d := st.End()
+		total += d
+		evs := sink.Events()
+		if got := evs[len(evs)-1].DurU; got != d.Microseconds() {
+			t.Fatalf("span dur = %dµs, End returned %v", got, d)
+		}
+	}
+	if got := s.Stage("closure").Wall(); got != total {
+		t.Fatalf("wall counter = %v, End durations sum to %v", got, total)
+	}
+	if got := s.Stage("closure").Calls(); got != 3 {
+		t.Fatalf("calls = %d, want 3", got)
+	}
+}
+
+// TestStageSpanNesting checks the stage's span: it carries the stage
+// name, nests under the run's parent span, and parents the spans of the
+// stage's child options.
+func TestStageSpanNesting(t *testing.T) {
+	sink := &obs.CollectorSink{}
+	tr := obs.NewTracer(sink)
+	root := tr.Start(nil, "secure")
+	o := Options{Tracer: tr, TraceParent: root}
+	st := o.Begin("one-cycle", obs.Int("roots", 2))
+	child := st.Options().Begin("sim-filter")
+	child.End()
+	st.SetAttrs(obs.Int("sat_queries", 5))
+	st.End()
+	root.End()
+	evs := sink.Events()
+	if len(evs) != 3 {
+		t.Fatalf("got %d spans, want 3", len(evs))
+	}
+	sim, stage := evs[0], evs[1]
+	if sim.Name != "sim-filter" || stage.Name != "one-cycle" {
+		t.Fatalf("span names = %q, %q", sim.Name, stage.Name)
+	}
+	if stage.Parent != root.ID() || sim.Parent != stage.Span {
+		t.Fatalf("parents: stage %d (want %d), sim %d (want %d)", stage.Parent, root.ID(), sim.Parent, stage.Span)
+	}
+	if stage.Attrs["roots"] != int64(2) || stage.Attrs["sat_queries"] != int64(5) {
+		t.Fatalf("stage attrs = %v", stage.Attrs)
 	}
 }

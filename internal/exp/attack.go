@@ -3,7 +3,6 @@ package exp
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"repro/internal/engine"
 	"repro/internal/obfus"
@@ -62,23 +61,19 @@ func RunAttackAnalysis(ctx context.Context, tool string, nw *rsn.Network, ov *rs
 		// can omit them.
 		satNS, flushNS int64
 	)
+	eng := engine.Options{Stats: opts.Stats, Tracer: opts.Tracer, TraceParent: opts.TraceParent}
 	if !opts.SkipSAT {
-		done := opts.Stats.Stage("attack-sat").Start()
-		span := opts.Tracer.Start(opts.TraceParent, "attack-sat",
-			obs.Str("network", nw.Name), obs.Int("key_bits", int64(ov.NumKeyBits)))
-		t0 := time.Now()
+		stage := eng.Begin("attack-sat", obs.Str("network", nw.Name), obs.Int("key_bits", int64(ov.NumKeyBits)))
 		res, err := obfus.KeyRecovery(ctx, nw, ov, trueKey, obfus.KeyRecoveryOptions{
 			Horizon:        horizon,
 			MaxIterations:  opts.MaxIterations,
 			ConflictBudget: opts.ConflictBudget,
 			MaxConfigs:     opts.MaxConfigs,
 		})
-		satNS = time.Since(t0).Nanoseconds()
 		if err == nil {
-			span.SetAttrs(obs.Str("outcome", res.Outcome), obs.Int("iterations", int64(res.Iterations)))
+			stage.SetAttrs(obs.Str("outcome", res.Outcome), obs.Int("iterations", int64(res.Iterations)))
 		}
-		span.End()
-		done()
+		satNS = stage.End().Nanoseconds()
 		if err != nil {
 			return nil, fmt.Errorf("exp: key recovery: %w", err)
 		}
@@ -88,20 +83,15 @@ func RunAttackAnalysis(ctx context.Context, tool string, nw *rsn.Network, ov *rs
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		done := opts.Stats.Stage("attack-flush").Start()
-		span := opts.Tracer.Start(opts.TraceParent, "attack-flush",
-			obs.Str("network", nw.Name), obs.Int("key_bits", int64(ov.NumKeyBits)))
-		t0 := time.Now()
+		stage := eng.Begin("attack-flush", obs.Str("network", nw.Name), obs.Int("key_bits", int64(ov.NumKeyBits)))
 		res, err := obfus.FlushAttack(nw, ov, trueKey, obfus.FlushOptions{
 			Horizon:    horizon,
 			MaxConfigs: opts.MaxConfigs,
 		})
-		flushNS = time.Since(t0).Nanoseconds()
 		if err == nil {
-			span.SetAttrs(obs.Int("rank", int64(res.Rank)))
+			stage.SetAttrs(obs.Int("rank", int64(res.Rank)))
 		}
-		span.End()
-		done()
+		flushNS = stage.End().Nanoseconds()
 		if err != nil {
 			return nil, fmt.Errorf("exp: flush attack: %w", err)
 		}

@@ -232,11 +232,7 @@ func RunBenchmarkCtx(ctx context.Context, b bench.Benchmark, cfg RunConfig) (*Re
 			}
 
 			t1 := time.Now()
-			pureDone := ceng.Stage("pure-resolve").Start()
-			pureSpan := ceng.StartSpan("pure-resolve")
-			pres, err := pure.Resolve(run, spec)
-			pureSpan.End()
-			pureDone()
+			pres, err := pure.Resolve(run, spec, ceng)
 			pureTime := time.Since(t1)
 			if err != nil {
 				cs.errors++
@@ -525,7 +521,7 @@ func RunApproxCtx(ctx context.Context, b bench.Benchmark, cfg RunConfig) (*Appro
 			if len(ea.ViolatingRegisters(runE)) == 0 && len(aa.ViolatingRegisters(runE)) == 0 {
 				continue
 			}
-			pe, err := pure.Resolve(runE, spec)
+			pe, err := pure.Resolve(runE, spec, eng)
 			if err != nil {
 				continue
 			}
@@ -534,7 +530,7 @@ func RunApproxCtx(ctx context.Context, b bench.Benchmark, cfg RunConfig) (*Appro
 				continue
 			}
 			runA := nw.Clone()
-			pa, err := pure.Resolve(runA, spec)
+			pa, err := pure.Resolve(runA, spec, eng)
 			if err != nil {
 				continue
 			}

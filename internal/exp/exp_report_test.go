@@ -143,3 +143,50 @@ func TestRunBenchmarkTraceHierarchy(t *testing.T) {
 		t.Fatal("no stage spans recorded")
 	}
 }
+
+// TestStageCallsPinned pins how often each stage runs in a quick
+// BasicSCB protocol, so a stage opened twice or not at all fails. It
+// also checks that every stage invocation is one span whose interval
+// is what the engine stats record.
+func TestStageCallsPinned(t *testing.T) {
+	want := map[string]int64{
+		"one-cycle":       3,
+		"sim-filter":      462,
+		"bridge":          3,
+		"closure":         3,
+		"pure-resolve":    10,
+		"propagate":       23,
+		"propagate-delta": 95,
+		"resolve":         10,
+	}
+	cfg := QuickRunConfig()
+	stats := engine.NewStats()
+	sink := &obs.CollectorSink{}
+	cfg.Stats = stats
+	cfg.Tracer = obs.NewTracer(sink)
+	if _, err := RunBenchmark(mustBench(t, "BasicSCB"), cfg); err != nil {
+		t.Fatal(err)
+	}
+	spans := map[string]int64{}
+	spanUS := map[string]int64{}
+	for _, ev := range sink.Events() {
+		spans[ev.Name]++
+		spanUS[ev.Name] += ev.DurU
+	}
+	snap := stats.Snapshot()
+	if len(snap) != len(want) {
+		t.Fatalf("%d stages recorded, want %d: %+v", len(snap), len(want), snap)
+	}
+	for _, st := range snap {
+		if st.Calls != want[st.Name] {
+			t.Errorf("stage %q: %d calls, want %d", st.Name, st.Calls, want[st.Name])
+		}
+		if spans[st.Name] != st.Calls {
+			t.Errorf("stage %q: %d spans for %d calls", st.Name, spans[st.Name], st.Calls)
+		}
+		// Spans truncate each duration to whole microseconds.
+		if d := st.Wall.Microseconds() - spanUS[st.Name]; d < 0 || d > st.Calls {
+			t.Errorf("stage %q: wall %v, spans sum to %dµs", st.Name, st.Wall, spanUS[st.Name])
+		}
+	}
+}

@@ -43,7 +43,6 @@ func (o CollectOptions) reps() int {
 
 // repSample is one repetition's measurements for one benchmark.
 type repSample struct {
-	spanNS     map[string]int64 // per-stage wall, summed from trace spans
 	snap       []engine.StageSnapshot
 	satQ       int64
 	satD       int64
@@ -71,16 +70,12 @@ type attackRepSample struct {
 // totals, items/saved counters, runtime.MemStats peaks and the
 // environment fingerprint.
 //
-// Per-stage wall times come from the real trace spans of the run — a
-// private tracer over a CollectorSink journals every stage span (no
-// sampling), and the collector sums durations per stage name — not
-// from ad-hoc timers around the stages. Stage spans are cumulative
-// across the protocol's concurrent circuit workers, so a stage's wall
-// time is total time spent in the stage, which can exceed the rep's
-// elapsed wall clock; the engine-stats wall counters share that
-// semantics, and a stage that records counters but no spans falls back
-// to its stats counter so the record stays complete. Memory peaks are
-// sampled best-effort at ~10ms granularity.
+// Per-stage wall times come from the engine stats, which every stage
+// feeds the same interval its trace span covers (engine.Stage). They
+// are cumulative across the protocol's concurrent circuit workers, so
+// a stage's wall time is total time spent in the stage, which can
+// exceed the rep's elapsed wall clock. Memory peaks are sampled
+// best-effort at ~10ms granularity.
 func CollectBenchRecord(ctx context.Context, benchmarks []bench.Benchmark, cfg RunConfig, opts CollectOptions) (*perfrec.Record, error) {
 	reps := opts.reps()
 	tool := opts.Tool
@@ -130,9 +125,8 @@ func CollectBenchRecord(ctx context.Context, benchmarks []bench.Benchmark, cfg R
 func collectRep(ctx context.Context, b bench.Benchmark, cfg RunConfig, opts CollectOptions) (*repSample, error) {
 	reg := obs.NewRegistry()
 	stats := engine.NewStatsOn(reg)
-	sink := &obs.CollectorSink{}
 	cfg.Stats = stats
-	cfg.Tracer = obs.NewTracer(sink)
+	cfg.Tracer = nil
 	cfg.TraceParent = nil
 	cfg.Progress = nil
 
@@ -154,7 +148,6 @@ func collectRep(ctx context.Context, b bench.Benchmark, cfg RunConfig, opts Coll
 	res := results[0]
 
 	s := &repSample{
-		spanNS:  make(map[string]int64),
 		snap:    stats.Snapshot(),
 		satQ:    reg.Counter("dep_sat_queries_total").Value(),
 		satD:    reg.Counter("dep_sat_decisions_total").Value(),
@@ -168,9 +161,6 @@ func collectRep(ctx context.Context, b bench.Benchmark, cfg RunConfig, opts Coll
 	}
 	s.heapPeak = peak
 	s.totalAlloc = int64(m1.TotalAlloc - m0.TotalAlloc)
-	for _, ev := range sink.Events() {
-		s.spanNS[ev.Name] += ev.DurU * int64(time.Microsecond)
-	}
 	if opts.AttackKeyBits > 0 {
 		atk, err := collectAttackRep(ctx, b, cfg, opts)
 		if err != nil {
@@ -238,8 +228,8 @@ func sampleHeapPeak(stop <-chan struct{}, out chan<- int64) {
 
 // assemble folds the per-rep samples of one benchmark into its record
 // row: stage order follows the engine's deterministic pipeline order,
-// stage walls are span-derived medians, counters are medians across
-// reps, and the heap peak is the maximum over reps.
+// stage walls and counters are medians across reps, and the heap peak
+// is the maximum over reps.
 func assemble(name string, samples []repSample, opts CollectOptions) perfrec.Benchmark {
 	first := samples[0]
 	b := perfrec.Benchmark{
@@ -267,14 +257,8 @@ func assemble(name string, samples []repSample, opts CollectOptions) perfrec.Ben
 		var wall, calls, queries, items, saved []int64
 		for i := range samples {
 			s := &samples[i]
-			w, ok := s.spanNS[st.Name]
-			if !ok {
-				// Counter-only stage (no span coverage): fall back to
-				// the engine-stats wall so the record stays complete.
-				w = statsWall(s.snap, st.Name)
-			}
-			wall = append(wall, w)
 			c := snapshotOf(s.snap, st.Name)
+			wall = append(wall, int64(c.Wall))
 			calls = append(calls, c.Calls)
 			queries = append(queries, c.Queries)
 			items = append(items, c.Items)
@@ -330,8 +314,4 @@ func snapshotOf(snap []engine.StageSnapshot, name string) engine.StageSnapshot {
 		}
 	}
 	return engine.StageSnapshot{}
-}
-
-func statsWall(snap []engine.StageSnapshot, name string) int64 {
-	return int64(snapshotOf(snap, name).Wall)
 }

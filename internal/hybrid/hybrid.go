@@ -137,7 +137,7 @@ func NewAnalysisOpts(nw *rsn.Network, circuit *netlist.Netlist, internal []netli
 	a.DepStats.Mode = mode
 	a.DepStats.FFsTotal = a.total
 	m := dep.NewMatrix(a.total)
-	if err := dep.FillOneCycleOpts(m, circuit, mode, &a.DepStats, opts); err != nil {
+	if err := dep.FillOneCycleCfg(m, circuit, mode, &a.DepStats, opts, dep.OneCycleConfig{}); err != nil {
 		return nil, err
 	}
 
@@ -168,14 +168,12 @@ func NewAnalysisOpts(nw *rsn.Network, circuit *netlist.Netlist, internal []netli
 		return nil, err
 	}
 
-	bridgeDone := opts.Stage("bridge").Start()
-	bridgeSpan := opts.StartSpan("bridge", obs.Int("internal_ffs", int64(len(internal))),
+	bridge := opts.Begin("bridge", obs.Int("internal_ffs", int64(len(internal))),
 		obs.Int("deps_before", int64(a.DepStats.DepsBeforeBridge)))
 	dep.Bridge(m, internal)
 	a.pathIn = bitsetCSR(a.total, m.PathDependsOn)
 	a.pathOut = bitsetCSR(a.total, m.PathDependents)
-	bridgeSpan.End()
-	bridgeDone()
+	bridge.End()
 	a.DepStats.BridgedFFs = len(internal)
 	a.DepStats.FFsDenoted = a.total - len(internal)
 	a.DepStats.DepsAfterBridge = m.CountDeps()
@@ -193,12 +191,11 @@ func NewAnalysisOpts(nw *rsn.Network, circuit *netlist.Netlist, internal []netli
 		return nil, err
 	}
 
-	closureDone := opts.Stage("closure").Start()
-	a.Clo = m.Clone()
-	if err := dep.ClosureOpts(a.Clo, opts); err != nil {
+	clo, err := dep.ClosureOpts(m, opts)
+	if err != nil {
 		return nil, err
 	}
-	closureDone()
+	a.Clo = clo
 	a.DepStats.DepsMultiCycle = a.Clo.CountDeps()
 	a.DepStats.ClosurePathDeps = a.Clo.CountPath()
 	opts.Logf("closure: %d multi-cycle deps (%d path)",
@@ -560,10 +557,8 @@ func (a *Analysis) runWorklist(nw *rsn.Network, w *wiring, p *propagation, queue
 // point, which is unique — the reference point the incremental
 // propagateDelta must reproduce exactly.
 func (a *Analysis) propagate(nw *rsn.Network) *propagation {
-	stage := a.eng.Stage("propagate")
-	defer stage.Start()()
-	span := a.eng.StartSpan("propagate")
-	defer span.End()
+	stage := a.eng.Begin("propagate")
+	defer stage.End()
 	all := secspec.AllCats(a.Spec.NumCategories)
 	size := a.total + len(nw.Muxes)
 	p := &propagation{
@@ -639,12 +634,11 @@ func (a *Analysis) seeds(elems []rsn.Ref) []int32 {
 // with the change in the number of violating nodes, counted over the
 // cone alone (nodes outside it keep the parent's attributes).
 func (a *Analysis) propagateDeltaOn(parent *propagation, w *wiring, nw *rsn.Network, seeds []int32) (*propagation, int) {
-	stage := a.eng.Stage("propagate-delta")
-	defer stage.Start()()
-	// A high-frequency trace span (one per candidate trial); sample it
-	// via the tracer (SampleEvery("propagate-delta", n)) on large runs.
-	span := a.eng.StartSpan("propagate-delta")
-	defer span.End()
+	// A high-frequency stage (one per candidate trial); sample its
+	// span via the tracer (SampleEvery("propagate-delta", n)) on large
+	// runs.
+	stage := a.eng.Begin("propagate-delta")
+	defer stage.End()
 	all := secspec.AllCats(a.Spec.NumCategories)
 	size := a.total + len(nw.Muxes)
 
@@ -721,7 +715,7 @@ func (a *Analysis) propagateDeltaOn(parent *propagation, w *wiring, nw *rsn.Netw
 	stage.AddItems(int64(dirty))
 	saved := a.activeCount(nw) - dirty
 	stage.AddSaved(int64(saved))
-	span.SetAttrs(obs.Int("dirty", int64(dirty)), obs.Int("saved", int64(saved)),
+	stage.SetAttrs(obs.Int("dirty", int64(dirty)), obs.Int("saved", int64(saved)),
 		obs.Int("evals", evals))
 	return p, dv
 }
@@ -781,7 +775,7 @@ func (a *Analysis) fixedPoint(nw *rsn.Network) *propagation {
 	case parent == nil || len(parentNW.Registers) != len(nw.Registers):
 		p = a.propagate(nw)
 	case propWiringEqual(parentNW, nw):
-		a.eng.Stage("propagate-delta").AddSaved(int64(a.activeCount(nw)))
+		a.eng.Stats.Stage("propagate-delta").AddSaved(int64(a.activeCount(nw)))
 		return parent
 	default:
 		p = a.propagateDelta(parent, parentNW, nw)

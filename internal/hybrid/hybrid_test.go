@@ -122,7 +122,7 @@ func TestExampleFullPipeline(t *testing.T) {
 	e, a := newExampleAnalysis(t, dep.Exact)
 	nw := e.Network
 
-	pres, err := pure.Resolve(nw, e.Spec)
+	pres, err := pure.Resolve(nw, e.Spec, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +236,7 @@ func TestInsecureLogicDetection(t *testing.T) {
 func TestResolveIdempotentOnSecureNetwork(t *testing.T) {
 	e, a := newExampleAnalysis(t, dep.Exact)
 	nw := e.Network
-	if _, err := pure.Resolve(nw, e.Spec); err != nil {
+	if _, err := pure.Resolve(nw, e.Spec, engine.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Resolve(a, nw); err != nil {

@@ -201,7 +201,7 @@ func TestIncrementalPropagateMatchesFull(t *testing.T) {
 						}
 					}
 				}
-				if _, next, err := a.resolveOne(nw, parent, u, v, hops, len(viols)); err != nil {
+				if _, next, err := a.resolveOne(engine.Stage{}, nw, parent, u, v, hops, len(viols)); err != nil {
 					break
 				} else {
 					propEqual(t, "applied change", a.propagate(nw), next)
@@ -382,7 +382,7 @@ func BenchmarkResolveHybridFlexScan(b *testing.B) {
 		if len(cand.Violations(r)) == 0 {
 			continue
 		}
-		if _, err := pure.Resolve(r, spec); err != nil {
+		if _, err := pure.Resolve(r, spec, engine.Options{}); err != nil {
 			continue
 		}
 		if len(cand.Violations(r)) == 0 {

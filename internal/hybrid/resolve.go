@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/rsn"
 )
@@ -155,14 +156,12 @@ func maxChanges(nw *rsn.Network) int { return 8*len(nw.Registers) + 64 }
 // iterations, and the stage's wall time and change count are reported
 // through its engine stats.
 func Resolve(a *Analysis, nw *rsn.Network) (*Result, error) {
-	stage := a.eng.Stage("resolve")
-	defer stage.Start()()
+	stage := a.eng.Begin("resolve")
+	defer stage.End()
 	res := &Result{}
-	span := a.eng.StartSpan("resolve")
-	defer span.End()
 	defer func() {
 		stage.AddQueries(int64(len(res.Changes)))
-		span.SetAttrs(obs.Int("violations_before", int64(res.ViolationsBefore)),
+		stage.SetAttrs(obs.Int("violations_before", int64(res.ViolationsBefore)),
 			obs.Int("changes", int64(len(res.Changes))))
 	}()
 	ctx := a.eng.Ctx()
@@ -184,7 +183,7 @@ func Resolve(a *Analysis, nw *rsn.Network) (*Result, error) {
 		if err != nil {
 			return res, err
 		}
-		ch, next, err := a.resolveOne(nw, cur, u, v, hops, len(viols))
+		ch, next, err := a.resolveOne(stage, nw, cur, u, v, hops, len(viols))
 		if err != nil {
 			return res, err
 		}
@@ -198,7 +197,7 @@ func Resolve(a *Analysis, nw *rsn.Network) (*Result, error) {
 // the lowest-cost acceptable one. cur is the fixed point of nw's
 // current wiring; the returned propagation is the fixed point of the
 // applied change's wiring.
-func (a *Analysis) resolveOne(nw *rsn.Network, cur *propagation, u, v int, hops []hop, before int) (Change, *propagation, error) {
+func (a *Analysis) resolveOne(stage engine.Stage, nw *rsn.Network, cur *propagation, u, v int, hops []hop, before int) (Change, *propagation, error) {
 	type candidate struct {
 		pin    rsn.Sink
 		newSrc rsn.Ref
@@ -243,7 +242,6 @@ func (a *Analysis) resolveOne(nw *rsn.Network, cur *propagation, u, v int, hops 
 		p       *propagation
 	}
 	results := make([]scored, len(cands))
-	stage := a.eng.Stage("resolve")
 	stage.AddItems(int64(len(cands)))
 	// The current wiring's reverse adjacency, built once per round; each
 	// trial patches only the sinks its cut/reconnect changed.

@@ -10,7 +10,8 @@
 // produce false alarms while real slowdowns cannot hide inside it.
 //
 // The record is produced by exp.CollectBenchRecord (per-stage timings
-// summed from real trace spans, not ad-hoc timers) and written by
+// from the engine stats, which record the same intervals as the stage
+// trace spans) and written by
 // `rsnbench -bench-out`; `rsnbench -baseline` and
 // `rsnbench -compare-bench` apply the gate.
 package perfrec

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"io"
+	"maps"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -132,9 +133,10 @@ type Tracer struct {
 	now    func() time.Time // test seam; defaults to time.Now
 	nextID atomic.Uint64
 
-	mu     sync.Mutex
-	sample map[string]int
-	counts map[string]*atomic.Int64
+	// samplers is a copy-on-write map from span name to its sampling
+	// policy, so opening a span takes no lock; mu serializes writers.
+	mu       sync.Mutex
+	samplers atomic.Pointer[map[string]*sampler]
 
 	emitted atomic.Int64
 	dropped atomic.Int64
@@ -142,13 +144,16 @@ type Tracer struct {
 
 // NewTracer returns a tracer emitting to sink (which must be non-nil).
 func NewTracer(sink Sink) *Tracer {
-	return &Tracer{
-		sink:   sink,
-		epoch:  time.Now(),
-		now:    time.Now,
-		sample: make(map[string]int),
-		counts: make(map[string]*atomic.Int64),
-	}
+	t := &Tracer{sink: sink, epoch: time.Now(), now: time.Now}
+	t.samplers.Store(&map[string]*sampler{})
+	return t
+}
+
+// sampler is one span name's sampling policy: record every n-th of
+// the spans counted by seen.
+type sampler struct {
+	every int64
+	seen  atomic.Int64
 }
 
 // SampleEvery records only every n-th span of the given name (n <= 1
@@ -160,8 +165,10 @@ func (t *Tracer) SampleEvery(name string, n int) {
 		return
 	}
 	t.mu.Lock()
-	t.sample[name] = n
-	t.mu.Unlock()
+	defer t.mu.Unlock()
+	m := maps.Clone(*t.samplers.Load())
+	m[name] = &sampler{every: int64(n)}
+	t.samplers.Store(&m)
 }
 
 // Emitted returns the number of events handed to the sink.
@@ -187,11 +194,21 @@ func (t *Tracer) Start(parent *Span, name string, attrs ...Attr) *Span {
 	if t == nil {
 		return nil
 	}
+	return t.StartAt(parent, name, t.now(), attrs...)
+}
+
+// StartAt is Start with the span's start time given, for callers that
+// already read the clock (engine stages time their counters and their
+// span from one reading).
+func (t *Tracer) StartAt(parent *Span, name string, at time.Time, attrs ...Attr) *Span {
+	if t == nil {
+		return nil
+	}
 	s := &Span{
 		t:     t,
 		id:    t.nextID.Add(1),
 		name:  name,
-		start: t.now().Sub(t.epoch),
+		start: at.Sub(t.epoch),
 	}
 	if parent != nil {
 		s.parent = parent.id
@@ -206,19 +223,11 @@ func (t *Tracer) Start(parent *Span, name string, attrs ...Attr) *Span {
 
 // shouldRecord applies the per-name sampling policy.
 func (t *Tracer) shouldRecord(name string) bool {
-	t.mu.Lock()
-	n := t.sample[name]
-	if n <= 1 {
-		t.mu.Unlock()
+	sp := (*t.samplers.Load())[name]
+	if sp == nil || sp.every <= 1 {
 		return true
 	}
-	c, ok := t.counts[name]
-	if !ok {
-		c = new(atomic.Int64)
-		t.counts[name] = c
-	}
-	t.mu.Unlock()
-	return (c.Add(1)-1)%int64(n) == 0
+	return (sp.seen.Add(1)-1)%sp.every == 0
 }
 
 // Span is one timed region of the run hierarchy. All methods tolerate
@@ -261,6 +270,14 @@ func (s *Span) End() {
 	if s == nil {
 		return
 	}
+	s.EndAt(s.t.now())
+}
+
+// EndAt is End with the span's end time given (see StartAt).
+func (s *Span) EndAt(at time.Time) {
+	if s == nil {
+		return
+	}
 	s.mu.Lock()
 	if s.ended {
 		s.mu.Unlock()
@@ -272,7 +289,7 @@ func (s *Span) End() {
 	if !s.record {
 		return
 	}
-	end := s.t.now().Sub(s.t.epoch)
+	end := at.Sub(s.t.epoch)
 	ev := Event{
 		Span:   s.id,
 		Parent: s.parent,

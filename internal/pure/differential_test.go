@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/engine"
 	"repro/internal/rsn"
 	"repro/internal/secspec"
 )
@@ -61,7 +62,7 @@ func TestPureResolveMatchesReference(t *testing.T) {
 			spec := secspec.GenerateWithRoles(len(nw.Modules), att.DataSources, secspec.DefaultGenConfig(), seed)
 			refNW := nw.Clone()
 			want, werr := referenceResolve(refNW, spec)
-			got, err := Resolve(nw, spec)
+			got, err := Resolve(nw, spec, engine.Options{})
 			ctx := c.name
 			if (err == nil) != (werr == nil) {
 				t.Fatalf("%s@%g seed %d: error %v, reference %v", ctx, c.scale, seed, err, werr)
@@ -76,7 +77,7 @@ func TestPureResolveMatchesReference(t *testing.T) {
 		spec := secspec.Generate(len(nw.Modules), secspec.DefaultGenConfig(), rng.Int63())
 		refNW := nw.Clone()
 		want, werr := referenceResolve(refNW, spec)
-		got, err := Resolve(nw, spec)
+		got, err := Resolve(nw, spec, engine.Options{})
 		if err != nil || werr != nil {
 			t.Fatalf("random %d: error %v, reference %v", iter, err, werr)
 		}
@@ -170,7 +171,7 @@ func TestCyclicTrialRejected(t *testing.T) {
 	if _, err := nw.Rewire(rsn.Sink{Elem: rsn.Reg(0)}, rsn.Reg(2)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Resolve(nw, spec); err == nil {
+	if _, err := Resolve(nw, spec, engine.Options{}); err == nil {
 		t.Fatal("Resolve accepted a cyclic network")
 	}
 }
@@ -189,7 +190,9 @@ func BenchmarkResolvePureFlexScan(b *testing.B) {
 		for _, r := range []struct {
 			name    string
 			resolve func(*rsn.Network, *secspec.Spec) (*Result, error)
-		}{{"cone", Resolve}, {"reference", referenceResolve}} {
+		}{{"cone", func(nw *rsn.Network, spec *secspec.Spec) (*Result, error) {
+			return Resolve(nw, spec, engine.Options{})
+		}}, {"reference", referenceResolve}} {
 			b.Run(fmt.Sprintf("scale=%g/%s", scale, r.name), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					b.StopTimer()

@@ -19,7 +19,9 @@ import (
 	"fmt"
 	"slices"
 
+	"repro/internal/engine"
 	"repro/internal/graph"
+	"repro/internal/obs"
 	"repro/internal/rsn"
 	"repro/internal/secspec"
 )
@@ -385,14 +387,22 @@ func maxRounds(nw *rsn.Network) int { return 4*len(nw.Registers) + 16 }
 // of its changed connections, and the winning trial's propagation
 // becomes the next round's current one (CutAndReconnect is
 // deterministic, so applying the winning change to nw reproduces the
-// trial wiring exactly).
-func Resolve(nw *rsn.Network, spec *secspec.Spec) (*Result, error) {
+// trial wiring exactly). The stage "pure-resolve" is reported through
+// opts' stats and tracer.
+func Resolve(nw *rsn.Network, spec *secspec.Spec, opts engine.Options) (*Result, error) {
+	stage := opts.Begin("pure-resolve")
+	defer stage.End()
+	res := &Result{}
+	defer func() {
+		stage.SetAttrs(obs.Int("violations_before", int64(res.ViolatingBefore)),
+			obs.Int("changes", int64(len(res.Changes))))
+	}()
 	q := newPropagator(spec)
 	p, ok := q.full(nw)
 	if !ok {
-		return &Result{}, fmt.Errorf("pure: scan network %q is cyclic", nw.Name)
+		return res, fmt.Errorf("pure: scan network %q is cyclic", nw.Name)
 	}
-	res := &Result{ViolatingBefore: len(p.Violating)}
+	res.ViolatingBefore = len(p.Violating)
 	for round := 0; ; round++ {
 		if len(p.Violating) == 0 {
 			return res, nil

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/rsn"
 	"repro/internal/secspec"
 )
@@ -70,7 +71,7 @@ func TestFindCulprit(t *testing.T) {
 
 func TestResolveChain(t *testing.T) {
 	nw, spec := chainSpec()
-	res, err := Resolve(nw, spec)
+	res, err := Resolve(nw, spec, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +101,7 @@ func TestResolveNoViolations(t *testing.T) {
 	nw, spec := chainSpec()
 	// Loosen the spec: crypto accepts everything.
 	spec.SetAccepts(0, secspec.AllCats(4))
-	res, err := Resolve(nw, spec)
+	res, err := Resolve(nw, spec, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +143,7 @@ func TestResolveDiamondPrefersCheapCut(t *testing.T) {
 	if err := nw.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	res, err := Resolve(nw, spec)
+	res, err := Resolve(nw, spec, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +185,7 @@ func TestResolveMultipleViolations(t *testing.T) {
 	spec.SetTrust(u2, 1)
 	spec.SetAccepts(u2, secspec.AllCats(4))
 
-	res, err := Resolve(nw, spec)
+	res, err := Resolve(nw, spec, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +266,7 @@ func TestResolveRandomNetworks(t *testing.T) {
 		}
 		spec := secspec.Generate(len(nw.Modules), secspec.DefaultGenConfig(), rng.Int63())
 		before := len(ViolatingRegisters(nw, spec))
-		res, err := Resolve(nw, spec)
+		res, err := Resolve(nw, spec, engine.Options{})
 		if err != nil {
 			t.Fatalf("iter %d: %v", iter, err)
 		}
