@@ -32,11 +32,13 @@
 // W3C traceparent (accepted or minted, echoed on the response) that
 // follow the work through logs, spans, job records and the flight
 // recorder (GET /debug/events, sized by -flight-events; pollers tail
-// incrementally with ?since=<last_seq>). Autoscalers read GET /v1/load
+// incrementally with ?since=<last_seq>). Scheduler, job, store and
+// attack events are log records that the recorder rings at every
+// level, even under -q. Autoscalers read GET /v1/load
 // (or the serve_* gauges on /metrics) for the predicted backlog;
 // -readyz-saturation DUR turns /readyz into a backpressure signal, and
 // -load-model seeds the cost model from a rsnbench record before the
-// first job completes (-load-ewma-alpha tunes its adaptation speed).
+// first job completes.
 //
 // Metrics history and SLOs: -history-interval samples every registry
 // metric into a bounded in-process series store (window sized by
@@ -98,7 +100,6 @@ func run() error {
 		logFile      = flag.String("log-file", "", "write log records to this file instead of stderr (buffered, flushed on shutdown)")
 		flightEvents = flag.Int("flight-events", 0, "flight-recorder ring size per category (0 = 256, -1 = disabled)")
 		loadModel    = flag.String("load-model", "", "seed the predicted-backlog cost model from this rsnbench record")
-		loadAlpha    = flag.Float64("load-ewma-alpha", 0.3, "cost-model EWMA weight on (0,1] (higher adapts faster)")
 		readyzSat    = flag.Duration("readyz-saturation", 0, "/readyz answers 503 while the predicted backlog exceeds this (0 = off)")
 		histInterval = flag.Duration("history-interval", 0, "sample metrics into the in-process history every DUR (0 = off unless -slo)")
 		histRetain   = flag.Duration("history-retention", 0, "metrics-history window (0 = 1h, or the slowest SLO window)")
@@ -141,9 +142,6 @@ func run() error {
 		if err != nil {
 			return fmt.Errorf("load model: %w", err)
 		}
-	}
-	if *loadAlpha <= 0 || *loadAlpha > 1 {
-		return fmt.Errorf("-load-ewma-alpha %v outside (0, 1]", *loadAlpha)
 	}
 	var sloCfg *slo.Config
 	if *sloPath != "" {
@@ -207,7 +205,6 @@ func run() error {
 		Logger:              lg,
 		FlightEvents:        *flightEvents,
 		LoadModel:           loadRec,
-		LoadEWMAAlpha:       *loadAlpha,
 		SaturationThreshold: *readyzSat,
 		History:             histCfg,
 		SLO:                 sloCfg,

@@ -5,6 +5,11 @@
 // is diagnosable in place — no restart, no log-file access, no
 // sampling gaps right where the incident is.
 //
+// Events enter through the log: Wrap puts the recorder in front of a
+// slog.Handler, so one log call both rings the event (at every level)
+// and journals it (when the journal's level admits it). The record's
+// component is the category, its message the event name.
+//
 // The recorder is category-sharded: each category owns its own ring
 // and mutex, so job events never contend with store events, and one
 // noisy category cannot evict another's history. Record is O(1) with
@@ -15,7 +20,9 @@
 package flight
 
 import (
+	"context"
 	"encoding/json"
+	"log/slog"
 	"net/http"
 	"sort"
 	"strconv"
@@ -24,6 +31,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/obs/olog"
 )
 
 // Event is one recorded occurrence. Seq orders events globally across
@@ -39,8 +47,8 @@ type Event struct {
 	Job       string `json:"job,omitempty"`
 	RequestID string `json:"request_id,omitempty"`
 	TraceID   string `json:"trace_id,omitempty"`
-	// Detail carries one short free-form value (a key prefix, an error
-	// summary, a queue position).
+	// Detail renders the record's other attributes as space-separated
+	// k=v pairs (a key prefix, an error summary, a wait).
 	Detail string `json:"detail,omitempty"`
 }
 
@@ -72,7 +80,6 @@ func (r *ring) snapshot() []Event {
 type Recorder struct {
 	size int
 	seq  atomic.Uint64
-	now  func() time.Time // test seam
 
 	mu    sync.RWMutex
 	rings map[string]*ring
@@ -86,7 +93,7 @@ func New(size int) *Recorder {
 	if size <= 0 {
 		size = 256
 	}
-	return &Recorder{size: size, now: time.Now, rings: make(map[string]*ring)}
+	return &Recorder{size: size, rings: make(map[string]*ring)}
 }
 
 func (r *Recorder) ring(cat string) *ring {
@@ -112,7 +119,7 @@ func (r *Recorder) Record(ev Event) {
 		return
 	}
 	ev.Seq = r.seq.Add(1)
-	ev.Time = r.now().UTC().Format(time.RFC3339Nano)
+	ev.Time = time.Now().UTC().Format(time.RFC3339Nano)
 	rg := r.ring(ev.Cat)
 	rg.mu.Lock()
 	if rg.count >= len(rg.buf) {
@@ -145,34 +152,20 @@ func (r *Recorder) Snapshot(cat string) []Event {
 	if r == nil {
 		return nil
 	}
-	var out []Event
-	if cat != "" {
-		r.mu.RLock()
-		rg := r.rings[cat]
-		r.mu.RUnlock()
-		if rg == nil {
-			return nil
+	var rings []*ring
+	r.mu.RLock()
+	for c, rg := range r.rings {
+		if cat == "" || c == cat {
+			rings = append(rings, rg)
 		}
-		return rg.snapshot()
 	}
-	for _, c := range r.Categories() {
-		r.mu.RLock()
-		rg := r.rings[c]
-		r.mu.RUnlock()
+	r.mu.RUnlock()
+	var out []Event
+	for _, rg := range rings {
 		out = append(out, rg.snapshot()...)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
 	return out
-}
-
-// Recent returns the latest n events across all categories (global Seq
-// order, oldest of the n first).
-func (r *Recorder) Recent(n int) []Event {
-	evs := r.Snapshot("")
-	if n > 0 && len(evs) > n {
-		evs = evs[len(evs)-n:]
-	}
-	return evs
 }
 
 // SnapshotSince returns the retained events with Seq > since, one
@@ -202,9 +195,12 @@ func (r *Recorder) LastSeq() uint64 {
 }
 
 // ForJob returns the retained events of one job across all categories.
-func (r *Recorder) ForJob(jobID string) []Event {
-	var out []Event
-	for _, ev := range r.Snapshot("") {
+func (r *Recorder) ForJob(jobID string) []Event { return onlyJob(r.Snapshot(""), jobID) }
+
+// onlyJob filters evs in place down to one job's events.
+func onlyJob(evs []Event, jobID string) []Event {
+	out := evs[:0]
+	for _, ev := range evs {
 		if ev.Job == jobID {
 			out = append(out, ev)
 		}
@@ -234,7 +230,8 @@ type response struct {
 // Handler serves the recorder as JSON (the /debug/events endpoint):
 //
 //	GET ?cat=sched    one category only
-//	GET ?job=a0001-…  one job's events across categories
+//	GET ?job=a0001-…  one job's events across categories (or within
+//	                  ?cat's, when both are given)
 //	GET ?n=100        at most the latest 100 events
 //	GET ?since=42     only events with seq > 42 (incremental tail;
 //	                  resume from the previous response's last_seq)
@@ -243,9 +240,10 @@ type response struct {
 // recorder itself stays HTTP-agnostic.
 func (r *Recorder) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		q := req.URL.Query()
 		resp := response{Categories: r.Categories(), Dropped: r.Dropped(), LastSeq: r.LastSeq()}
 		var since uint64
-		if ss := req.URL.Query().Get("since"); ss != "" {
+		if ss := q.Get("since"); ss != "" {
 			v, err := strconv.ParseUint(ss, 10, 64)
 			if err != nil {
 				http.Error(w, `{"error":"since must be a non-negative integer"}`, http.StatusBadRequest)
@@ -253,17 +251,11 @@ func (r *Recorder) Handler() http.Handler {
 			}
 			since = v
 		}
-		switch {
-		case req.URL.Query().Get("job") != "":
-			resp.Events = r.ForJob(req.URL.Query().Get("job"))
-			if since > 0 {
-				i := sort.Search(len(resp.Events), func(i int) bool { return resp.Events[i].Seq > since })
-				resp.Events = resp.Events[i:]
-			}
-		default:
-			resp.Events = r.SnapshotSince(req.URL.Query().Get("cat"), since)
+		resp.Events = r.SnapshotSince(q.Get("cat"), since)
+		if job := q.Get("job"); job != "" {
+			resp.Events = onlyJob(resp.Events, job)
 		}
-		if ns := req.URL.Query().Get("n"); ns != "" {
+		if ns := q.Get("n"); ns != "" {
 			n, err := strconv.Atoi(ns)
 			if err != nil || n < 0 {
 				http.Error(w, `{"error":"n must be a non-negative integer"}`, http.StatusBadRequest)
@@ -283,10 +275,80 @@ func (r *Recorder) Handler() http.Handler {
 	})
 }
 
-// WithReqInfo copies the request identity of ri into the event's
-// correlation fields.
-func (ev Event) WithReqInfo(ri obs.ReqInfo) Event {
-	ev.RequestID = ri.RequestID
-	ev.TraceID = ri.Trace.TraceID
-	return ev
+// Wrap returns a slog.Handler that stores every record in the ring of
+// its category, then forwards it to next when next is enabled for the
+// record's level — so the ring keeps every level even when the journal
+// is quiet. The category is the record's component attribute (see
+// olog.Component; records without one are not ringed), the event name
+// is the message, Job is the "job" attribute, and the other attributes
+// render into Detail as k=v pairs. Request and trace IDs come from the
+// context (obs.ReqInfoFrom). A nil recorder returns next unchanged.
+func (r *Recorder) Wrap(next slog.Handler) slog.Handler {
+	if r == nil {
+		return next
+	}
+	return &handler{rec: r, next: next}
+}
+
+// handler is the recorder's slog front. base holds what WithAttrs
+// bound (category, job, rendered detail); like any slog handler's,
+// its state is immutable once built. Groups only reach next: the
+// ring's detail is a flat rendering.
+type handler struct {
+	rec  *Recorder
+	next slog.Handler
+	base Event
+}
+
+// Enabled admits every level: the ring keeps what the journal drops.
+func (h *handler) Enabled(context.Context, slog.Level) bool { return true }
+
+func (h *handler) Handle(ctx context.Context, rec slog.Record) error {
+	ev := h.base
+	ev.Name = rec.Message
+	rec.Attrs(func(a slog.Attr) bool {
+		addAttr(&ev, a)
+		return true
+	})
+	if ri, ok := obs.ReqInfoFrom(ctx); ok {
+		ev.RequestID, ev.TraceID = ri.RequestID, ri.Trace.TraceID
+	}
+	h.rec.Record(ev)
+	if !h.next.Enabled(ctx, rec.Level) {
+		return nil
+	}
+	return h.next.Handle(ctx, rec)
+}
+
+// addAttr routes one attribute into ev: the component and job keys
+// fill Cat and Job, everything else appends "k=v" to Detail.
+func addAttr(ev *Event, a slog.Attr) {
+	v := a.Value.Resolve()
+	switch a.Key {
+	case "":
+	case olog.ComponentKey:
+		ev.Cat = v.String()
+	case "job":
+		ev.Job = v.String()
+	default:
+		if ev.Detail != "" {
+			ev.Detail += " "
+		}
+		ev.Detail += a.Key + "=" + v.String()
+	}
+}
+
+func (h *handler) WithAttrs(attrs []slog.Attr) slog.Handler {
+	nh := *h
+	for _, a := range attrs {
+		addAttr(&nh.base, a)
+	}
+	nh.next = h.next.WithAttrs(attrs)
+	return &nh
+}
+
+func (h *handler) WithGroup(name string) slog.Handler {
+	nh := *h
+	nh.next = h.next.WithGroup(name)
+	return &nh
 }

@@ -1,14 +1,18 @@
 package flight
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/obs"
+	"repro/internal/obs/olog"
 )
 
 func TestRingWrapKeepsLatest(t *testing.T) {
@@ -52,8 +56,8 @@ func TestCategoriesIsolateAndMerge(t *testing.T) {
 	if got := r.ForJob("a1"); len(got) != 2 {
 		t.Errorf("ForJob = %+v", got)
 	}
-	if got := r.Recent(2); len(got) != 2 || got[1].Name != "done" {
-		t.Errorf("Recent = %+v", got)
+	if got := r.Snapshot(""); len(got) < 2 || got[len(got)-1].Name != "done" {
+		t.Errorf("latest = %+v", got)
 	}
 }
 
@@ -91,7 +95,7 @@ func TestConcurrentRecord(t *testing.T) {
 func TestHandlerJSON(t *testing.T) {
 	r := New(8)
 	ri := obs.ReqInfo{RequestID: "req-7", Trace: obs.NewTraceContext()}
-	r.Record(Event{Cat: "job", Name: "enqueue", Job: "a1"}.WithReqInfo(ri))
+	r.Record(Event{Cat: "job", Name: "enqueue", Job: "a1", RequestID: ri.RequestID, TraceID: ri.Trace.TraceID})
 	r.Record(Event{Cat: "sched", Name: "reject"})
 
 	rec := httptest.NewRecorder()
@@ -204,5 +208,46 @@ func TestHandlerSinceParam(t *testing.T) {
 	r.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/debug/events?since=-3", nil))
 	if rec.Code != 400 {
 		t.Fatalf("bad since: code=%d", rec.Code)
+	}
+}
+
+// TestWrapRingsEveryLevel: the wrapped handler rings records the
+// journal's level drops, forwards the rest once, and maps component,
+// message, job and context identity onto the event fields.
+func TestWrapRingsEveryLevel(t *testing.T) {
+	r := New(8)
+	var journal bytes.Buffer
+	base := olog.New(olog.Options{Writer: &journal, Levels: olog.NewLevels(slog.LevelInfo)})
+	lg := olog.Component(slog.New(r.Wrap(base.Handler())), "sched")
+	ri := obs.ReqInfo{RequestID: "req-9", Trace: obs.NewTraceContext()}
+	ctx := obs.WithReqInfo(context.Background(), ri)
+
+	lg.LogAttrs(ctx, slog.LevelInfo, "enqueue", slog.String("job", "a1"), slog.String("label", "TreeFlat"))
+	lg.Debug("reject", "key", "abc", slog.Group("q", "depth", 3))
+
+	evs := r.Snapshot("sched")
+	if len(evs) != 2 {
+		t.Fatalf("ringed %d events, want 2: %+v", len(evs), evs)
+	}
+	if ev := evs[0]; ev.Name != "enqueue" || ev.Job != "a1" || ev.Detail != "label=TreeFlat" ||
+		ev.RequestID != "req-9" || ev.TraceID != ri.Trace.TraceID {
+		t.Errorf("enqueue event = %+v", ev)
+	}
+	if ev := evs[1]; ev.Name != "reject" || ev.Job != "" || ev.Detail != "key=abc q=[depth=3]" || ev.RequestID != "" {
+		t.Errorf("reject event = %+v", ev)
+	}
+	lines := strings.Split(strings.TrimSpace(journal.String()), "\n")
+	if len(lines) != 1 || !strings.Contains(lines[0], `"msg":"enqueue"`) || !strings.Contains(lines[0], `"component":"sched"`) {
+		t.Errorf("journal = %q, want the info record alone", journal.String())
+	}
+
+	// A record without a component has no category and is not ringed.
+	slog.New(r.Wrap(base.Handler())).Info("bare")
+	if n := len(r.Snapshot("")); n != 2 {
+		t.Errorf("uncategorized record ringed: %d events", n)
+	}
+	var nilR *Recorder
+	if h := base.Handler(); nilR.Wrap(h) != h {
+		t.Error("nil recorder must return next unchanged")
 	}
 }

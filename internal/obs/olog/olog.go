@@ -2,8 +2,7 @@
 // on the standard library's log/slog: a JSON (or text) handler with
 // per-component level control, automatic stamping of every record with
 // the active request identity (request ID, W3C trace/span IDs) carried
-// in context.Context by internal/obs, and rate-limited sampling
-// primitives for hot paths.
+// in context.Context by internal/obs.
 //
 // The design splits responsibilities the same way internal/obs does:
 //
@@ -14,9 +13,6 @@
 //     record's component (attached via Component), stamps request_id /
 //     trace_id / span_id from the context, and delegates encoding to a
 //     stdlib slog.JSONHandler or slog.TextHandler.
-//   - Every and Limiter own hot-path discipline — callers gate
-//     high-frequency records through them so the journal records a
-//     sample (with a skipped count) instead of swamping the sink.
 //
 // Like the rest of internal/obs, disabled logging must cost nothing on
 // hot paths: a record below its component's level is rejected in
@@ -34,7 +30,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/obs"
 )
@@ -175,13 +170,6 @@ type Options struct {
 	Format string
 	// Levels is the level policy; nil uses a fresh info-level policy.
 	Levels *Levels
-	// AddSource records the caller's file:line (off by default; the
-	// interesting identity here is the request, not the call site).
-	AddSource bool
-	// ReplaceAttr is passed through to the underlying stdlib handler
-	// (tests use it to drop the time attribute for stable golden
-	// output).
-	ReplaceAttr func(groups []string, a slog.Attr) slog.Attr
 }
 
 // New builds a logger whose handler stamps request identity from the
@@ -199,9 +187,7 @@ func New(opts Options) *slog.Logger {
 	hopts := &slog.HandlerOptions{
 		// The inner handler must not re-filter: the component-aware
 		// outer handler owns the level decision.
-		Level:       slog.Level(-128),
-		AddSource:   opts.AddSource,
-		ReplaceAttr: opts.ReplaceAttr,
+		Level: slog.Level(-128),
 	}
 	var inner slog.Handler
 	if opts.Format == "text" {
@@ -281,94 +267,6 @@ func (h *handler) WithGroup(name string) slog.Handler {
 	return &nh
 }
 
-// Every admits one record in N — deterministic modulo sampling for
-// hot-path diagnostics where the exact rate does not matter but the
-// volume must not scale with traffic. The zero value (N <= 1) admits
-// everything. Safe for concurrent use.
-type Every struct {
-	N   int
-	ctr atomic.Uint64
-}
-
-// Allow reports whether this occurrence should be logged (the first
-// always is) and counts the rest as skipped.
-func (e *Every) Allow() bool {
-	if e == nil || e.N <= 1 {
-		return true
-	}
-	return (e.ctr.Add(1)-1)%uint64(e.N) == 0
-}
-
-// Skipped returns how many occurrences were elided so far; samplers
-// attach it to the admitted record so absolute rates stay computable.
-func (e *Every) Skipped() uint64 {
-	if e == nil || e.N <= 1 {
-		return 0
-	}
-	n := e.ctr.Load()
-	admitted := (n + uint64(e.N) - 1) / uint64(e.N)
-	return n - admitted
-}
-
-// Limiter is a token-bucket rate limit for log records: at most Burst
-// records instantaneously and PerSecond sustained. Use it on paths
-// whose record rate follows traffic (per-request debug records, cache
-// events) so a traffic spike cannot turn the log sink into the
-// bottleneck. Safe for concurrent use.
-type Limiter struct {
-	perSec  float64
-	burst   float64
-	mu      sync.Mutex
-	tokens  float64
-	last    time.Time
-	dropped atomic.Uint64
-	now     func() time.Time // test seam
-}
-
-// NewLimiter returns a limiter admitting perSecond sustained records
-// with the given burst (burst < 1 uses 1). A nil *Limiter admits
-// everything.
-func NewLimiter(perSecond float64, burst int) *Limiter {
-	b := float64(burst)
-	if b < 1 {
-		b = 1
-	}
-	return &Limiter{perSec: perSecond, burst: b, tokens: b, now: time.Now}
-}
-
-// Allow consumes one token if available; a depleted bucket counts the
-// record as dropped.
-func (l *Limiter) Allow() bool {
-	if l == nil {
-		return true
-	}
-	l.mu.Lock()
-	now := l.now()
-	if !l.last.IsZero() {
-		l.tokens += now.Sub(l.last).Seconds() * l.perSec
-		if l.tokens > l.burst {
-			l.tokens = l.burst
-		}
-	}
-	l.last = now
-	if l.tokens >= 1 {
-		l.tokens--
-		l.mu.Unlock()
-		return true
-	}
-	l.mu.Unlock()
-	l.dropped.Add(1)
-	return false
-}
-
-// Dropped returns how many records the limiter rejected so far.
-func (l *Limiter) Dropped() uint64 {
-	if l == nil {
-		return 0
-	}
-	return l.dropped.Load()
-}
-
 // BufferedWriter wraps a writer with a mutex-guarded bufio buffer so
 // high-rate log sinks (access logs to a file) amortize syscalls; Flush
 // pushes the tail through before the underlying file closes. It exists
@@ -397,61 +295,3 @@ func (b *BufferedWriter) Flush() error {
 	defer b.mu.Unlock()
 	return b.bw.Flush()
 }
-
-// NewPrintfLogger bridges structured records onto a printf-style sink
-// — the legacy serve.Config.Logf seam keeps receiving one line per
-// event while the call sites move to structured logging. Attributes
-// render as trailing key=value pairs.
-func NewPrintfLogger(logf func(format string, args ...any), levels *Levels) *slog.Logger {
-	if logf == nil {
-		return Discard()
-	}
-	if levels == nil {
-		levels = NewLevels(slog.LevelInfo)
-	}
-	return slog.New(&printfHandler{logf: logf, levels: levels})
-}
-
-type printfHandler struct {
-	logf      func(format string, args ...any)
-	levels    *Levels
-	component string
-	attrs     []slog.Attr
-}
-
-func (h *printfHandler) Enabled(_ context.Context, lvl slog.Level) bool {
-	return lvl >= h.levels.Level(h.component)
-}
-
-func (h *printfHandler) Handle(ctx context.Context, rec slog.Record) error {
-	var sb strings.Builder
-	sb.WriteString(rec.Message)
-	emit := func(a slog.Attr) bool {
-		if a.Key != "" && a.Key != ComponentKey {
-			fmt.Fprintf(&sb, " %s=%v", a.Key, a.Value)
-		}
-		return true
-	}
-	for _, a := range h.attrs {
-		emit(a)
-	}
-	rec.Attrs(emit)
-	if ri, ok := obs.ReqInfoFrom(ctx); ok && ri.RequestID != "" {
-		fmt.Fprintf(&sb, " request_id=%s", ri.RequestID)
-	}
-	h.logf("%s", sb.String())
-	return nil
-}
-
-func (h *printfHandler) WithAttrs(attrs []slog.Attr) slog.Handler {
-	nh := *h
-	for _, a := range attrs {
-		if a.Key == ComponentKey {
-			nh.component = a.Value.String()
-		}
-	}
-	nh.attrs = append(append([]slog.Attr{}, h.attrs...), attrs...)
-	return &nh
-}
-
-func (h *printfHandler) WithGroup(string) slog.Handler { return h }

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/obs"
 )
@@ -115,48 +114,6 @@ func TestTextFormat(t *testing.T) {
 	}
 }
 
-func TestEverySampling(t *testing.T) {
-	e := &Every{N: 4}
-	admitted := 0
-	for i := 0; i < 10; i++ {
-		if e.Allow() {
-			admitted++
-		}
-	}
-	if admitted != 3 { // i = 0, 4, 8
-		t.Errorf("admitted %d of 10, want 3", admitted)
-	}
-	if got := e.Skipped(); got != 7 {
-		t.Errorf("skipped = %d, want 7", got)
-	}
-	var zero *Every
-	if !zero.Allow() || zero.Skipped() != 0 {
-		t.Error("nil Every must admit everything")
-	}
-}
-
-func TestLimiterBucket(t *testing.T) {
-	l := NewLimiter(10, 2)
-	now := time.Unix(0, 0)
-	l.now = func() time.Time { return now }
-	if !l.Allow() || !l.Allow() {
-		t.Fatal("burst of 2 rejected")
-	}
-	if l.Allow() {
-		t.Fatal("depleted bucket admitted")
-	}
-	now = now.Add(100 * time.Millisecond) // refills one token at 10/s
-	if !l.Allow() {
-		t.Fatal("refilled token rejected")
-	}
-	if l.Allow() {
-		t.Fatal("second token admitted after one refill")
-	}
-	if l.Dropped() != 2 {
-		t.Errorf("dropped = %d, want 2", l.Dropped())
-	}
-}
-
 func TestBufferedWriterConcurrentFlush(t *testing.T) {
 	var sink bytes.Buffer
 	bw := NewBufferedWriter(&sink)
@@ -176,25 +133,5 @@ func TestBufferedWriterConcurrentFlush(t *testing.T) {
 	}
 	if got := len(jsonLines(t, &sink)); got != n {
 		t.Errorf("flushed %d records, want %d", got, n)
-	}
-}
-
-func TestPrintfBridge(t *testing.T) {
-	var lines []string
-	lg := NewPrintfLogger(func(f string, a ...any) {
-		lines = append(lines, strings.TrimSpace(strings.ReplaceAll(f, "%s", "")+strings.Join(func() []string {
-			var s []string
-			for _, x := range a {
-				s = append(s, x.(string))
-			}
-			return s
-		}(), " ")))
-	}, nil)
-	Component(lg, "serve").Info("job done", "job", "a1")
-	if len(lines) != 1 || !strings.Contains(lines[0], "job done") || !strings.Contains(lines[0], "job=a1") {
-		t.Errorf("printf bridge lines = %q", lines)
-	}
-	if strings.Contains(lines[0], "component=") {
-		t.Errorf("component key must not leak into printf lines: %q", lines[0])
 	}
 }

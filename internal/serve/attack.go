@@ -7,14 +7,12 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
-	"time"
 
 	"repro/internal/exp"
 	"repro/internal/icl"
 	"repro/internal/netlist"
 	"repro/internal/obfus"
 	"repro/internal/obs"
-	"repro/internal/obs/flight"
 	"repro/internal/rsn"
 )
 
@@ -185,23 +183,10 @@ func (s *Server) handleAttack(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	ri, _ := obs.ReqInfoFrom(r.Context())
-	s.flight.Record(flight.Event{Cat: "attack", Name: "submit",
-		RequestID: ri.RequestID, TraceID: ri.Trace.TraceID,
-		Detail: fmt.Sprintf("%s key_bits=%d gates=%d dynamic=%v",
-			a.atk.nw.Name, a.atk.ov.NumKeyBits, len(a.atk.ov.Gates), a.atk.ov.Dynamic)})
-	if data, ok := s.store.Get(a.key); ok {
-		j := s.sched.InsertFinished(r.Context(), a.key, a.label, "hit", data)
-		s.log.LogAttrs(r.Context(), slog.LevelInfo, "served from store",
-			slog.String("job", j.ID), slog.String("label", a.label), slog.String("key", shortKey(a.key)))
-		writeJSON(w, http.StatusOK, s.status(j))
-		return
-	}
-	var timeout time.Duration
-	if req.TimeoutMS > 0 {
-		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-	}
-	s.scheduleJob(w, r, a, req.Priority, timeout)
+	s.atkLog.LogAttrs(r.Context(), slog.LevelDebug, "submit", slog.String("network", a.atk.nw.Name),
+		slog.Int("key_bits", a.atk.ov.NumKeyBits), slog.Int("gates", len(a.atk.ov.Gates)),
+		slog.Bool("dynamic", a.atk.ov.Dynamic))
+	s.serveOrSchedule(w, r, a, req.Priority, req.TimeoutMS)
 }
 
 // executeAttack runs one attack job to a serialized
@@ -216,12 +201,11 @@ func (s *Server) executeAttack(ctx context.Context, j *Job, a *analysis) ([]byte
 	opts.TraceParent = j.span
 	rep, err := exp.RunAttackAnalysis(ctx, "rsnserved", at.nw, at.ov, at.key, opts)
 	if err != nil {
-		s.flight.Record(flight.Event{Cat: "attack", Name: "failed", Job: j.ID,
-			RequestID: j.RequestID, TraceID: j.TraceID, Detail: err.Error()})
+		s.atkLog.LogAttrs(ctx, slog.LevelDebug, "failed", slog.String("job", j.ID), slog.String("err", err.Error()))
 		return nil, err
 	}
 	s.atkMetrics.jobs.Inc()
-	detail := ""
+	attrs := []slog.Attr{slog.String("job", j.ID)}
 	if sat := rep.SAT; sat != nil {
 		s.atkMetrics.satIters.Add(int64(sat.Iterations))
 		s.atkMetrics.satSolves.Add(int64(sat.SolveCalls))
@@ -229,18 +213,14 @@ func (s *Server) executeAttack(ctx context.Context, j *Job, a *analysis) ([]byte
 		if sat.Outcome == obfus.OutcomeRecovered && sat.Verified {
 			s.atkMetrics.keysFound.Inc()
 		}
-		detail = fmt.Sprintf("sat=%s iters=%d", sat.Outcome, sat.Iterations)
+		attrs = append(attrs, slog.Any("sat", sat.Outcome), slog.Int("iters", sat.Iterations))
 	}
 	if fl := rep.Flush; fl != nil {
 		s.atkMetrics.flushBits.Add(int64(len(fl.RecoveredBits)))
 		s.atkMetrics.flushProbe.Add(int64(fl.Probes))
-		if detail != "" {
-			detail += " "
-		}
-		detail += fmt.Sprintf("flush_rank=%d", fl.Rank)
+		attrs = append(attrs, slog.Int("flush_rank", fl.Rank))
 	}
-	s.flight.Record(flight.Event{Cat: "attack", Name: "report", Job: j.ID,
-		RequestID: j.RequestID, TraceID: j.TraceID, Detail: detail})
+	s.atkLog.LogAttrs(ctx, slog.LevelDebug, "report", attrs...)
 	var buf bytes.Buffer
 	if err := obfus.WriteReport(&buf, rep); err != nil {
 		return nil, fmt.Errorf("serve: encode attack report: %w", err)

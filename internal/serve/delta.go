@@ -130,24 +130,23 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 		script:     script,
 		scriptHash: scriptHash,
 	}
-	if data, ok := s.store.Get(a.key); ok {
-		j := s.sched.InsertFinished(r.Context(), a.key, a.label, "hit", data)
-		s.log.LogAttrs(r.Context(), slog.LevelInfo, "served from store",
-			slog.String("job", j.ID), slog.String("label", a.label), slog.String("key", shortKey(a.key)))
-		writeJSON(w, http.StatusOK, s.status(j))
-		return
-	}
-	var timeout time.Duration
-	if req.TimeoutMS > 0 {
-		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-	}
-	s.scheduleJob(w, r, a, req.Priority, timeout)
+	s.serveOrSchedule(w, r, a, req.Priority, req.TimeoutMS)
 }
 
-// scheduleJob submits a resolved analysis and writes the uniform
+// serveOrSchedule answers a resolved submission from the store (200,
+// a finished "hit" record) or submits it and writes the uniform
 // submission responses (202 queued/coalesced, 429 full, 503 draining).
+// A profile request skips the store: the point is to watch a real run.
 // The request context carries the submission's identity onto the job.
-func (s *Server) scheduleJob(w http.ResponseWriter, r *http.Request, a *analysis, priority int, timeout time.Duration) {
+func (s *Server) serveOrSchedule(w http.ResponseWriter, r *http.Request, a *analysis, priority int, timeoutMS int64) {
+	if a.profile == "" {
+		if data, ok := s.store.Get(a.key); ok {
+			writeJSON(w, http.StatusOK, s.status(s.sched.InsertFinished(r.Context(), a.key, a.label, "hit", data)))
+			return
+		}
+	}
+	// A non-positive timeout means none beyond the server's cap.
+	timeout := time.Duration(timeoutMS) * time.Millisecond
 	j, joined, err := s.sched.Submit(r.Context(), a.schedKey(), a.label, priority, timeout, a)
 	switch {
 	case errors.Is(err, ErrDraining):
@@ -162,13 +161,9 @@ func (s *Server) scheduleJob(w http.ResponseWriter, r *http.Request, a *analysis
 		return
 	}
 	if joined {
-		s.log.LogAttrs(r.Context(), slog.LevelInfo, "coalesced identical submission",
-			slog.String("job", j.ID), slog.String("label", a.label), slog.String("key", shortKey(a.key)))
 		writeJSON(w, http.StatusAccepted, s.statusAs(j, "coalesced"))
 		return
 	}
-	s.log.LogAttrs(r.Context(), slog.LevelInfo, "queued",
-		slog.String("job", j.ID), slog.String("label", a.label), slog.String("key", shortKey(a.key)))
 	writeJSON(w, http.StatusAccepted, s.status(j))
 }
 

@@ -256,15 +256,15 @@ func TestEventsSinceCursorThroughServer(t *testing.T) {
 func TestBacklogDivergesFromPureEWMAUnderBimodalMix(t *testing.T) {
 	reg := obs.NewRegistry()
 	st := series.NewStore(reg, series.Config{Interval: time.Second, Retention: time.Minute})
-	hist := newCostModel(nil, 0)
+	hist := newCostModel(nil)
 	hist.bindMetrics(reg)
 	hist.bindHistory(st)
-	ewma := newCostModel(nil, 0) // the old predictor, for comparison
+	ewma := newCostModel(nil) // the old predictor, for comparison
 
 	const ffs = 1000
-	fast := time.Duration(ffs) * 2 * time.Microsecond   // 2e3 ns/FF
-	slow := time.Duration(ffs) * 2 * time.Millisecond   // 2e6 ns/FF
-	for i := 0; i < 25; i++ {                           // interleaved bimodal mix
+	fast := time.Duration(ffs) * 2 * time.Microsecond // 2e3 ns/FF
+	slow := time.Duration(ffs) * 2 * time.Millisecond // 2e6 ns/FF
+	for i := 0; i < 25; i++ {                         // interleaved bimodal mix
 		for _, d := range []time.Duration{slow, fast} { // ends on a fast job
 			hist.observe(ffs, d)
 			ewma.observe(ffs, d)

@@ -62,7 +62,6 @@ type LoadStatus struct {
 //  3. EWMA of whole-job durations, for jobs with unknown size (deltas).
 type costModel struct {
 	mu      sync.Mutex
-	alpha   float64 // EWMA weight on (0, 1]
 	nsPerFF float64 // EWMA ns per scan FF; 0 = unknown
 	jobNS   float64 // EWMA whole-job ns; 0 = unknown
 
@@ -76,7 +75,7 @@ type costModel struct {
 	qAt      time.Time
 }
 
-// ewmaAlpha is the default EWMA weight: high enough to adapt within a
+// ewmaAlpha is the EWMA weight: high enough to adapt within a
 // few jobs, low enough that one outlier does not whipsaw the signal.
 const ewmaAlpha = 0.3
 
@@ -87,11 +86,8 @@ const ewmaAlpha = 0.3
 // granularity of the backlog prediction.
 var costBounds = []float64{1e2, 3e2, 1e3, 3e3, 1e4, 3e4, 1e5, 3e5, 1e6, 3e6, 1e7}
 
-func newCostModel(rec *perfrec.Record, alpha float64) *costModel {
-	m := &costModel{alpha: alpha}
-	if m.alpha <= 0 || m.alpha > 1 {
-		m.alpha = ewmaAlpha
-	}
+func newCostModel(rec *perfrec.Record) *costModel {
+	m := &costModel{}
 	if rec == nil {
 		return m
 	}
@@ -147,7 +143,7 @@ func (m *costModel) observe(scanFFs int, d time.Duration) {
 		if cur == 0 {
 			return sample
 		}
-		return cur + m.alpha*(sample-cur)
+		return cur + ewmaAlpha*(sample-cur)
 	}
 	if scanFFs > 0 {
 		rate := float64(d) / float64(scanFFs)

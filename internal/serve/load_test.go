@@ -133,7 +133,7 @@ func TestLoadSignalUnderSaturation(t *testing.T) {
 // bench record, EWMA refinement from observed jobs, and the whole-job
 // fallback for jobs of unknown size.
 func TestCostModel(t *testing.T) {
-	m := newCostModel(nil, 0)
+	m := newCostModel(nil)
 	if got := m.estimate(100); got != 0 {
 		t.Fatalf("cold model estimate = %v, want 0", got)
 	}
@@ -158,7 +158,7 @@ func TestCostModel(t *testing.T) {
 		{ScanFFs: 1000, Stages: []perfrec.Stage{{MedianNS: 1_000_000}, {MedianNS: 1_000_000}}},
 		{ScanFFs: 0, Stages: []perfrec.Stage{{MedianNS: 5_000_000}}}, // ignored: no size
 	}}
-	seeded := newCostModel(rec, 0)
+	seeded := newCostModel(rec)
 	if got := seeded.estimate(1000); got != 2*time.Millisecond {
 		t.Fatalf("seeded estimate(1000) = %v, want 2ms", got)
 	}

@@ -3,7 +3,6 @@ package serve
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"repro/internal/bench"
 	"repro/internal/dep"
@@ -107,13 +106,6 @@ func (a *analysis) schedKey() string {
 		return a.key
 	}
 	return a.key + "#profile-" + a.profile
-}
-
-func (a *analysis) timeout(req *AnalysisRequest) time.Duration {
-	if req.TimeoutMS <= 0 {
-		return 0
-	}
-	return time.Duration(req.TimeoutMS) * time.Millisecond
 }
 
 // resolve validates the request against the server's limits,

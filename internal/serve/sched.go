@@ -5,11 +5,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"sync"
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/obs/flight"
+	"repro/internal/obs/olog"
 )
 
 // Scheduler errors surfaced to the HTTP layer.
@@ -185,10 +186,12 @@ type SchedulerConfig struct {
 	// FinishedJobs bounds the retained finished-job records (status
 	// remains queryable until evicted); <= 0 uses 1024.
 	FinishedJobs int
-	// Flight, when non-nil, receives one flight-recorder event per
-	// scheduler decision (enqueue, coalesce, reject, cancel) and job
-	// lifecycle transition (start, done, failed, canceled, timeout).
-	Flight *flight.Recorder
+	// Logger, when non-nil, receives one record per scheduler decision
+	// (component "sched": enqueue, coalesce, reject, hit, cancel) and
+	// per job lifecycle transition (component "job": start, done,
+	// failed, canceled, timeout). Records are emitted after the
+	// scheduler lock is released, so the handler may do I/O.
+	Logger *slog.Logger
 }
 
 func (c SchedulerConfig) workers() int {
@@ -220,8 +223,10 @@ type runFunc func(ctx context.Context, j *Job) ([]byte, error)
 // identical in-flight submissions, supports per-job timeouts and
 // client cancellation, and drains gracefully on shutdown.
 type Scheduler struct {
-	cfg SchedulerConfig
-	run runFunc
+	cfg    SchedulerConfig
+	run    runFunc
+	log    *slog.Logger // "sched" decisions
+	jobLog *slog.Logger // "job" lifecycle
 
 	mu       sync.Mutex
 	cond     *sync.Cond
@@ -247,6 +252,8 @@ func NewScheduler(cfg SchedulerConfig, reg *obs.Registry, run runFunc) *Schedule
 	s := &Scheduler{
 		cfg:         cfg,
 		run:         run,
+		log:         olog.Component(cfg.Logger, "sched"),
+		jobLog:      olog.Component(cfg.Logger, "job"),
 		byID:        make(map[string]*Job),
 		byKey:       make(map[string]*Job),
 		queueDepthG: reg.Gauge("serve_queue_depth"),
@@ -278,7 +285,20 @@ func NewScheduler(cfg SchedulerConfig, reg *obs.Registry, run runFunc) *Schedule
 // by the worker goroutine — long after the HTTP handler returned —
 // still correlate back to the request. The job's lifetime is NOT
 // bound to ctx (a submission outlives its HTTP request by design).
-func (s *Scheduler) Submit(ctx context.Context, key, label string, priority int, timeout time.Duration, payload any) (j *Job, joined bool, err error) {
+func (s *Scheduler) Submit(ctx context.Context, key, label string, priority int, timeout time.Duration, payload any) (*Job, bool, error) {
+	j, joined, err := s.submit(ctx, key, label, priority, timeout, payload)
+	switch {
+	case joined:
+		s.log.LogAttrs(ctx, slog.LevelInfo, "coalesce", jobAttrs(j)...)
+	case errors.Is(err, ErrQueueFull):
+		s.log.LogAttrs(ctx, slog.LevelDebug, "reject", slog.String("key", shortKey(key)))
+	case err == nil:
+		s.log.LogAttrs(ctx, slog.LevelInfo, "enqueue", jobAttrs(j)...)
+	}
+	return j, joined, err
+}
+
+func (s *Scheduler) submit(ctx context.Context, key, label string, priority int, timeout time.Duration, payload any) (j *Job, joined bool, err error) {
 	ri, _ := obs.ReqInfoFrom(ctx)
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -287,12 +307,10 @@ func (s *Scheduler) Submit(ctx context.Context, key, label string, priority int,
 	}
 	if existing, ok := s.byKey[key]; ok {
 		s.coalesced.Inc()
-		s.event("sched", "coalesce", existing, ri, "joined by "+orUnknown(ri.RequestID))
 		return existing, true, nil
 	}
 	if len(s.queue) >= s.cfg.queueDepth() {
 		s.rejected.Inc()
-		s.event("sched", "reject", nil, ri, "queue full ("+shortKey(key)+")")
 		return nil, false, ErrQueueFull
 	}
 	if s.cfg.JobTimeout > 0 && (timeout <= 0 || timeout > s.cfg.JobTimeout) {
@@ -323,31 +341,14 @@ func (s *Scheduler) Submit(ctx context.Context, key, label string, priority int,
 	s.byID[j.ID] = j
 	s.byKey[key] = j
 	s.queueDepthG.Set(int64(len(s.queue)))
-	s.event("sched", "enqueue", j, ri, label)
 	s.cond.Signal()
 	return j, false, nil
 }
 
-// event records one flight-recorder event (no-op without a recorder).
-// Safe to call with the scheduler lock held: the recorder takes only
-// its own short per-ring lock.
-func (s *Scheduler) event(cat, name string, j *Job, ri obs.ReqInfo, detail string) {
-	ev := flight.Event{Cat: cat, Name: name, Detail: detail,
-		RequestID: ri.RequestID, TraceID: ri.Trace.TraceID}
-	if j != nil {
-		ev.Job = j.ID
-		if ev.RequestID == "" {
-			ev.RequestID, ev.TraceID = j.RequestID, j.TraceID
-		}
-	}
-	s.cfg.Flight.Record(ev)
-}
-
-func orUnknown(s string) string {
-	if s == "" {
-		return "unidentified request"
-	}
-	return s
+// jobAttrs identifies j in a scheduler record by its immutable fields;
+// the job attribute is what /debug/events?job= filters on.
+func jobAttrs(j *Job) []slog.Attr {
+	return []slog.Attr{slog.String("job", j.ID), slog.String("label", j.Label), slog.String("key", shortKey(j.Key))}
 }
 
 // InsertFinished registers an already-satisfied submission (a store
@@ -358,7 +359,6 @@ func (s *Scheduler) InsertFinished(ctx context.Context, key, label, cache string
 	ri, _ := obs.ReqInfoFrom(ctx)
 	now := time.Now()
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.seq++
 	j := &Job{
 		ID:         fmt.Sprintf("a%06x-%.12s", s.seq, key),
@@ -377,7 +377,8 @@ func (s *Scheduler) InsertFinished(ctx context.Context, key, label, cache string
 	close(j.done)
 	s.byID[j.ID] = j
 	s.recordFinishedLocked(j)
-	s.event("sched", cache, j, ri, label)
+	s.mu.Unlock()
+	s.log.LogAttrs(ctx, slog.LevelInfo, cache, jobAttrs(j)...)
 	return j
 }
 
@@ -402,14 +403,16 @@ func (s *Scheduler) worker() {
 		waited := j.startedAt.Sub(j.enqueuedAt)
 		s.mu.Unlock()
 
-		s.event("job", "start", j, obs.ReqInfo{}, "waited "+waited.Round(time.Millisecond).String())
+		s.jobLog.LogAttrs(j.ctx, slog.LevelDebug, "start",
+			slog.String("job", j.ID), slog.Duration("waited", waited.Round(time.Millisecond)))
 		s.executed.Inc()
 		result, err := s.run(j.ctx, j)
 		j.cancel() // release the timeout timer
 
 		s.mu.Lock()
 		j.finishedAt = time.Now()
-		evName, evDetail := "done", j.finishedAt.Sub(j.startedAt).Round(time.Millisecond).String()
+		ev, attrs := "done", []slog.Attr{slog.String("job", j.ID),
+			slog.Duration("dur", j.finishedAt.Sub(j.startedAt).Round(time.Millisecond))}
 		switch {
 		case err == nil:
 			j.state = StateDone
@@ -419,15 +422,16 @@ func (s *Scheduler) worker() {
 			j.state = StateCanceled
 			j.err = "canceled"
 			s.canceledC.Inc()
-			evName, evDetail = "canceled", ""
+			ev, attrs = "canceled", attrs[:1]
 		default:
 			j.state = StateFailed
 			j.err = err.Error()
-			evName, evDetail = "failed", j.err
+			ev = "failed"
 			if errors.Is(err, context.DeadlineExceeded) {
 				j.err = "timeout: " + j.err
-				evName = "timeout"
+				ev = "timeout"
 			}
+			attrs[1] = slog.String("err", j.err)
 			s.failedC.Inc()
 		}
 		delete(s.byKey, j.Key)
@@ -435,7 +439,7 @@ func (s *Scheduler) worker() {
 		s.recordFinishedLocked(j)
 		close(j.done)
 		s.mu.Unlock()
-		s.event("job", evName, j, obs.ReqInfo{}, evDetail)
+		s.jobLog.LogAttrs(j.ctx, slog.LevelDebug, ev, attrs...)
 	}
 }
 
@@ -494,14 +498,24 @@ func (s *Scheduler) Result(id string) ([]byte, JobStatus, error) {
 // Cancel terminates the identified job: a queued job is removed from
 // the queue immediately; a running job has its context canceled (the
 // engine honors cancellation between SAT queries, freeing the worker).
-func (s *Scheduler) Cancel(id string) (JobStatus, error) {
+// ctx carries the identity of the canceling request.
+func (s *Scheduler) Cancel(ctx context.Context, id string) (JobStatus, error) {
+	st, was, err := s.cancel(id)
+	if err == nil {
+		s.log.LogAttrs(ctx, slog.LevelInfo, "cancel", slog.String("job", st.ID), slog.String("was", string(was)))
+	}
+	return st, err
+}
+
+func (s *Scheduler) cancel(id string) (JobStatus, JobState, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	j, ok := s.byID[id]
 	if !ok {
-		return JobStatus{}, ErrUnknownJob
+		return JobStatus{}, "", ErrUnknownJob
 	}
-	switch j.state {
+	was := j.state
+	switch was {
 	case StateQueued:
 		heap.Remove(&s.queue, j.heapIndex)
 		s.queueDepthG.Set(int64(len(s.queue)))
@@ -513,15 +527,13 @@ func (s *Scheduler) Cancel(id string) (JobStatus, error) {
 		s.canceledC.Inc()
 		s.recordFinishedLocked(j)
 		close(j.done)
-		s.event("sched", "cancel", j, obs.ReqInfo{}, "canceled while queued")
 	case StateRunning:
 		j.canceling = true
 		j.cancel()
-		s.event("sched", "cancel", j, obs.ReqInfo{}, "cancel requested while running")
 	default:
-		return j.statusLocked(), ErrJobFinished
+		return j.statusLocked(), was, ErrJobFinished
 	}
-	return j.statusLocked(), nil
+	return j.statusLocked(), was, nil
 }
 
 // Draining reports whether the scheduler has stopped accepting
@@ -587,17 +599,7 @@ func (s *Scheduler) Load(now time.Time, cost func(*Job) time.Duration) LoadSnaps
 }
 
 // Running returns the number of jobs currently executing.
-func (s *Scheduler) Running() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := 0
-	for _, j := range s.byKey {
-		if j.state == StateRunning {
-			n++
-		}
-	}
-	return n
-}
+func (s *Scheduler) Running() int { return s.Load(time.Now(), nil).Running }
 
 // Drain stops accepting submissions, lets queued and running jobs
 // finish, and returns when the pool is idle. When ctx expires first,
@@ -628,6 +630,7 @@ func (s *Scheduler) Drain(ctx context.Context) error {
 		j.cancel()
 	}
 	// Queued jobs still in the heap are canceled outright.
+	var dropped []*Job
 	for len(s.queue) > 0 {
 		j := heap.Pop(&s.queue).(*Job)
 		delete(s.byKey, j.Key)
@@ -638,10 +641,13 @@ func (s *Scheduler) Drain(ctx context.Context) error {
 		s.canceledC.Inc()
 		s.recordFinishedLocked(j)
 		close(j.done)
-		s.event("sched", "cancel", j, obs.ReqInfo{}, "shutdown drain deadline")
+		dropped = append(dropped, j)
 	}
 	s.queueDepthG.Set(0)
 	s.mu.Unlock()
+	for _, j := range dropped {
+		s.log.LogAttrs(j.ctx, slog.LevelDebug, "cancel", slog.String("job", j.ID), slog.String("was", "queued at drain deadline"))
+	}
 	<-idle
 	return ctx.Err()
 }

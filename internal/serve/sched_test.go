@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"log/slog"
 	"sync"
 	"testing"
 	"time"
@@ -147,7 +148,7 @@ func TestSchedulerCancelQueued(t *testing.T) {
 	s.Submit(context.Background(), testKey(0), "running", 0, 0, nil)
 	<-g.started
 	j, _, _ := s.Submit(context.Background(), testKey(1), "queued", 0, 0, nil)
-	st, err := s.Cancel(j.ID)
+	st, err := s.Cancel(context.Background(), j.ID)
 	if err != nil || st.State != StateCanceled {
 		t.Fatalf("cancel queued: state=%s err=%v", st.State, err)
 	}
@@ -155,7 +156,7 @@ func TestSchedulerCancelQueued(t *testing.T) {
 		t.Fatalf("queue depth = %d after cancel", s.Queued())
 	}
 	// Canceling again reports the terminal state.
-	if _, err := s.Cancel(j.ID); !errors.Is(err, ErrJobFinished) {
+	if _, err := s.Cancel(context.Background(), j.ID); !errors.Is(err, ErrJobFinished) {
 		t.Fatalf("double cancel error = %v", err)
 	}
 	// The canceled key coalesces no more.
@@ -171,7 +172,7 @@ func TestSchedulerCancelRunningFreesWorker(t *testing.T) {
 	j1, _, _ := s.Submit(context.Background(), testKey(1), "victim", 0, 0, nil)
 	<-g.started
 	j2, _, _ := s.Submit(context.Background(), testKey(2), "next", 0, 0, nil)
-	if _, err := s.Cancel(j1.ID); err != nil {
+	if _, err := s.Cancel(context.Background(), j1.ID); err != nil {
 		t.Fatalf("cancel running: %v", err)
 	}
 	st := waitState(t, s, j1.ID, StateCanceled)
@@ -275,5 +276,55 @@ func TestSchedulerFinishedRecordEviction(t *testing.T) {
 	s.InsertFinished(context.Background(), testKey(2), "c", "hit", nil)
 	if _, err := s.Status(first.ID); !errors.Is(err, ErrUnknownJob) {
 		t.Fatalf("oldest finished record must be evicted, got err=%v", err)
+	}
+}
+
+// blockingHandler parks every record in Handle until release closes,
+// signalling entered on the first.
+type blockingHandler struct {
+	once    *sync.Once
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (h blockingHandler) Enabled(context.Context, slog.Level) bool { return true }
+func (h blockingHandler) Handle(context.Context, slog.Record) error {
+	h.once.Do(func() { close(h.entered) })
+	<-h.release
+	return nil
+}
+func (h blockingHandler) WithAttrs([]slog.Attr) slog.Handler { return h }
+func (h blockingHandler) WithGroup(string) slog.Handler      { return h }
+
+// TestSchedulerLogsOutsideLock: a Submit blocked in its log handler
+// must not hold the scheduler lock — records are emitted after it is
+// released, so a slow sink cannot stall the scheduler.
+func TestSchedulerLogsOutsideLock(t *testing.T) {
+	h := blockingHandler{once: &sync.Once{}, entered: make(chan struct{}), release: make(chan struct{})}
+	g := newGateRun()
+	s := NewScheduler(SchedulerConfig{Workers: 1, Logger: slog.New(h)}, nil, g.run)
+	submitted := make(chan struct{})
+	go func() {
+		defer close(submitted)
+		if _, _, err := s.Submit(context.Background(), "k1", "one", 0, 0, nil); err != nil {
+			t.Error(err)
+		}
+	}()
+	<-h.entered
+	queued := make(chan int, 1)
+	go func() { queued <- s.Queued() }()
+	select {
+	case n := <-queued:
+		if n > 1 {
+			t.Errorf("queued = %d, want at most 1", n)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Queued() blocked while Submit was logging: the record is emitted under the scheduler lock")
+	}
+	close(h.release)
+	<-submitted
+	close(g.release)
+	if err := s.Drain(context.Background()); err != nil {
+		t.Fatal(err)
 	}
 }

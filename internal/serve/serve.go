@@ -105,17 +105,16 @@ type Config struct {
 	// on Shutdown. Required for SlowJobThreshold to take effect.
 	SlowJobLog io.Writer
 	// Logger receives the server's structured records (lifecycle
-	// events, one access-log line per request, job transitions). Build
-	// it with olog.New so records pick up the request identity from
-	// their context. Nil falls back to bridging Logf; with both nil the
-	// server is silent.
+	// events, one access-log line per request, scheduler, job, store
+	// and attack events). Build it with olog.New so records pick up the
+	// request identity from their context. Nil keeps the server silent;
+	// the flight recorder still rings its events.
 	Logger *slog.Logger
-	// Logf, when non-nil (and Logger nil), receives one rendered line
-	// per event — the legacy printf seam, kept for embedders.
-	Logf func(format string, args ...any)
 	// FlightEvents sizes the flight recorder's per-category rings
 	// (served at /debug/events, embedded in slow-job dumps): 0 uses
-	// 256, < 0 disables the recorder entirely.
+	// 256, < 0 disables the recorder entirely. The recorder rings every
+	// record of the serve, sched, job, store and attack components at
+	// every level, whatever Logger's level.
 	FlightEvents int
 	// LoadModel, when non-nil, seeds the predicted-backlog cost model
 	// from a bench record's per-stage medians (see load.go); without it
@@ -124,9 +123,6 @@ type Config struct {
 	// SaturationThreshold flips /readyz to 503 "saturated" while the
 	// predicted backlog meets or exceeds it; 0 disables the gate.
 	SaturationThreshold time.Duration
-	// LoadEWMAAlpha overrides the cost model's EWMA weight; 0 uses the
-	// default (0.3), anything outside (0, 1] is rejected by New.
-	LoadEWMAAlpha float64
 	// History, when non-nil, enables the in-process metrics history: a
 	// bounded series store sampling the registry on History.Interval
 	// (served at /debug/metrics/history, feeding the SLO engine and the
@@ -173,10 +169,13 @@ type Server struct {
 	tracer *obs.Tracer
 	root   *obs.Span
 
-	// log carries lifecycle and job records ("serve" component);
-	// httpLog carries the per-request access log ("http" component);
-	// engLog is the base for per-job engine progress ("engine").
+	// log carries lifecycle, session and profile records ("serve"
+	// component) and atkLog the attack events ("attack"); both are
+	// ringed by the flight recorder. httpLog carries the per-request
+	// access log ("http") and engLog per-job engine progress
+	// ("engine"); both bypass the ring.
 	log     *slog.Logger
+	atkLog  *slog.Logger
 	httpLog *slog.Logger
 	engLog  *slog.Logger
 	flight  *flight.Recorder
@@ -184,7 +183,7 @@ type Server struct {
 	history *series.Store
 	sloEng  *slo.Engine
 
-	slowLog  *slowJobLog
+	slowLog  *olog.BufferedWriter
 	slowJobs *obs.Counter
 	profMu   sync.Mutex // the CPU profiler is process-global
 
@@ -211,36 +210,37 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Registry == nil {
 		cfg.Registry = obs.NewRegistry()
 	}
-	if a := cfg.LoadEWMAAlpha; a < 0 || a > 1 {
-		return nil, fmt.Errorf("serve: load EWMA alpha %v outside (0, 1]", a)
+	base := cfg.Logger
+	if base == nil {
+		base = olog.Discard()
 	}
 	var rec *flight.Recorder
 	if cfg.FlightEvents >= 0 {
 		rec = flight.New(cfg.FlightEvents)
 	}
+	// Each daemon event is one record: the ringed logger stores it in
+	// the flight recorder and journals it when the level admits. The
+	// access log and engine progress stay on base — one record per
+	// request or per stage would cost every poll and evict the
+	// decisions from the rings.
+	ringed := slog.New(rec.Wrap(base.Handler()))
 	storeCfg := cfg.Store
-	storeCfg.Flight = rec
+	storeCfg.Logger = ringed
 	store, err := NewStore(storeCfg, cfg.Registry)
 	if err != nil {
 		return nil, err
-	}
-	base := cfg.Logger
-	if base == nil && cfg.Logf != nil {
-		base = olog.NewPrintfLogger(cfg.Logf, nil)
-	}
-	if base == nil {
-		base = olog.Discard()
 	}
 	s := &Server{
 		cfg:      cfg,
 		reg:      cfg.Registry,
 		store:    store,
 		tracer:   cfg.Tracer,
-		log:      olog.Component(base, "serve"),
+		log:      olog.Component(ringed, "serve"),
+		atkLog:   olog.Component(ringed, "attack"),
 		httpLog:  olog.Component(base, "http"),
 		engLog:   olog.Component(base, "engine"),
 		flight:   rec,
-		cost:     newCostModel(cfg.LoadModel, cfg.LoadEWMAAlpha),
+		cost:     newCostModel(cfg.LoadModel),
 		sessions: make(map[string]*session),
 		// Engine stage counters aggregate across jobs on the server
 		// registry (engine_stage_*_total{stage=...}): per-job numbers
@@ -251,7 +251,7 @@ func New(cfg Config) (*Server, error) {
 	s.atkMetrics = newAttackMetrics(cfg.Registry)
 	s.runJob = s.execute
 	if cfg.SlowJobThreshold > 0 && cfg.SlowJobLog != nil {
-		s.slowLog = newSlowJobLog(cfg.SlowJobLog)
+		s.slowLog = olog.NewBufferedWriter(cfg.SlowJobLog)
 		cfg.Registry.SetHelp("serve_slow_jobs_total", "Jobs that breached the slow-job threshold and dumped their span tree.")
 		s.slowJobs = cfg.Registry.Counter("serve_slow_jobs_total")
 	}
@@ -262,7 +262,7 @@ func New(cfg Config) (*Server, error) {
 		QueueDepth:   cfg.QueueDepth,
 		JobTimeout:   cfg.JobTimeout,
 		FinishedJobs: cfg.FinishedJobs,
-		Flight:       rec,
+		Logger:       ringed,
 	}, cfg.Registry, s.dispatch)
 	s.registerLoadGauges()
 	s.cost.bindMetrics(cfg.Registry)

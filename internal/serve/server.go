@@ -205,18 +205,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "unknown profile %q (want cpu or heap)", prof)
 		return
 	}
-	// A profile request skips the store lookup: the point is to watch a
-	// real run, so a cached report must not short-circuit it.
-	if a.profile == "" {
-		if data, ok := s.store.Get(a.key); ok {
-			j := s.sched.InsertFinished(r.Context(), a.key, a.label, "hit", data)
-			s.log.LogAttrs(r.Context(), slog.LevelInfo, "served from store",
-				slog.String("job", j.ID), slog.String("label", a.label), slog.String("key", shortKey(a.key)))
-			writeJSON(w, http.StatusOK, s.status(j))
-			return
-		}
-	}
-	s.scheduleJob(w, r, a, req.Priority, a.timeout(&req))
+	s.serveOrSchedule(w, r, a, req.Priority, req.TimeoutMS)
 }
 
 func shortKey(key string) string {
@@ -302,14 +291,13 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	st, err := s.sched.Cancel(r.PathValue("id"))
+	st, err := s.sched.Cancel(r.Context(), r.PathValue("id"))
 	switch {
 	case errors.Is(err, ErrUnknownJob):
 		writeError(w, http.StatusNotFound, "unknown analysis %q", r.PathValue("id"))
 	case errors.Is(err, ErrJobFinished):
 		writeJSON(w, http.StatusConflict, st)
 	default:
-		s.log.LogAttrs(r.Context(), slog.LevelInfo, "cancel requested", slog.String("job", st.ID))
 		writeJSON(w, http.StatusOK, st)
 	}
 }

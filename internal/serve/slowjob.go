@@ -1,15 +1,12 @@
 package serve
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
-	"io"
 	"log/slog"
 	"runtime"
 	"runtime/pprof"
-	"sync"
 	"time"
 
 	"repro/internal/obs"
@@ -32,32 +29,6 @@ type slowJobEntry struct {
 	ThresholdMS int64          `json:"threshold_ms"`
 	Spans       []obs.Event    `json:"spans,omitempty"`
 	Events      []flight.Event `json:"events,omitempty"`
-}
-
-// slowJobLog serializes slow-job entries as buffered JSON lines.
-// Flush on graceful shutdown pushes buffered entries to the
-// underlying writer.
-type slowJobLog struct {
-	mu  sync.Mutex
-	bw  *bufio.Writer
-	enc *json.Encoder
-}
-
-func newSlowJobLog(w io.Writer) *slowJobLog {
-	bw := bufio.NewWriterSize(w, 64<<10)
-	return &slowJobLog{bw: bw, enc: json.NewEncoder(bw)}
-}
-
-func (l *slowJobLog) record(e slowJobEntry) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.enc.Encode(e)
-}
-
-func (l *slowJobLog) Flush() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.bw.Flush()
 }
 
 // dispatch is the scheduler's run function: it wraps the job execution
@@ -114,7 +85,8 @@ func (s *Server) dispatch(ctx context.Context, j *Job) ([]byte, error) {
 			Spans:       collector.Events(),
 			Events:      s.flight.ForJob(j.ID),
 		}
-		if lerr := s.slowLog.record(entry); lerr != nil {
+		// One Encode is one Write, so concurrent dumps never interleave.
+		if lerr := json.NewEncoder(s.slowLog).Encode(entry); lerr != nil {
 			s.log.LogAttrs(ctx, slog.LevelError, "slow-job log write failed",
 				slog.String("job", j.ID), slog.String("err", lerr.Error()))
 		} else {

@@ -3,12 +3,13 @@ package serve
 import (
 	"container/list"
 	"fmt"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"sync"
 
 	"repro/internal/obs"
-	"repro/internal/obs/flight"
+	"repro/internal/obs/olog"
 )
 
 // StoreConfig sizes the content-addressed result store.
@@ -23,9 +24,10 @@ type StoreConfig struct {
 	// lost to a restart — are transparently re-read from disk, so
 	// identical re-submissions stay cache hits across process lives.
 	Dir string
-	// Flight, when non-nil, receives one flight-recorder event per
-	// store decision (hit, miss, disk-hit, put, evict).
-	Flight *flight.Recorder
+	// Logger, when non-nil, receives one debug record per store
+	// decision (component "store": hit, miss, disk-hit, put, evict),
+	// emitted outside the store lock.
+	Logger *slog.Logger
 }
 
 func (c StoreConfig) maxEntries() int {
@@ -50,6 +52,7 @@ func (c StoreConfig) maxBytes() int64 {
 type Store struct {
 	mu    sync.Mutex
 	cfg   StoreConfig
+	log   *slog.Logger
 	ll    *list.List // front = most recently used
 	byKey map[string]*list.Element
 	bytes int64
@@ -77,6 +80,7 @@ func NewStore(cfg StoreConfig, reg *obs.Registry) (*Store, error) {
 	reg.SetHelp("serve_store_misses_total", "Analysis submissions not present in the store.")
 	return &Store{
 		cfg:      cfg,
+		log:      olog.Component(cfg.Logger, "store"),
 		ll:       list.New(),
 		byKey:    make(map[string]*list.Element),
 		hits:     reg.Counter("serve_store_hits_total"),
@@ -104,7 +108,7 @@ func (s *Store) Get(key string) ([]byte, bool) {
 		data := el.Value.(*storeEntry).data
 		s.mu.Unlock()
 		s.hits.Inc()
-		s.event("hit", key)
+		s.log.Debug("hit", "key", shortKey(key))
 		return data, true
 	}
 	s.mu.Unlock()
@@ -112,19 +116,14 @@ func (s *Store) Get(key string) ([]byte, bool) {
 		if data, err := os.ReadFile(s.path(key)); err == nil {
 			s.hits.Inc()
 			s.diskHits.Inc()
-			s.event("disk-hit", key)
+			s.log.Debug("disk-hit", "key", shortKey(key))
 			s.insert(key, data, false) // already on disk
 			return data, true
 		}
 	}
 	s.misses.Inc()
-	s.event("miss", key)
+	s.log.Debug("miss", "key", shortKey(key))
 	return nil, false
-}
-
-// event records one store flight event (no-op without a recorder).
-func (s *Store) event(name, key string) {
-	s.cfg.Flight.Record(flight.Event{Cat: "store", Name: name, Detail: shortKey(key)})
 }
 
 // Contains reports whether key is resident (memory or disk) without
@@ -141,29 +140,11 @@ func (s *Store) Contains(key string) bool {
 }
 
 // Put stores the report bytes under key in memory and, when
-// configured, on disk (atomic temp-file + rename, so a crashed write
-// never leaves a truncated report behind).
+// configured, on disk.
 func (s *Store) Put(key string, data []byte) error {
 	s.insert(key, data, true)
-	s.event("put", key)
-	if s.cfg.Dir == "" {
-		return nil
-	}
-	tmp, err := os.CreateTemp(s.cfg.Dir, "put-*.tmp")
-	if err != nil {
-		return fmt.Errorf("serve: store write: %w", err)
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("serve: store write: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("serve: store write: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), s.path(key)); err != nil {
-		os.Remove(tmp.Name())
+	s.log.Debug("put", "key", shortKey(key))
+	if err := s.writeFile(s.path(key), data); err != nil {
 		return fmt.Errorf("serve: store write: %w", err)
 	}
 	return nil
@@ -171,38 +152,43 @@ func (s *Store) Put(key string, data []byte) error {
 
 // PutProfile persists a captured pprof blob next to the cached report
 // (<key>.<kind>.pprof) when the store has a disk tier; memory-only
-// stores keep profiles on the job record alone. Written atomically
-// like reports.
+// stores keep profiles on the job record alone.
 func (s *Store) PutProfile(key, kind string, data []byte) error {
-	if s.cfg.Dir == "" {
-		return nil
-	}
-	tmp, err := os.CreateTemp(s.cfg.Dir, "prof-*.tmp")
-	if err != nil {
-		return fmt.Errorf("serve: profile write: %w", err)
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("serve: profile write: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("serve: profile write: %w", err)
-	}
-	dst := filepath.Join(s.cfg.Dir, key+"."+kind+".pprof")
-	if err := os.Rename(tmp.Name(), dst); err != nil {
-		os.Remove(tmp.Name())
+	if err := s.writeFile(filepath.Join(s.cfg.Dir, key+"."+kind+".pprof"), data); err != nil {
 		return fmt.Errorf("serve: profile write: %w", err)
 	}
 	return nil
 }
 
+// writeFile writes data to dst in the disk tier atomically (temp file
+// + rename, so a crashed write never leaves a truncated file behind);
+// without a disk tier it does nothing.
+func (s *Store) writeFile(dst string, data []byte) error {
+	if s.cfg.Dir == "" {
+		return nil
+	}
+	tmp, err := os.CreateTemp(s.cfg.Dir, "put-*.tmp")
+	if err != nil {
+		return err
+	}
+	_, err = tmp.Write(data)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), dst)
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
+	}
+	return err
+}
+
 // insert adds or refreshes the in-memory entry and evicts LRU tails
 // beyond the entry and byte bounds.
 func (s *Store) insert(key string, data []byte, overwrite bool) {
+	var evicted []string
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	if el, ok := s.byKey[key]; ok {
 		if overwrite {
 			e := el.Value.(*storeEntry)
@@ -220,10 +206,14 @@ func (s *Store) insert(key string, data []byte, overwrite bool) {
 		s.ll.Remove(back)
 		delete(s.byKey, e.key)
 		s.bytes -= int64(len(e.data))
-		s.event("evict", e.key)
+		evicted = append(evicted, e.key)
 	}
 	s.entriesG.Set(int64(s.ll.Len()))
 	s.bytesG.Set(s.bytes)
+	s.mu.Unlock()
+	for _, k := range evicted {
+		s.log.Debug("evict", "key", shortKey(k))
+	}
 }
 
 // Len returns the number of in-memory entries.

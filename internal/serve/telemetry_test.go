@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -265,5 +266,152 @@ func TestAccessLogFlushOnShutdown(t *testing.T) {
 	}
 	if access != n {
 		t.Fatalf("flushed access lines = %d, want %d (dropped tail)", access, n)
+	}
+}
+
+// eventsOf fetches /debug/events (with the given query) and decodes it.
+func eventsOf(t *testing.T, url string) []flight.Event {
+	t.Helper()
+	code, _, data := getBody(t, url)
+	if code != http.StatusOK {
+		t.Fatalf("%s: HTTP %d: %s", url, code, data)
+	}
+	var resp struct {
+		Events []flight.Event `json:"events"`
+	}
+	if err := json.Unmarshal(data, &resp); err != nil {
+		t.Fatalf("decode events: %v\n%s", err, data)
+	}
+	return resp.Events
+}
+
+// TestFlightRingIgnoresLogLevel: with the journal switched off, the
+// flight recorder still rings the job's lifecycle with the submitter's
+// identity — the ring does not depend on the log level.
+func TestFlightRingIgnoresLogLevel(t *testing.T) {
+	const (
+		reqID   = "req-quiet-ring"
+		traceID = "4bf92f3577b34da6a3ce929d0e0e4736"
+	)
+	journal := &syncBuffer{}
+	lg := olog.New(olog.Options{Writer: journal, Levels: olog.NewLevels(olog.LevelOff)})
+	_, ts := testServer(t, Config{Logger: lg}, func(ctx context.Context, j *Job) ([]byte, error) {
+		return []byte(`{}`), nil
+	})
+	code, _, data := doWithIdentity(t, "POST", ts.URL+"/v1/analyses",
+		`{"benchmark":"TreeFlat","circuits":1,"specs":1}`, reqID, "00-"+traceID+"-00f067aa0ba902b7-01")
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: HTTP %d: %s", code, data)
+	}
+	id := decodeStatus(t, data).ID
+	pollDone(t, ts.URL, id)
+
+	want := map[string]bool{"sched/enqueue": false, "job/start": false, "job/done": false}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		for _, ev := range eventsOf(t, ts.URL+"/debug/events?job="+id) {
+			name := ev.Cat + "/" + ev.Name
+			if _, ok := want[name]; !ok {
+				continue
+			}
+			if ev.RequestID != reqID || ev.TraceID != traceID {
+				t.Fatalf("%s identity = %q/%q, want %q/%q", name, ev.RequestID, ev.TraceID, reqID, traceID)
+			}
+			want[name] = true
+		}
+		if want["sched/enqueue"] && want["job/start"] && want["job/done"] {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("ring lacks lifecycle events under LevelOff: %v", want)
+		}
+		time.Sleep(5 * time.Millisecond) // job/done lands just after the state flips
+	}
+	if n := len(journal.Bytes()); n != 0 {
+		t.Fatalf("journal at LevelOff wrote %d bytes", n)
+	}
+}
+
+// TestEachEventLoggedOnce: over a submit, store-hit and cancel
+// sequence, every ringed event has exactly one journal record with the
+// same component, message and job, and the former duplicate log lines
+// are gone.
+func TestEachEventLoggedOnce(t *testing.T) {
+	journal := &syncBuffer{}
+	lg := olog.New(olog.Options{Writer: journal, Levels: olog.NewLevels(slog.LevelDebug)})
+	started := make(chan struct{})
+	srv, ts := testServer(t, Config{Logger: lg}, func(ctx context.Context, j *Job) ([]byte, error) {
+		if j.Label == "BasicSCB" { // parks until canceled
+			close(started)
+			<-ctx.Done()
+			return nil, ctx.Err()
+		}
+		return []byte(`{}`), nil
+	})
+	body := `{"benchmark":"TreeFlat","circuits":1,"specs":1}`
+	code, _, data := postJSON(t, ts.URL+"/v1/analyses", body)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: HTTP %d: %s", code, data)
+	}
+	pollDone(t, ts.URL, decodeStatus(t, data).ID)
+	if code, _, data = postJSON(t, ts.URL+"/v1/analyses", body); code != http.StatusOK {
+		t.Fatalf("store hit: HTTP %d: %s", code, data)
+	}
+	code, _, data = postJSON(t, ts.URL+"/v1/analyses", `{"benchmark":"BasicSCB","circuits":1,"specs":1}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: HTTP %d: %s", code, data)
+	}
+	parked := decodeStatus(t, data).ID
+	<-started // cancel a running job, so the worker records its end too
+	if code, _, data = doWithIdentity(t, "DELETE", ts.URL+"/v1/analyses/"+parked, "", "", ""); code != http.StatusOK {
+		t.Fatalf("cancel: HTTP %d: %s", code, data)
+	}
+	pollDone(t, ts.URL, parked)
+	// Drain so every worker-side record has landed in both sinks.
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	type key struct{ cat, event, job string }
+	ringed := map[string]bool{}
+	inRing := map[key]int{}
+	for _, ev := range eventsOf(t, ts.URL+"/debug/events") {
+		ringed[ev.Cat] = true
+		inRing[key{ev.Cat, ev.Name, ev.Job}]++
+	}
+	inJournal := map[key]int{}
+	for _, m := range jsonLines(t, journal) {
+		switch m["msg"] {
+		case "served from store", "queued", "coalesced identical submission", "cancel requested":
+			t.Errorf("duplicate log line survives: %v", m)
+		}
+		cat, _ := m["component"].(string)
+		if !ringed[cat] {
+			continue
+		}
+		job, _ := m["job"].(string)
+		inJournal[key{cat, m["msg"].(string), job}]++
+	}
+	for _, want := range []key{{"sched", "enqueue", ""}, {"sched", "hit", ""}, {"sched", "cancel", parked},
+		{"job", "canceled", parked}, {"store", "hit", ""}, {"store", "miss", ""}, {"store", "put", ""}} {
+		found := false
+		for k := range inRing {
+			found = found || (k.cat == want.cat && k.event == want.event && (want.job == "" || k.job == want.job))
+		}
+		if !found {
+			t.Errorf("ring lacks %s/%s (job %q): %v", want.cat, want.event, want.job, inRing)
+		}
+	}
+	for k, n := range inRing {
+		if inJournal[k] != n {
+			t.Errorf("%s/%s job %q: %d ringed, %d journaled", k.cat, k.event, k.job, n, inJournal[k])
+		}
+	}
+	for k, n := range inJournal {
+		if inRing[k] != n {
+			t.Errorf("%s/%s job %q: %d journaled, %d ringed", k.cat, k.event, k.job, n, inRing[k])
+		}
 	}
 }
