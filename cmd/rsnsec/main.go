@@ -39,7 +39,9 @@
 // Engine flags:
 // -workers bounds the SAT worker pool (the hybrid resolve stage also
 // fans candidate trials out over it), -timeout cancels the run after
-// a duration, and -v prints per-stage engine progress and a stats
+// a duration, and -v raises the engine log component to debug (one
+// structured progress record per stage event on stderr, unless the
+// -log-level spec names the engine component) and prints a stats
 // table — the propagate-delta row shows how much of the violation
 // checking the incremental resolution answered from the cached fixed
 // point (items = re-propagated nodes, saved = reused ones).
@@ -65,6 +67,7 @@ import (
 	"io"
 	"log/slog"
 	"os"
+	"strings"
 	"time"
 
 	rsnsec "repro"
@@ -103,7 +106,7 @@ func main() {
 		explain     = flag.Int("explain", 0, "print up to N violating data flows before resolving")
 		workers     = flag.Int("workers", 0, "SAT worker pool size (0 = all CPUs)")
 		timeout     = flag.Duration("timeout", 0, "cancel the run after this duration (0 = no limit)")
-		verbose     = flag.Bool("v", false, "print per-stage engine progress and a stats table (stderr)")
+		verbose     = flag.Bool("v", false, "log engine progress at debug level and print a stats table (stderr)")
 		quiet       = flag.Bool("q", false, "suppress the informational lines on stdout")
 		trace       = flag.String("trace", "", "write the span journal as JSONL to this file")
 		traceSmp    = flag.Int("trace-sample", 64, "record every n-th high-frequency query span")
@@ -129,7 +132,13 @@ func main() {
 		fmt.Println(version.String("rsnsec"))
 		return
 	}
-	lg, err := cliutil.Logger(os.Stderr, *logLevel, *logFormat, *quiet)
+	levels := *logLevel
+	if *verbose && !strings.Contains(levels, "engine=") {
+		// -v raises the engine's progress records to debug unless the
+		// level spec sets the engine component itself.
+		levels += ",engine=debug"
+	}
+	lg, err := cliutil.Logger(os.Stderr, levels, *logFormat, *quiet)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "rsnsec:", err)
 		os.Exit(1)
@@ -186,12 +195,8 @@ func run(benchName, iclPath, benchPath string, scale float64, seed, specSeed int
 	}
 	reg := rsnsec.NewMetricsRegistry()
 	var stats *rsnsec.EngineStats
-	var progress func(format string, args ...any)
 	if ec.verbose || ec.debugAddr != "" {
 		stats = rsnsec.NewEngineStatsOn(reg)
-	}
-	if ec.verbose {
-		progress = func(f string, a ...any) { fmt.Fprintf(errw, "  engine: %s\n", fmt.Sprintf(f, a...)) }
 	}
 	var tracer *rsnsec.Tracer
 	if ec.tracePath != "" {
@@ -215,9 +220,10 @@ func run(benchName, iclPath, benchPath string, scale float64, seed, specSeed int
 	}
 	runSpan := tracer.Start(nil, "run", obs.Str("tool", "rsnsec"), obs.Int("workers", int64(ec.workers)))
 	defer runSpan.End()
-	engLog := olog.Component(ec.logger, "engine")
-	engOpts := rsnsec.EngineOptions{Workers: ec.workers, Context: ctx, Progress: progress, Stats: stats,
-		Tracer: tracer, TraceParent: runSpan, Logger: engLog}
+	logTo := func(f string, a ...any) { fmt.Fprintf(out, "  %s\n", fmt.Sprintf(f, a...)) }
+	secOpts := rsnsec.Options{Mode: m, Log: logTo, Workers: ec.workers, Context: ctx, Stats: stats,
+		Tracer: tracer, TraceParent: runSpan, Logger: olog.Component(ec.logger, "engine")}
+	engOpts := secOpts.EngineOptions()
 
 	var (
 		nw           *rsnsec.Network
@@ -329,10 +335,6 @@ func run(benchName, iclPath, benchPath string, scale float64, seed, specSeed int
 		}
 		return rsnsec.GenerateSpec(len(nw.Modules), rsnsec.DefaultSpecGenConfig(), seed)
 	}
-	logTo := func(f string, a ...any) { fmt.Fprintf(out, "  %s\n", fmt.Sprintf(f, a...)) }
-	secOpts := rsnsec.Options{Mode: m, Log: logTo,
-		Workers: ec.workers, Context: ctx, Progress: progress, Stats: stats,
-		Tracer: tracer, TraceParent: runSpan, Logger: engLog}
 	showFlows := func(sp *rsnsec.Spec) error {
 		if explain <= 0 {
 			return nil
@@ -391,7 +393,7 @@ func run(benchName, iclPath, benchPath string, scale float64, seed, specSeed int
 		if outPath != "" || doVerify {
 			return fmt.Errorf("-delta is incompatible with -out and -verify (its result is the delta report, not a transformed network)")
 		}
-		return runDelta(nw, circuit, internal, spec, deltaPath, m, engOpts, secOpts, out)
+		return runDelta(nw, circuit, internal, spec, deltaPath, m, secOpts, out)
 	}
 	rep, err := rsnsec.Secure(nw, circuit, internal, spec, secOpts)
 	if err != nil {
@@ -670,7 +672,7 @@ func runValidateSLO(path string, ec engineConfig) error {
 // the derived network through the incremental path, and print the
 // rsnsec.delta-report/v1 document on stdout — under -q the only bytes
 // stdout carries, so the mode pipes into jq and friends.
-func runDelta(nw *rsnsec.Network, circuit *rsnsec.Netlist, internal []rsnsec.FFID, spec *rsnsec.Spec, deltaPath string, m rsnsec.Mode, engOpts rsnsec.EngineOptions, secOpts rsnsec.Options, out io.Writer) error {
+func runDelta(nw *rsnsec.Network, circuit *rsnsec.Netlist, internal []rsnsec.FFID, spec *rsnsec.Spec, deltaPath string, m rsnsec.Mode, secOpts rsnsec.Options, out io.Writer) error {
 	data, err := os.ReadFile(deltaPath)
 	if err != nil {
 		return err
@@ -683,17 +685,13 @@ func runDelta(nw *rsnsec.Network, circuit *rsnsec.Netlist, internal []rsnsec.FFI
 	if err != nil {
 		return err
 	}
-	an, err := rsnsec.NewAnalysisOpts(nw, circuit, internal, spec, m, engOpts)
-	if err != nil {
-		return err
-	}
-	base, err := rsnsec.SecureWithAnalysis(an, nw.Clone(), secOpts)
+	base, err := rsnsec.Secure(nw.Clone(), circuit, internal, spec, secOpts)
 	if err != nil {
 		return err
 	}
 	baseRep := rsnsec.SecureRunReport("rsnsec", nw.Name, m, nw.Stats(), base, nil)
 	fmt.Fprintf(out, "base run: secured=%v, %d changes\n", base.Secured, base.TotalChanges())
-	res, err := rsnsec.SecureDelta("rsnsec", nw.Name, an, nw, script, secOpts)
+	res, err := rsnsec.SecureDelta("rsnsec", nw.Name, base.Analysis, nw, script, secOpts)
 	if err != nil {
 		return err
 	}

@@ -91,6 +91,42 @@ func TestRsnsecQuietIsSilent(t *testing.T) {
 	}
 }
 
+// TestRsnsecVerboseEngineLinesOnce checks that -v reports each engine
+// progress event once, as one structured record, even when -log-level
+// debug admits the engine's records on its own. The network carries its
+// own specification, so the dependency analysis runs exactly once.
+func TestRsnsecVerboseEngineLinesOnce(t *testing.T) {
+	dir := t.TempDir()
+	runCLI(t, "rsngen", "-scale-ff", "200", "-with-spec", "-out", dir, "-q")
+	_, stderr := runCLI(t, "rsnsec", "-icl", filepath.Join(dir, "scale200.icl"),
+		"-v", "-log-level", "debug")
+	seen := map[string]int{}
+	for _, line := range strings.Split(stderr, "\n") {
+		if strings.Contains(line, "engine:") {
+			t.Errorf("unstructured engine line on stderr: %q", line)
+		}
+		if !strings.Contains(line, "component=engine") {
+			continue
+		}
+		_, msg, _ := strings.Cut(line, " msg=")
+		seen[msg]++
+	}
+	for _, stage := range []string{"one-cycle:", "bridge:", "closure:"} {
+		found := false
+		for msg, n := range seen {
+			if strings.HasPrefix(msg, `"`+stage) {
+				found = true
+				if n != 1 {
+					t.Errorf("engine line %s written %d times", msg, n)
+				}
+			}
+		}
+		if !found {
+			t.Errorf("no %s engine record on stderr:\n%s", stage, stderr)
+		}
+	}
+}
+
 func TestRsnsecDeltaQuietStdoutIsPureJSON(t *testing.T) {
 	script := filepath.Join(t.TempDir(), "edit.json")
 	// add-register applies on any network, independent of the base

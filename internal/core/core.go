@@ -38,12 +38,10 @@ type Options struct {
 	// Context cancels the run between SAT queries and pipeline stages;
 	// nil means no cancellation.
 	Context context.Context
-	// Progress, when non-nil, receives fine-grained engine progress
-	// lines (per-stage fan-out and query counts); Log keeps the coarse
-	// pipeline summary.
-	Progress func(format string, args ...any)
-	// Logger, when non-nil, receives engine progress as structured
-	// debug records (see engine.Options.Logger).
+	// Logger, when non-nil, receives fine-grained engine progress
+	// (per-stage fan-out and query counts) as structured debug records
+	// (see engine.Options.Logger); Log keeps the coarse pipeline
+	// summary.
 	Logger *slog.Logger
 	// Stats, when non-nil, accumulates race-safe per-stage engine
 	// instrumentation (wall times and query counts).
@@ -56,17 +54,21 @@ type Options struct {
 	TraceParent *obs.Span
 }
 
-// engineOptions derives the engine configuration of one run.
-func (o Options) engineOptions() engine.Options {
-	return engine.Options{Workers: o.Workers, Context: o.Context, Progress: o.Progress,
+// EngineOptions derives the engine configuration of one run, so a
+// caller that builds its own hybrid.Analysis (the Table I protocol,
+// which spreads one analysis over many specifications) builds it under
+// exactly the configuration a Secure call with these options would use.
+func (o Options) EngineOptions() engine.Options {
+	return engine.Options{Workers: o.Workers, Context: o.Context,
 		Logger: o.Logger, Stats: o.Stats, Tracer: o.Tracer, TraceParent: o.TraceParent}
 }
 
-// EngineOptions derives the engine configuration of one run — exposed
-// so session holders (internal/exp, internal/serve) can build a
-// hybrid.Analysis under exactly the configuration a Secure call with
-// these options would use.
-func (o Options) EngineOptions() engine.Options { return o.engineOptions() }
+// logf writes one pipeline summary line to Log, if set.
+func (o Options) logf(format string, args ...any) {
+	if o.Log != nil {
+		o.Log(format, args...)
+	}
+}
 
 // StageTimes records wall-clock runtimes per pipeline stage, matching
 // the runtime columns of Table I.
@@ -74,7 +76,6 @@ type StageTimes struct {
 	DependencyCalc time.Duration
 	PureStage      time.Duration
 	HybridStage    time.Duration
-	InsecureCheck  time.Duration
 	Total          time.Duration
 }
 
@@ -95,8 +96,12 @@ type Report struct {
 	// (Table I columns 6-8).
 	PureChanges, HybridChanges int
 	// PureChangeList and HybridChangeList detail every change.
-	PureChangeList   []pure.Change
-	HybridChangeList []hybrid.Change
+	PureChangeList, HybridChangeList []rsn.Change
+	// Analysis is the dependency analysis a Secure or
+	// SecureWithAnalysis run used, bound to the run's engine
+	// configuration. A caller can keep it, with its cached fixed
+	// point, as an incremental session (see exp.SecureDelta).
+	Analysis *hybrid.Analysis
 	// DepStats carries the dependency computation bookkeeping.
 	DepStats dep.Stats
 	// PresetDeps counts preset consecutive-flip-flop dependencies.
@@ -121,14 +126,14 @@ func Secure(nw *rsn.Network, circuit *netlist.Netlist, internal []netlist.FFID, 
 	// presetting, bridging, multi-cycle closure. Computed once, without
 	// the reconfigurable RSN connections, and reused across all
 	// structural changes.
-	return secure(nw, opts, func(eng engine.Options, rep *Report, logf func(string, ...any)) (*hybrid.Analysis, error) {
+	return secure(nw, opts, func(eng engine.Options, rep *Report) (*hybrid.Analysis, error) {
 		t0 := time.Now()
 		an, err := hybrid.NewAnalysisOpts(nw, circuit, internal, spec, opts.Mode, eng)
 		if err != nil {
 			return nil, fmt.Errorf("core: dependency analysis: %w", err)
 		}
 		rep.Times.DependencyCalc = time.Since(t0)
-		logf("dependency calculation: %d denoted FFs, %d dependencies (%d preset), %d SAT calls",
+		opts.logf("dependency calculation: %d denoted FFs, %d dependencies (%d preset), %d SAT calls",
 			an.DepStats.FFsDenoted, an.DepStats.DepsMultiCycle, an.PresetDeps, an.DepStats.SATCalls)
 		return an, nil
 	})
@@ -146,28 +151,23 @@ func Secure(nw *rsn.Network, circuit *netlist.Netlist, internal []netlist.FFID, 
 // DependencyCalc time is zero — that cost was paid when the analysis
 // was built.
 func SecureWithAnalysis(an *hybrid.Analysis, nw *rsn.Network, opts Options) (*Report, error) {
-	return secure(nw, opts, func(eng engine.Options, _ *Report, _ func(string, ...any)) (*hybrid.Analysis, error) {
+	return secure(nw, opts, func(eng engine.Options, _ *Report) (*hybrid.Analysis, error) {
 		return an.WithEngine(eng), nil
 	})
 }
 
 // secure validates the input network and runs the whole pipeline under
 // one "secure" span: analysis returns the dependency analysis bound to
-// the span's engine configuration, and securePipeline runs the stages
-// after it.
-func secure(nw *rsn.Network, opts Options, analysis func(engine.Options, *Report, func(string, ...any)) (*hybrid.Analysis, error)) (*Report, error) {
-	logf := opts.Log
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
+// the span's engine configuration; the violating-register census and
+// the insecure-logic check (Section III-B) follow, then Resolve.
+func secure(nw *rsn.Network, opts Options, analysis func(engine.Options, *Report) (*hybrid.Analysis, error)) (*Report, error) {
 	if err := nw.Validate(); err != nil {
 		return nil, fmt.Errorf("core: input network invalid: %w", err)
 	}
 	rep := &Report{}
 	start := time.Now()
-	eng := opts.engineOptions()
 	st := nw.Stats()
-	span := eng.StartSpan("secure",
+	span := opts.EngineOptions().StartSpan("secure",
 		obs.Str("network", nw.Name), obs.Int("registers", int64(st.Registers)),
 		obs.Int("scan_ffs", int64(st.ScanFFs)), obs.Int("muxes", int64(st.Muxes)))
 	defer span.End()
@@ -176,50 +176,67 @@ func secure(nw *rsn.Network, opts Options, analysis func(engine.Options, *Report
 			obs.Int("pure_changes", int64(rep.PureChanges)), obs.Int("hybrid_changes", int64(rep.HybridChanges)))
 	}()
 	// Stage spans of this run nest under the pipeline span.
-	eng = eng.WithParent(span)
-	an, err := analysis(eng, rep, logf)
+	opts.TraceParent = span
+	an, err := analysis(opts.EngineOptions(), rep)
 	if err != nil {
 		return rep, err
 	}
-	return rep, securePipeline(an, nw, eng, rep, logf, start)
-}
-
-// securePipeline runs every stage after the dependency calculation:
-// violating-register census, insecure-logic check, pure resolution,
-// hybrid resolution, and the final no-violations verification. It
-// mutates nw toward a secure network and fills rep in place.
-func securePipeline(an *hybrid.Analysis, nw *rsn.Network, eng engine.Options, rep *Report, logf func(string, ...any), start time.Time) error {
-	spec := an.Spec
+	rep.Analysis = an
 	rep.DepStats = an.DepStats
 	rep.PresetDeps = an.PresetDeps
 
 	// Violating registers of the original network (pure and hybrid).
 	rep.ViolatingRegsBefore = len(an.ViolatingRegisters(nw))
-	logf("registers with security violations: %d", rep.ViolatingRegsBefore)
+	opts.logf("registers with security violations: %d", rep.ViolatingRegsBefore)
 
-	// Insecure circuit logic (Section III-B): violations that exist
-	// over the fixed infrastructure alone.
-	t0 := time.Now()
-	pairs := an.InsecureModulePairs()
-	rep.Times.InsecureCheck = time.Since(t0)
-	if len(pairs) > 0 {
+	// Insecure circuit logic: violations that exist over the fixed
+	// infrastructure alone.
+	if pairs := an.InsecureModulePairs(); len(pairs) > 0 {
 		rep.InsecureLogic = true
 		rep.InsecureModulePairs = pairs
 		rep.Times.Total = time.Since(start)
-		logf("insecure circuit logic: %d module pairs — circuit redesign required", len(pairs))
-		return nil
+		opts.logf("insecure circuit logic: %d module pairs — circuit redesign required", len(pairs))
+		return rep, nil
 	}
+	if err := resolve(an, nw, opts, rep); err != nil {
+		return rep, err
+	}
+	rep.Times.Total = time.Since(start)
+	return rep, nil
+}
 
-	// Pure scan paths (Section III-C first half, the IOLTS 2018 stage).
-	t0 = time.Now()
-	pres, err := pure.Resolve(nw, spec, eng)
+// Resolve runs the resolution stages of the method on nw against an,
+// whose specification it enforces: pure scan paths (the IOLTS 2018
+// stage), then hybrid scan paths, then the check that nw is a valid
+// network with no violation left. It mutates nw, and the report carries
+// the change lists, their counts, Secured and the PureStage and
+// HybridStage times. The caller owns the dependency analysis and the
+// exclusion rules Secure applies first (the violating-register census
+// and the insecure-logic check): this is the per-run entry point of the
+// Table I protocol, which spreads one analysis over many
+// specifications. Stage spans nest under opts.TraceParent, and the
+// analysis runs under opts' engine configuration while keeping its
+// incremental cache.
+func Resolve(an *hybrid.Analysis, nw *rsn.Network, opts Options) (*Report, error) {
+	rep := &Report{}
+	return rep, resolve(an, nw, opts, rep)
+}
+
+// resolve is Resolve filling rep in place.
+func resolve(an *hybrid.Analysis, nw *rsn.Network, opts Options, rep *Report) error {
+	eng := opts.EngineOptions()
+	an = an.WithEngine(eng)
+
+	// Pure scan paths (Section III-C first half).
+	t0 := time.Now()
+	pres, err := pure.Resolve(nw, an.Spec, eng)
 	rep.Times.PureStage = time.Since(t0)
 	if err != nil {
 		return fmt.Errorf("core: pure stage: %w", err)
 	}
 	rep.PureChanges = len(pres.Changes)
 	rep.PureChangeList = pres.Changes
-	logf("pure scan paths: %d violations resolved with %d changes", pres.ViolatingBefore, len(pres.Changes))
+	opts.logf("pure scan paths: %d violations resolved with %d changes", pres.ViolatingBefore, len(pres.Changes))
 
 	// Hybrid scan paths (Sections III-C/III-D, the novel stage).
 	t0 = time.Now()
@@ -230,7 +247,7 @@ func securePipeline(an *hybrid.Analysis, nw *rsn.Network, eng engine.Options, re
 	}
 	rep.HybridChanges = len(hres.Changes)
 	rep.HybridChangeList = hres.Changes
-	logf("hybrid scan paths: %d violating nodes resolved with %d changes", hres.ViolationsBefore, len(hres.Changes))
+	opts.logf("hybrid scan paths: %d violating nodes resolved with %d changes", hres.ViolationsBefore, len(hres.Changes))
 
 	if err := nw.Validate(); err != nil {
 		return fmt.Errorf("core: network invalid after transformation: %w", err)
@@ -239,7 +256,6 @@ func securePipeline(an *hybrid.Analysis, nw *rsn.Network, eng engine.Options, re
 		return fmt.Errorf("core: %d violations remain after the method", len(v))
 	}
 	rep.Secured = true
-	rep.Times.Total = time.Since(start)
-	logf("network is data-flow secure (%d total changes)", rep.TotalChanges())
+	opts.logf("network is data-flow secure (%d total changes)", rep.TotalChanges())
 	return nil
 }

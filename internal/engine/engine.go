@@ -48,14 +48,11 @@ type Options struct {
 	// between SAT queries; sequential stages between iterations. A nil
 	// Context means context.Background().
 	Context context.Context
-	// Progress, when non-nil, receives coarse human-readable progress
-	// lines. It may be called from the goroutine driving a stage; it is
-	// never called concurrently from pool workers.
-	Progress func(format string, args ...any)
-	// Logger, when non-nil, receives the same progress lines as
-	// structured debug-level records (in addition to Progress when both
-	// are set). Bind component and correlation attributes before
-	// passing it in (e.g. olog.Component(lg, "engine").With("job", id)).
+	// Logger, when non-nil, receives coarse progress lines as
+	// structured debug-level records. They are logged from the
+	// goroutine driving a stage, never concurrently from pool workers.
+	// Bind component and correlation attributes before passing it in
+	// (e.g. olog.Component(lg, "engine").With("job", id)).
 	Logger *slog.Logger
 	// Stats, when non-nil, accumulates per-stage wall times and query
 	// counts across the whole pipeline. All updates are race-safe, so
@@ -89,12 +86,8 @@ func (o Options) Ctx() context.Context {
 // Err reports the context's cancellation state.
 func (o Options) Err() error { return o.Ctx().Err() }
 
-// Logf emits one progress line to the configured Progress sink and/or
-// structured Logger (debug level).
+// Logf emits one progress line to the structured Logger (debug level).
 func (o Options) Logf(format string, args ...any) {
-	if o.Progress != nil {
-		o.Progress(format, args...)
-	}
 	if o.Logger != nil && o.Logger.Enabled(o.Ctx(), slog.LevelDebug) {
 		o.Logger.LogAttrs(o.Ctx(), slog.LevelDebug, fmt.Sprintf(format, args...))
 	}

@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"bytes"
 	"context"
+	"log/slog"
 	"strings"
 	"sync"
 	"testing"
@@ -32,12 +34,12 @@ func TestOptionsDefaults(t *testing.T) {
 func TestOptionsExplicit(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	var lines []string
+	var buf bytes.Buffer
 	o := Options{
-		Workers:  3,
-		Context:  ctx,
-		Progress: func(f string, a ...any) { lines = append(lines, f) },
-		Stats:    NewStats(),
+		Workers: 3,
+		Context: ctx,
+		Logger:  slog.New(slog.NewTextHandler(&buf, &slog.HandlerOptions{Level: slog.LevelDebug})),
+		Stats:   NewStats(),
 	}
 	if o.WorkerCount() != 3 {
 		t.Fatalf("WorkerCount = %d", o.WorkerCount())
@@ -46,8 +48,8 @@ func TestOptionsExplicit(t *testing.T) {
 		t.Fatal("cancelled context must report an error")
 	}
 	o.Logf("hello %d", 1)
-	if len(lines) != 1 {
-		t.Fatalf("progress lines = %d", len(lines))
+	if lines := strings.Split(strings.TrimSpace(buf.String()), "\n"); len(lines) != 1 || !strings.Contains(lines[0], `msg="hello 1"`) {
+		t.Fatalf("progress records = %q", lines)
 	}
 	o.Begin("s").End()
 	if o.Stats.Stage("s").Calls() != 1 {

@@ -1,9 +1,6 @@
 package exp
 
 import (
-	"fmt"
-	"time"
-
 	"repro/internal/core"
 	"repro/internal/hybrid"
 	"repro/internal/obs"
@@ -54,17 +51,10 @@ func SecureDelta(tool, label string, an *hybrid.Analysis, base *rsn.Network, scr
 		// combined index space cannot absorb the edit. Pay one fresh
 		// dependency calculation and keep incrementality from here on.
 		res.Structural = true
-		t0 := time.Now()
-		dan, derr := hybrid.NewAnalysisOpts(derived, an.Circuit, an.InternalFFs(), an.Spec, an.Mode, opts.EngineOptions())
-		if derr != nil {
-			return nil, fmt.Errorf("exp: delta dependency analysis: %w", derr)
-		}
-		depDur := time.Since(t0)
-		res.Analysis = dan
-		res.Core, err = core.SecureWithAnalysis(dan, run, opts)
-		if res.Core != nil {
-			res.Core.Times.DependencyCalc = depDur
-			res.Core.Times.Total += depDur
+		opts.Mode = an.Mode
+		res.Core, err = core.Secure(run, an.Circuit, an.InternalFFs(), an.Spec, opts)
+		if err == nil {
+			res.Analysis = res.Core.Analysis
 		}
 	}
 	if err != nil {

@@ -18,11 +18,11 @@ import (
 	"time"
 
 	"repro/internal/bench"
+	"repro/internal/core"
 	"repro/internal/dep"
 	"repro/internal/engine"
 	"repro/internal/hybrid"
 	"repro/internal/obs"
-	"repro/internal/pure"
 	"repro/internal/rsn"
 	"repro/internal/secspec"
 )
@@ -73,16 +73,16 @@ type RunConfig struct {
 	TraceParent *obs.Span
 }
 
-// engineOptions derives the per-circuit engine configuration, dividing
-// the CPU budget over outer circuit workers when Workers is unset.
-func (cfg RunConfig) engineOptions(ctx context.Context, outer int) engine.Options {
+// options derives the per-circuit pipeline configuration, dividing the
+// CPU budget over outer circuit workers when Workers is unset.
+func (cfg RunConfig) options(ctx context.Context, outer int) core.Options {
 	workers := cfg.Workers
 	if workers <= 0 && outer > 1 {
 		if workers = runtime.NumCPU() / outer; workers < 1 {
 			workers = 1
 		}
 	}
-	return engine.Options{Workers: workers, Context: ctx, Stats: cfg.Stats,
+	return core.Options{Mode: cfg.Mode, Workers: workers, Context: ctx, Stats: cfg.Stats,
 		Tracer: cfg.Tracer, TraceParent: cfg.TraceParent}
 }
 
@@ -190,7 +190,7 @@ func RunBenchmarkCtx(ctx context.Context, b bench.Benchmark, cfg RunConfig) (*Re
 	if workers > cfg.Circuits {
 		workers = cfg.Circuits
 	}
-	eng := cfg.engineOptions(ctx, workers)
+	opts := cfg.options(ctx, workers)
 
 	runCircuit := func(c int) error {
 		cs := &perCircuit[c]
@@ -204,10 +204,13 @@ func RunBenchmarkCtx(ctx context.Context, b bench.Benchmark, cfg RunConfig) (*Re
 			obs.Str("benchmark", b.Name), obs.Int("index", int64(c)),
 			obs.Int("scan_ffs", int64(cs.stats.ScanFFs)))
 		defer cspan.End()
-		ceng := eng.WithParent(cspan)
+		copts := opts
+		copts.TraceParent = cspan
 
+		// One analysis serves every specification of the circuit, so
+		// its time is charged to each measured run, as in the paper.
 		t0 := time.Now()
-		an, err := hybrid.NewAnalysisOpts(nw, att.Circuit, att.Internal, nil, cfg.Mode, ceng)
+		an, err := hybrid.NewAnalysisOpts(nw, att.Circuit, att.Internal, nil, cfg.Mode, copts.EngineOptions())
 		if err != nil {
 			return err
 		}
@@ -231,29 +234,19 @@ func RunBenchmarkCtx(ctx context.Context, b bench.Benchmark, cfg RunConfig) (*Re
 				continue
 			}
 
-			t1 := time.Now()
-			pres, err := pure.Resolve(run, spec, ceng)
-			pureTime := time.Since(t1)
+			rep, err := core.Resolve(a2, run, copts)
 			if err != nil {
 				cs.errors++
 				continue
 			}
-			t2 := time.Now()
-			hres, err := hybrid.Resolve(a2, run)
-			hybTime := time.Since(t2)
-			if err != nil {
-				cs.errors++
-				continue
-			}
-
 			cs.runs++
 			cs.sumViol += float64(violBefore)
-			cs.sumPure += float64(len(pres.Changes))
-			cs.sumHybrid += float64(len(hres.Changes))
+			cs.sumPure += float64(rep.PureChanges)
+			cs.sumHybrid += float64(rep.HybridChanges)
 			cs.sumDep += depTime
-			cs.sumPureT += pureTime
-			cs.sumHybT += hybTime
-			cs.sumTotalT += depTime + pureTime + hybTime
+			cs.sumPureT += rep.Times.PureStage
+			cs.sumHybT += rep.Times.HybridStage
+			cs.sumTotalT += depTime + rep.Times.PureStage + rep.Times.HybridStage
 		}
 		cspan.SetAttrs(obs.Int("runs", int64(cs.runs)),
 			obs.Int("dep_calc_us", depTime.Microseconds()))
@@ -423,7 +416,7 @@ func RunBridging(b bench.Benchmark, cfg RunConfig) (*BridgingResult, error) {
 
 // RunBridgingCtx is RunBridging with cancellation.
 func RunBridgingCtx(ctx context.Context, b bench.Benchmark, cfg RunConfig) (*BridgingResult, error) {
-	eng := cfg.engineOptions(ctx, 1)
+	eng := cfg.options(ctx, 1).EngineOptions()
 	nw := b.Build(cfg.effectiveScale(b))
 	att := bench.AttachCircuit(nw, cfg.Circuit, benchSeed(cfg.Seed, b.Name))
 	with, err := hybrid.NewAnalysisOpts(nw, att.Circuit, att.Internal, nil, cfg.Mode, eng)
@@ -489,7 +482,8 @@ func RunApproxCtx(ctx context.Context, b bench.Benchmark, cfg RunConfig) (*Appro
 	res := &ApproxResult{Benchmark: b}
 	base := benchSeed(cfg.Seed, b.Name)
 	scale := cfg.effectiveScale(b)
-	eng := cfg.engineOptions(ctx, 1)
+	opts := cfg.options(ctx, 1)
+	eng := opts.EngineOptions()
 	for c := 0; c < cfg.Circuits; c++ {
 		nw := b.Build(scale)
 		att := bench.AttachCircuit(nw, cfg.Circuit, base+int64(c)*7919)
@@ -517,30 +511,20 @@ func RunApproxCtx(ctx context.Context, b bench.Benchmark, cfg RunConfig) (*Appro
 			if exactInsecure || approxInsecure {
 				continue
 			}
-			runE := nw.Clone()
-			if len(ea.ViolatingRegisters(runE)) == 0 && len(aa.ViolatingRegisters(runE)) == 0 {
+			if len(ea.ViolatingRegisters(nw)) == 0 && len(aa.ViolatingRegisters(nw)) == 0 {
 				continue
 			}
-			pe, err := pure.Resolve(runE, spec, eng)
+			exactRep, err := core.Resolve(ea, nw.Clone(), opts)
 			if err != nil {
 				continue
 			}
-			he, err := hybrid.Resolve(ea, runE)
-			if err != nil {
-				continue
-			}
-			runA := nw.Clone()
-			pa, err := pure.Resolve(runA, spec, eng)
-			if err != nil {
-				continue
-			}
-			ha, err := hybrid.Resolve(aa, runA)
+			approxRep, err := core.Resolve(aa, nw.Clone(), opts)
 			if err != nil {
 				continue
 			}
 			res.Runs++
-			res.ExactChanges += float64(len(pe.Changes) + len(he.Changes))
-			res.ApproxChanges += float64(len(pa.Changes) + len(ha.Changes))
+			res.ExactChanges += float64(exactRep.TotalChanges())
+			res.ApproxChanges += float64(approxRep.TotalChanges())
 		}
 	}
 	return res, nil

@@ -252,9 +252,34 @@ func TestResolveIdempotentOnSecureNetwork(t *testing.T) {
 }
 
 func TestChangeCostString(t *testing.T) {
-	c := Change{Cut: rsn.Sink{Elem: rsn.Reg(2)}, OldSrc: rsn.Mx(0), NewSrc: rsn.ScanIn, NewMuxes: 1}
+	c := rsn.Change{Cut: rsn.Sink{Elem: rsn.Reg(2)}, OldSrc: rsn.Mx(0), NewSrc: rsn.ScanIn, NewMuxes: 1}
 	if c.Cost() != 2 || c.String() == "" {
 		t.Fatal("Change helpers broken")
+	}
+	// The changes the hybrid stage reports carry the same cost and
+	// description as any other rsn.Change.
+	e, a := newExampleAnalysis(t, dep.Exact)
+	nw := e.Network
+	if _, err := pure.Resolve(nw, e.Spec, engine.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	res, err := Resolve(a, nw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Changes) == 0 {
+		t.Fatal("hybrid resolution must apply changes")
+	}
+	for _, ch := range res.Changes {
+		if ch.Cost() != 1+ch.NewMuxes {
+			t.Fatalf("%v: Cost = %d, want %d", ch, ch.Cost(), 1+ch.NewMuxes)
+		}
+		if ch.OldSrc == ch.NewSrc {
+			t.Fatalf("%v: change keeps its source", ch)
+		}
+		if ch.String() == "" {
+			t.Fatal("empty String")
+		}
 	}
 }
 

@@ -265,7 +265,7 @@ func TestResolveDeterministicAcrossWorkers(t *testing.T) {
 	for _, name := range []string{"BasicSCB", "TreeFlat"} {
 		t.Run(name, func(t *testing.T) {
 			a, nw := catalogCase(t, name, 0.15, 7)
-			var ref []Change
+			var ref []rsn.Change
 			for i, workers := range []int{1, 3, 8} {
 				an, err := NewAnalysisOpts(nw, a.Circuit, internalOf(a), a.Spec, a.Mode,
 					engine.Options{Workers: workers})

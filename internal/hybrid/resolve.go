@@ -10,30 +10,9 @@ import (
 	"repro/internal/rsn"
 )
 
-// Change records one applied structural modification bundle.
-type Change struct {
-	// Cut is the input pin that was disconnected.
-	Cut rsn.Sink
-	// OldSrc and NewSrc are the pin's sources before and after.
-	OldSrc, NewSrc rsn.Ref
-	// NewMuxes counts multiplexers inserted while re-attaching
-	// separated segments.
-	NewMuxes int
-	// Culprit and Target are the combined indices of the flow the
-	// change severed.
-	Culprit, Target int
-}
-
-// Cost is the structural cost minimized by the candidate selection.
-func (c Change) Cost() int { return 1 + c.NewMuxes }
-
-func (c Change) String() string {
-	return fmt.Sprintf("cut %v<-%v, reconnect to %v (+%d mux)", c.Cut.Elem, c.OldSrc, c.NewSrc, c.NewMuxes)
-}
-
 // Result summarizes a hybrid resolution run.
 type Result struct {
-	Changes []Change
+	Changes []rsn.Change
 	// ViolationsBefore is the number of violating nodes before any
 	// change.
 	ViolationsBefore int
@@ -197,7 +176,7 @@ func Resolve(a *Analysis, nw *rsn.Network) (*Result, error) {
 // the lowest-cost acceptable one. cur is the fixed point of nw's
 // current wiring; the returned propagation is the fixed point of the
 // applied change's wiring.
-func (a *Analysis) resolveOne(stage engine.Stage, nw *rsn.Network, cur *propagation, u, v int, hops []hop, before int) (Change, *propagation, error) {
+func (a *Analysis) resolveOne(stage engine.Stage, nw *rsn.Network, cur *propagation, u, v int, hops []hop, before int) (rsn.Change, *propagation, error) {
 	type candidate struct {
 		pin    rsn.Sink
 		newSrc rsn.Ref
@@ -324,26 +303,24 @@ func (a *Analysis) resolveOne(stage engine.Stage, nw *rsn.Network, cur *propagat
 			}
 		}
 		if best < 0 {
-			return Change{}, nil, fmt.Errorf("hybrid: no valid candidate to sever flow %s -> %s", a.NodeName(u), a.NodeName(v))
+			return rsn.Change{}, nil, fmt.Errorf("hybrid: no valid candidate to sever flow %s -> %s", a.NodeName(u), a.NodeName(v))
 		}
 		c := cands[best]
 		oldSrc := nw.SinkSource(c.pin)
 		rw, err := nw.Rewire(c.pin, c.newSrc)
 		if err != nil {
-			return Change{}, nil, err
+			return rsn.Change{}, nil, err
 		}
 		if nw.Validate() != nil {
 			nw.Undo(rw)
 			results[best].ok = false
 			continue
 		}
-		return Change{
+		return rsn.Change{
 			Cut:      c.pin,
 			OldSrc:   oldSrc,
 			NewSrc:   c.newSrc,
 			NewMuxes: results[best].muxes,
-			Culprit:  u,
-			Target:   v,
 		}, results[best].p, nil
 	}
 }

@@ -343,34 +343,9 @@ func FindCulprit(nw *rsn.Network, spec *secspec.Spec, y int) (int, bool) {
 	return 0, false
 }
 
-// Change records one applied structural modification bundle.
-type Change struct {
-	// Cut is the input pin that was disconnected.
-	Cut rsn.Sink
-	// OldSrc is the source the pin was disconnected from.
-	OldSrc rsn.Ref
-	// NewSrc is the source the pin was re-connected to.
-	NewSrc rsn.Ref
-	// NewMuxes counts scan multiplexers inserted while re-attaching
-	// separated segments.
-	NewMuxes int
-	// Violation is the (source register, violating register) pair the
-	// change resolved.
-	Violation [2]int
-}
-
-// Cost is the structural cost of the change: one for the re-route plus
-// one per inserted multiplexer, the metric minimized by the candidate
-// selection.
-func (c Change) Cost() int { return 1 + c.NewMuxes }
-
-func (c Change) String() string {
-	return fmt.Sprintf("cut %v<-%v, reconnect to %v (+%d mux)", c.Cut.Elem, c.OldSrc, c.NewSrc, c.NewMuxes)
-}
-
 // Result summarizes a resolution run.
 type Result struct {
-	Changes []Change
+	Changes []rsn.Change
 	// ViolatingBefore is the number of violating registers before any
 	// change was applied.
 	ViolatingBefore int
@@ -427,7 +402,7 @@ func Resolve(nw *rsn.Network, spec *secspec.Spec, opts engine.Options) (*Result,
 // the propagation of the applied change's wiring. With fallbackOnly
 // set, only the always-valid candidate (connect y to the scan-in port)
 // is considered.
-func (q *propagator) resolveOne(nw *rsn.Network, p *Propagation, x, y int, fallbackOnly bool) (Change, *Propagation, error) {
+func (q *propagator) resolveOne(nw *rsn.Network, p *Propagation, x, y int, fallbackOnly bool) (rsn.Change, *Propagation, error) {
 	type candidate struct {
 		pin    rsn.Sink
 		newSrc rsn.Ref
@@ -503,11 +478,11 @@ func (q *propagator) resolveOne(nw *rsn.Network, p *Propagation, x, y int, fallb
 		if best == nil {
 			// The fallback candidate cannot fail validation; reaching
 			// this point indicates an internal inconsistency.
-			return Change{}, nil, fmt.Errorf("pure: no valid candidate to separate R%d from R%d", x, y)
+			return rsn.Change{}, nil, fmt.Errorf("pure: no valid candidate to separate R%d from R%d", x, y)
 		}
 		rw, err := nw.Rewire(best.c.pin, best.c.newSrc)
 		if err != nil {
-			return Change{}, nil, err
+			return rsn.Change{}, nil, err
 		}
 		if nw.Validate() != nil {
 			nw.Undo(rw)
@@ -516,12 +491,11 @@ func (q *propagator) resolveOne(nw *rsn.Network, p *Propagation, x, y int, fallb
 		}
 		next := best.tp
 		q.setViolating(next)
-		return Change{
-			Cut:       best.c.pin,
-			OldSrc:    oldSrc,
-			NewSrc:    best.c.newSrc,
-			NewMuxes:  best.cost - 1,
-			Violation: [2]int{x, y},
+		return rsn.Change{
+			Cut:      best.c.pin,
+			OldSrc:   oldSrc,
+			NewSrc:   best.c.newSrc,
+			NewMuxes: best.cost - 1,
 		}, next, nil
 	}
 }

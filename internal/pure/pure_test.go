@@ -292,11 +292,32 @@ func TestResolveRandomNetworks(t *testing.T) {
 }
 
 func TestChangeCostAndString(t *testing.T) {
-	c := Change{Cut: rsn.Sink{Elem: rsn.Reg(1)}, OldSrc: rsn.Reg(0), NewSrc: rsn.ScanIn, NewMuxes: 1}
+	c := rsn.Change{Cut: rsn.Sink{Elem: rsn.Reg(1)}, OldSrc: rsn.Reg(0), NewSrc: rsn.ScanIn, NewMuxes: 1}
 	if c.Cost() != 2 {
 		t.Fatalf("Cost = %d", c.Cost())
 	}
 	if c.String() == "" {
 		t.Fatal("empty String")
+	}
+	// The changes the pure stage reports carry the same cost and
+	// description as any other rsn.Change.
+	nw, spec := chainSpec()
+	res, err := Resolve(nw, spec, engine.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Changes) == 0 {
+		t.Fatal("expected at least one change")
+	}
+	for _, ch := range res.Changes {
+		if ch.Cost() != 1+ch.NewMuxes {
+			t.Fatalf("%v: Cost = %d, want %d", ch, ch.Cost(), 1+ch.NewMuxes)
+		}
+		if ch.OldSrc == ch.NewSrc {
+			t.Fatalf("%v: change keeps its source", ch)
+		}
+		if ch.String() == "" {
+			t.Fatal("empty String")
+		}
 	}
 }

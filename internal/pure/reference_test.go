@@ -97,7 +97,7 @@ func referenceResolve(nw *rsn.Network, spec *secspec.Spec) (*Result, error) {
 	}
 }
 
-func referenceResolveOne(nw *rsn.Network, spec *secspec.Spec, p *refPropagation, x, y int, fallbackOnly bool) (Change, error) {
+func referenceResolveOne(nw *rsn.Network, spec *secspec.Spec, p *refPropagation, x, y int, fallbackOnly bool) (rsn.Change, error) {
 	type candidate struct {
 		pin    rsn.Sink
 		newSrc rsn.Ref
@@ -166,18 +166,17 @@ func referenceResolveOne(nw *rsn.Network, spec *secspec.Spec, p *refPropagation,
 		best.trial = nil
 	}
 	if best == nil {
-		return Change{}, fmt.Errorf("pure: no valid candidate to separate R%d from R%d", x, y)
+		return rsn.Change{}, fmt.Errorf("pure: no valid candidate to separate R%d from R%d", x, y)
 	}
 	muxes, err := nw.CutAndReconnect(best.c.pin, best.c.newSrc)
 	if err != nil {
-		return Change{}, err
+		return rsn.Change{}, err
 	}
-	return Change{
-		Cut:       best.c.pin,
-		OldSrc:    oldSrc,
-		NewSrc:    best.c.newSrc,
-		NewMuxes:  muxes,
-		Violation: [2]int{x, y},
+	return rsn.Change{
+		Cut:      best.c.pin,
+		OldSrc:   oldSrc,
+		NewSrc:   best.c.newSrc,
+		NewMuxes: muxes,
 	}, nil
 }
 

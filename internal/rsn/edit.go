@@ -5,6 +5,27 @@ import (
 	"slices"
 )
 
+// Change records one structural modification bundle applied by the
+// pure or hybrid resolution stage: an input pin cut from its source and
+// reconnected elsewhere, plus the multiplexers inserted while
+// re-attaching the separated segments.
+type Change struct {
+	// Cut is the input pin that was disconnected.
+	Cut Sink
+	// OldSrc and NewSrc are the pin's sources before and after.
+	OldSrc, NewSrc Ref
+	// NewMuxes counts the inserted multiplexers.
+	NewMuxes int
+}
+
+// Cost is the structural cost of the change: one for the re-route plus
+// one per inserted multiplexer.
+func (c Change) Cost() int { return 1 + c.NewMuxes }
+
+func (c Change) String() string {
+	return fmt.Sprintf("cut %v<-%v, reconnect to %v (+%d mux)", c.Cut.Elem, c.OldSrc, c.NewSrc, c.NewMuxes)
+}
+
 // CutAndReconnect rewires the input pin to a new source and, if the cut
 // left the old source without any consumer, re-attaches it so that no
 // scan segment dangles (Section III-D of the paper: separated segments

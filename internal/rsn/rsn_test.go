@@ -379,3 +379,13 @@ func TestInputsOf(t *testing.T) {
 		t.Fatalf("scan-out inputs = %v", ins)
 	}
 }
+
+func TestChangeCostString(t *testing.T) {
+	c := Change{Cut: Sink{Elem: Reg(2)}, OldSrc: Mx(0), NewSrc: ScanIn, NewMuxes: 1}
+	if c.Cost() != 2 {
+		t.Fatalf("Cost = %d", c.Cost())
+	}
+	if got, want := c.String(), "cut R2<-M0, reconnect to SI (+1 mux)"; got != want {
+		t.Fatalf("String = %q, want %q", got, want)
+	}
+}

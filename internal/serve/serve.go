@@ -37,7 +37,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/exp"
-	"repro/internal/hybrid"
 	"repro/internal/obs"
 	"repro/internal/obs/flight"
 	"repro/internal/obs/olog"
@@ -393,11 +392,10 @@ func (s *Server) execute(ctx context.Context, j *Job) ([]byte, error) {
 		}
 		rep = exp.BuildReport("rsnserved", "main", cfg, results, nil)
 	} else {
-		// Build the dependency analysis here (not inside core.Secure)
-		// so it outlives the run as an incremental session: deltas
-		// against this analysis skip the dependency calculation and
-		// re-propagate only their dirty cone.
-		opts := core.Options{
+		// The run's dependency analysis outlives it as an incremental
+		// session: deltas against it skip the dependency calculation
+		// and re-propagate only their dirty cone.
+		crep, err := core.Secure(a.nw.Clone(), a.circuit, a.internal, a.spec, core.Options{
 			Mode:        a.mode,
 			Workers:     s.cfg.EngineWorkers,
 			Context:     ctx,
@@ -405,24 +403,15 @@ func (s *Server) execute(ctx context.Context, j *Job) ([]byte, error) {
 			Stats:       s.stats,
 			Tracer:      j.tracer,
 			TraceParent: j.span,
-		}
-		t0 := time.Now()
-		an, err := hybrid.NewAnalysisOpts(a.nw, a.circuit, a.internal, a.spec, a.mode, opts.EngineOptions())
+		})
 		if err != nil {
 			return nil, err
 		}
-		depDur := time.Since(t0)
-		crep, err := core.SecureWithAnalysis(an, a.nw.Clone(), opts)
-		if err != nil {
-			return nil, err
-		}
-		crep.Times.DependencyCalc = depDur
-		crep.Times.Total += depDur
 		rep = exp.SecureReport("rsnserved", a.label, a.mode, a.nw.Stats(), crep, nil)
 		s.saveSession(&session{
 			hydrated: true, key: a.key, label: a.label, mode: a.mode,
 			iclText: a.iclText, benchText: a.benchText,
-			an: an.WithEngine(engine.Options{Workers: s.cfg.EngineWorkers, Stats: s.stats}),
+			an: crep.Analysis.WithEngine(engine.Options{Workers: s.cfg.EngineWorkers, Stats: s.stats}),
 			nw: a.nw, circuit: a.circuit, internal: a.internal, spec: a.spec,
 		})
 	}

@@ -491,6 +491,54 @@ func TestICLSubmissionRealEngine(t *testing.T) {
 	}
 }
 
+// TestICLJobTraceShape checks that a served ICL job journals the
+// offline trace shape: the dependency stages nest under the job's
+// "secure" span, which nests under the job span.
+func TestICLJobTraceShape(t *testing.T) {
+	sink := &obs.CollectorSink{}
+	_, ts := testServer(t, Config{Tracer: obs.NewTracer(sink)}, nil)
+	body, _ := json.Marshal(AnalysisRequest{ICL: serveICLSample})
+	code, _, data := postJSON(t, ts.URL+"/v1/analyses", string(body))
+	if code != http.StatusAccepted {
+		t.Fatalf("icl submit: HTTP %d: %s", code, data)
+	}
+	if st := pollDone(t, ts.URL, decodeStatus(t, data).ID); st.State != StateDone {
+		t.Fatalf("icl run: %+v", st)
+	}
+	names := map[uint64]string{}
+	parents := map[uint64]uint64{}
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		for _, ev := range sink.Events() {
+			names[ev.Span], parents[ev.Span] = ev.Name, ev.Parent
+		}
+		done := false
+		for _, n := range names {
+			done = done || n == "job"
+		}
+		if done {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("job span never ended")
+		}
+	}
+	stages := 0
+	for id, n := range names {
+		switch n {
+		case "one-cycle", "bridge", "closure":
+			stages++
+			sec := parents[id]
+			if names[sec] != "secure" || names[parents[sec]] != "job" {
+				t.Fatalf("stage %q nests under %q under %q, want secure under job",
+					n, names[sec], names[parents[sec]])
+			}
+		}
+	}
+	if stages != 3 {
+		t.Fatalf("%d dependency stage spans, want 3", stages)
+	}
+}
+
 // serveICLLinked carries instrument links but no circuit: the server
 // synthesizes hold flip-flops for the referenced names (like
 // rsnsec -icl without -bench).

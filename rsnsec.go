@@ -49,7 +49,6 @@ import (
 	"repro/internal/obs/perfrec"
 	"repro/internal/obs/reportdiff"
 	"repro/internal/paperex"
-	"repro/internal/pure"
 	"repro/internal/rsn"
 	"repro/internal/secspec"
 	"repro/internal/verify"
@@ -187,10 +186,10 @@ type (
 	Mode = dep.Mode
 	// Analysis is the reusable fixed-infrastructure data-flow analysis.
 	Analysis = hybrid.Analysis
-	// PureChange and HybridChange describe applied transformations.
-	PureChange = pure.Change
-	// HybridChange describes one hybrid-stage transformation.
-	HybridChange = hybrid.Change
+	// Change describes one transformation applied by the pure or the
+	// hybrid resolution stage (Report.PureChangeList,
+	// Report.HybridChangeList).
+	Change = rsn.Change
 )
 
 // Dependency modes, re-exported.
@@ -217,7 +216,8 @@ func NewAnalysis(nw *Network, circuit *Netlist, internal []FFID, spec *Spec, mod
 // instrumentation of the analysis pipeline.
 type (
 	// EngineOptions configures worker count, cancellation context,
-	// progress sink and stats collection of one analysis run.
+	// progress logger, stats collection and tracing of one analysis
+	// run.
 	EngineOptions = engine.Options
 	// EngineStats accumulates race-safe per-stage wall times and query
 	// counts; its String method renders an aligned table.
