@@ -1,12 +1,16 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
 
 	"repro/internal/dep"
+	"repro/internal/hybrid"
 	"repro/internal/netlist"
 	"repro/internal/paperex"
+	"repro/internal/pure"
 	"repro/internal/rsn"
 )
 
@@ -106,6 +110,27 @@ func TestSecureRejectsInvalidNetwork(t *testing.T) {
 	_, err := Secure(e.Network, e.Circuit, e.Internal, e.Spec, Options{Mode: dep.Exact})
 	if err == nil || !strings.Contains(err.Error(), "invalid") {
 		t.Fatalf("err = %v", err)
+	}
+}
+
+// TestResolveCancelledInPureStage checks that the pure stage honours
+// cancellation: with a cancelled context, Resolve on a network with
+// pure-path violations fails in the pure stage and changes nothing.
+func TestResolveCancelledInPureStage(t *testing.T) {
+	e := paperex.New()
+	if len(pure.ViolatingRegisters(e.Network, e.Spec)) == 0 {
+		t.Fatal("the running example must have pure-path violations")
+	}
+	an := hybrid.NewAnalysis(e.Network, e.Circuit, e.Internal, e.Spec, dep.Exact)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	orig := e.Network.Clone()
+	rep, err := Resolve(an, e.Network, Options{Mode: dep.Exact, Context: ctx})
+	if !errors.Is(err, context.Canceled) || !strings.HasPrefix(err.Error(), "core: pure stage: ") {
+		t.Fatalf("err = %v, want the pure stage's context.Canceled", err)
+	}
+	if rep.PureChanges != 0 || len(e.Network.ChangedInputs(orig)) != 0 || len(e.Network.Muxes) != len(orig.Muxes) {
+		t.Fatal("a cancelled run changed the network")
 	}
 }
 

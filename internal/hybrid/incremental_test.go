@@ -162,7 +162,7 @@ func TestIncrementalPropagateMatchesFull(t *testing.T) {
 					break
 				}
 				v := viols[0].Node
-				u, hops, err := a.culpritPath(nw, v)
+				u, _, hops, err := a.flowChain(nw, v)
 				if err != nil {
 					break // insecure-logic flow: nothing to transform
 				}
@@ -230,7 +230,7 @@ func TestFixedPointCache(t *testing.T) {
 
 	// Re-wire, then check the delta-path answer against from-scratch.
 	viols := a.violationsFrom(p1)
-	_, hops, err := a.culpritPath(nw, viols[0].Node)
+	_, _, hops, err := a.flowChain(nw, viols[0].Node)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +322,7 @@ func BenchmarkPropagateDelta(b *testing.B) {
 	a, nw := catalogCase(b, "MBIST_1_5_5", 0.15, 7)
 	parent := a.propagate(nw)
 	viols := a.violationsFrom(parent)
-	_, hops, err := a.culpritPath(nw, viols[0].Node)
+	_, _, hops, err := a.flowChain(nw, viols[0].Node)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -2,8 +2,6 @@ package hybrid
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/engine"
 	"repro/internal/obs"
@@ -35,21 +33,15 @@ func (e *ErrInsecureLogic) Error() string {
 	return fmt.Sprintf("hybrid: flow %s is carried by circuit logic and fixed scan structure alone; resolving it requires a circuit redesign", e.Name)
 }
 
-// culpritPath searches backward from the violating node v for a source
-// node u whose module data must not reach v, returning u and the wiring
-// hops on the u-to-v flow.
-func (a *Analysis) culpritPath(nw *rsn.Network, v int) (int, []hop, error) {
-	u, _, hops, err := a.flowChain(nw, v)
-	return u, hops, err
-}
-
-// flowChain is culpritPath plus the full node chain from culprit to
-// target (used by Explain). The BFS runs once per violation inside the
-// resolve loop, so its state lives in dense slices keyed by combined
-// index and it walks the CSR copy of Base's path in-edges:
-// visited/parentNext/wireFrom are flat arrays of a.total entries, and
-// a wiring hop records its source register on the edge's tail, its
-// fed register being the one whose bit 0 is the edge's head.
+// flowChain searches backward from the violating node v for a source
+// node u whose module data must not reach v, returning u, the node
+// chain from u to v (used by Explain) and the wiring hops on the
+// u-to-v flow. The BFS runs once per violation inside the resolve
+// loop, so its state lives in dense slices keyed by combined index and
+// it walks the CSR copy of Base's path in-edges: visited/parentNext/
+// wireFrom are flat arrays of a.total entries, and a wiring hop records
+// its source register on the edge's tail, its fed register being the
+// one whose bit 0 is the edge's head.
 func (a *Analysis) flowChain(nw *rsn.Network, v int) (int, []int, []hop, error) {
 	visited := make([]bool, a.total)
 	parentNext := make([]int32, a.total) // node x flows into parentNext[x], toward v
@@ -126,14 +118,13 @@ func maxChanges(nw *rsn.Network) int { return 8*len(nw.Registers) + 64 }
 // cut/reconnect is evaluated by delta propagation from it (only the
 // dirty cone downstream of the changed wiring is re-run), and the
 // winning candidate's fixed point becomes the next iteration's current
-// one — CutAndReconnect is deterministic, so re-applying the winning
-// change to nw reproduces the trial wiring exactly. Candidate trials
-// fan out over the engine's worker pool; the unique greatest fixed
-// point and the strict minimum-cost tie-break in candidate order keep
-// the applied changes byte-identical to the sequential evaluation at
-// any worker count. The analysis's engine context is honored between
-// iterations, and the stage's wall time and change count are reported
-// through its engine stats.
+// one (rsn.ApplyBest applies the winner with the same Rewire its trial
+// used). Candidate trials fan out over the engine's worker pool; the
+// unique greatest fixed point and the strict tie-break in candidate
+// order keep the applied changes byte-identical to the sequential
+// evaluation at any worker count. The analysis's engine context is
+// honored between iterations, and the stage's wall time and change
+// count are reported through its engine stats.
 func Resolve(a *Analysis, nw *rsn.Network) (*Result, error) {
 	stage := a.eng.Begin("resolve")
 	defer stage.End()
@@ -158,7 +149,7 @@ func Resolve(a *Analysis, nw *rsn.Network) (*Result, error) {
 			return res, fmt.Errorf("hybrid: resolution did not converge after %d changes (%d violations left)", len(res.Changes), len(viols))
 		}
 		v := viols[0].Node
-		u, hops, err := a.culpritPath(nw, v)
+		u, _, hops, err := a.flowChain(nw, v)
 		if err != nil {
 			return res, err
 		}
@@ -171,115 +162,40 @@ func Resolve(a *Analysis, nw *rsn.Network) (*Result, error) {
 	}
 }
 
-// resolveOne cuts one wiring hop of the violating flow and re-connects
-// the separated segments, evaluating candidates on clones and applying
-// the lowest-cost acceptable one. cur is the fixed point of nw's
-// current wiring; the returned propagation is the fixed point of the
-// applied change's wiring.
-func (a *Analysis) resolveOne(stage engine.Stage, nw *rsn.Network, cur *propagation, u, v int, hops []hop, before int) (rsn.Change, *propagation, error) {
-	type candidate struct {
-		pin    rsn.Sink
-		newSrc rsn.Ref
-	}
-	var cands []candidate
-	for _, h := range hops {
-		pin := rsn.Sink{Elem: rsn.Reg(h.To), Idx: 0}
-		// Compatible pure-path predecessors of the segment being cut
-		// free, cheapest first; then the always-available scan-in port.
-		smod := a.regModule[h.To]
-		taken := 0
-		for _, pr := range nw.PurePredecessors(h.To) {
-			if pr == h.From {
-				continue
-			}
-			if !cur.attrOut[a.lastIndex(pr)].Has(a.Spec.Trust[smod]) {
-				continue
-			}
-			cands = append(cands, candidate{pin, rsn.Reg(pr)})
-			if taken++; taken >= 4 {
-				break
-			}
-		}
-		cands = append(cands, candidate{pin, rsn.ScanIn})
-	}
+// hybridScore is one accepted trial: whether it removes the targeted
+// violation, the number of violations after it, its inserted muxes and
+// its fixed point.
+type hybridScore struct {
+	removed      bool
+	after, muxes int
+	p            *propagation
+}
 
-	// Evaluate every candidate in parallel over the worker pool, each
-	// worker applying candidates to its own copy of the network in place
-	// and undoing them (a single worker uses nw itself). Each result
-	// lands in its candidate's slot; the trial fixed points are exact
-	// (delta propagation from cur reproduces the unique greatest fixed
-	// point), so scheduling cannot change any score. Structural
-	// validation is deferred to winner selection — candidates rarely
-	// fail it, so scoring first and validating only prospective winners
-	// trades a per-candidate graph traversal for a per-change one
-	// without affecting which valid candidate wins.
-	type scored struct {
-		ok      bool
-		muxes   int
-		removed bool
-		after   int
-		p       *propagation
+// resolveOne cuts one wiring hop of the violating flow and re-connects
+// the separated segments, applying the best acceptable candidate. cur
+// is the fixed point of nw's current wiring; the returned propagation
+// is the fixed point of the applied change's wiring.
+func (a *Analysis) resolveOne(stage engine.Stage, nw *rsn.Network, cur *propagation, u, v int, hops []hop, before int) (rsn.Change, *propagation, error) {
+	var cands []rsn.Candidate
+	for _, h := range hops {
+		trust := a.Spec.Trust[a.regModule[h.To]]
+		cands = nw.AppendCandidates(cands, h.To, rsn.Reg(h.From), 4, func(pr int) bool {
+			return cur.attrOut[a.lastIndex(pr)].Has(trust)
+		})
 	}
-	results := make([]scored, len(cands))
 	stage.AddItems(int64(len(cands)))
 	// The current wiring's reverse adjacency, built once per round; each
-	// trial patches only the sinks its cut/reconnect changed.
+	// trial patches only the sinks its cut/reconnect changed. The trial
+	// fixed points are exact (delta propagation from cur reproduces the
+	// unique greatest fixed point), so the worker count cannot change
+	// any score.
 	w := a.buildWiring(nw)
-	evalCand := func(net *rsn.Network, i int) {
-		c := cands[i]
-		rw, err := net.Rewire(c.pin, c.newSrc)
-		if err != nil {
-			return
-		}
+	trial := func(net *rsn.Network, rw rsn.Rewiring) (hybridScore, bool) {
 		tw, seeds := a.trialWiring(w, net, rw)
 		tp, dv := a.propagateDeltaOn(cur, tw, net, seeds)
-		if after := before + dv; after <= before {
-			results[i] = scored{
-				ok: true, muxes: len(net.Muxes) - rw.Muxes,
-				removed: !a.violates(tp, v), after: after, p: tp,
-			}
-		}
-		net.Undo(rw)
+		return hybridScore{!a.violates(tp, v), before + dv, len(net.Muxes) - rw.Muxes, tp}, dv <= 0
 	}
-	if workers := a.eng.WorkerCount(); workers > 1 && len(cands) > 1 {
-		if workers > len(cands) {
-			workers = len(cands)
-		}
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				net := nw.Clone()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(cands) {
-						return
-					}
-					evalCand(net, i)
-				}
-			}()
-		}
-		wg.Wait()
-	} else {
-		for i := range cands {
-			evalCand(nw, i)
-		}
-	}
-
-	// Pick the winner with a strict tie-break in candidate order: the
-	// first candidate strictly better than everything chosen before it,
-	// byte-identical to the former sequential scan. A prospective
-	// winner is validated by applying it to nw; one that fails is undone
-	// and discarded and the scan repeated — removing an invalid maximum
-	// one at a time selects exactly the maximum over the valid
-	// candidates, so deferring validation cannot change the applied
-	// change.
-	betterThan := func(s, t *scored) bool {
-		if t == nil {
-			return true
-		}
+	ch, best, ok := rsn.ApplyBest(nw, cands, a.eng.WorkerCount(), trial, func(s, t hybridScore) bool {
 		if s.removed != t.removed {
 			return s.removed
 		}
@@ -287,40 +203,9 @@ func (a *Analysis) resolveOne(stage engine.Stage, nw *rsn.Network, cur *propagat
 			return s.after < t.after
 		}
 		return s.muxes < t.muxes
+	})
+	if !ok {
+		return rsn.Change{}, nil, fmt.Errorf("hybrid: no valid candidate to sever flow %s -> %s", a.NodeName(u), a.NodeName(v))
 	}
-	for {
-		best := -1
-		for i := range results {
-			if !results[i].ok {
-				continue
-			}
-			var cmp *scored
-			if best >= 0 {
-				cmp = &results[best]
-			}
-			if betterThan(&results[i], cmp) {
-				best = i
-			}
-		}
-		if best < 0 {
-			return rsn.Change{}, nil, fmt.Errorf("hybrid: no valid candidate to sever flow %s -> %s", a.NodeName(u), a.NodeName(v))
-		}
-		c := cands[best]
-		oldSrc := nw.SinkSource(c.pin)
-		rw, err := nw.Rewire(c.pin, c.newSrc)
-		if err != nil {
-			return rsn.Change{}, nil, err
-		}
-		if nw.Validate() != nil {
-			nw.Undo(rw)
-			results[best].ok = false
-			continue
-		}
-		return rsn.Change{
-			Cut:      c.pin,
-			OldSrc:   oldSrc,
-			NewSrc:   c.newSrc,
-			NewMuxes: results[best].muxes,
-		}, results[best].p, nil
-	}
+	return ch, best.p, nil
 }

@@ -120,34 +120,36 @@ func (h *Histogram) Sum() float64 {
 }
 
 // Quantile returns an upper bound for the q-quantile from the bucket
-// counts — the bound of the first bucket whose cumulative count
-// reaches q, or +Inf when the sample lands in the overflow bucket.
-// q must lie in (0, 1]; anything else returns NaN. An empty histogram
-// returns 0 (nothing observed bounds at zero), matching the nil
-// receiver.
+// counts (see BucketQuantile). An empty histogram returns 0 (nothing
+// observed bounds at zero), matching the nil receiver.
 func (h *Histogram) Quantile(q float64) float64 {
 	if h == nil {
 		return 0
 	}
+	return BucketQuantile(q, h.count.Load(), h.bounds, h.BucketCounts(nil), 0)
+}
+
+// BucketQuantile returns an upper bound for the q-quantile of total
+// observations bucketed by counts under the sorted upper bounds: the
+// bound of the first bucket whose cumulative count reaches q, or +Inf
+// when the sample lands in the overflow bucket after the last bound.
+// q must lie in (0, 1]; anything else returns NaN. With no
+// observations it returns empty.
+func BucketQuantile(q float64, total int64, bounds []float64, counts []int64, empty float64) float64 {
 	if math.IsNaN(q) || q <= 0 || q > 1 {
 		return math.NaN()
 	}
-	total := h.count.Load()
-	if total == 0 {
-		return 0
+	if total <= 0 {
+		return empty
 	}
-	target := int64(math.Ceil(q * float64(total)))
-	if target < 1 {
-		target = 1
-	}
+	target := max(int64(math.Ceil(q*float64(total))), 1)
 	var cum int64
-	for i := range h.buckets {
-		cum += h.buckets[i].Load()
-		if cum >= target {
-			if i < len(h.bounds) {
-				return h.bounds[i]
+	for i, c := range counts {
+		if cum += c; cum >= target {
+			if i < len(bounds) {
+				return bounds[i]
 			}
-			return math.Inf(1)
+			break
 		}
 	}
 	return math.Inf(1)

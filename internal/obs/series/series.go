@@ -396,31 +396,11 @@ type HistDelta struct {
 // reaches q, +Inf when it lands in the overflow bucket, NaN when the
 // window holds no observations or q lies outside (0, 1].
 func (d HistDelta) Quantile(q float64) float64 {
-	if math.IsNaN(q) || q <= 0 || q > 1 {
-		return math.NaN()
-	}
 	var total int64
 	for _, c := range d.Counts {
 		total += c
 	}
-	if total <= 0 {
-		return math.NaN()
-	}
-	target := int64(math.Ceil(q * float64(total)))
-	if target < 1 {
-		target = 1
-	}
-	var cum int64
-	for i, c := range d.Counts {
-		cum += c
-		if cum >= target {
-			if i < len(d.Bounds) {
-				return d.Bounds[i]
-			}
-			return math.Inf(1)
-		}
-	}
-	return math.Inf(1)
+	return obs.BucketQuantile(q, total, d.Bounds, d.Counts, math.NaN())
 }
 
 // CountAtMost returns how many windowed observations fell into buckets

@@ -360,10 +360,10 @@ func maxRounds(nw *rsn.Network) int { return 4*len(nw.Registers) + 16 }
 // changes. The network is propagated once up front; every candidate
 // trial is then scored by re-evaluating only the dirty cone downstream
 // of its changed connections, and the winning trial's propagation
-// becomes the next round's current one (CutAndReconnect is
-// deterministic, so applying the winning change to nw reproduces the
-// trial wiring exactly). The stage "pure-resolve" is reported through
-// opts' stats and tracer.
+// becomes the next round's current one (rsn.ApplyBest applies the
+// winner with the same Rewire its trial used). opts' context is checked
+// every round, and the stage "pure-resolve" is reported through opts'
+// stats and tracer.
 func Resolve(nw *rsn.Network, spec *secspec.Spec, opts engine.Options) (*Result, error) {
 	stage := opts.Begin("pure-resolve")
 	defer stage.End()
@@ -379,6 +379,9 @@ func Resolve(nw *rsn.Network, spec *secspec.Spec, opts engine.Options) (*Result,
 	}
 	res.ViolatingBefore = len(p.Violating)
 	for round := 0; ; round++ {
+		if err := opts.Err(); err != nil {
+			return res, err
+		}
 		if len(p.Violating) == 0 {
 			return res, nil
 		}
@@ -396,112 +399,51 @@ func Resolve(nw *rsn.Network, spec *secspec.Spec, opts engine.Options) (*Result,
 	}
 }
 
-// resolveOne repairs the flow from register x into register y by
-// cutting a connection on the way and re-connecting the separated
-// segments. p is the current wiring's propagation; the returned one is
-// the propagation of the applied change's wiring. With fallbackOnly
-// set, only the always-valid candidate (connect y to the scan-in port)
-// is considered.
-func (q *propagator) resolveOne(nw *rsn.Network, p *Propagation, x, y int, fallbackOnly bool) (rsn.Change, *Propagation, error) {
-	type candidate struct {
-		pin    rsn.Sink
-		newSrc rsn.Ref
-	}
-	pin := rsn.Sink{Elem: rsn.Reg(y), Idx: 0}
-	oldSrc := nw.Registers[y].In
-
-	var cands []candidate
-	if !fallbackOnly {
-		// Re-connecting y to a pure-path predecessor keeps y deep in the
-		// network; acceptable when the predecessor's data is compatible.
-		// The candidate count is capped: every predecessor of a deep
-		// chain position would cost a trial each.
-		const maxPredCandidates = 6
-		preds := nw.PurePredecessors(y)
-		ymod := nw.Registers[y].Module
-		for _, pr := range preds {
-			src := rsn.Reg(pr)
-			if src == oldSrc {
-				continue
-			}
-			if p.Out(src).Has(q.spec.Trust[ymod]) {
-				cands = append(cands, candidate{pin, src})
-				if len(cands) >= maxPredCandidates {
-					break
-				}
-			}
-		}
-	}
-	// The scan-in fallback is always valid and provably terminating.
-	cands = append(cands, candidate{pin, rsn.ScanIn})
-
-	// Each candidate is applied to nw in place, scored against the
-	// round's fanout and undone.
-	before := len(p.Violating)
-	fan := newFanout(nw)
-	type scored struct {
-		c     candidate
-		cost  int
-		after int
-		tp    *Propagation
-	}
-	var results []scored
-	for _, c := range cands {
-		rw, err := nw.Rewire(c.pin, c.newSrc)
-		if err != nil {
-			continue
-		}
-		tp, after, ok := q.derive(p, &fan, nw, rw)
-		// A cyclic wiring is no scan network. Otherwise the targeted
-		// violation must be gone and the overall number of violating
-		// registers must not grow.
-		if ok && !(q.violates(tp, nw, y) && stillFlows(nw, x, y)) && after <= before {
-			results = append(results, scored{c, 1 + len(nw.Muxes) - rw.Muxes, after, tp})
-		}
-		nw.Undo(rw)
-	}
-	// Structural validation is deferred to winner selection: candidates
-	// rarely fail it, and discarding an invalid minimum one at a time
-	// selects exactly the minimum-cost valid candidate. The winner is
-	// validated by re-applying it, which also applies the change.
-	for {
-		var best *scored
-		for i := range results {
-			s := &results[i]
-			if s.tp == nil {
-				continue
-			}
-			if best == nil || s.cost < best.cost || (s.cost == best.cost && s.after < best.after) {
-				best = s
-			}
-		}
-		if best == nil {
-			// The fallback candidate cannot fail validation; reaching
-			// this point indicates an internal inconsistency.
-			return rsn.Change{}, nil, fmt.Errorf("pure: no valid candidate to separate R%d from R%d", x, y)
-		}
-		rw, err := nw.Rewire(best.c.pin, best.c.newSrc)
-		if err != nil {
-			return rsn.Change{}, nil, err
-		}
-		if nw.Validate() != nil {
-			nw.Undo(rw)
-			best.tp = nil
-			continue
-		}
-		next := best.tp
-		q.setViolating(next)
-		return rsn.Change{
-			Cut:      best.c.pin,
-			OldSrc:   oldSrc,
-			NewSrc:   best.c.newSrc,
-			NewMuxes: best.cost - 1,
-		}, next, nil
-	}
+// pureScore is one accepted trial: its structural cost, the number of
+// violating registers after it and its propagation.
+type pureScore struct {
+	cost, after int
+	tp          *Propagation
 }
 
-// stillFlows reports whether data from register x can still reach
-// register y over pure paths.
-func stillFlows(nw *rsn.Network, x, y int) bool {
-	return nw.PureReaches(rsn.Reg(x), rsn.Reg(y))
+// resolveOne repairs the flow from register x into register y by
+// cutting y's input and re-connecting the separated segments. p is the
+// current wiring's propagation; the returned one is the propagation of
+// the applied change's wiring. With fallbackOnly set, only the
+// always-valid candidate (connect y to the scan-in port) is considered.
+func (q *propagator) resolveOne(nw *rsn.Network, p *Propagation, x, y int, fallbackOnly bool) (rsn.Change, *Propagation, error) {
+	// Every predecessor of a deep chain position would cost a trial
+	// each, so the predecessor candidates are capped.
+	limit := 6
+	if fallbackOnly {
+		limit = 0
+	}
+	trust := q.spec.Trust[nw.Registers[y].Module]
+	cands := nw.AppendCandidates(nil, y, nw.Registers[y].In, limit, func(pr int) bool {
+		return p.Out(rsn.Reg(pr)).Has(trust)
+	})
+	// Trials are scored against the round's fanout. They run on nw
+	// alone (one worker): the propagator's scratch is per stage.
+	before := len(p.Violating)
+	fan := newFanout(nw)
+	trial := func(net *rsn.Network, rw rsn.Rewiring) (pureScore, bool) {
+		tp, after, ok := q.derive(p, &fan, net, rw)
+		// A cyclic wiring is no scan network. Otherwise the targeted
+		// violation must be gone, or x no longer reach y, and the
+		// overall number of violating registers must not grow.
+		if !ok || (q.violates(tp, net, y) && net.PureReaches(rsn.Reg(x), rsn.Reg(y))) || after > before {
+			return pureScore{}, false
+		}
+		return pureScore{1 + len(net.Muxes) - rw.Muxes, after, tp}, true
+	}
+	ch, best, ok := rsn.ApplyBest(nw, cands, 1, trial, func(s, t pureScore) bool {
+		return s.cost < t.cost || (s.cost == t.cost && s.after < t.after)
+	})
+	if !ok {
+		// The fallback candidate cannot fail validation; reaching this
+		// point indicates an internal inconsistency.
+		return rsn.Change{}, nil, fmt.Errorf("pure: no valid candidate to separate R%d from R%d", x, y)
+	}
+	q.setViolating(best.tp)
+	return ch, best.tp, nil
 }

@@ -140,7 +140,7 @@ func referenceResolveOne(nw *rsn.Network, spec *secspec.Spec, p *refPropagation,
 			continue
 		}
 		tp := referencePropagate(trial, spec)
-		if containsInt(tp.Violating, y) && stillFlows(trial, x, y) {
+		if containsInt(tp.Violating, y) && trial.PureReaches(rsn.Reg(x), rsn.Reg(y)) {
 			continue
 		}
 		if len(tp.Violating) > before {
