@@ -17,6 +17,18 @@ func New(n int) *Set {
 	return &Set{words: make([]uint64, (n+63)/64), n: n}
 }
 
+// Rows returns count sets of capacity n each, all clear, carved from
+// one backing allocation: the rows of a dense count×n bit matrix.
+func Rows(count, n int) []Set {
+	w := (n + 63) / 64
+	slab := make([]uint64, count*w)
+	rows := make([]Set, count)
+	for i := range rows {
+		rows[i] = Set{words: slab[i*w : (i+1)*w : (i+1)*w], n: n}
+	}
+	return rows
+}
+
 // Len returns the capacity in bits.
 func (s *Set) Len() int { return s.n }
 
@@ -52,6 +64,25 @@ func (s *Set) Or(o *Set) bool {
 	return changed
 }
 
+// OrNew sets s to s ∪ o and returns the number of bits that were not
+// already in s. When f is non-nil it is called with each of those bits
+// in ascending order. The sets must have equal capacity.
+func (s *Set) OrNew(o *Set, f func(i int)) int {
+	c := 0
+	for wi, w := range o.words {
+		nw := w &^ s.words[wi]
+		if nw == 0 {
+			continue
+		}
+		s.words[wi] |= nw
+		c += bits.OnesCount64(nw)
+		for ; f != nil && nw != 0; nw &= nw - 1 {
+			f(wi<<6 + bits.TrailingZeros64(nw))
+		}
+	}
+	return c
+}
+
 // AndNot sets s to s \ o.
 func (s *Set) AndNot(o *Set) {
 	for i, w := range o.words {
@@ -65,6 +96,9 @@ func (s *Set) Clone() *Set {
 	copy(cp.words, s.words)
 	return cp
 }
+
+// Copy sets s to o. The sets must have equal capacity.
+func (s *Set) Copy(o *Set) { copy(s.words, o.words) }
 
 // Reset clears every bit.
 func (s *Set) Reset() {
@@ -82,6 +116,17 @@ func (s *Set) ForEach(f func(i int)) {
 			w &= w - 1
 		}
 	}
+}
+
+// AppendTo appends every set bit index to dst in ascending order and
+// returns the extended slice.
+func (s *Set) AppendTo(dst []int32) []int32 {
+	for wi, w := range s.words {
+		for ; w != 0; w &= w - 1 {
+			dst = append(dst, int32(wi<<6+bits.TrailingZeros64(w)))
+		}
+	}
+	return dst
 }
 
 // Any reports whether any bit is set.

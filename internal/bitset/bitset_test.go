@@ -2,6 +2,7 @@ package bitset
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -154,5 +155,60 @@ func TestOrChangeDetectionRandom(t *testing.T) {
 		if changed != grew {
 			t.Fatalf("Or change=%v but count %d -> %d", changed, before.Count(), a.Count())
 		}
+	}
+}
+
+func TestRowsIndependent(t *testing.T) {
+	rows := Rows(3, 70)
+	rows[1].Set(69)
+	rows[2].Set(0)
+	if rows[0].Any() || rows[1].Has(0) || !rows[1].Has(69) || rows[2].Count() != 1 {
+		t.Fatal("slab rows share bits")
+	}
+	// Copy and Reset stay inside their own row.
+	rows[0].Copy(&rows[1])
+	rows[1].Reset()
+	if !rows[0].Has(69) || rows[1].Any() || !rows[2].Has(0) || rows[0].Len() != 70 {
+		t.Fatal("Copy/Reset crossed a row boundary")
+	}
+}
+
+func TestOrNewReportsNewBits(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for iter := 0; iter < 50; iter++ {
+		a, b := New(200), New(200)
+		for i := 0; i < 30; i++ {
+			a.Set(rng.Intn(200))
+			b.Set(rng.Intn(200))
+		}
+		before := a.Clone()
+		var seen []int
+		got := a.OrNew(b, func(i int) { seen = append(seen, i) })
+		var want []int
+		b.ForEach(func(i int) {
+			if !before.Has(i) {
+				want = append(want, i)
+			}
+		})
+		if got != len(want) || !slices.Equal(seen, want) {
+			t.Fatalf("OrNew = %d %v, want %d %v", got, seen, len(want), want)
+		}
+		before.Or(b)
+		if !a.Equal(before) {
+			t.Fatal("OrNew result differs from Or")
+		}
+		if a.OrNew(b, nil) != 0 {
+			t.Fatal("second OrNew must add nothing")
+		}
+	}
+}
+
+func TestAppendTo(t *testing.T) {
+	s := New(200)
+	for _, i := range []int{1, 64, 65, 199} {
+		s.Set(i)
+	}
+	if got := s.AppendTo([]int32{7}); !slices.Equal(got, []int32{7, 1, 64, 65, 199}) {
+		t.Fatalf("AppendTo = %v", got)
 	}
 }

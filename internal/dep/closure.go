@@ -7,10 +7,11 @@
 // chains and capture/update couplings produce long DAG-like strands
 // with small cycles — so the condensation is near-linear: every
 // strongly connected component's closure row is the union of its
-// successors' rows (plus its own members when the component is
-// cyclic), and Tarjan emits components in reverse topological order,
-// meaning every successor is finished before its predecessors start. Components on the same
-// topological level are independent and fan out over the engine worker
+// successors' rows and acyclic singleton successors (plus its own
+// members when the component is cyclic), and Tarjan emits components
+// in reverse topological order, meaning every successor is finished
+// before its predecessors start. Components on the same topological
+// level are independent and fan out over the engine worker
 // pool; unions of bit sets are commutative and each component writes
 // only its own rows, so results are bit-identical to the sequential
 // computation — and to the Warshall reference — at any worker count
@@ -24,70 +25,53 @@ import (
 
 	"repro/internal/bitset"
 	"repro/internal/engine"
+	"repro/internal/graph"
 	"repro/internal/obs"
 )
 
 // ClosureOpts returns the multi-cycle dependency closure of m under an
 // engine configuration: the transitive closure of path edges and,
 // independently, of structural edges (a chain containing any
-// only-structural link is structural). The closure is a new matrix; m
-// is left untouched. Cancellation is honored between topological
-// levels, returning the context error. The stage "closure" items
-// counter receives the number of condensed components.
-func ClosureOpts(m *Matrix, opts engine.Options) (*Matrix, error) {
+// only-structural link is structural). path is m's path relation as
+// m.PathCSR returns it; a caller that already holds that snapshot
+// passes it, so it is built once. The closure is a new, read-only
+// matrix without reverse rows; m is left untouched. Cancellation is
+// honored between topological levels, returning the context error. The
+// stage "closure" items counter receives the number of condensed
+// components.
+func ClosureOpts(m *Matrix, path graph.CSR, opts engine.Options) (*Matrix, error) {
 	stage := opts.Begin("closure", obs.Int("nodes", int64(m.N())))
 	defer stage.End()
-	path, ncp, err := closedRows(m.path, opts)
-	if err != nil {
+	c := &Matrix{n: m.n}
+	var ncp, ncs int
+	var err error
+	if c.path, c.npath, ncp, err = closedRows(path, opts); err != nil {
 		return nil, err
 	}
-	str, ncs, err := closedRows(m.str, opts)
-	if err != nil {
+	if c.str, c.nstr, ncs, err = closedRows(rowsCSR(m.str, m.nstr), opts); err != nil {
 		return nil, err
 	}
 	stage.AddItems(int64(ncp + ncs))
 	stage.SetAttrs(obs.Int("sccs_path", int64(ncp)), obs.Int("sccs_structural", int64(ncs)))
-	return &Matrix{n: m.n, path: path, str: str, rpath: reverseRows(path), rstr: reverseRows(str)}, nil
+	return c, nil
 }
 
-// reverseRows returns the transpose of a relation as fresh rows.
-func reverseRows(rows []*bitset.Set) []*bitset.Set {
-	n := len(rows)
-	rev := make([]*bitset.Set, n)
-	for i := range rev {
-		rev[i] = bitset.New(n)
-	}
-	for i, r := range rows {
-		r.ForEach(func(j int) { rev[j].Set(i) })
-	}
-	return rev
-}
-
-// closedRows returns the transitive closure of one relation as fresh
-// rows (the input rows are not modified), plus the number of strongly
-// connected components of the relation's graph.
-func closedRows(rows []*bitset.Set, opts engine.Options) ([]*bitset.Set, int, error) {
-	n := len(rows)
-	// Snapshot the adjacency as index slices: bitset iteration is
-	// ascending, so successor lists are canonical.
-	adj := make([][]int32, n)
-	for i := 0; i < n; i++ {
-		if !rows[i].Any() {
-			continue
-		}
-		s := make([]int32, 0, rows[i].Count())
-		rows[i].ForEach(func(j int) { s = append(s, int32(j)) })
-		adj[i] = s
-	}
-	comp, comps := tarjanSCC(adj, n)
-	nc := len(comps)
+// closedRows returns the transitive closure of the relation g as rows
+// of one fresh slab, with its entry count and the number of strongly
+// connected components of g.
+func closedRows(g graph.CSR, opts engine.Options) ([]bitset.Set, int, int, error) {
+	n := g.Len()
+	comp, members, start := tarjanSCC(&g)
+	nc := len(start) - 1
 
 	// Condensation metadata: cyclic flag, deduped successor components
-	// and topological level per component. Tarjan's emission order is
-	// reverse topological — for every cross edge C -> C', C' is emitted
-	// before C — so one pass in emission order sees successors finished.
+	// (flat, succ[succStart[c]:succStart[c+1]]) and topological level
+	// per component. Tarjan's emission order is reverse topological —
+	// for every cross edge C -> C', C' is emitted before C — so one pass
+	// in emission order sees successors finished.
 	cyclic := make([]bool, nc)
-	succ := make([][]int32, nc)
+	succStart := make([]int32, nc+1)
+	var succ []int32
 	level := make([]int32, nc)
 	maxLevel := int32(0)
 	stamp := make([]int32, nc)
@@ -95,11 +79,11 @@ func closedRows(rows []*bitset.Set, opts engine.Options) ([]*bitset.Set, int, er
 		stamp[i] = -1
 	}
 	for c := 0; c < nc; c++ {
-		members := comps[c]
-		cyclic[c] = len(members) > 1
+		ms := members[start[c]:start[c+1]]
+		cyclic[c] = len(ms) > 1
 		lv := int32(0)
-		for _, u := range members {
-			for _, w := range adj[u] {
+		for _, u := range ms {
+			for _, w := range g.Row(int(u)) {
 				cw := comp[w]
 				if cw == int32(c) {
 					if w == u {
@@ -109,97 +93,115 @@ func closedRows(rows []*bitset.Set, opts engine.Options) ([]*bitset.Set, int, er
 				}
 				if stamp[cw] != int32(c) {
 					stamp[cw] = int32(c)
-					succ[c] = append(succ[c], cw)
-					if level[cw]+1 > lv {
-						lv = level[cw] + 1
-					}
+					succ = append(succ, cw)
+					lv = max(lv, level[cw]+1)
 				}
 			}
 		}
+		succStart[c+1] = int32(len(succ))
 		level[c] = lv
-		if lv > maxLevel {
-			maxLevel = lv
-		}
+		maxLevel = max(maxLevel, lv)
 	}
-	buckets := make([][]int32, maxLevel+1)
-	for c := 0; c < nc; c++ {
-		buckets[level[c]] = append(buckets[level[c]], int32(c))
+	// Components by level, each level in emission order (a counting sort).
+	levelStart := make([]int32, maxLevel+2)
+	for _, lv := range level {
+		levelStart[lv+1]++
+	}
+	for lv := int32(0); lv <= maxLevel; lv++ {
+		levelStart[lv+1] += levelStart[lv]
+	}
+	byLevel := make([]int32, nc)
+	fill := append([]int32(nil), levelStart[:maxLevel+1]...)
+	for c, lv := range level {
+		byLevel[fill[lv]] = int32(c)
+		fill[lv]++
 	}
 
-	// Reverse-topological row unions, level by level. down[c] is the
-	// reachability set of component c including its own members; the
-	// result row of every member is down of the successors, plus the
-	// members themselves when the component is cyclic (a node on a cycle
-	// reaches itself). Components of one level are independent — each
-	// writes only its own down set and member rows — so a level fans out
+	// Reverse-topological row unions, level by level. A component's row
+	// is the union of its successors' rows, plus each successor's own
+	// node when it is an acyclic singleton (a cyclic successor's row
+	// holds its members already), plus its own members when it is
+	// cyclic (a node on a cycle reaches itself). Every member gets that
+	// row, and the row's entries are counted as it is built.
+	// Components of one level are independent — each writes only its own
+	// members' rows and reads rows of lower levels — so a level fans out
 	// over the worker pool with a barrier in between, and the unions
 	// commute, keeping results bit-identical at any worker count.
-	down := make([]*bitset.Set, nc)
-	out := make([]*bitset.Set, n)
-	workers := opts.WorkerCount()
-	ctx := opts.Ctx()
-	process := func(c int32) {
-		members := comps[c]
-		res := bitset.New(n)
-		for _, s := range succ[c] {
-			res.Or(down[s])
-		}
-		if cyclic[c] {
-			for _, u := range members {
-				res.Set(int(u))
+	rows := bitset.Rows(n, n)
+	process := func(c int32) int {
+		ms := members[start[c]:start[c+1]]
+		row := &rows[ms[0]]
+		cnt := 0
+		for _, s := range succ[succStart[c]:succStart[c+1]] {
+			rep := int(members[start[s]])
+			cnt += row.OrNew(&rows[rep], nil)
+			if !cyclic[s] && !row.Has(rep) {
+				row.Set(rep)
+				cnt++
 			}
 		}
-		d := res.Clone()
-		for _, u := range members {
-			d.Set(int(u))
+		if cyclic[c] {
+			for _, u := range ms {
+				if !row.Has(int(u)) {
+					row.Set(int(u))
+					cnt++
+				}
+			}
 		}
-		down[c] = d
-		out[members[0]] = res
-		for _, u := range members[1:] {
-			out[u] = res.Clone()
+		for _, u := range ms[1:] {
+			rows[u].Copy(row)
 		}
+		return cnt * len(ms)
 	}
-	for _, bucket := range buckets {
+	workers := opts.WorkerCount()
+	ctx := opts.Ctx()
+	entries := 0
+	for lv := int32(0); lv <= maxLevel; lv++ {
 		if err := ctx.Err(); err != nil {
-			return nil, 0, err
+			return nil, 0, 0, err
 		}
-		w := workers
-		if w > len(bucket) {
-			w = len(bucket)
-		}
+		bucket := byLevel[levelStart[lv]:levelStart[lv+1]]
+		w := min(workers, len(bucket))
 		if w <= 1 {
 			for _, c := range bucket {
-				process(c)
+				entries += process(c)
 			}
 			continue
 		}
-		var next atomic.Int64
+		var next, total atomic.Int64
 		var wg sync.WaitGroup
-		for g := 0; g < w; g++ {
+		for range w {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
+				sum := 0
 				for {
 					idx := int(next.Add(1)) - 1
 					if idx >= len(bucket) {
-						return
+						break
 					}
-					process(bucket[idx])
+					sum += process(bucket[idx])
 				}
+				total.Add(int64(sum))
 			}()
 		}
 		wg.Wait()
+		entries += int(total.Load())
 	}
-	return out, nc, nil
+	return rows, entries, nc, nil
 }
 
-// tarjanSCC computes the strongly connected components of the graph
-// given as adjacency lists, iteratively (no recursion — register chains
-// make paths thousands of nodes long). It returns the component id per
-// node and the member lists in reverse topological emission order:
-// every component is emitted after all components reachable from it.
-func tarjanSCC(adj [][]int32, n int) (comp []int32, comps [][]int32) {
+// tarjanSCC computes the strongly connected components of g,
+// iteratively (no recursion — register chains make paths thousands of
+// nodes long). It returns the component id per node and the members of
+// component c as members[start[c]:start[c+1]], in reverse topological
+// emission order: every component is emitted after all components
+// reachable from it.
+func tarjanSCC(g *graph.CSR) (comp, members, start []int32) {
+	n := g.Len()
 	comp = make([]int32, n)
+	members = make([]int32, 0, n)
+	start = []int32{0}
 	index := make([]int32, n) // 0 = unvisited, otherwise discovery index + 1
 	low := make([]int32, n)
 	onStack := make([]bool, n)
@@ -224,8 +226,8 @@ func tarjanSCC(adj [][]int32, n int) (comp []int32, comps [][]int32) {
 		for len(dfs) > 0 {
 			f := &dfs[len(dfs)-1]
 			v := f.v
-			if f.si < len(adj[v]) {
-				w := adj[v][f.si]
+			if row := g.Row(int(v)); f.si < len(row) {
+				w := row[f.si]
 				f.si++
 				if index[w] == 0 {
 					index[w] = counter
@@ -240,18 +242,18 @@ func tarjanSCC(adj [][]int32, n int) (comp []int32, comps [][]int32) {
 				continue
 			}
 			if low[v] == index[v] {
-				var members []int32
+				c := int32(len(start) - 1)
 				for {
 					w := sccStack[len(sccStack)-1]
 					sccStack = sccStack[:len(sccStack)-1]
 					onStack[w] = false
-					comp[w] = int32(len(comps))
+					comp[w] = c
 					members = append(members, w)
 					if w == v {
 						break
 					}
 				}
-				comps = append(comps, members)
+				start = append(start, int32(len(members)))
 			}
 			dfs = dfs[:len(dfs)-1]
 			if len(dfs) > 0 {
@@ -262,5 +264,5 @@ func tarjanSCC(adj [][]int32, n int) (comp []int32, comps [][]int32) {
 			}
 		}
 	}
-	return comp, comps
+	return comp, members, start
 }

@@ -9,22 +9,13 @@ import (
 	"repro/internal/engine"
 )
 
-// reverseConsistent checks that the reverse adjacency mirrors the
-// forward rows exactly (Matrix.Equal only compares forward rows).
+// reverseConsistent checks that the reverse rows mirror the forward
+// structural rows exactly (Matrix.Equal only compares forward rows).
+// A closure matrix has no reverse rows and is not checked here.
 func reverseConsistent(t *testing.T, m *Matrix) {
 	t.Helper()
 	for i := 0; i < m.N(); i++ {
 		i := i
-		m.path[i].ForEach(func(j int) {
-			if !m.rpath[j].Has(i) {
-				t.Fatalf("rpath[%d] missing %d", j, i)
-			}
-		})
-		m.rpath[i].ForEach(func(j int) {
-			if !m.path[j].Has(i) {
-				t.Fatalf("rpath[%d] has stale %d", i, j)
-			}
-		})
 		m.str[i].ForEach(func(j int) {
 			if !m.rstr[j].Has(i) {
 				t.Fatalf("rstr[%d] missing %d", j, i)
@@ -38,14 +29,26 @@ func reverseConsistent(t *testing.T, m *Matrix) {
 	}
 }
 
+// countsConsistent checks that the kept entry counts equal a fresh
+// popcount of the forward rows.
+func countsConsistent(t *testing.T, m *Matrix) {
+	t.Helper()
+	if got, want := m.CountDeps(), popcount(m.str); got != want {
+		t.Fatalf("CountDeps = %d, popcount %d", got, want)
+	}
+	if got, want := m.CountPath(), popcount(m.path); got != want {
+		t.Fatalf("CountPath = %d, popcount %d", got, want)
+	}
+}
+
 // identical reports whether two matrices have equal forward and
 // reverse rows.
 func identical(a, b *Matrix) bool {
-	if !a.Equal(b) {
+	if !a.Equal(b) || len(a.rstr) != len(b.rstr) {
 		return false
 	}
-	for i := 0; i < a.N(); i++ {
-		if !a.rpath[i].Equal(b.rpath[i]) || !a.rstr[i].Equal(b.rstr[i]) {
+	for i := range a.rstr {
+		if !a.rstr[i].Equal(&b.rstr[i]) {
 			return false
 		}
 	}
@@ -57,23 +60,24 @@ func identical(a, b *Matrix) bool {
 // with both Path and Structural entries — and on the dependency
 // matrices of scaled catalog benchmarks in both modes, ClosureOpts must
 // produce matrices bit-identical to the dense Warshall reference at any
-// worker count, with consistent reverse adjacency, and leave their input
-// untouched.
+// worker count, with entry counts equal to a fresh popcount, and leave
+// their input untouched.
 func TestSCCClosureMatchesWarshall(t *testing.T) {
 	check := func(t *testing.T, base *Matrix) {
 		t.Helper()
 		ref := base.Clone()
 		closureWarshall(ref)
+		reverseConsistent(t, ref)
 		for _, workers := range []int{1, 3, 8} {
 			in := base.Clone()
-			m, err := ClosureOpts(in, engine.Options{Workers: workers})
+			m, err := ClosureOpts(in, in.PathCSR(), engine.Options{Workers: workers})
 			if err != nil {
 				t.Fatalf("workers=%d: %v", workers, err)
 			}
 			if !m.Equal(ref) {
 				t.Fatalf("workers=%d: SCC closure differs from Warshall", workers)
 			}
-			reverseConsistent(t, m)
+			countsConsistent(t, m)
 			if !identical(in, base) {
 				t.Fatalf("workers=%d: closure modified its input", workers)
 			}
@@ -122,6 +126,7 @@ func TestSCCClosureMatchesWarshall(t *testing.T) {
 					var stats Stats
 					m := oneCycleMatrix(att.Circuit, mode, &stats)
 					Bridge(m, att.Internal)
+					reverseConsistent(t, m)
 					check(t, m)
 				})
 			}
@@ -140,7 +145,7 @@ func TestClosureOptsCancellation(t *testing.T) {
 	m := base.Clone()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := ClosureOpts(m, engine.Options{Context: ctx}); err != context.Canceled {
+	if _, err := ClosureOpts(m, m.PathCSR(), engine.Options{Context: ctx}); err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if !identical(m, base) {
@@ -156,7 +161,7 @@ func TestClosureItemsCounter(t *testing.T) {
 	m.Set(2, 1, Path)
 	m.Set(1, 2, Path) // 1 and 2 form one SCC of the path relation
 	stats := engine.NewStats()
-	if _, err := ClosureOpts(m, engine.Options{Stats: stats}); err != nil {
+	if _, err := ClosureOpts(m, m.PathCSR(), engine.Options{Stats: stats}); err != nil {
 		t.Fatal(err)
 	}
 	// path relation: {0}, {1,2}, {3} = 3 components; str relation (a

@@ -30,6 +30,7 @@ import (
 
 	"repro/internal/bitset"
 	"repro/internal/engine"
+	"repro/internal/graph"
 	"repro/internal/netlist"
 	"repro/internal/obs"
 )
@@ -97,47 +98,45 @@ func (m Mode) String() string {
 	return "structural-approx"
 }
 
-// Matrix is a dependency relation over flip-flops 0..n-1 with forward
-// and reverse adjacency bit sets. Entry (i, j) means "i depends on j",
-// i.e. data flows from j to i.
+// Matrix is a dependency relation over flip-flops 0..n-1. Entry (i, j)
+// means "i depends on j", i.e. data flows from j to i. Each relation is
+// a dense bit matrix whose rows share one allocation, and the entry
+// counts are kept as entries are set and cleared.
 type Matrix struct {
 	n    int
-	path []*bitset.Set // path[i]: j such that i path-depends on j
-	str  []*bitset.Set // str[i] ⊇ path[i]: structural dependency
-	// reverse direction, maintained for efficient bridging
-	rpath []*bitset.Set // rpath[j]: i such that i path-depends on j
-	rstr  []*bitset.Set
+	path []bitset.Set // path[i]: j such that i path-depends on j
+	str  []bitset.Set // str[i] ⊇ path[i]: structural dependency
+	// rstr[j]: i such that i depends on j, the dependents Bridge
+	// visits. A closure matrix has none and is read-only.
+	rstr        []bitset.Set
+	npath, nstr int // entry counts of path and str
 }
 
 // NewMatrix returns an empty dependency matrix over n flip-flops.
 func NewMatrix(n int) *Matrix {
-	m := &Matrix{n: n}
-	m.path = make([]*bitset.Set, n)
-	m.str = make([]*bitset.Set, n)
-	m.rpath = make([]*bitset.Set, n)
-	m.rstr = make([]*bitset.Set, n)
-	for i := 0; i < n; i++ {
-		m.path[i] = bitset.New(n)
-		m.str[i] = bitset.New(n)
-		m.rpath[i] = bitset.New(n)
-		m.rstr[i] = bitset.New(n)
-	}
-	return m
+	return &Matrix{n: n, path: bitset.Rows(n, n), str: bitset.Rows(n, n), rstr: bitset.Rows(n, n)}
 }
 
 // N returns the number of flip-flops indexed.
 func (m *Matrix) N() int { return m.n }
 
-// Set raises the dependency of i on j to at least k.
+// Set raises the dependency of i on j to at least k. It panics on a
+// closure matrix, which is read-only.
 func (m *Matrix) Set(i, j int, k Kind) {
-	switch k {
-	case Path:
+	if k == None {
+		return
+	}
+	if m.rstr == nil {
+		panic("dep: Set on a read-only closure matrix")
+	}
+	if k == Path && !m.path[i].Has(j) {
 		m.path[i].Set(j)
-		m.rpath[j].Set(i)
-		fallthrough
-	case Structural:
+		m.npath++
+	}
+	if !m.str[i].Has(j) {
 		m.str[i].Set(j)
 		m.rstr[j].Set(i)
+		m.nstr++
 	}
 }
 
@@ -154,54 +153,47 @@ func (m *Matrix) Kind(i, j int) Kind {
 
 // clearNode removes every dependency entering or leaving node k.
 func (m *Matrix) clearNode(k int) {
-	m.str[k].ForEach(func(j int) {
-		m.rpath[j].Clear(k)
-		m.rstr[j].Clear(k)
-	})
+	m.npath -= m.path[k].Count()
+	m.nstr -= m.str[k].Count()
+	m.str[k].ForEach(func(j int) { m.rstr[j].Clear(k) })
+	// A self-loop's reverse bit went with row k above, so i != k here.
 	m.rstr[k].ForEach(func(i int) {
-		m.path[i].Clear(k)
+		if m.path[i].Has(k) {
+			m.path[i].Clear(k)
+			m.npath--
+		}
 		m.str[i].Clear(k)
+		m.nstr--
 	})
 	m.path[k].Reset()
 	m.str[k].Reset()
-	m.rpath[k].Reset()
 	m.rstr[k].Reset()
 }
 
 // CountDeps returns the number of denoted dependencies (non-None
 // entries).
-func (m *Matrix) CountDeps() int {
-	c := 0
-	for i := 0; i < m.n; i++ {
-		c += m.str[i].Count()
-	}
-	return c
-}
+func (m *Matrix) CountDeps() int { return m.nstr }
 
 // CountPath returns the number of Path entries.
-func (m *Matrix) CountPath() int {
-	c := 0
-	for i := 0; i < m.n; i++ {
-		c += m.path[i].Count()
-	}
-	return c
-}
+func (m *Matrix) CountPath() int { return m.npath }
 
 // Clone returns a deep copy of the matrix.
 func (m *Matrix) Clone() *Matrix {
-	cp := &Matrix{n: m.n}
-	cl := func(rows []*bitset.Set) []*bitset.Set {
-		out := make([]*bitset.Set, len(rows))
-		for i, r := range rows {
-			out[i] = r.Clone()
-		}
-		return out
+	cp := *m
+	cp.path, cp.str = cloneRows(m.path), cloneRows(m.str)
+	if m.rstr != nil {
+		cp.rstr = cloneRows(m.rstr)
 	}
-	cp.path = cl(m.path)
-	cp.str = cl(m.str)
-	cp.rpath = cl(m.rpath)
-	cp.rstr = cl(m.rstr)
-	return cp
+	return &cp
+}
+
+// cloneRows copies a relation's rows into a fresh slab.
+func cloneRows(rows []bitset.Set) []bitset.Set {
+	out := bitset.Rows(len(rows), len(rows))
+	for i := range rows {
+		out[i].Copy(&rows[i])
+	}
+	return out
 }
 
 // Equal reports whether the two matrices denote exactly the same
@@ -211,7 +203,7 @@ func (m *Matrix) Equal(o *Matrix) bool {
 		return false
 	}
 	for i := 0; i < m.n; i++ {
-		if !m.path[i].Equal(o.path[i]) || !m.str[i].Equal(o.str[i]) {
+		if !m.path[i].Equal(&o.path[i]) || !m.str[i].Equal(&o.str[i]) {
 			return false
 		}
 	}
@@ -220,15 +212,20 @@ func (m *Matrix) Equal(o *Matrix) bool {
 
 // DependsOn returns the set of j on which i depends (structurally or
 // more). The returned set is live; do not modify it.
-func (m *Matrix) DependsOn(i int) *bitset.Set { return m.str[i] }
+func (m *Matrix) DependsOn(i int) *bitset.Set { return &m.str[i] }
 
 // PathDependsOn returns the set of j on which i path-depends.
 // The returned set is live; do not modify it.
-func (m *Matrix) PathDependsOn(i int) *bitset.Set { return m.path[i] }
+func (m *Matrix) PathDependsOn(i int) *bitset.Set { return &m.path[i] }
 
-// PathDependents returns the set of i that path-depend on j (the
-// reverse adjacency). The returned set is live; do not modify it.
-func (m *Matrix) PathDependents(j int) *bitset.Set { return m.rpath[j] }
+// PathCSR returns the path relation as a graph whose row i lists,
+// ascending, the j on which i path-depends.
+func (m *Matrix) PathCSR() graph.CSR { return rowsCSR(m.path, m.npath) }
+
+// rowsCSR copies a relation with the given entry count into CSR form.
+func rowsCSR(rows []bitset.Set, entries int) graph.CSR {
+	return graph.FromRows(len(rows), entries, func(i int, dst []int32) []int32 { return rows[i].AppendTo(dst) })
+}
 
 // Stats reports the bookkeeping of one dependency computation.
 type Stats struct {
@@ -527,35 +524,27 @@ func FillOneCycleCfg(m *Matrix, n *netlist.Netlist, mode Mode, stats *Stats, opt
 // internal flip-flop k, the dependency of i on j is raised to
 // Combine(dep(i,k), dep(k,j)); afterwards k carries no dependencies.
 // Bridge modifies m in place.
+//
+// Each dependent's rows are updated a word at a time. Combine is Path
+// only for two Path links and Structural for any other pair of
+// dependencies, so the raise is str[i] |= str[k], plus path[i] |=
+// path[k] when i path-depends on k. Bit k itself adds nothing — it is
+// in str[i], and in path[i] whenever path[k] is merged — so k's
+// self-loop never strengthens a bridged dependency. Only the newly set
+// bits touch the reverse rows and the counts.
 func Bridge(m *Matrix, internal []netlist.FFID) {
 	for _, kf := range internal {
 		k := int(kf)
-		// Snapshot k's neighbors before clearing.
-		type edge struct {
-			node int
-			kind Kind
-		}
-		var preds, dependents []edge
-		m.str[k].ForEach(func(j int) {
-			if j == k {
-				return // self-loops never strengthen bridged deps
-			}
-			preds = append(preds, edge{j, m.Kind(k, j)})
-		})
+		sk, pk := &m.str[k], &m.path[k]
 		m.rstr[k].ForEach(func(i int) {
 			if i == k {
 				return
 			}
-			dependents = append(dependents, edge{i, m.Kind(i, k)})
-		})
-		for _, d := range dependents {
-			for _, p := range preds {
-				k2 := Combine(d.kind, p.kind)
-				if k2 != None && m.Kind(d.node, p.node) < k2 {
-					m.Set(d.node, p.node, k2)
-				}
+			m.nstr += m.str[i].OrNew(sk, func(j int) { m.rstr[j].Set(i) })
+			if m.path[i].Has(k) {
+				m.npath += m.path[i].OrNew(pk, nil)
 			}
-		}
+		})
 		m.clearNode(k)
 	}
 }

@@ -20,7 +20,7 @@ func oneCycleMatrix(n *netlist.Netlist, mode Mode, stats *Stats) *Matrix {
 
 // closure returns the multi-cycle closure of m.
 func closure(m *Matrix) *Matrix {
-	c, _ := ClosureOpts(m, engine.Options{})
+	c, _ := ClosureOpts(m, m.PathCSR(), engine.Options{})
 	return c
 }
 
@@ -74,15 +74,74 @@ func compute(n *netlist.Netlist, internal []netlist.FFID, mode Mode) *computeRes
 	return res
 }
 
+// bridgeReference bridges pair by pair, as Figure 3 states it — the
+// reference TestBridgeMatchesReference checks Bridge against: for every
+// dependent i and predecessor j of k (self-loops skipped), the
+// dependency of i on j is raised to Combine(dep(i,k), dep(k,j)).
+func bridgeReference(m *Matrix, internal []netlist.FFID) {
+	for _, kf := range internal {
+		k := int(kf)
+		type edge struct {
+			node int
+			kind Kind
+		}
+		var preds, dependents []edge
+		m.str[k].ForEach(func(j int) {
+			if j != k {
+				preds = append(preds, edge{j, m.Kind(k, j)})
+			}
+		})
+		m.rstr[k].ForEach(func(i int) {
+			if i != k {
+				dependents = append(dependents, edge{i, m.Kind(i, k)})
+			}
+		})
+		for _, d := range dependents {
+			for _, p := range preds {
+				k2 := Combine(d.kind, p.kind)
+				if k2 != None && m.Kind(d.node, p.node) < k2 {
+					m.Set(d.node, p.node, k2)
+				}
+			}
+		}
+		m.clearNode(k)
+	}
+}
+
+// reverseRows returns the transpose of a relation as a fresh slab.
+func reverseRows(rows []bitset.Set) []bitset.Set {
+	rev := bitset.Rows(len(rows), len(rows))
+	for i := range rows {
+		rows[i].ForEach(func(j int) { rev[j].Set(i) })
+	}
+	return rev
+}
+
+// reindex rebuilds the reverse rows and the entry counts of a matrix
+// whose forward rows were rewritten in place.
+func reindex(m *Matrix) {
+	m.rstr = reverseRows(m.str)
+	m.npath, m.nstr = popcount(m.path), popcount(m.str)
+}
+
+// popcount returns the number of entries of a relation, counted afresh.
+func popcount(rows []bitset.Set) int {
+	c := 0
+	for i := range rows {
+		c += rows[i].Count()
+	}
+	return c
+}
+
 // closureWarshall is the dense bit-parallel Warshall closure, in place
 // — cubic in the matrix dimension regardless of sparsity. It is the
 // reference for the SCC closure (TestSCCClosureMatchesWarshall) and
 // the benchmark baseline.
 func closureWarshall(m *Matrix) {
-	warshall := func(rows []*bitset.Set) {
+	warshall := func(rows []bitset.Set) {
 		n := len(rows)
 		for k := 0; k < n; k++ {
-			rk := rows[k]
+			rk := &rows[k]
 			if !rk.Any() {
 				continue
 			}
@@ -95,7 +154,7 @@ func closureWarshall(m *Matrix) {
 	}
 	warshall(m.path)
 	warshall(m.str)
-	m.rpath, m.rstr = reverseRows(m.path), reverseRows(m.str)
+	reindex(m)
 }
 
 // closureK computes the k-cycle-bounded dependency relation in place:
@@ -115,12 +174,12 @@ func closureK(m *Matrix, k int) {
 		changed := false
 		for i := 0; i < m.n; i++ {
 			base.path[i].ForEach(func(via int) {
-				if m.path[i].Or(prev.path[via]) {
+				if m.path[i].Or(&prev.path[via]) {
 					changed = true
 				}
 			})
 			base.str[i].ForEach(func(via int) {
-				if m.str[i].Or(prev.str[via]) {
+				if m.str[i].Or(&prev.str[via]) {
 					changed = true
 				}
 			})
@@ -129,5 +188,5 @@ func closureK(m *Matrix, k int) {
 			break
 		}
 	}
-	m.rpath, m.rstr = reverseRows(m.path), reverseRows(m.str)
+	reindex(m)
 }

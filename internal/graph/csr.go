@@ -33,3 +33,36 @@ func (c *CSR) Len() int { return len(c.ptr) - 1 }
 
 // Row returns node i's successors.
 func (c *CSR) Row(i int) []int32 { return c.idx[c.ptr[i]:c.ptr[i+1]] }
+
+// FromRows builds the graph of n nodes whose successors row(i, dst)
+// appends to dst for each node i in turn; edges is a capacity hint for
+// the total edge count.
+func FromRows(n, edges int, row func(i int, dst []int32) []int32) CSR {
+	c := CSR{ptr: make([]int32, n+1), idx: make([]int32, 0, edges)}
+	for i := 0; i < n; i++ {
+		c.idx = row(i, c.idx)
+		c.ptr[i+1] = int32(len(c.idx))
+	}
+	return c
+}
+
+// Transpose returns the graph with every edge reversed. Row j of the
+// result lists the nodes i with an edge i -> j, ascending.
+func (c *CSR) Transpose() CSR {
+	n := c.Len()
+	t := CSR{ptr: make([]int32, n+1), idx: make([]int32, len(c.idx))}
+	for _, d := range c.idx {
+		t.ptr[d+1]++
+	}
+	for i := 0; i < n; i++ {
+		t.ptr[i+1] += t.ptr[i]
+	}
+	fill := append([]int32(nil), t.ptr[:n]...)
+	for i := 0; i < n; i++ {
+		for _, d := range c.Row(i) {
+			t.idx[fill[d]] = int32(i)
+			fill[d]++
+		}
+	}
+	return t
+}

@@ -22,3 +22,23 @@ func TestNewCSR(t *testing.T) {
 		}
 	}
 }
+
+func TestFromRowsAndTranspose(t *testing.T) {
+	rows := [][]int32{{1, 3}, nil, {0, 1}, {3}}
+	c := FromRows(len(rows), 0, func(i int, dst []int32) []int32 { return append(dst, rows[i]...) })
+	for i, w := range rows {
+		if got := c.Row(i); !slices.Equal(got, w) {
+			t.Fatalf("Row(%d) = %v, want %v", i, got, w)
+		}
+	}
+	tr := c.Transpose()
+	want := [][]int32{{2}, {0, 2}, nil, {0, 3}}
+	for i, w := range want {
+		if got := tr.Row(i); !slices.Equal(got, w) {
+			t.Fatalf("Transpose Row(%d) = %v, want %v", i, got, w)
+		}
+	}
+	if e := FromRows(0, 0, nil); e.Len() != 0 {
+		t.Fatalf("empty graph Len = %d", e.Len())
+	}
+}

@@ -63,11 +63,13 @@ type Analysis struct {
 	nodeModule []int
 	// nDenoted counts the combined indices that survived bridging.
 	nDenoted int
-	// pathIn and pathOut are compressed-sparse-row copies of Base's path
-	// edges (PathDependsOn and PathDependents rows), the adjacency the
-	// propagation worklist and the culprit search walk: the bridged
-	// matrix averages about one path edge per node, so scanning dense
-	// bitset rows per evaluation cost far more than the edges themselves.
+	// pathIn holds Base's path edges in compressed-sparse-row form
+	// (PathDependsOn rows) and pathOut its transpose (each node's path
+	// dependents): the adjacency the propagation worklist and the
+	// culprit search walk, and pathIn is the closure's path input. The
+	// bridged matrix averages about one path edge per node, so scanning
+	// dense bitset rows per evaluation cost far more than the edges
+	// themselves.
 	pathIn, pathOut graph.CSR
 	// headReg maps the combined index of each register's scan flip-flop
 	// 0 — the node its wiring input feeds — to the register, and every
@@ -171,8 +173,8 @@ func NewAnalysisOpts(nw *rsn.Network, circuit *netlist.Netlist, internal []netli
 	bridge := opts.Begin("bridge", obs.Int("internal_ffs", int64(len(internal))),
 		obs.Int("deps_before", int64(a.DepStats.DepsBeforeBridge)))
 	dep.Bridge(m, internal)
-	a.pathIn = bitsetCSR(a.total, m.PathDependsOn)
-	a.pathOut = bitsetCSR(a.total, m.PathDependents)
+	a.pathIn = m.PathCSR()
+	a.pathOut = a.pathIn.Transpose()
 	bridge.End()
 	a.DepStats.BridgedFFs = len(internal)
 	a.DepStats.FFsDenoted = a.total - len(internal)
@@ -191,7 +193,7 @@ func NewAnalysisOpts(nw *rsn.Network, circuit *netlist.Netlist, internal []netli
 		return nil, err
 	}
 
-	clo, err := dep.ClosureOpts(m, opts)
+	clo, err := dep.ClosureOpts(m, a.pathIn, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -279,20 +281,7 @@ type InsecurePair struct {
 // reports them byte-identically.
 func (a *Analysis) InsecureLogic() []InsecurePair {
 	var out []InsecurePair
-	for i := 0; i < a.total; i++ {
-		if !a.Denoted[i] {
-			continue
-		}
-		mi := a.nodeModule[i]
-		a.Clo.PathDependsOn(i).ForEach(func(j int) {
-			if !a.Denoted[j] {
-				return
-			}
-			if a.Spec.Violates(a.nodeModule[j], mi) {
-				out = append(out, InsecurePair{Src: j, Dst: i})
-			}
-		})
-	}
+	a.insecureFlows(func(src, dst int) { out = append(out, InsecurePair{Src: src, Dst: dst}) })
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Src != out[j].Src {
 			return out[i].Src < out[j].Src
@@ -302,24 +291,44 @@ func (a *Analysis) InsecureLogic() []InsecurePair {
 	return out
 }
 
-// InsecureModulePairs deduplicates InsecureLogic to module pairs.
+// InsecureModulePairs returns the module pairs (source, destination)
+// of InsecureLogic, each once, sorted. Pairs are marked in one row of
+// destination modules per source module while the closure's path rows
+// are walked, so no node pair is collected.
 func (a *Analysis) InsecureModulePairs() [][2]int {
-	seen := map[[2]int]bool{}
+	nm := len(a.Spec.Trust)
+	bySrc := make([]*bitset.Set, nm)
+	a.insecureFlows(func(src, dst int) {
+		ms := a.nodeModule[src]
+		if bySrc[ms] == nil {
+			bySrc[ms] = bitset.New(nm)
+		}
+		bySrc[ms].Set(a.nodeModule[dst])
+	})
 	var out [][2]int
-	for _, p := range a.InsecureLogic() {
-		mp := [2]int{a.nodeModule[p.Src], a.nodeModule[p.Dst]}
-		if !seen[mp] {
-			seen[mp] = true
-			out = append(out, mp)
+	for ms, dsts := range bySrc {
+		if dsts != nil {
+			dsts.ForEach(func(md int) { out = append(out, [2]int{ms, md}) })
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i][0] != out[j][0] {
-			return out[i][0] < out[j][0]
-		}
-		return out[i][1] < out[j][1]
-	})
 	return out
+}
+
+// insecureFlows calls f(src, dst) for every pair of denoted combined
+// indices where dst path-depends on src in the closure and the
+// specification forbids the flow between their modules.
+func (a *Analysis) insecureFlows(f func(src, dst int)) {
+	for i := 0; i < a.total; i++ {
+		if !a.Denoted[i] {
+			continue
+		}
+		mi := a.nodeModule[i]
+		a.Clo.PathDependsOn(i).ForEach(func(j int) {
+			if a.Denoted[j] && a.Spec.Violates(a.nodeModule[j], mi) {
+				f(j, i)
+			}
+		})
+	}
 }
 
 // Violation is a detected security violation: confidential data flows
@@ -357,16 +366,6 @@ func (a *Analysis) srcIdx(ref rsn.Ref) int {
 		return a.total + int(ref.ID)
 	}
 	return -1
-}
-
-// bitsetCSR copies the n bitset rows rowOf(0..n-1) into CSR form, each
-// row ascending.
-func bitsetCSR(n int, rowOf func(int) *bitset.Set) graph.CSR {
-	return graph.NewCSR(n, func(add func(src, dst int)) {
-		for i := 0; i < n; i++ {
-			rowOf(i).ForEach(func(j int) { add(i, j) })
-		}
-	})
 }
 
 // wiring is the reverse adjacency of a network's inter-register

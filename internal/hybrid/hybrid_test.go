@@ -2,9 +2,11 @@ package hybrid
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/bench"
 	"repro/internal/dep"
 	"repro/internal/engine"
 	"repro/internal/netlist"
@@ -349,6 +351,61 @@ func BenchmarkAnalysisRunningExample(b *testing.B) {
 	e := paperex.New()
 	for i := 0; i < b.N; i++ {
 		NewAnalysis(e.Network, e.Circuit, e.Internal, e.Spec, dep.Exact)
+	}
+}
+
+// BenchmarkNewAnalysisScale runs the fixed-infrastructure analysis of
+// a 1000-flip-flop rsngen network with an attached circuit: one-cycle
+// dependencies, presets, bridging and the closure at perfbench's scale
+// size.
+func BenchmarkNewAnalysisScale(b *testing.B) {
+	nw, att := scaleDesign(b)
+	spec := secspec.GenerateWithRoles(len(nw.Modules), att.DataSources, secspec.DefaultGenConfig(), 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		NewAnalysis(nw, att.Circuit, att.Internal, spec, dep.Exact)
+	}
+}
+
+// TestInsecureModulePairsMatchLogic checks that the module pairs
+// collected while walking the closure equal InsecureLogic deduplicated
+// to module pairs and sorted, on catalog specifications with insecure
+// circuit logic.
+func TestInsecureModulePairsMatchLogic(t *testing.T) {
+	cases := 0
+	for _, name := range []string{"BasicSCB", "TreeFlat", "MBIST_1_5_5"} {
+		b, _ := bench.ByName(name)
+		nw := b.Build(0.3)
+		att := bench.AttachCircuit(nw, bench.DefaultCircuitConfig(), 5)
+		an := NewAnalysis(nw, att.Circuit, att.Internal, nil, dep.Exact)
+		for seed := int64(0); seed < 16; seed++ {
+			a := an.WithSpec(secspec.Generate(len(nw.Modules), secspec.DefaultGenConfig(), seed))
+			logic := a.InsecureLogic()
+			if len(logic) == 0 {
+				continue
+			}
+			cases++
+			var want [][2]int
+			for _, p := range logic {
+				mp := [2]int{a.NodeModule(p.Src), a.NodeModule(p.Dst)}
+				if !slices.Contains(want, mp) {
+					want = append(want, mp)
+				}
+			}
+			slices.SortFunc(want, func(x, y [2]int) int {
+				if x[0] != y[0] {
+					return x[0] - y[0]
+				}
+				return x[1] - y[1]
+			})
+			if got := a.InsecureModulePairs(); !slices.Equal(got, want) {
+				t.Fatalf("%s seed %d: InsecureModulePairs = %v, InsecureLogic gives %v", name, seed, got, want)
+			}
+		}
+	}
+	if cases == 0 {
+		t.Fatal("no catalog specification with insecure logic")
 	}
 }
 

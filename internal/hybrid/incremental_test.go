@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/bench"
-	"repro/internal/bitset"
 	"repro/internal/dep"
 	"repro/internal/engine"
 	"repro/internal/icl"
@@ -58,11 +57,9 @@ func propEqual(tb testing.TB, ctx string, full, delta *propagation) {
 	}
 }
 
-// scaleCase builds a 1000-flip-flop rsngen SIB hierarchy with an
-// attached circuit and a protocol-style specification (confidential
-// annotations on the circuit's data sources) that produces hybrid
-// violations and no insecure circuit logic.
-func scaleCase(tb testing.TB) (*Analysis, *rsn.Network) {
+// scaleDesign builds a 1000-flip-flop rsngen SIB hierarchy and attaches
+// a circuit to it, as perfbench's scale workload does.
+func scaleDesign(tb testing.TB) (*rsn.Network, *bench.Attachment) {
 	tb.Helper()
 	var buf bytes.Buffer
 	if _, err := bench.StreamScaleICL(&buf, nil, bench.ScaleGenConfig{TargetScanFFs: 1000, Seed: 3}); err != nil {
@@ -72,7 +69,16 @@ func scaleCase(tb testing.TB) (*Analysis, *rsn.Network) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	att := bench.AttachCircuit(nw, bench.DefaultCircuitConfig(), 3)
+	return nw, bench.AttachCircuit(nw, bench.DefaultCircuitConfig(), 3)
+}
+
+// scaleCase builds a 1000-flip-flop rsngen SIB hierarchy with an
+// attached circuit and a protocol-style specification (confidential
+// annotations on the circuit's data sources) that produces hybrid
+// violations and no insecure circuit logic.
+func scaleCase(tb testing.TB) (*Analysis, *rsn.Network) {
+	tb.Helper()
+	nw, att := scaleDesign(tb)
 	an := NewAnalysis(nw, att.Circuit, att.Internal, nil, dep.Exact)
 	for specSeed := int64(0); specSeed < 32; specSeed++ {
 		a := an.WithSpec(secspec.GenerateWithRoles(len(nw.Modules), att.DataSources, secspec.DefaultGenConfig(), specSeed))
@@ -85,22 +91,26 @@ func scaleCase(tb testing.TB) (*Analysis, *rsn.Network) {
 }
 
 // checkAdjacency asserts that the CSR arrays hold Base's path edges row
-// for row and that headReg maps exactly each register's bit 0.
+// for row — pathIn its rows, pathOut their transpose, computed here —
+// and that headReg maps exactly each register's bit 0.
 func checkAdjacency(t *testing.T, a *Analysis) {
 	t.Helper()
+	dependents := make([][]int32, a.total)
+	for i := 0; i < a.total; i++ {
+		a.Base.PathDependsOn(i).ForEach(func(j int) { dependents[j] = append(dependents[j], int32(i)) })
+	}
 	for n := 0; n < a.total; n++ {
+		var in []int32
+		a.Base.PathDependsOn(n).ForEach(func(j int) { in = append(in, int32(j)) })
 		for _, c := range []struct {
-			name string
-			row  []int32
-			want *bitset.Set
+			name      string
+			row, want []int32
 		}{
-			{"pathIn", a.pathIn.Row(n), a.Base.PathDependsOn(n)},
-			{"pathOut", a.pathOut.Row(n), a.Base.PathDependents(n)},
+			{"pathIn", a.pathIn.Row(n), in},
+			{"pathOut", a.pathOut.Row(n), dependents[n]},
 		} {
-			var want []int32
-			c.want.ForEach(func(j int) { want = append(want, int32(j)) })
-			if !slices.Equal(c.row, want) {
-				t.Fatalf("%s row %d = %v, Base has %v", c.name, n, c.row, want)
+			if !slices.Equal(c.row, c.want) {
+				t.Fatalf("%s row %d = %v, Base has %v", c.name, n, c.row, c.want)
 			}
 		}
 		r, bit, ok := a.IsScanNode(n)

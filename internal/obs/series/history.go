@@ -241,12 +241,12 @@ func (s *Store) gaugeStep(family string, fn string, step time.Duration, t time.T
 	t1 := t.UnixNano()
 	lo := t1 - int64(step)
 	var (
-		n              int
-		sum            float64
-		minV           = math.Inf(1)
-		maxV           = math.Inf(-1)
-		last           float64
-		lastT    int64 = math.MinInt64
+		n     int
+		sum   float64
+		minV  = math.Inf(1)
+		maxV  = math.Inf(-1)
+		last  float64
+		lastT int64 = math.MinInt64
 	)
 	for _, b := range s.familySeriesLocked(family) {
 		if b.kind != KindGauge {
