@@ -361,7 +361,7 @@ func selectBenchmarks(filter string) ([]rsnsec.Benchmark, error) {
 	return out, nil
 }
 
-func run(c benchConfig) error {
+func run(c benchConfig) (err error) {
 	benchmarks, err := selectBenchmarks(c.only)
 	if err != nil {
 		return err
@@ -392,20 +392,14 @@ func run(c benchConfig) error {
 	if c.verbose || c.reportPath != "" || c.debugAddr != "" {
 		stats = rsnsec.NewEngineStatsOn(reg)
 	}
-	var tracer *rsnsec.Tracer
-	if c.tracePath != "" {
-		tf, err := os.Create(c.tracePath)
-		if err != nil {
-			return err
-		}
-		defer tf.Close()
-		sink := obs.NewBufferedJSONLSink(tf)
-		defer sink.Flush()
-		tracer = rsnsec.NewTracer(sink)
-		tracer.SampleEvery("query", c.traceSample)
-		tracer.SampleEvery("sim-filter", c.traceSample)
-		tracer.SampleEvery("propagate-delta", c.traceSample)
+	tracer, closeTrace, err := cliutil.OpenTrace(c.tracePath)
+	if err != nil {
+		return err
 	}
+	defer cliutil.CloseFirstErr(&err, closeTrace)
+	tracer.SampleEvery("query", c.traceSample)
+	tracer.SampleEvery("sim-filter", c.traceSample)
+	tracer.SampleEvery("propagate-delta", c.traceSample)
 	if c.debugAddr != "" {
 		dbg, err := rsnsec.StartDebugServer(c.debugAddr, reg)
 		if err != nil {

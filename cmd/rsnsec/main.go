@@ -166,7 +166,7 @@ func main() {
 	}
 }
 
-func run(benchName, iclPath, benchPath string, scale float64, seed, specSeed int64, modeName, outPath, deltaPath string, doVerify bool, explain int, ec engineConfig) error {
+func run(benchName, iclPath, benchPath string, scale float64, seed, specSeed int64, modeName, outPath, deltaPath string, doVerify bool, explain int, ec engineConfig) (err error) {
 	var m rsnsec.Mode
 	switch modeName {
 	case "exact":
@@ -198,18 +198,14 @@ func run(benchName, iclPath, benchPath string, scale float64, seed, specSeed int
 	if ec.verbose || ec.debugAddr != "" {
 		stats = rsnsec.NewEngineStatsOn(reg)
 	}
-	var tracer *rsnsec.Tracer
-	if ec.tracePath != "" {
-		tf, err := os.Create(ec.tracePath)
-		if err != nil {
-			return err
-		}
-		defer tf.Close()
-		tracer = rsnsec.NewTracer(rsnsec.NewJSONLTraceSink(tf))
-		tracer.SampleEvery("query", ec.traceSample)
-		tracer.SampleEvery("sim-filter", ec.traceSample)
-		tracer.SampleEvery("propagate-delta", ec.traceSample)
+	tracer, closeTrace, err := cliutil.OpenTrace(ec.tracePath)
+	if err != nil {
+		return err
 	}
+	defer cliutil.CloseFirstErr(&err, closeTrace)
+	tracer.SampleEvery("query", ec.traceSample)
+	tracer.SampleEvery("sim-filter", ec.traceSample)
+	tracer.SampleEvery("propagate-delta", ec.traceSample)
 	if ec.debugAddr != "" {
 		dbg, err := rsnsec.StartDebugServer(ec.debugAddr, reg)
 		if err != nil {
@@ -498,7 +494,7 @@ func loadAttackNetwork(benchName, iclPath string, scale float64, out io.Writer) 
 // runAttack is the -attack mode: resolve the network and overlay, run
 // the attack analysis and print the rsnsec.attack-report/v1 document on
 // stdout (under -q the only bytes stdout carries).
-func runAttack(benchName, iclPath string, scale float64, seed int64, ac attackConfig, ec engineConfig) error {
+func runAttack(benchName, iclPath string, scale float64, seed int64, ac attackConfig, ec engineConfig) (err error) {
 	ctx := context.Background()
 	if ec.timeout > 0 {
 		var cancel context.CancelFunc
@@ -559,15 +555,11 @@ func runAttack(benchName, iclPath string, scale float64, seed int64, ac attackCo
 	if ec.verbose {
 		stats = rsnsec.NewEngineStats()
 	}
-	var tracer *rsnsec.Tracer
-	if ec.tracePath != "" {
-		tf, err := os.Create(ec.tracePath)
-		if err != nil {
-			return err
-		}
-		defer tf.Close()
-		tracer = rsnsec.NewTracer(rsnsec.NewJSONLTraceSink(tf))
+	tracer, closeTrace, err := cliutil.OpenTrace(ec.tracePath)
+	if err != nil {
+		return err
 	}
+	defer cliutil.CloseFirstErr(&err, closeTrace)
 	runSpan := tracer.Start(nil, "run", obs.Str("tool", "rsnsec"), obs.Str("mode", "attack"))
 	defer runSpan.End()
 

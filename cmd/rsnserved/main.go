@@ -11,13 +11,15 @@
 // engine stage counters; -debug-addr additionally serves expvar and
 // pprof. SIGINT/SIGTERM drain gracefully: queued and running jobs
 // finish (bounded by -drain-timeout), new submissions get 503, and
-// the trace journal and slow-job log flush before the process exits.
+// the trace journal and log file flush before the process exits; a
+// failed flush makes the exit status nonzero.
 //
-// Performance observatory: -slow-job-threshold DUR dumps the full
-// span tree of any job slower than DUR as one JSONL record to
-// -slow-job-log; POST /v1/analyses?profile=cpu (or heap) forces a
-// real run with pprof capture around it, retrievable from
-// GET /v1/analyses/{id}/profile.
+// Performance observatory: -slow-job-threshold DUR logs one warn-level
+// "slow" job event (ringed, so GET /debug/events?job=ID shows it) for
+// any job that runs at least DUR; the job's spans are in the -trace
+// journal under its "job" span. POST /v1/analyses?profile=cpu (or
+// heap) forces a real run with pprof capture around it, retrievable
+// from GET /v1/analyses/{id}/profile.
 //
 // Incremental sessions: finished ICL submissions keep a session (the
 // parsed network plus the analysis's propagated fixed point; persisted
@@ -35,10 +37,10 @@
 // incrementally with ?since=<last_seq>). Scheduler, job, store and
 // attack events are log records that the recorder rings at every
 // level, even under -q. Autoscalers read GET /v1/load
-// (or the serve_* gauges on /metrics) for the predicted backlog;
-// -readyz-saturation DUR turns /readyz into a backpressure signal, and
-// -load-model seeds the cost model from a rsnbench record before the
-// first job completes.
+// (or the serve_* gauges on /metrics) for the predicted backlog: each
+// queued job's scan-FF count times the p90 ns-per-FF rate of the
+// finished jobs; -readyz-saturation DUR turns /readyz into a
+// backpressure signal.
 //
 // Metrics history and SLOs: -history-interval samples every registry
 // metric into a bounded in-process series store (window sized by
@@ -51,6 +53,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -64,7 +67,6 @@ import (
 	"repro/internal/cliutil"
 	"repro/internal/obs"
 	"repro/internal/obs/olog"
-	"repro/internal/obs/perfrec"
 	"repro/internal/obs/series"
 	"repro/internal/obs/slo"
 	"repro/internal/serve"
@@ -78,7 +80,7 @@ func main() {
 	}
 }
 
-func run() error {
+func run() (err error) {
 	var (
 		addr         = flag.String("addr", "localhost:8341", "HTTP listen address")
 		workers      = flag.Int("workers", 1, "concurrent analysis jobs")
@@ -91,15 +93,13 @@ func run() error {
 		maxScanFFs   = flag.Int("max-scan-ffs", 0, "largest accepted analysis in scan flip-flops (0 = 1500)")
 		maxSessions  = flag.Int("max-sessions", 0, "hydrated incremental sessions kept in memory (0 = 16)")
 		tracePath    = flag.String("trace", "", "write the span journal as JSONL to this file")
-		slowJobThr   = flag.Duration("slow-job-threshold", 0, "dump the span tree of jobs slower than this to -slow-job-log (0 = off)")
-		slowJobPath  = flag.String("slow-job-log", "", "slow-job JSONL log file (default <stderr> when -slow-job-threshold is set)")
+		slowJobThr   = flag.Duration("slow-job-threshold", 0, "log a slow event for jobs that run at least this long (0 = off)")
 		debugAddr    = flag.String("debug-addr", "", "also serve expvar and pprof on this address")
 		quiet        = flag.Bool("q", false, "suppress all log output (overridden by an explicit -log-level)")
 		logLevel     = flag.String("log-level", "info", "log level spec: LEVEL[,component=LEVEL...] (debug|info|warn|error|off)")
 		logFormat    = flag.String("log-format", "json", "log record encoding: json or text")
 		logFile      = flag.String("log-file", "", "write log records to this file instead of stderr (buffered, flushed on shutdown)")
 		flightEvents = flag.Int("flight-events", 0, "flight-recorder ring size per category (0 = 256, -1 = disabled)")
-		loadModel    = flag.String("load-model", "", "seed the predicted-backlog cost model from this rsnbench record")
 		readyzSat    = flag.Duration("readyz-saturation", 0, "/readyz answers 503 while the predicted backlog exceeds this (0 = off)")
 		histInterval = flag.Duration("history-interval", 0, "sample metrics into the in-process history every DUR (0 = off unless -slo)")
 		histRetain   = flag.Duration("history-retention", 0, "metrics-history window (0 = 1h, or the slowest SLO window)")
@@ -113,18 +113,21 @@ func run() error {
 	}
 
 	logw := io.Writer(os.Stderr)
-	var logBuf *olog.BufferedWriter
 	if *logFile != "" {
-		lf, err := os.Create(*logFile)
-		if err != nil {
-			return err
+		lf, ferr := os.Create(*logFile)
+		if ferr != nil {
+			return ferr
 		}
-		defer lf.Close()
 		// Buffered: the access log is the hottest sink in the process.
-		// Flushed after graceful shutdown (defers run LIFO, before the
-		// file closes) so the tail of drained requests is never lost.
-		logBuf = olog.NewBufferedWriter(lf)
-		defer logBuf.Flush()
+		// Flushed after graceful shutdown (defers run LIFO) so the tail
+		// of drained requests is never lost.
+		logBuf := olog.NewBufferedWriter(lf)
+		defer cliutil.CloseFirstErr(&err, func() error {
+			if err := errors.Join(logBuf.Flush(), lf.Close()); err != nil {
+				return fmt.Errorf("log file: %w", err)
+			}
+			return nil
+		})
 		logw = logBuf
 	}
 	lg, err := cliutil.Logger(logw, *logLevel, *logFormat, *quiet)
@@ -136,13 +139,6 @@ func run() error {
 	obs.EnableRuntimeMetrics(reg)
 	version.Register(reg)
 
-	var loadRec *perfrec.Record
-	if *loadModel != "" {
-		loadRec, err = perfrec.ReadFile(*loadModel)
-		if err != nil {
-			return fmt.Errorf("load model: %w", err)
-		}
-	}
 	var sloCfg *slo.Config
 	if *sloPath != "" {
 		sloCfg, err = slo.LoadConfig(*sloPath)
@@ -159,32 +155,13 @@ func run() error {
 			}
 		}
 	}
-	var tracer *obs.Tracer
-	var traceSink *obs.BufferedJSONLSink
-	if *tracePath != "" {
-		tf, err := os.Create(*tracePath)
-		if err != nil {
-			return err
-		}
-		defer tf.Close()
-		// Buffered: flushed after graceful shutdown, before the file
-		// closes, so no spans of drained jobs are lost.
-		traceSink = obs.NewBufferedJSONLSink(tf)
-		defer traceSink.Flush()
-		tracer = rsnsec.NewTracer(traceSink)
+	// Flushed after graceful shutdown, so no spans of drained jobs are
+	// lost.
+	tracer, closeTrace, err := cliutil.OpenTrace(*tracePath)
+	if err != nil {
+		return err
 	}
-	var slowJobLog io.Writer
-	if *slowJobThr > 0 {
-		slowJobLog = os.Stderr
-		if *slowJobPath != "" {
-			sf, err := os.Create(*slowJobPath)
-			if err != nil {
-				return err
-			}
-			defer sf.Close()
-			slowJobLog = sf
-		}
-	}
+	defer cliutil.CloseFirstErr(&err, closeTrace)
 
 	srv, err := serve.New(serve.Config{
 		Addr:          *addr,
@@ -201,10 +178,8 @@ func run() error {
 		Registry:            reg,
 		Tracer:              tracer,
 		SlowJobThreshold:    *slowJobThr,
-		SlowJobLog:          slowJobLog,
 		Logger:              lg,
 		FlightEvents:        *flightEvents,
-		LoadModel:           loadRec,
 		SaturationThreshold: *readyzSat,
 		History:             histCfg,
 		SLO:                 sloCfg,

@@ -233,6 +233,32 @@ func TestVersionFlag(t *testing.T) {
 	}
 }
 
+// TestTraceWriteFailureFailsTheRun checks that a span journal the disk
+// refuses fails the run with the write error on stderr, instead of
+// exiting 0 with the journal cut short.
+func TestTraceWriteFailureFailsTheRun(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full on this platform")
+	}
+	for _, args := range [][]string{
+		{"rsnsec", "-benchmark", "TreeFlat", "-scale", "0.1", "-q", "-trace", "/dev/full"},
+		{"rsnbench", "-table", "main", "-benchmarks", "TreeFlat", "-circuits", "1",
+			"-specs", "1", "-ffbudget", "60", "-q", "-trace", "/dev/full"},
+	} {
+		cmd := exec.Command(filepath.Join(binDir, args[0]), args[1:]...)
+		var errb bytes.Buffer
+		cmd.Stderr = &errb
+		var exit *exec.ExitError
+		if err := cmd.Run(); !errors.As(err, &exit) {
+			t.Errorf("%v: err = %v, want a nonzero exit", args, err)
+			continue
+		}
+		if !strings.Contains(errb.String(), "trace journal: write /dev/full") {
+			t.Errorf("%v: stderr lacks the trace write error:\n%s", args, errb.String())
+		}
+	}
+}
+
 // TestRsngenLoggingKeepsStdoutPure turns structured logging ON and
 // checks the stream discipline still holds: the machine artifact owns
 // stdout, the JSON log records own stderr.

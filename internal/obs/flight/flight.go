@@ -194,9 +194,6 @@ func (r *Recorder) LastSeq() uint64 {
 	return r.seq.Load()
 }
 
-// ForJob returns the retained events of one job across all categories.
-func (r *Recorder) ForJob(jobID string) []Event { return onlyJob(r.Snapshot(""), jobID) }
-
 // onlyJob filters evs in place down to one job's events.
 func onlyJob(evs []Event, jobID string) []Event {
 	out := evs[:0]

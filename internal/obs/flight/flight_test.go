@@ -53,8 +53,8 @@ func TestCategoriesIsolateAndMerge(t *testing.T) {
 	if cats := r.Categories(); len(cats) != 2 || cats[0] != "job" || cats[1] != "store" {
 		t.Errorf("categories = %v", cats)
 	}
-	if got := r.ForJob("a1"); len(got) != 2 {
-		t.Errorf("ForJob = %+v", got)
+	if got := onlyJob(r.Snapshot(""), "a1"); len(got) != 2 {
+		t.Errorf("job a1 events = %+v", got)
 	}
 	if got := r.Snapshot(""); len(got) < 2 || got[len(got)-1].Name != "done" {
 		t.Errorf("latest = %+v", got)

@@ -363,17 +363,3 @@ func Read(rd io.Reader) (*Record, error) {
 	}
 	return &r, nil
 }
-
-// ReadFile reads and validates the record at path.
-func ReadFile(path string) (*Record, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	r, err := Read(f)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return r, nil
-}

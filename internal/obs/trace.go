@@ -29,39 +29,12 @@ type Sink interface {
 	Emit(Event)
 }
 
-// JSONLSink writes one JSON object per line. Safe for concurrent use.
-type JSONLSink struct {
-	mu  sync.Mutex
-	enc *json.Encoder
-	err error
-}
-
-// NewJSONLSink returns a sink emitting JSON lines to w.
-func NewJSONLSink(w io.Writer) *JSONLSink {
-	return &JSONLSink{enc: json.NewEncoder(w)}
-}
-
-// Emit writes the event as one JSON line.
-func (s *JSONLSink) Emit(ev Event) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.err == nil {
-		s.err = s.enc.Encode(ev)
-	}
-}
-
-// Err returns the first write error, if any.
-func (s *JSONLSink) Err() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.err
-}
-
-// BufferedJSONLSink is a JSONL sink over a buffered writer: span
-// events amortize into large writes, and Flush pushes everything
-// buffered down to the underlying writer. Long-running processes
-// (rsnserved) flush on graceful shutdown so no buffered spans are
-// lost; short-lived CLIs flush before closing the file.
+// BufferedJSONLSink writes one JSON object per span over a buffered
+// writer: span events amortize into large writes, and Flush pushes
+// everything buffered down to the underlying writer and reports the
+// first write error. Long-running processes (rsnserved) flush on
+// graceful shutdown so no buffered spans are lost; short-lived CLIs
+// flush before closing the file. Safe for concurrent use.
 type BufferedJSONLSink struct {
 	mu  sync.Mutex
 	bw  *bufio.Writer
@@ -93,13 +66,6 @@ func (s *BufferedJSONLSink) Flush() error {
 		return s.err
 	}
 	return s.bw.Flush()
-}
-
-// Err returns the first write error, if any.
-func (s *BufferedJSONLSink) Err() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.err
 }
 
 // CollectorSink buffers events in memory (tests, report builders).

@@ -154,7 +154,7 @@ func TestConcurrentSpans(t *testing.T) {
 // bytes are deterministic.
 func TestJSONLGolden(t *testing.T) {
 	var buf bytes.Buffer
-	sink := NewJSONLSink(&buf)
+	sink := NewBufferedJSONLSink(&buf)
 	tr := NewTracer(sink)
 	tr.epoch = time.Unix(0, 0)
 	tr.now = fakeClock(tr.epoch)
@@ -170,7 +170,7 @@ func TestJSONLGolden(t *testing.T) {
 	circuit.End()
 	run.SetAttrs(Float("elapsed_s", 0.25))
 	run.End()
-	if err := sink.Err(); err != nil {
+	if err := sink.Flush(); err != nil {
 		t.Fatal(err)
 	}
 

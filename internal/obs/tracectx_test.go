@@ -6,8 +6,24 @@ import (
 	"testing"
 )
 
+const (
+	validTraceparent  = "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01"
+	futureTraceparent = "01-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01-what-ever"
+)
+
+var malformedTraceparents = []string{
+	"",
+	"00-short-00f067aa0ba902b7-01",
+	"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01-extra", // v00 must be exactly 4 fields
+	"00-00000000000000000000000000000000-00f067aa0ba902b7-01",       // all-zero trace id
+	"00-4bf92f3577b34da6a3ce929d0e0e4736-0000000000000000-01",       // all-zero span id
+	"ff-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",       // forbidden version
+	"00-4BF92F3577B34DA6A3CE929D0E0E4736-00f067aa0ba902b7-01",       // uppercase hex
+	"0x-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",
+}
+
 func TestParseTraceparentRoundTrip(t *testing.T) {
-	const h = "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01"
+	const h = validTraceparent
 	tc, ok := ParseTraceparent(h)
 	if !ok {
 		t.Fatalf("ParseTraceparent(%q) rejected a valid header", h)
@@ -27,17 +43,7 @@ func TestParseTraceparentRoundTrip(t *testing.T) {
 }
 
 func TestParseTraceparentRejectsMalformed(t *testing.T) {
-	bad := []string{
-		"",
-		"00-short-00f067aa0ba902b7-01",
-		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01-extra", // v00 must be exactly 4 fields
-		"00-00000000000000000000000000000000-00f067aa0ba902b7-01",       // all-zero trace id
-		"00-4bf92f3577b34da6a3ce929d0e0e4736-0000000000000000-01",       // all-zero span id
-		"ff-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",       // forbidden version
-		"00-4BF92F3577B34DA6A3CE929D0E0E4736-00f067aa0ba902b7-01",       // uppercase hex
-		"0x-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",
-	}
-	for _, h := range bad {
+	for _, h := range malformedTraceparents {
 		if _, ok := ParseTraceparent(h); ok {
 			t.Errorf("ParseTraceparent(%q) accepted a malformed header", h)
 		}
@@ -47,11 +53,40 @@ func TestParseTraceparentRejectsMalformed(t *testing.T) {
 func TestParseTraceparentFutureVersionWithSuffix(t *testing.T) {
 	// A future version may append fields after the flags; the 00-shaped
 	// prefix must still parse.
-	h := "01-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01-what-ever"
-	tc, ok := ParseTraceparent(h)
+	tc, ok := ParseTraceparent(futureTraceparent)
 	if !ok || tc.TraceID != "4bf92f3577b34da6a3ce929d0e0e4736" {
 		t.Fatalf("future-version header rejected: ok=%v tc=%+v", ok, tc)
 	}
+}
+
+// FuzzParseTraceparent feeds raw header values to the parser: it must
+// never panic, and an accepted header must yield a valid context whose
+// Traceparent() parses back to the same context — and, for a version-00
+// header, renders the header itself.
+func FuzzParseTraceparent(f *testing.F) {
+	f.Add(validTraceparent)
+	f.Add(futureTraceparent)
+	f.Add(" " + validTraceparent + "\t")
+	for _, h := range malformedTraceparents {
+		f.Add(h)
+	}
+	f.Fuzz(func(t *testing.T, h string) {
+		tc, ok := ParseTraceparent(h)
+		if !ok {
+			return
+		}
+		if !tc.Valid() {
+			t.Fatalf("ParseTraceparent(%q) accepted an invalid context %+v", h, tc)
+		}
+		out := tc.Traceparent()
+		back, ok := ParseTraceparent(out)
+		if !ok || back != tc {
+			t.Fatalf("round trip of %q: %q parsed to %+v (ok=%v), want %+v", h, out, back, ok, tc)
+		}
+		if trimmed := strings.TrimSpace(h); strings.HasPrefix(trimmed, "00-") && out != trimmed {
+			t.Fatalf("version-00 header %q rendered as %q", trimmed, out)
+		}
+	})
 }
 
 func TestChildKeepsTraceID(t *testing.T) {

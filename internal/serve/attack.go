@@ -197,7 +197,7 @@ func (s *Server) executeAttack(ctx context.Context, j *Job, a *analysis) ([]byte
 	at := a.atk
 	opts := at.opts
 	opts.Stats = s.stats
-	opts.Tracer = j.tracer
+	opts.Tracer = s.tracer
 	opts.TraceParent = j.span
 	rep, err := exp.RunAttackAnalysis(ctx, "rsnserved", at.nw, at.ov, at.key, opts)
 	if err != nil {

@@ -200,7 +200,7 @@ func (s *Server) executeDelta(ctx context.Context, j *Job, a *analysis) ([]byte,
 		Context:     ctx,
 		Logger:      s.engLog.With("job", j.ID),
 		Stats:       s.stats,
-		Tracer:      j.tracer,
+		Tracer:      s.tracer,
 		TraceParent: j.span,
 	}
 	// Serialize delta runs on one session: they share the analysis's

@@ -248,55 +248,6 @@ func TestEventsSinceCursorThroughServer(t *testing.T) {
 	}
 }
 
-// TestBacklogDivergesFromPureEWMAUnderBimodalMix is the acceptance
-// test for the history-backed predictor: under a bimodal job mix
-// (cheap pure-path jobs interleaved with SAT-heavy ones) the windowed
-// p90 prediction reflects the slow mode while a pure EWMA blends the
-// modes into a rate that describes neither.
-func TestBacklogDivergesFromPureEWMAUnderBimodalMix(t *testing.T) {
-	reg := obs.NewRegistry()
-	st := series.NewStore(reg, series.Config{Interval: time.Second, Retention: time.Minute})
-	hist := newCostModel(nil)
-	hist.bindMetrics(reg)
-	hist.bindHistory(st)
-	ewma := newCostModel(nil) // the old predictor, for comparison
-
-	const ffs = 1000
-	fast := time.Duration(ffs) * 2 * time.Microsecond // 2e3 ns/FF
-	slow := time.Duration(ffs) * 2 * time.Millisecond // 2e6 ns/FF
-	for i := 0; i < 25; i++ {                         // interleaved bimodal mix
-		for _, d := range []time.Duration{slow, fast} { // ends on a fast job
-			hist.observe(ffs, d)
-			ewma.observe(ffs, d)
-		}
-	}
-	st.Sample(time.Now())
-
-	p50, p90, ok := hist.quantiles()
-	if !ok {
-		t.Fatal("windowed quantiles unavailable")
-	}
-	// The bimodal distribution splits across the bucket grid: p50 lands
-	// at the fast mode's bucket, p90 at the slow mode's.
-	if p50 > 3e3 {
-		t.Fatalf("windowed p50 = %v, want the fast mode (<= 3e3)", p50)
-	}
-	if p90 < 2e6 {
-		t.Fatalf("windowed p90 = %v, want the slow mode (>= 2e6)", p90)
-	}
-
-	histEst := hist.estimate(ffs)
-	ewmaEst := ewma.estimate(ffs)
-	// The EWMA ends just after a fast sample, so it underestimates the
-	// mix's tail badly; the windowed p90 stays at the slow mode.
-	if histEst < 2*time.Second {
-		t.Fatalf("history-backed estimate = %v, want >= 2s (slow mode)", histEst)
-	}
-	if ewmaEst*2 > histEst {
-		t.Fatalf("divergence too small: ewma=%v history=%v", ewmaEst, histEst)
-	}
-}
-
 // TestReportsByteIdenticalWithSamplerRunning is the determinism
 // acceptance check: with the background sampler actively ticking, a
 // real engine-backed analysis must produce byte-identical report

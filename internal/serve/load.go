@@ -1,15 +1,10 @@
 package serve
 
 import (
-	"math"
 	"net/http"
-	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/obs/perfrec"
-	"repro/internal/obs/series"
 )
 
 // LoadStatus is the autoscale load signal served by GET /v1/load and
@@ -37,177 +32,62 @@ type LoadStatus struct {
 	// /readyz to 503.
 	SaturationThresholdSeconds float64 `json:"saturation_threshold_seconds,omitempty"`
 	Saturated                  bool    `json:"saturated"`
-	// CostP50NSPerFF / CostP90NSPerFF expose the windowed ns-per-scan-FF
-	// percentiles the predictor runs on (0 while the history window is
-	// still empty and the EWMA fallback is in charge).
+	// CostP50NSPerFF / CostP90NSPerFF expose the ns-per-scan-FF
+	// percentiles of the cost model's histogram; the p90 is the
+	// predictor's rate (both absent until a sized job has finished).
 	CostP50NSPerFF float64 `json:"cost_p50_ns_per_ff,omitempty"`
 	CostP90NSPerFF float64 `json:"cost_p90_ns_per_ff,omitempty"`
 }
 
-// costModel predicts one job's run time from its scan flip-flop count.
-// Prediction sources, in order (see DESIGN.md §5j for the full story):
-//
-//  1. Windowed percentiles. When the metrics history is enabled, every
-//     finished sized job records its ns-per-scan-FF rate into the
-//     serve_job_cost_ns_per_ff histogram, and the predictor uses the
-//     p90 of that distribution over the history window — a queue-wait
-//     promise should reflect the observed spread, not the last sample,
-//     and under a bimodal job mix (cheap pure-mode jobs interleaved
-//     with SAT-heavy hybrid ones) an EWMA converges to a value that
-//     describes neither mode.
-//  2. EWMA ns-per-FF as cold-start fallback: seeded from a bench
-//     record (rsnsec.bench-record/v1 — the sum of per-stage median wall
-//     times over the benchmark's scan-FF count, median across
-//     benchmarks), then updated by every finished job.
-//  3. EWMA of whole-job durations, for jobs with unknown size (deltas).
+// costModel predicts one job's run time from its scan flip-flop count
+// (see DESIGN.md §5j). Every finished sized job records its
+// ns-per-scan-FF rate into the serve_job_cost_ns_per_ff histogram, and
+// a job is predicted to take the histogram's p90 rate times its size:
+// a queue-wait promise should reflect the observed spread, not the last
+// sample, and under a bimodal job mix (cheap pure-mode jobs interleaved
+// with SAT-heavy hybrid or attack ones) only an upper percentile
+// follows the slow mode. The backlog signal gates /readyz, so
+// under-promising wait time is the harmful direction.
 type costModel struct {
-	mu      sync.Mutex
-	nsPerFF float64 // EWMA ns per scan FF; 0 = unknown
-	jobNS   float64 // EWMA whole-job ns; 0 = unknown
-
-	costHist *obs.Histogram // serve_job_cost_ns_per_ff (nil until bindMetrics)
-	history  *series.Store  // windowed percentile source (nil = EWMA only)
-
-	// Windowed percentiles are memoized for one sampling interval: a
-	// load snapshot calls estimate once per queued job, and the window
-	// only changes when a sample lands.
-	q50, q90 float64
-	qAt      time.Time
+	rate *obs.Histogram // serve_job_cost_ns_per_ff
 }
-
-// ewmaAlpha is the EWMA weight: high enough to adapt within a
-// few jobs, low enough that one outlier does not whipsaw the signal.
-const ewmaAlpha = 0.3
 
 // costBounds are the serve_job_cost_ns_per_ff histogram's bucket upper
 // bounds — log-spaced over the plausible ns-per-scan-FF range (sub-µs
-// pure-mode propagation up to ~10ms/FF SAT-heavy attacks). Windowed
-// percentiles resolve to these bounds, so they are also the
-// granularity of the backlog prediction.
+// pure-mode propagation up to ~10ms/FF SAT-heavy attacks). Percentiles
+// resolve to these bounds, so they are also the granularity of the
+// backlog prediction.
 var costBounds = []float64{1e2, 3e2, 1e3, 3e3, 1e4, 3e4, 1e5, 3e5, 1e6, 3e6, 1e7}
 
-func newCostModel(rec *perfrec.Record) *costModel {
-	m := &costModel{}
-	if rec == nil {
-		return m
-	}
-	var rates []float64
-	for i := range rec.Benchmarks {
-		b := &rec.Benchmarks[i]
-		if b.ScanFFs <= 0 {
-			continue
-		}
-		var total int64
-		for j := range b.Stages {
-			total += b.Stages[j].MedianNS
-		}
-		if total > 0 {
-			rates = append(rates, float64(total)/float64(b.ScanFFs))
-		}
-	}
-	if len(rates) > 0 {
-		sort.Float64s(rates)
-		m.nsPerFF = rates[len(rates)/2]
-	}
-	return m
-}
-
-// bindMetrics registers the per-job cost-rate histogram the windowed
-// percentiles are computed from.
-func (m *costModel) bindMetrics(reg *obs.Registry) {
-	if m == nil || reg == nil {
-		return
-	}
+// newCostModel registers the cost-rate histogram on reg.
+func newCostModel(reg *obs.Registry) *costModel {
 	reg.SetHelp("serve_job_cost_ns_per_ff",
 		"Per-job analysis cost rate in nanoseconds per scan flip-flop; "+
-			"the windowed p90 drives the /v1/load backlog prediction.")
-	m.costHist = reg.Histogram("serve_job_cost_ns_per_ff", costBounds...)
+			"its p90 drives the /v1/load backlog prediction.")
+	return &costModel{rate: reg.Histogram("serve_job_cost_ns_per_ff", costBounds...)}
 }
 
-// bindHistory attaches the series store the windowed percentiles read
-// from; without it the model is EWMA-only.
-func (m *costModel) bindHistory(st *series.Store) {
-	if m != nil {
-		m.history = st
-	}
-}
-
-// observe folds one finished job into the model.
+// observe folds one finished job into the model. Jobs of unknown size
+// (deltas) carry no rate.
 func (m *costModel) observe(scanFFs int, d time.Duration) {
-	if m == nil || d <= 0 {
-		return
+	if scanFFs > 0 && d > 0 {
+		m.rate.Observe(float64(d) / float64(scanFFs))
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	blend := func(cur, sample float64) float64 {
-		if cur == 0 {
-			return sample
-		}
-		return cur + ewmaAlpha*(sample-cur)
-	}
-	if scanFFs > 0 {
-		rate := float64(d) / float64(scanFFs)
-		m.nsPerFF = blend(m.nsPerFF, rate)
-		if m.costHist != nil {
-			m.costHist.Observe(rate)
-		}
-	}
-	m.jobNS = blend(m.jobNS, float64(d))
 }
 
-// quantiles returns the windowed (p50, p90) ns-per-FF rates, memoized
-// for one sampling interval; ok is false while the window is empty
-// (history disabled, or no sized job finished inside the retention).
-func (m *costModel) quantiles() (p50, p90 float64, ok bool) {
-	if m == nil || m.history == nil {
-		return 0, 0, false
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.quantilesLocked(time.Now())
+// quantile returns the q-quantile ns-per-FF rate; 0 before the first
+// sized job finishes. A quantile in the overflow bucket (a 60-FF job
+// slower than 0.6 s lands there) clamps to the last bound: +Inf is
+// neither a duration nor encodable in the /v1/load JSON.
+func (m *costModel) quantile(q float64) float64 {
+	return min(m.rate.Quantile(q), costBounds[len(costBounds)-1])
 }
 
-func (m *costModel) quantilesLocked(now time.Time) (p50, p90 float64, ok bool) {
-	if m.history == nil {
-		return 0, 0, false
-	}
-	if !m.qAt.IsZero() && now.Sub(m.qAt) >= 0 && now.Sub(m.qAt) < m.history.Interval() {
-		return m.q50, m.q90, m.q90 > 0
-	}
-	m.qAt = now
-	m.q50, m.q90 = 0, 0
-	d, found := m.history.FamilyHistogramWindow("serve_job_cost_ns_per_ff", m.history.Retention(), now)
-	if !found {
-		return 0, 0, false
-	}
-	p50, p90 = d.Quantile(0.5), d.Quantile(0.9)
-	if math.IsNaN(p50) || math.IsNaN(p90) || math.IsInf(p90, 0) {
-		return 0, 0, false
-	}
-	m.q50, m.q90 = p50, p90
-	return p50, p90, true
-}
-
-// estimate predicts a job's run time; 0 when the model knows nothing
-// yet. Sized jobs prefer the windowed p90 rate (conservative: the
-// backlog signal gates /readyz, and under-promising wait time is the
-// harmful direction), then the EWMA rate; sizeless jobs use the
-// whole-job EWMA.
+// estimate predicts a job's run time: the p90 rate times its scan-FF
+// count, so 0 while the model is cold and for jobs of unknown size,
+// whose wait the oldest queued wait still floors (see loadStatus).
 func (m *costModel) estimate(scanFFs int) time.Duration {
-	if m == nil {
-		return 0
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if scanFFs > 0 {
-		if _, p90, ok := m.quantilesLocked(time.Now()); ok {
-			return time.Duration(p90 * float64(scanFFs))
-		}
-		if m.nsPerFF > 0 {
-			return time.Duration(m.nsPerFF * float64(scanFFs))
-		}
-	}
-	return time.Duration(m.jobNS)
+	return time.Duration(m.quantile(0.9) * float64(scanFFs))
 }
 
 // jobCost estimates one scheduled job's total run time for the load
@@ -241,9 +121,7 @@ func (s *Server) loadStatus() LoadStatus {
 		st.SaturationThresholdSeconds = t.Seconds()
 		st.Saturated = backlog >= t
 	}
-	if p50, p90, ok := s.cost.quantiles(); ok {
-		st.CostP50NSPerFF, st.CostP90NSPerFF = p50, p90
-	}
+	st.CostP50NSPerFF, st.CostP90NSPerFF = s.cost.quantile(0.5), s.cost.quantile(0.9)
 	return st
 }
 

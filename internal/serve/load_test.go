@@ -9,7 +9,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/obs/perfrec"
+	"repro/internal/obs"
 )
 
 func getLoad(t *testing.T, base string) LoadStatus {
@@ -129,37 +129,81 @@ func TestLoadSignalUnderSaturation(t *testing.T) {
 	_ = srv
 }
 
-// TestCostModel covers the predicted-backlog estimator: seeding from a
-// bench record, EWMA refinement from observed jobs, and the whole-job
-// fallback for jobs of unknown size.
+// TestCostModel covers the predicted-backlog estimator: a cold model
+// predicts nothing, a sized job is predicted at the p90 rate times its
+// size, a job of unknown size predicts 0, a rate past the last bucket
+// clamps to that bound, and /v1/load stays finite JSON when it does.
 func TestCostModel(t *testing.T) {
-	m := newCostModel(nil)
+	m := newCostModel(obs.NewRegistry())
 	if got := m.estimate(100); got != 0 {
 		t.Fatalf("cold model estimate = %v, want 0", got)
 	}
-	// First observation is adopted outright; later ones blend.
-	m.observe(100, 100*time.Millisecond) // 1ms per FF
-	if got := m.estimate(50); got != 50*time.Millisecond {
-		t.Fatalf("estimate(50) = %v, want 50ms", got)
+	m.observe(100, 100*time.Microsecond) // 1e3 ns/FF
+	if got := m.estimate(50); got != 50*time.Microsecond {
+		t.Fatalf("estimate(50) = %v, want 50µs", got)
 	}
-	m.observe(100, 200*time.Millisecond)
-	est := m.estimate(100)
-	if est <= 100*time.Millisecond || est >= 200*time.Millisecond {
-		t.Fatalf("EWMA estimate = %v, want between the observations", est)
+	// With one fast and one slow job, the p90 is the slow rate and the
+	// p50 the fast one: the prediction follows the tail, not a blend.
+	m.observe(100, 3*time.Millisecond) // 3e4 ns/FF
+	if got := m.estimate(50); got != 1500*time.Microsecond {
+		t.Fatalf("estimate(50) = %v, want 1.5ms (p90 3e4 ns/FF × 50)", got)
 	}
-	// Unknown size falls back to the whole-job EWMA.
-	if got := m.estimate(0); got <= 0 {
-		t.Fatalf("whole-job fallback = %v", got)
+	if p50 := m.quantile(0.5); p50 != 1e3 {
+		t.Fatalf("p50 = %v, want 1e3", p50)
+	}
+	// A job of unknown size (a delta) predicts 0 and records no rate.
+	m.observe(0, time.Second)
+	if got := m.estimate(0); got != 0 {
+		t.Fatalf("unknown-size estimate = %v, want 0", got)
+	}
+	if n := m.rate.Count(); n != 2 {
+		t.Fatalf("rate samples = %d, want 2 (sizeless jobs carry no rate)", n)
 	}
 
-	// A bench record seeds ns-per-FF before any job has run: 2e6 ns
-	// over 1000 FFs = 2000 ns/FF median.
-	rec := &perfrec.Record{Benchmarks: []perfrec.Benchmark{
-		{ScanFFs: 1000, Stages: []perfrec.Stage{{MedianNS: 1_000_000}, {MedianNS: 1_000_000}}},
-		{ScanFFs: 0, Stages: []perfrec.Stage{{MedianNS: 5_000_000}}}, // ignored: no size
-	}}
-	seeded := newCostModel(rec)
-	if got := seeded.estimate(1000); got != 2*time.Millisecond {
-		t.Fatalf("seeded estimate(1000) = %v, want 2ms", got)
+	// 60 FFs in 1s is 1.67e7 ns/FF, past the last bound: the quantile
+	// clamps to 1e7 instead of +Inf.
+	over := newCostModel(obs.NewRegistry())
+	over.observe(60, time.Second)
+	if p90 := over.quantile(0.9); p90 != 1e7 {
+		t.Fatalf("overflow p90 = %v, want the 1e7 clamp", p90)
+	}
+	if got := over.estimate(60); got != 600*time.Millisecond {
+		t.Fatalf("overflow estimate(60) = %v, want 600ms", got)
+	}
+
+	srv, ts := testServer(t, Config{}, func(ctx context.Context, j *Job) ([]byte, error) {
+		return []byte(`{}`), nil
+	})
+	srv.cost.observe(60, time.Second)
+	ls := getLoad(t, ts.URL)
+	if ls.CostP50NSPerFF != 1e7 || ls.CostP90NSPerFF != 1e7 {
+		t.Fatalf("/v1/load cost percentiles = %v/%v, want the 1e7 clamp", ls.CostP50NSPerFF, ls.CostP90NSPerFF)
+	}
+}
+
+// TestBacklogTracksSlowModeUnderBimodalMix: under a bimodal job mix
+// (cheap pure-path jobs interleaved with SAT-heavy ones) the p50 lands
+// at the fast mode and the p90 at the slow mode, so the prediction
+// reflects the slow mode even right after a fast job finished.
+func TestBacklogTracksSlowModeUnderBimodalMix(t *testing.T) {
+	m := newCostModel(obs.NewRegistry())
+	const ffs = 1000
+	fast := time.Duration(ffs) * 2 * time.Microsecond // 2e3 ns/FF
+	slow := time.Duration(ffs) * 2 * time.Millisecond // 2e6 ns/FF
+	for i := 0; i < 25; i++ {                         // interleaved bimodal mix
+		for _, d := range []time.Duration{slow, fast} { // ends on a fast job
+			m.observe(ffs, d)
+		}
+	}
+	// The bimodal distribution splits across the bucket grid: p50 lands
+	// at the fast mode's bucket, p90 at the slow mode's.
+	if p50 := m.quantile(0.5); p50 > 3e3 {
+		t.Fatalf("p50 = %v, want the fast mode (<= 3e3)", p50)
+	}
+	if p90 := m.quantile(0.9); p90 < 2e6 {
+		t.Fatalf("p90 = %v, want the slow mode (>= 2e6)", p90)
+	}
+	if est := m.estimate(ffs); est < 2*time.Second {
+		t.Fatalf("estimate = %v, want >= 2s (slow mode)", est)
 	}
 }

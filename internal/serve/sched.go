@@ -78,10 +78,9 @@ type Job struct {
 	startedAt  time.Time
 	finishedAt time.Time
 
-	// Per-job tracing, set by the server's dispatch wrapper before the
-	// run function executes (worker-goroutine access only).
-	tracer *obs.Tracer
-	span   *obs.Span
+	// The job's span, opened by the server's dispatch wrapper before
+	// the run function executes (worker-goroutine access only).
+	span *obs.Span
 	// Captured pprof blob (scheduler-lock guarded, like state).
 	profileKind string
 	profile     []byte

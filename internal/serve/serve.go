@@ -26,7 +26,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"io"
 	"log/slog"
 	"net"
 	"net/http"
@@ -40,7 +39,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/obs/flight"
 	"repro/internal/obs/olog"
-	"repro/internal/obs/perfrec"
 	"repro/internal/obs/series"
 	"repro/internal/obs/slo"
 )
@@ -94,15 +92,10 @@ type Config struct {
 	// Tracer, when non-nil, receives hierarchical spans:
 	// server > job > (engine stages).
 	Tracer *obs.Tracer
-	// SlowJobThreshold enables the slow-job log: a job whose run time
-	// reaches it dumps its full span tree as one JSONL record to
-	// SlowJobLog; 0 disables. While enabled, jobs trace into a private
-	// unsampled per-job tracer (the span tree appears in the dump, not
-	// in Tracer's journal; lifecycle spans still do).
+	// SlowJobThreshold enables slow-job records: a job whose run time
+	// reaches it logs one warn-level "slow" event on the ringed job
+	// logger and counts in serve_slow_jobs_total; 0 disables.
 	SlowJobThreshold time.Duration
-	// SlowJobLog receives the slow-job JSONL records; buffered, flushed
-	// on Shutdown. Required for SlowJobThreshold to take effect.
-	SlowJobLog io.Writer
 	// Logger receives the server's structured records (lifecycle
 	// events, one access-log line per request, scheduler, job, store
 	// and attack events). Build it with olog.New so records pick up the
@@ -110,23 +103,19 @@ type Config struct {
 	// the flight recorder still rings its events.
 	Logger *slog.Logger
 	// FlightEvents sizes the flight recorder's per-category rings
-	// (served at /debug/events, embedded in slow-job dumps): 0 uses
-	// 256, < 0 disables the recorder entirely. The recorder rings every
-	// record of the serve, sched, job, store and attack components at
-	// every level, whatever Logger's level.
+	// (served at /debug/events): 0 uses 256, < 0 disables the recorder
+	// entirely. The recorder rings every record of the serve, sched,
+	// job, store and attack components at every level, whatever
+	// Logger's level.
 	FlightEvents int
-	// LoadModel, when non-nil, seeds the predicted-backlog cost model
-	// from a bench record's per-stage medians (see load.go); without it
-	// the model warms up from observed job durations alone.
-	LoadModel *perfrec.Record
 	// SaturationThreshold flips /readyz to 503 "saturated" while the
 	// predicted backlog meets or exceeds it; 0 disables the gate.
 	SaturationThreshold time.Duration
 	// History, when non-nil, enables the in-process metrics history: a
 	// bounded series store sampling the registry on History.Interval
-	// (served at /debug/metrics/history, feeding the SLO engine and the
-	// windowed cost percentiles). Nil disables it — unless SLO is set,
-	// which enables history with defaults sized to the objectives.
+	// (served at /debug/metrics/history, feeding the SLO engine). Nil
+	// disables it — unless SLO is set, which enables history with
+	// defaults sized to the objectives.
 	History *series.Config
 	// SLO, when non-nil, evaluates the objectives against the metrics
 	// history: /v1/slo serves the status document, slo_* gauges appear
@@ -182,7 +171,6 @@ type Server struct {
 	history *series.Store
 	sloEng  *slo.Engine
 
-	slowLog  *olog.BufferedWriter
 	slowJobs *obs.Counter
 	profMu   sync.Mutex // the CPU profiler is process-global
 
@@ -239,7 +227,7 @@ func New(cfg Config) (*Server, error) {
 		httpLog:  olog.Component(base, "http"),
 		engLog:   olog.Component(base, "engine"),
 		flight:   rec,
-		cost:     newCostModel(cfg.LoadModel),
+		cost:     newCostModel(cfg.Registry),
 		sessions: make(map[string]*session),
 		// Engine stage counters aggregate across jobs on the server
 		// registry (engine_stage_*_total{stage=...}): per-job numbers
@@ -249,13 +237,12 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.atkMetrics = newAttackMetrics(cfg.Registry)
 	s.runJob = s.execute
-	if cfg.SlowJobThreshold > 0 && cfg.SlowJobLog != nil {
-		s.slowLog = olog.NewBufferedWriter(cfg.SlowJobLog)
-		cfg.Registry.SetHelp("serve_slow_jobs_total", "Jobs that breached the slow-job threshold and dumped their span tree.")
+	if cfg.SlowJobThreshold > 0 {
+		cfg.Registry.SetHelp("serve_slow_jobs_total", "Jobs whose run time reached the slow-job threshold.")
 		s.slowJobs = cfg.Registry.Counter("serve_slow_jobs_total")
 	}
-	// dispatch wraps the substitutable runJob seam with per-job
-	// tracing, the slow-job log and profile capture.
+	// dispatch wraps the substitutable runJob seam with the job span,
+	// the slow-job record and profile capture.
 	s.sched = NewScheduler(SchedulerConfig{
 		Workers:      cfg.Workers,
 		QueueDepth:   cfg.QueueDepth,
@@ -264,7 +251,6 @@ func New(cfg Config) (*Server, error) {
 		Logger:       ringed,
 	}, cfg.Registry, s.dispatch)
 	s.registerLoadGauges()
-	s.cost.bindMetrics(cfg.Registry)
 	// SLO evaluation needs history; an SLO config without one enables
 	// the series store with defaults stretched to cover the slowest
 	// objective window.
@@ -277,7 +263,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if histCfg != nil {
 		s.history = series.NewStore(cfg.Registry, *histCfg)
-		s.cost.bindHistory(s.history)
 	}
 	if cfg.SLO != nil {
 		eng, err := slo.NewEngine(cfg.SLO, s.history, cfg.Registry)
@@ -353,13 +338,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	if s.root != nil {
 		s.root.End()
 	}
-	// All jobs are terminal now — flush the buffered slow-job records
-	// so none are lost with the process.
-	if s.slowLog != nil {
-		if ferr := s.slowLog.Flush(); ferr != nil && err == nil {
-			err = ferr
-		}
-	}
 	s.log.Info("rsnserved stopped")
 	return err
 }
@@ -384,7 +362,7 @@ func (s *Server) execute(ctx context.Context, j *Job) ([]byte, error) {
 		cfg.Workers = s.cfg.EngineWorkers
 		cfg.Parallel = 1 // job concurrency comes from the scheduler pool
 		cfg.Stats = s.stats
-		cfg.Tracer = j.tracer
+		cfg.Tracer = s.tracer
 		cfg.TraceParent = j.span
 		results, err := exp.RunProtocol(ctx, []bench.Benchmark{*a.benchmark}, cfg, nil)
 		if err != nil {
@@ -401,7 +379,7 @@ func (s *Server) execute(ctx context.Context, j *Job) ([]byte, error) {
 			Context:     ctx,
 			Logger:      s.engLog.With("job", j.ID),
 			Stats:       s.stats,
-			Tracer:      j.tracer,
+			Tracer:      s.tracer,
 			TraceParent: j.span,
 		})
 		if err != nil {

@@ -3,65 +3,33 @@ package serve
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"log/slog"
 	"runtime"
 	"runtime/pprof"
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/obs/flight"
 )
 
-// slowJobEntry is one JSONL record of the slow-job log: the job's
-// identity (including the submitting request's, so the dump joins the
-// access log and trace journal), its measured duration against the
-// configured threshold, the full span tree of the run, and the
-// flight-recorder events the job left behind.
-type slowJobEntry struct {
-	Time        string         `json:"time"`
-	JobID       string         `json:"job_id"`
-	Label       string         `json:"label,omitempty"`
-	Key         string         `json:"key"`
-	RequestID   string         `json:"request_id,omitempty"`
-	TraceID     string         `json:"trace_id,omitempty"`
-	DurMS       int64          `json:"dur_ms"`
-	ThresholdMS int64          `json:"threshold_ms"`
-	Spans       []obs.Event    `json:"spans,omitempty"`
-	Events      []flight.Event `json:"events,omitempty"`
-}
-
 // dispatch is the scheduler's run function: it wraps the job execution
-// seam (s.runJob, substitutable by tests) with per-job tracing, the
-// slow-job log and on-demand profile capture, so those paths are
+// seam (s.runJob, substitutable by tests) with the job span, the
+// slow-job record and on-demand profile capture, so those paths are
 // exercised regardless of the workload behind them.
 //
-// When slow-job logging is on, the job runs under a private per-job
-// tracer over a collector sink — full fidelity, no sampling — and the
-// complete span tree is journaled only if the job breaches the
-// threshold; the server-wide tracer keeps the lifecycle spans. With
-// logging off, the job traces into the server tracer as before.
+// A job that reaches the slow-job threshold logs one warn-level "slow"
+// record on the ringed job logger, so /debug/events?job=ID shows it
+// beside the job's enqueue/start/done events; its spans are in the
+// trace journal under its job span, joined by the same id and trace_id.
 func (s *Server) dispatch(ctx context.Context, j *Job) ([]byte, error) {
-	tracer := s.tracer
-	var collector *obs.CollectorSink
-	var parent *obs.Span
-	if s.slowLog != nil {
-		collector = &obs.CollectorSink{}
-		tracer = obs.NewTracer(collector)
-	} else {
-		parent = s.root
-	}
-	label, key := j.Label, j.Key
-	attrs := []obs.Attr{obs.Str("id", j.ID), obs.Str("label", label), obs.Str("key", shortKey(key))}
+	attrs := []obs.Attr{obs.Str("id", j.ID), obs.Str("label", j.Label), obs.Str("key", shortKey(j.Key))}
 	if j.RequestID != "" {
 		attrs = append(attrs, obs.Str("request_id", j.RequestID), obs.Str("trace_id", j.TraceID))
 	}
-	span := tracer.Start(parent, "job", attrs...)
-	j.tracer, j.span = tracer, span
+	j.span = s.tracer.Start(s.root, "job", attrs...)
 
 	start := time.Now()
 	data, err := s.runWithProfile(ctx, j)
-	span.End()
+	j.span.End()
 	dur := time.Since(start)
 
 	// Successful runs calibrate the predicted-backlog cost model.
@@ -71,31 +39,10 @@ func (s *Server) dispatch(ctx context.Context, j *Job) ([]byte, error) {
 		}
 	}
 
-	if s.slowLog != nil && dur >= s.cfg.SlowJobThreshold {
+	if t := s.cfg.SlowJobThreshold; t > 0 && dur >= t {
 		s.slowJobs.Inc()
-		entry := slowJobEntry{
-			Time:        time.Now().UTC().Format(time.RFC3339Nano),
-			JobID:       j.ID,
-			Label:       label,
-			Key:         key,
-			RequestID:   j.RequestID,
-			TraceID:     j.TraceID,
-			DurMS:       dur.Milliseconds(),
-			ThresholdMS: s.cfg.SlowJobThreshold.Milliseconds(),
-			Spans:       collector.Events(),
-			Events:      s.flight.ForJob(j.ID),
-		}
-		// One Encode is one Write, so concurrent dumps never interleave.
-		if lerr := json.NewEncoder(s.slowLog).Encode(entry); lerr != nil {
-			s.log.LogAttrs(ctx, slog.LevelError, "slow-job log write failed",
-				slog.String("job", j.ID), slog.String("err", lerr.Error()))
-		} else {
-			s.log.LogAttrs(ctx, slog.LevelWarn, "slow job, span tree dumped",
-				slog.String("job", j.ID),
-				slog.Duration("dur", dur.Round(time.Millisecond)),
-				slog.Duration("threshold", s.cfg.SlowJobThreshold),
-				slog.Int("spans", len(entry.Spans)))
-		}
+		s.sched.jobLog.LogAttrs(ctx, slog.LevelWarn, "slow", slog.String("job", j.ID),
+			slog.Duration("dur", dur.Round(time.Millisecond)), slog.Duration("threshold", t))
 	}
 	return data, err
 }

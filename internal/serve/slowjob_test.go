@@ -1,51 +1,46 @@
 package serve
 
 import (
-	"bufio"
 	"bytes"
 	"compress/gzip"
 	"context"
-	"encoding/json"
 	"io"
 	"net/http"
-	"sync"
+	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
+	"repro/internal/obs/flight"
 )
 
-// syncBuffer is a mutex-guarded bytes.Buffer: the slow-job log writes
-// from scheduler workers while the test reads after shutdown.
-type syncBuffer struct {
-	mu  sync.Mutex
-	buf bytes.Buffer
+// slowEvents returns the job's "slow" flight-recorder events.
+func slowEvents(t *testing.T, base, id string) []flight.Event {
+	t.Helper()
+	var out []flight.Event
+	for _, ev := range eventsOf(t, base+"/debug/events?job="+id) {
+		if ev.Name == "slow" {
+			out = append(out, ev)
+		}
+	}
+	return out
 }
 
-func (b *syncBuffer) Write(p []byte) (int, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.buf.Write(p)
-}
-
-func (b *syncBuffer) Bytes() []byte {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return append([]byte(nil), b.buf.Bytes()...)
-}
-
-// TestSlowJobDump exercises the slow-job path: one deliberately slow
-// job must produce exactly one span-tree dump, and a fast job under
-// the same threshold must produce none.
-func TestSlowJobDump(t *testing.T) {
-	var log syncBuffer
+// TestSlowJobRecord exercises the slow-job path: one deliberately slow
+// job must leave exactly one "slow" ring event carrying its duration
+// and the threshold, a fast job under the same threshold none, and
+// both jobs' span trees must reach the server tracer's sink.
+func TestSlowJobRecord(t *testing.T) {
+	sink := &obs.CollectorSink{}
+	tracer := obs.NewTracer(sink)
 	threshold := 50 * time.Millisecond
 	srv, ts := testServer(t, Config{
 		Workers:          2,
 		SlowJobThreshold: threshold,
-		SlowJobLog:       &log,
+		Tracer:           tracer,
 	}, func(ctx context.Context, j *Job) ([]byte, error) {
-		// The dispatch wrapper hands every job a private tracer; emit a
-		// child span like the real engine would.
-		sp := j.tracer.Start(j.span, "work")
+		// Emit a child span under the job span like the real engine would.
+		sp := tracer.Start(j.span, "work")
 		if j.Label == "TreeFlat" {
 			time.Sleep(threshold + 30*time.Millisecond)
 		}
@@ -66,54 +61,48 @@ func TestSlowJobDump(t *testing.T) {
 	pollDone(t, ts.URL, slow.ID)
 	pollDone(t, ts.URL, fast.ID)
 
-	// Shutdown drains and flushes the buffered log.
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(ctx); err != nil {
-		t.Fatalf("shutdown: %v", err)
+	evs := slowEvents(t, ts.URL, slow.ID)
+	if len(evs) != 1 {
+		t.Fatalf("want exactly 1 slow event for the slow job, got %d: %+v", len(evs), evs)
 	}
-
-	var entries []slowJobEntry
-	sc := bufio.NewScanner(bytes.NewReader(log.Bytes()))
-	for sc.Scan() {
-		var e slowJobEntry
-		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
-			t.Fatalf("bad slow-job line: %v\n%s", err, sc.Text())
-		}
-		entries = append(entries, e)
+	if e := evs[0]; e.Cat != "job" || !strings.Contains(e.Detail, "dur=") ||
+		!strings.Contains(e.Detail, "threshold="+threshold.String()) {
+		t.Errorf("slow event = %+v, want cat job with dur and threshold=%v", e, threshold)
 	}
-	if len(entries) != 1 {
-		t.Fatalf("want exactly 1 slow-job dump, got %d: %+v", len(entries), entries)
-	}
-	e := entries[0]
-	if e.JobID != slow.ID {
-		t.Errorf("dumped job %s, want the slow job %s", e.JobID, slow.ID)
-	}
-	if e.ThresholdMS != threshold.Milliseconds() {
-		t.Errorf("threshold_ms = %d, want %d", e.ThresholdMS, threshold.Milliseconds())
-	}
-	if e.DurMS < e.ThresholdMS {
-		t.Errorf("dur_ms %d below threshold_ms %d", e.DurMS, e.ThresholdMS)
-	}
-	names := map[string]bool{}
-	for _, sp := range e.Spans {
-		names[sp.Name] = true
-	}
-	if !names["job"] || !names["work"] {
-		t.Errorf("span tree lacks job/work spans: %v", e.Spans)
+	if evs := slowEvents(t, ts.URL, fast.ID); len(evs) != 0 {
+		t.Errorf("fast job has slow events: %+v", evs)
 	}
 	if n := srv.reg.Counter("serve_slow_jobs_total").Value(); n != 1 {
 		t.Errorf("serve_slow_jobs_total = %d, want 1", n)
 	}
+
+	// Each job's span and its child reach the server tracer's sink.
+	jobSpans := map[string]uint64{} // job id -> span id
+	workParents := map[uint64]int{}
+	for _, ev := range sink.Events() {
+		switch ev.Name {
+		case "job":
+			id, _ := ev.Attrs["id"].(string)
+			jobSpans[id] = ev.Span
+		case "work":
+			workParents[ev.Parent]++
+		}
+	}
+	for _, id := range []string{slow.ID, fast.ID} {
+		sp, ok := jobSpans[id]
+		if !ok {
+			t.Errorf("no job span for %s in the tracer sink", id)
+		} else if workParents[sp] != 1 {
+			t.Errorf("job %s: %d child work spans, want 1", id, workParents[sp])
+		}
+	}
 }
 
-// TestSlowJobThresholdGating: with a threshold no job reaches, nothing
-// is dumped.
+// TestSlowJobThresholdGating: with a threshold no job reaches, no slow
+// event is recorded and nothing is counted.
 func TestSlowJobThresholdGating(t *testing.T) {
-	var log syncBuffer
 	srv, ts := testServer(t, Config{
 		SlowJobThreshold: time.Hour,
-		SlowJobLog:       &log,
 	}, func(ctx context.Context, j *Job) ([]byte, error) {
 		return []byte(`{}`), nil
 	})
@@ -121,12 +110,13 @@ func TestSlowJobThresholdGating(t *testing.T) {
 	if code != http.StatusAccepted {
 		t.Fatalf("submit: HTTP %d: %s", code, data)
 	}
-	pollDone(t, ts.URL, decodeStatus(t, data).ID)
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	_ = srv.Shutdown(ctx)
-	if out := log.Bytes(); len(out) != 0 {
-		t.Fatalf("sub-threshold job dumped: %s", out)
+	id := decodeStatus(t, data).ID
+	pollDone(t, ts.URL, id)
+	if evs := slowEvents(t, ts.URL, id); len(evs) != 0 {
+		t.Fatalf("sub-threshold job recorded slow events: %+v", evs)
+	}
+	if n := srv.reg.Counter("serve_slow_jobs_total").Value(); n != 0 {
+		t.Fatalf("serve_slow_jobs_total = %d, want 0", n)
 	}
 }
 

@@ -17,8 +17,27 @@ import (
 	"repro/internal/obs/olog"
 )
 
+// syncBuffer is a mutex-guarded bytes.Buffer: log records are written
+// from scheduler workers while the test reads them.
+type syncBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *syncBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *syncBuffer) Bytes() []byte {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return append([]byte(nil), b.buf.Bytes()...)
+}
+
 // jsonLines decodes every non-empty buffered log line as a JSON
-// object (syncBuffer is declared in slowjob_test.go).
+// object.
 func jsonLines(t *testing.T, b *syncBuffer) []map[string]any {
 	t.Helper()
 	var out []map[string]any

@@ -243,6 +243,8 @@ type (
 	TraceAttr = obs.Attr
 	// TraceSink receives finished span events.
 	TraceSink = obs.Sink
+	// JSONLTraceSink is the buffered JSON-lines span journal.
+	JSONLTraceSink = obs.BufferedJSONLSink
 	// TraceEvent is one finished span as handed to the sink.
 	TraceEvent = obs.Event
 	// MetricsRegistry holds counters, gauges and histograms and renders
@@ -263,8 +265,10 @@ const RunReportSchema = obs.ReportSchema
 // NewTracer returns a tracer emitting finished spans to sink.
 func NewTracer(sink TraceSink) *Tracer { return obs.NewTracer(sink) }
 
-// NewJSONLTraceSink returns a sink writing one JSON event per line.
-func NewJSONLTraceSink(w io.Writer) TraceSink { return obs.NewJSONLSink(w) }
+// NewJSONLTraceSink returns a buffered sink writing one JSON event per
+// line; call its Flush, which reports the first write error, before w
+// closes.
+func NewJSONLTraceSink(w io.Writer) *JSONLTraceSink { return obs.NewBufferedJSONLSink(w) }
 
 // NewMetricsRegistry returns an empty metrics registry.
 func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
