@@ -28,9 +28,10 @@
 // only the report; -trace writes the hierarchical span journal
 // (run > circuit > stage > query) as JSONL, query spans sampled per
 // -trace-sample; -debug-addr serves live expvar, Prometheus-text
-// metrics and pprof during the run. -validate-report checks a report
-// artifact against the schema, and -diff-report old.json,new.json
-// prints the regression deltas between two reports.
+// metrics and pprof during the run. -validate FILE checks a stored
+// document (run report, bench record, or any other document the suite
+// writes) against the schema its schema field names, and -diff-report
+// old.json,new.json prints the regression deltas between two reports.
 //
 // Performance observatory: -bench-out FILE measures the protocol
 // -reps times per benchmark and writes a schema-versioned bench
@@ -38,8 +39,8 @@
 // memory peaks, environment fingerprint); -baseline FILE gates the
 // fresh record against a committed baseline with the noise-aware
 // comparator (exit 1 on regression; -bench-threshold and -bench-mad-k
-// tune the allowance). -validate-bench checks a record artifact, and
-// -compare-bench old.json,new.json gates two existing records.
+// tune the allowance), and -compare-bench old.json,new.json gates two
+// existing records.
 package main
 
 import (
@@ -48,7 +49,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"log/slog"
 	"os"
 	"strings"
 	"time"
@@ -63,23 +63,20 @@ import (
 
 // benchConfig carries the command-line configuration.
 type benchConfig struct {
-	table       string
-	scale       float64
-	ffBudget    int
-	circuits    int
-	specs       int
-	seed        int64
-	only        string
-	mode        string
-	csvPath     string
-	workers     int
-	timeout     time.Duration
-	verbose     bool
-	quiet       bool
-	reportPath  string
-	tracePath   string
-	traceSample int
-	debugAddr   string
+	table      string
+	scale      float64
+	ffBudget   int
+	circuits   int
+	specs      int
+	seed       int64
+	only       string
+	mode       string
+	csvPath    string
+	workers    int
+	verbose    bool
+	quiet      bool
+	reportPath string
+	setup      cliutil.Setup
 
 	// Performance observatory (-bench-out mode).
 	benchOut       string
@@ -90,8 +87,6 @@ type benchConfig struct {
 	commit         string
 	attackKeyBits  int
 	attackDynamic  bool
-
-	lg *slog.Logger
 }
 
 func main() {
@@ -106,13 +101,13 @@ func main() {
 	flag.StringVar(&c.mode, "mode", "exact", "dependency mode for -table main: exact or structural")
 	flag.StringVar(&c.csvPath, "csv", "", "also write the main table as CSV to this file")
 	flag.IntVar(&c.workers, "workers", 0, "circuit worker pool size (0 = all CPUs)")
-	flag.DurationVar(&c.timeout, "timeout", 0, "cancel the experiments after this duration (0 = no limit)")
+	flag.DurationVar(&c.setup.Timeout, "timeout", 0, "cancel the experiments after this duration (0 = no limit)")
 	flag.BoolVar(&c.verbose, "v", false, "print per-circuit progress and an engine stats table (stderr)")
 	flag.BoolVar(&c.quiet, "q", false, "suppress the human-readable tables on stdout")
 	flag.StringVar(&c.reportPath, "report", "", "write the machine-readable run report as JSON to this file (\"-\" = stdout)")
-	flag.StringVar(&c.tracePath, "trace", "", "write the span journal as JSONL to this file")
-	flag.IntVar(&c.traceSample, "trace-sample", 64, "record every n-th high-frequency query span")
-	flag.StringVar(&c.debugAddr, "debug-addr", "", "serve expvar, Prometheus metrics and pprof on this address during the run")
+	flag.StringVar(&c.setup.TracePath, "trace", "", "write the span journal as JSONL to this file")
+	flag.IntVar(&c.setup.TraceSample, "trace-sample", 64, "record every n-th high-frequency query span")
+	flag.StringVar(&c.setup.DebugAddr, "debug-addr", "", "serve expvar, Prometheus metrics and pprof on this address during the run")
 	flag.StringVar(&c.benchOut, "bench-out", "", "measure the protocol -reps times and write the bench record JSON to this file (\"-\" = stdout)")
 	flag.StringVar(&c.baseline, "baseline", "", "baseline bench record to gate -bench-out against (nonzero exit on regression)")
 	flag.IntVar(&c.reps, "reps", 3, "repetitions per benchmark for -bench-out (medians and MADs are taken across reps)")
@@ -121,9 +116,8 @@ func main() {
 	flag.StringVar(&c.commit, "commit", os.Getenv("GITHUB_SHA"), "VCS revision stamped into the bench record's environment")
 	flag.IntVar(&c.attackKeyBits, "attack-keybits", 0, "also measure the attack analysis per rep against a key-gate overlay of this many bits (0 = off)")
 	flag.BoolVar(&c.attackDynamic, "attack-dynamic", false, "the -attack-keybits overlay uses the dynamic (LFSR) key schedule")
-	validatePath := flag.String("validate-report", "", "validate a run-report JSON file against the schema and exit")
+	validate := flag.String("validate", "", "validate a stored document against the schema its schema field names and exit")
 	diffSpec := flag.String("diff-report", "", "compare two run reports (old.json,new.json) and print the deltas")
-	validateBench := flag.String("validate-bench", "", "validate a bench-record JSON file against the schema and exit")
 	compareBench := flag.String("compare-bench", "", "gate two bench records (old.json,new.json); nonzero exit on regression")
 	logLevel := flag.String("log-level", "info", "log level spec: LEVEL[,component=LEVEL...] (debug|info|warn|error|off)")
 	logFormat := flag.String("log-format", "text", "log record encoding: text or json")
@@ -133,81 +127,35 @@ func main() {
 		fmt.Println(version.String("rsnbench"))
 		return
 	}
-	var err error
-	if c.lg, err = cliutil.Logger(os.Stderr, *logLevel, *logFormat, c.quiet); err != nil {
+	lg, err := cliutil.Logger(os.Stderr, *logLevel, *logFormat, c.quiet)
+	if err == nil {
+		c.setup.Logger = lg
+		c.setup.Stats = c.verbose || c.reportPath != ""
+		switch {
+		case *validate != "":
+			var line string
+			if line, err = cliutil.Validate(*validate); err == nil && !c.quiet {
+				fmt.Println(line)
+			}
+		case *diffSpec != "":
+			err = diffReports(*diffSpec)
+		case *compareBench != "":
+			err = compareBenchRecords(*compareBench, c)
+		case c.benchOut != "":
+			err = runBenchRecord(c)
+		default:
+			err = run(c)
+		}
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "rsnbench:", err)
 		os.Exit(1)
 	}
-
-	switch {
-	case *validatePath != "":
-		if err := validateReport(*validatePath); err != nil {
-			fmt.Fprintln(os.Stderr, "rsnbench:", err)
-			os.Exit(1)
-		}
-	case *diffSpec != "":
-		if err := diffReports(*diffSpec); err != nil {
-			fmt.Fprintln(os.Stderr, "rsnbench:", err)
-			os.Exit(1)
-		}
-	case *validateBench != "":
-		if err := validateBenchRecord(*validateBench); err != nil {
-			fmt.Fprintln(os.Stderr, "rsnbench:", err)
-			os.Exit(1)
-		}
-	case *compareBench != "":
-		if err := compareBenchRecords(*compareBench, c); err != nil {
-			fmt.Fprintln(os.Stderr, "rsnbench:", err)
-			os.Exit(1)
-		}
-	case c.benchOut != "":
-		if err := runBenchRecord(c); err != nil {
-			fmt.Fprintln(os.Stderr, "rsnbench:", err)
-			os.Exit(1)
-		}
-	default:
-		if err := run(c); err != nil {
-			fmt.Fprintln(os.Stderr, "rsnbench:", err)
-			os.Exit(1)
-		}
-	}
-}
-
-// validateReport implements -validate-report: parse + schema check.
-func validateReport(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	r, err := rsnsec.ReadRunReport(f)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "%s: valid %s report (%d benchmarks, %d stages, %d runs)\n",
-		path, r.Schema, len(r.Benchmarks), len(r.Stages), r.Totals.Runs)
-	return nil
 }
 
 // diffReports implements -diff-report old.json,new.json.
 func diffReports(spec string) error {
-	parts := strings.Split(spec, ",")
-	if len(parts) != 2 {
-		return fmt.Errorf("-diff-report wants old.json,new.json")
-	}
-	load := func(path string) (*obs.RunReport, error) {
-		f, err := os.Open(strings.TrimSpace(path))
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return rsnsec.ReadRunReport(f)
-	}
-	oldR, err := load(parts[0])
-	if err != nil {
-		return err
-	}
-	newR, err := load(parts[1])
+	oldR, newR, err := readPair("diff-report", spec, rsnsec.ReadRunReport)
 	if err != nil {
 		return err
 	}
@@ -215,35 +163,32 @@ func diffReports(spec string) error {
 	return nil
 }
 
-// validateBenchRecord implements -validate-bench: parse + schema check.
-func validateBenchRecord(path string) error {
-	f, err := os.Open(path)
+// readPair reads the two files of an old.json,new.json flag value.
+func readPair[T any](flagName, spec string, read func(io.Reader) (T, error)) (old, new T, err error) {
+	parts := strings.Split(spec, ",")
+	if len(parts) != 2 {
+		return old, new, fmt.Errorf("-%s wants old.json,new.json", flagName)
+	}
+	if old, err = readFile(parts[0], read); err == nil {
+		new, err = readFile(parts[1], read)
+	}
+	return old, new, err
+}
+
+// readFile opens path and decodes it with a validating reader.
+func readFile[T any](path string, read func(io.Reader) (T, error)) (T, error) {
+	f, err := os.Open(strings.TrimSpace(path))
 	if err != nil {
-		return err
+		var zero T
+		return zero, err
 	}
 	defer f.Close()
-	r, err := rsnsec.ReadBenchRecord(f)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "%s: valid %s record (%d benchmarks, %d reps, %s/%s %s)\n",
-		path, r.Schema, len(r.Benchmarks), r.Reps, r.Env.GOOS, r.Env.GOARCH, r.Env.GoVersion)
-	return nil
+	return read(f)
 }
 
 // benchLimits resolves the gate parameters from the command line.
 func (c benchConfig) benchLimits() rsnsec.BenchLimits {
 	return rsnsec.BenchLimits{MinPct: c.benchThreshold, MADK: c.benchMADK}
-}
-
-// loadBenchRecord reads and validates one bench record file.
-func loadBenchRecord(path string) (*rsnsec.BenchRecord, error) {
-	f, err := os.Open(strings.TrimSpace(path))
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return rsnsec.ReadBenchRecord(f)
 }
 
 // gateBenchRecords prints the gate outcome and returns an error when
@@ -263,15 +208,7 @@ func gateBenchRecords(old, new *rsnsec.BenchRecord, lim rsnsec.BenchLimits) erro
 
 // compareBenchRecords implements -compare-bench old.json,new.json.
 func compareBenchRecords(spec string, c benchConfig) error {
-	parts := strings.Split(spec, ",")
-	if len(parts) != 2 {
-		return fmt.Errorf("-compare-bench wants old.json,new.json")
-	}
-	oldR, err := loadBenchRecord(parts[0])
-	if err != nil {
-		return err
-	}
-	newR, err := loadBenchRecord(parts[1])
+	oldR, newR, err := readPair("compare-bench", spec, rsnsec.ReadBenchRecord)
 	if err != nil {
 		return err
 	}
@@ -282,30 +219,15 @@ func compareBenchRecords(spec string, c benchConfig) error {
 // the selected benchmarks, write it, and optionally gate it against
 // -baseline (nonzero exit on regression).
 func runBenchRecord(c benchConfig) error {
-	benchmarks, err := selectBenchmarks(c.only)
+	benchmarks, cfg, err := c.protocol()
 	if err != nil {
 		return err
 	}
 	ctx := context.Background()
-	if c.timeout > 0 {
+	if c.setup.Timeout > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, c.timeout)
+		ctx, cancel = context.WithTimeout(ctx, c.setup.Timeout)
 		defer cancel()
-	}
-	cfg := rsnsec.DefaultRunConfig()
-	cfg.Scale = c.scale
-	cfg.TargetScanFFs = c.ffBudget
-	cfg.Circuits = c.circuits
-	cfg.Specs = c.specs
-	cfg.Seed = c.seed
-	cfg.Workers = c.workers
-	switch c.mode {
-	case "exact":
-		cfg.Mode = rsnsec.Exact
-	case "structural":
-		cfg.Mode = rsnsec.StructuralApprox
-	default:
-		return fmt.Errorf("unknown mode %q", c.mode)
 	}
 	opts := rsnsec.BenchCollectOptions{
 		Reps: c.reps, Commit: c.commit,
@@ -332,12 +254,12 @@ func runBenchRecord(c benchConfig) error {
 		return err
 	}
 	if c.benchOut != "-" {
-		c.lg.Info("bench record written", "path", c.benchOut)
+		c.setup.Logger.Info("bench record written", "path", c.benchOut)
 	}
 	if c.baseline == "" {
 		return nil
 	}
-	base, err := loadBenchRecord(c.baseline)
+	base, err := readFile(c.baseline, rsnsec.ReadBenchRecord)
 	if err != nil {
 		return fmt.Errorf("baseline: %w", err)
 	}
@@ -361,54 +283,9 @@ func selectBenchmarks(filter string) ([]rsnsec.Benchmark, error) {
 	return out, nil
 }
 
-func run(c benchConfig) (err error) {
-	benchmarks, err := selectBenchmarks(c.only)
-	if err != nil {
-		return err
-	}
-	ctx := context.Background()
-	if c.timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, c.timeout)
-		defer cancel()
-	}
-
-	// Human-readable tables go to stdout unless -q; progress, warnings
-	// and the stats table go to stderr so a -report - pipeline reads
-	// clean JSON from stdout. -q is full machine mode: it also silences
-	// those stderr diagnostics (hard errors still reach stderr), so a
-	// quiet run emits nothing but the requested artifacts.
-	out := io.Writer(os.Stdout)
-	errw := io.Writer(os.Stderr)
-	if c.quiet {
-		out = io.Discard
-		errw = io.Discard
-	}
-
-	// Observability: the metrics registry backs the engine stats (and
-	// the live -debug-addr endpoints); the tracer journals spans.
-	reg := rsnsec.NewMetricsRegistry()
-	var stats *rsnsec.EngineStats
-	if c.verbose || c.reportPath != "" || c.debugAddr != "" {
-		stats = rsnsec.NewEngineStatsOn(reg)
-	}
-	tracer, closeTrace, err := cliutil.OpenTrace(c.tracePath)
-	if err != nil {
-		return err
-	}
-	defer cliutil.CloseFirstErr(&err, closeTrace)
-	tracer.SampleEvery("query", c.traceSample)
-	tracer.SampleEvery("sim-filter", c.traceSample)
-	tracer.SampleEvery("propagate-delta", c.traceSample)
-	if c.debugAddr != "" {
-		dbg, err := rsnsec.StartDebugServer(c.debugAddr, reg)
-		if err != nil {
-			return err
-		}
-		defer dbg.Close()
-		c.lg.Info("debug endpoints up", "addr", dbg.Addr())
-	}
-
+// protocol selects the benchmarks and builds the run configuration
+// the tables and -bench-out share.
+func (c benchConfig) protocol() ([]rsnsec.Benchmark, rsnsec.RunConfig, error) {
 	cfg := rsnsec.DefaultRunConfig()
 	cfg.Scale = c.scale
 	cfg.TargetScanFFs = c.ffBudget
@@ -416,25 +293,35 @@ func run(c benchConfig) (err error) {
 	cfg.Specs = c.specs
 	cfg.Seed = c.seed
 	cfg.Workers = c.workers
-	cfg.Stats = stats
-	cfg.Tracer = tracer
+	benchmarks, err := selectBenchmarks(c.only)
+	if err == nil {
+		cfg.Mode, err = rsnsec.ParseMode(c.mode)
+	}
+	return benchmarks, cfg, err
+}
+
+func run(c benchConfig) (err error) {
+	benchmarks, cfg, err := c.protocol()
+	if err != nil {
+		return err
+	}
+	// Human-readable tables go to stdout unless -q; progress, warnings
+	// and the stats table go to stderr so a -report - pipeline reads
+	// clean JSON from stdout.
+	out, errw := cliutil.Outputs(c.quiet)
+	r, err := c.setup.Start(obs.Str("tool", "rsnbench"), obs.Str("table", c.table),
+		obs.Int("benchmarks", int64(len(benchmarks))), obs.Int("workers", int64(c.workers)))
+	if err != nil {
+		return err
+	}
+	defer cliutil.CloseFirstErr(&err, r.Close)
+	ctx := r.Ctx
+	cfg.Stats = r.Stats
+	cfg.Tracer = r.Tracer
+	cfg.TraceParent = r.Span
 	if c.verbose {
 		cfg.Progress = func(f string, a ...any) { fmt.Fprintf(errw, "  %s\n", fmt.Sprintf(f, a...)) }
 	}
-	switch c.mode {
-	case "exact":
-		cfg.Mode = rsnsec.Exact
-	case "structural":
-		cfg.Mode = rsnsec.StructuralApprox
-	default:
-		return fmt.Errorf("unknown mode %q", c.mode)
-	}
-
-	runSpan := tracer.Start(nil, "run",
-		obs.Str("tool", "rsnbench"), obs.Str("table", c.table),
-		obs.Int("benchmarks", int64(len(benchmarks))), obs.Int("workers", int64(c.workers)))
-	defer runSpan.End()
-	cfg.TraceParent = runSpan
 
 	want := func(name string) bool { return c.table == name || c.table == "all" }
 	ran := false
@@ -466,7 +353,7 @@ func run(c benchConfig) (err error) {
 		return fmt.Errorf("unknown table %q", c.table)
 	}
 	if c.reportPath != "" {
-		rep := rsnsec.BuildRunReport("rsnbench", c.table, cfg, mainResults, stats)
+		rep := rsnsec.BuildRunReport("rsnbench", c.table, cfg, mainResults, r.Stats)
 		rep.StartedAt = time.Now().UTC().Format(time.RFC3339)
 		w := io.Writer(os.Stdout)
 		if c.reportPath != "-" {
@@ -481,11 +368,11 @@ func run(c benchConfig) (err error) {
 			return err
 		}
 		if c.reportPath != "-" {
-			c.lg.Info("run report written", "path", c.reportPath)
+			c.setup.Logger.Info("run report written", "path", c.reportPath)
 		}
 	}
-	if c.verbose && stats != nil {
-		fmt.Fprintf(errw, "engine stats:\n%s\n", stats)
+	if c.verbose {
+		fmt.Fprintf(errw, "engine stats:\n%s\n", r.Stats)
 	}
 	return nil
 }

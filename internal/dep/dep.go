@@ -98,6 +98,18 @@ func (m Mode) String() string {
 	return "structural-approx"
 }
 
+// ParseMode reads a mode as the command lines and request bodies spell
+// it: "exact" (also the empty default) or "structural".
+func ParseMode(s string) (Mode, error) {
+	switch s {
+	case "", "exact":
+		return Exact, nil
+	case "structural":
+		return StructuralApprox, nil
+	}
+	return Exact, fmt.Errorf("unknown mode %q (want exact or structural)", s)
+}
+
 // Matrix is a dependency relation over flip-flops 0..n-1. Entry (i, j)
 // means "i depends on j", i.e. data flows from j to i. Each relation is
 // a dense bit matrix whose rows share one allocation, and the entry
@@ -327,6 +339,7 @@ func FillOneCycleCfg(m *Matrix, n *netlist.Netlist, mode Mode, stats *Stats, opt
 		}
 	}
 	if len(jobs) == 0 {
+		opts.Logf("one-cycle: 0 roots")
 		return opts.Err()
 	}
 	workers := opts.WorkerCount()

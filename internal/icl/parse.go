@@ -592,6 +592,12 @@ func ParseNetworkAndSpec(src string, lookupFF func(string) (netlist.FFID, bool))
 	if err != nil {
 		return nil, nil, err
 	}
+	return buildWithSpec(f, lookupFF)
+}
+
+// buildWithSpec resolves a parsed file into its network and embedded
+// specification.
+func buildWithSpec(f *File, lookupFF func(string) (netlist.FFID, bool)) (*rsn.Network, *secspec.Spec, error) {
 	nw, err := Build(f, lookupFF)
 	if err != nil {
 		return nil, nil, err

@@ -98,25 +98,13 @@ func (s *Server) resolveAttack(req *AttackRequest) (*analysis, error) {
 	if req.SkipSAT && req.SkipFlush {
 		return nil, fmt.Errorf("attack request skips both attacks")
 	}
-	// Attack analyses never consult the instrument circuit, so ICL
-	// instrument links resolve against synthesized flip-flop IDs.
-	byName := map[string]netlist.FFID{}
-	lookup := func(name string) (netlist.FFID, bool) {
-		if id, ok := byName[name]; ok {
-			return id, true
-		}
-		id := netlist.FFID(len(byName))
-		byName[name] = id
-		return id, true
-	}
-	nw, _, err := icl.ParseNetworkAndSpec(req.ICL, lookup)
+	// Attack analyses never consult the instrument circuit; the loaded
+	// design's synthesized one is dropped.
+	d, err := icl.Load(req.ICL, "", s.cfg.limits().MaxScanFFs)
 	if err != nil {
-		return nil, fmt.Errorf("icl: %w", err)
+		return nil, err
 	}
-	lim := s.cfg.limits()
-	if ffs := nw.NumScanFFs(); ffs > lim.MaxScanFFs {
-		return nil, fmt.Errorf("network has %d scan FFs (cap %d)", ffs, lim.MaxScanFFs)
-	}
+	nw := d.Network
 	ov, key, err := rsn.ParseObfuscation(req.Overlay, nw)
 	if err != nil {
 		return nil, err

@@ -112,6 +112,19 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
+	// Added registers allocate their flip-flops when the job applies
+	// the script, so their lengths are held to the scan-FF cap here.
+	limit, added := s.cfg.limits().MaxScanFFs, 0
+	for _, op := range script.Ops {
+		if op.Op != rsn.OpAddRegister {
+			continue
+		}
+		if op.Len > limit-added {
+			writeError(w, http.StatusBadRequest, "script adds registers past the scan-FF cap (%d)", limit)
+			return
+		}
+		added += op.Len
+	}
 	if !s.hasSession(baseKey) {
 		writeError(w, http.StatusConflict,
 			"analysis %s has no session to apply a delta to (benchmark-form submissions and memory-evicted sessions cannot take deltas)",

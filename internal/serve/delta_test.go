@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/dep"
 	"repro/internal/obs/reportdiff"
 	"repro/internal/rsn"
 )
@@ -396,15 +397,15 @@ func TestSessionRegisterEviction(t *testing.T) {
 
 func TestModeNameRoundTrip(t *testing.T) {
 	for _, name := range []string{"exact", "structural"} {
-		m, err := parseModeName(name)
+		m, err := dep.ParseMode(name)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if modeName(m) != name {
-			t.Fatalf("modeName(parseModeName(%q)) = %q", name, modeName(m))
+			t.Fatalf("modeName(dep.ParseMode(%q)) = %q", name, modeName(m))
 		}
 	}
-	if _, err := parseModeName("psychic"); err == nil {
+	if _, err := dep.ParseMode("psychic"); err == nil {
 		t.Fatal("unknown mode accepted")
 	}
 }

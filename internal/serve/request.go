@@ -2,7 +2,6 @@ package serve
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/bench"
 	"repro/internal/dep"
@@ -68,11 +67,8 @@ type analysis struct {
 	cfg       exp.RunConfig
 
 	// Inline-ICL form.
-	nw       *rsn.Network
-	circuit  *netlist.Netlist
-	internal []netlist.FFID
-	spec     *secspec.Spec
-	mode     dep.Mode
+	design *icl.Design
+	mode   dep.Mode
 	// iclText/benchText are the submitted sources, kept for the session
 	// record so a delta chain can re-hydrate after a restart.
 	iclText   string
@@ -116,14 +112,9 @@ func (a *analysis) schedKey() string {
 // any worker count, so runs at different parallelism still share one
 // cache slot.
 func (s *Server) resolve(req *AnalysisRequest) (*analysis, error) {
-	mode := dep.Exact
-	switch req.Mode {
-	case "", "exact":
-		req.Mode = "exact"
-	case "structural":
-		mode = dep.StructuralApprox
-	default:
-		return nil, fmt.Errorf("unknown mode %q (want exact or structural)", req.Mode)
+	mode, err := dep.ParseMode(req.Mode)
+	if err != nil {
+		return nil, err
 	}
 	switch {
 	case req.Benchmark != "" && req.ICL != "":
@@ -173,11 +164,14 @@ func (s *Server) resolveBenchmark(req *AnalysisRequest, mode dep.Mode) (*analysi
 	cfg.Scale = req.Scale
 	cfg.Seed = req.Seed
 	cfg.Mode = mode
-	if req.Scale > 0 {
-		// An explicit scale must not exceed the scan-FF cap either.
-		if ffs := b.Build(req.Scale).NumScanFFs(); ffs > lim.MaxScanFFs {
-			return nil, fmt.Errorf("scale %g yields %d scan FFs (cap %d)", req.Scale, ffs, lim.MaxScanFFs)
-		}
+	scale := cfg.Scale
+	if scale == 0 {
+		scale = b.ScaleForTarget(cfg.TargetScanFFs)
+	}
+	nw := b.Build(scale)
+	// An explicit scale must not exceed the scan-FF cap either.
+	if ffs := nw.NumScanFFs(); req.Scale > 0 && ffs > lim.MaxScanFFs {
+		return nil, fmt.Errorf("scale %g yields %d scan FFs (cap %d)", req.Scale, ffs, lim.MaxScanFFs)
 	}
 
 	a := &analysis{label: b.Name, benchmark: &b, cfg: cfg}
@@ -187,10 +181,6 @@ func (s *Server) resolveBenchmark(req *AnalysisRequest, mode dep.Mode) (*analysi
 	// The materialized network at the effective scale IS part of the
 	// key: a catalog change that alters the generated structure must
 	// miss the cache.
-	nw := b.Build(cfg.Scale)
-	if cfg.Scale == 0 {
-		nw = b.Build(b.ScaleForTarget(cfg.TargetScanFFs))
-	}
 	// The protocol runs Circuits×Specs analyses over this structure, so
 	// the cost feature scales with the requested pair count.
 	a.scanFFs = nw.NumScanFFs() * cfg.Circuits * cfg.Specs
@@ -232,129 +222,29 @@ func hashSpecGen(h *netlist.Hasher, g secspec.GenConfig) {
 	h.Float(g.UntrustedFrac)
 }
 
-// parsedICL is a materialized inline submission: the network, its
-// embedded specification, and the backing (or synthesized) circuit.
-type parsedICL struct {
-	nw       *rsn.Network
-	spec     *secspec.Spec
-	circuit  *netlist.Netlist
-	internal []netlist.FFID
-}
-
-// parseICLSubmission parses an inline network description and its
-// optional .bench circuit. Without a circuit, referenced instrument
-// flip-flops are synthesized as hold flip-flops (like rsnsec -icl
-// without -bench), so link-carrying files analyze standalone. The
-// construction is deterministic in (iclText, benchText): session
-// re-hydration (see session.go) relies on re-parsing the recorded
-// sources to rebuild the exact flip-flop numbering a persisted
-// snapshot's attribute arrays are indexed by.
-func parseICLSubmission(iclText, benchText string) (*parsedICL, error) {
-	p := &parsedICL{}
-	var lookup func(string) (netlist.FFID, bool)
-	var lazy *netlist.Netlist
-	var linked []bool
-	if benchText != "" {
-		circuit, err := netlist.ParseBench(strings.NewReader(benchText))
-		if err != nil {
-			return nil, fmt.Errorf("bench: %w", err)
-		}
-		p.circuit = circuit
-		byName := make(map[string]netlist.FFID, len(circuit.FFs))
-		linked = make([]bool, len(circuit.FFs))
-		for i := range circuit.FFs {
-			byName[circuit.FFs[i].Name] = netlist.FFID(i)
-		}
-		lookup = func(name string) (netlist.FFID, bool) {
-			id, ok := byName[name]
-			if ok {
-				linked[id] = true
-			}
-			return id, ok
-		}
-	} else {
-		// No circuit given: synthesize a hold flip-flop for every
-		// instrument name the file references.
-		lazy = netlist.New()
-		byName := map[string]netlist.FFID{}
-		lookup = func(name string) (netlist.FFID, bool) {
-			if id, ok := byName[name]; ok {
-				return id, true
-			}
-			f := lazy.AddFF(name, 0)
-			lazy.SetFFInput(f, lazy.FFs[f].Node)
-			byName[name] = f
-			return f, true
-		}
-	}
-	nw, spec, err := icl.ParseNetworkAndSpec(iclText, lookup)
-	if err != nil {
-		return nil, fmt.Errorf("icl: %w", err)
-	}
-	if spec == nil {
-		return nil, fmt.Errorf("icl: no embedded security specification (annotate modules with Trust/Accepts)")
-	}
-	p.nw = nw
-	p.spec = spec
-	if p.circuit == nil {
-		// The synthesized circuit needs the network's module table;
-		// hold flip-flops re-add in lookup order so their IDs match the
-		// links just parsed. Modules resolve by "module." name prefix.
-		p.circuit = netlist.New()
-		for _, name := range nw.Modules {
-			p.circuit.AddModule(name)
-		}
-		for i := range lazy.FFs {
-			name := lazy.FFs[i].Name
-			mod := 0
-			for mi, mn := range nw.Modules {
-				if strings.HasPrefix(name, mn+".") {
-					mod = mi
-					break
-				}
-			}
-			f := p.circuit.AddFF(name, mod)
-			p.circuit.SetFFInput(f, p.circuit.FFs[f].Node)
-		}
-	} else {
-		// Flip-flops never referenced by a capture/update link are
-		// internal: the dependency analysis bridges over them.
-		for i, l := range linked {
-			if !l {
-				p.internal = append(p.internal, netlist.FFID(i))
-			}
-		}
-	}
-	return p, nil
-}
-
 // resolveICL parses an inline submission and computes its content
 // address over the materialized circuit, internal list, network,
 // specification and mode.
 func (s *Server) resolveICL(req *AnalysisRequest, mode dep.Mode) (*analysis, error) {
-	lim := s.cfg.limits()
-	p, err := parseICLSubmission(req.ICL, req.Bench)
+	d, err := icl.Load(req.ICL, req.Bench, s.cfg.limits().MaxScanFFs)
 	if err != nil {
 		return nil, err
 	}
-	if ffs := p.nw.NumScanFFs(); ffs > lim.MaxScanFFs {
-		return nil, fmt.Errorf("network has %d scan FFs (cap %d)", ffs, lim.MaxScanFFs)
+	if d.Spec == nil {
+		return nil, fmt.Errorf("icl: no embedded security specification (annotate modules with Trust/Accepts)")
 	}
-	a := &analysis{
-		mode: mode, nw: p.nw, circuit: p.circuit, internal: p.internal,
-		spec: p.spec, label: p.nw.Name, iclText: req.ICL, benchText: req.Bench,
-		scanFFs: p.nw.NumScanFFs(),
-	}
+	a := &analysis{design: d, mode: mode, label: d.Network.Name, iclText: req.ICL, benchText: req.Bench,
+		scanFFs: d.Network.NumScanFFs()}
 	h := netlist.NewHasher()
 	h.Section("serve.analysis")
 	h.Str("icl")
-	p.circuit.AppendCanonical(h)
-	h.List(len(p.internal))
-	for _, f := range p.internal {
+	d.Circuit.AppendCanonical(h)
+	h.List(len(d.Internal))
+	for _, f := range d.Internal {
 		h.Int(int64(f))
 	}
-	p.nw.AppendCanonical(h)
-	p.spec.AppendCanonical(h)
+	d.Network.AppendCanonical(h)
+	d.Spec.AppendCanonical(h)
 	h.Str(fmt.Sprint(mode))
 	a.key = h.SumHex()
 	return a, nil

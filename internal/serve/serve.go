@@ -373,7 +373,8 @@ func (s *Server) execute(ctx context.Context, j *Job) ([]byte, error) {
 		// The run's dependency analysis outlives it as an incremental
 		// session: deltas against it skip the dependency calculation
 		// and re-propagate only their dirty cone.
-		crep, err := core.Secure(a.nw.Clone(), a.circuit, a.internal, a.spec, core.Options{
+		d := a.design
+		crep, err := core.Secure(d.Network.Clone(), d.Circuit, d.Internal, d.Spec, core.Options{
 			Mode:        a.mode,
 			Workers:     s.cfg.EngineWorkers,
 			Context:     ctx,
@@ -385,12 +386,12 @@ func (s *Server) execute(ctx context.Context, j *Job) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		rep = exp.SecureReport("rsnserved", a.label, a.mode, a.nw.Stats(), crep, nil)
+		rep = exp.SecureReport("rsnserved", a.label, a.mode, d.Network.Stats(), crep, nil)
 		s.saveSession(&session{
 			hydrated: true, key: a.key, label: a.label, mode: a.mode,
 			iclText: a.iclText, benchText: a.benchText,
 			an: crep.Analysis.WithEngine(engine.Options{Workers: s.cfg.EngineWorkers, Stats: s.stats}),
-			nw: a.nw, circuit: a.circuit, internal: a.internal, spec: a.spec,
+			nw: d.Network, circuit: d.Circuit, internal: d.Internal, spec: d.Spec,
 		})
 	}
 	var buf bytes.Buffer

@@ -5,12 +5,14 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
 	"repro/internal/dep"
 	"repro/internal/engine"
 	"repro/internal/hybrid"
+	"repro/internal/icl"
 	"repro/internal/netlist"
 	"repro/internal/rsn"
 	"repro/internal/secspec"
@@ -71,16 +73,6 @@ func modeName(m dep.Mode) string {
 		return "structural"
 	}
 	return "exact"
-}
-
-func parseModeName(s string) (dep.Mode, error) {
-	switch s {
-	case "", "exact":
-		return dep.Exact, nil
-	case "structural":
-		return dep.StructuralApprox, nil
-	}
-	return dep.Exact, fmt.Errorf("unknown mode %q", s)
 }
 
 // maxSessions resolves the live-session cap.
@@ -200,21 +192,23 @@ func (s *Server) hydrateSession(ctx context.Context, sess *session) error {
 	if rec.Schema != sessionSchema {
 		return fmt.Errorf("session record %s: schema %q, want %q", shortKey(sess.key), rec.Schema, sessionSchema)
 	}
-	mode, err := parseModeName(rec.Mode)
+	mode, err := dep.ParseMode(rec.Mode)
 	if err != nil {
 		return fmt.Errorf("session record %s: %w", shortKey(sess.key), err)
 	}
-	p, err := parseICLSubmission(rec.ICL, rec.Bench)
+	// The record passed the server's cap when it was first analyzed;
+	// re-loading it is bounded only by the flip-flop ID range.
+	d, err := icl.Load(rec.ICL, rec.Bench, math.MaxInt32)
 	if err != nil {
 		return fmt.Errorf("session record %s: %w", shortKey(sess.key), err)
 	}
-	nw := p.nw
+	nw := d.Network
 	for i, scr := range rec.Scripts {
 		if nw, err = scr.Apply(nw); err != nil {
 			return fmt.Errorf("session record %s: replay script %d: %w", shortKey(sess.key), i, err)
 		}
 	}
-	an, err := hybrid.NewAnalysisOpts(nw, p.circuit, p.internal, p.spec, mode,
+	an, err := hybrid.NewAnalysisOpts(nw, d.Circuit, d.Internal, d.Spec, mode,
 		engine.Options{Workers: s.cfg.EngineWorkers, Context: ctx, Stats: s.stats})
 	if err != nil {
 		return fmt.Errorf("session record %s: rebuild analysis: %w", shortKey(sess.key), err)
@@ -237,9 +231,9 @@ func (s *Server) hydrateSession(ctx context.Context, sess *session) error {
 	sess.scripts = rec.Scripts
 	sess.an = an
 	sess.nw = nw
-	sess.circuit = p.circuit
-	sess.internal = p.internal
-	sess.spec = p.spec
+	sess.circuit = d.Circuit
+	sess.internal = d.Internal
+	sess.spec = d.Spec
 	s.log.Info("session re-hydrated", "key", shortKey(sess.key), "scripts_replayed", len(rec.Scripts))
 	return nil
 }

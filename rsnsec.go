@@ -20,7 +20,8 @@
 //     detection/resolution, SAT-based multi-cycle dependency analysis
 //     with presetting and bridging, insecure-circuit-logic detection,
 //     and hybrid-path detection/resolution at flip-flop granularity;
-//   - an ICL-dialect parser and writer (ParseICL, WriteICL);
+//   - an ICL-dialect loader, parser and writer (LoadICL, ParseICL,
+//     WriteICL);
 //   - the 22 benchmark networks of the paper's Table I (Catalog) and
 //     the experimental protocol that regenerates the paper's results
 //     (RunBenchmark, RunBridging, RunApprox).
@@ -197,6 +198,10 @@ const (
 	Exact            = dep.Exact
 	StructuralApprox = dep.StructuralApprox
 )
+
+// ParseMode reads a mode as spelled on command lines and in request
+// bodies: "exact" (also the empty default) or "structural".
+func ParseMode(s string) (Mode, error) { return dep.ParseMode(s) }
 
 // Secure runs the complete pipeline of the paper (Figure 2) on the
 // network, transforming it into a data-flow secure RSN. internal lists
@@ -476,10 +481,18 @@ func WriteICL(w io.Writer, nw *Network, ffName func(FFID) string) error {
 	return icl.Write(w, nw, ffName)
 }
 
-// ParseICLWithSpec additionally extracts the security specification
-// from the file's module annotations (nil when unannotated).
-func ParseICLWithSpec(src string, lookupFF func(string) (FFID, bool)) (*Network, *Spec, error) {
-	return icl.ParseNetworkAndSpec(src, lookupFF)
+// ICLDesign is a loaded ICL description: network, embedded
+// specification (nil when unannotated), the circuit its instrument
+// links bind to, and that circuit's internal flip-flops.
+type ICLDesign = icl.Design
+
+// LoadICL reads an ICL description and, when benchText is non-empty,
+// the .bench circuit behind its instrument links; flip-flops no link
+// references are internal. Without a circuit, referenced names become
+// hold flip-flops. A network declaring more than maxScanFFs scan
+// flip-flops is refused before it is built.
+func LoadICL(src, benchText string, maxScanFFs int) (*ICLDesign, error) {
+	return icl.Load(src, benchText, maxScanFFs)
 }
 
 // WriteICLWithSpec renders a network together with its security

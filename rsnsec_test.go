@@ -2,6 +2,7 @@ package rsnsec
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -174,23 +175,36 @@ func TestFacadeICLWithSpec(t *testing.T) {
 	if err := WriteICLWithSpec(&sb, ex.Network, ex.Spec, name); err != nil {
 		t.Fatal(err)
 	}
-	byName := map[string]FFID{}
-	for i := range ex.Circuit.FFs {
-		byName[ex.Circuit.FFs[i].Name] = FFID(i)
+	var bench strings.Builder
+	if err := WriteBench(&bench, ex.Circuit); err != nil {
+		t.Fatal(err)
 	}
-	lookup := func(s string) (FFID, bool) { id, ok := byName[s]; return id, ok }
-	nw, spec, err := ParseICLWithSpec(sb.String(), lookup)
+	d, err := LoadICL(sb.String(), bench.String(), 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
+	nw, spec := d.Network, d.Spec
 	if spec == nil || spec.NumCategories != ex.Spec.NumCategories {
 		t.Fatal("spec lost")
 	}
 	if nw.Stats() != ex.Network.Stats() {
 		t.Fatal("network changed")
 	}
+	// The flip-flops no link references are the example's internal ones.
+	var got, want []string
+	for _, f := range d.Internal {
+		got = append(got, d.Circuit.FFs[f].Name)
+	}
+	for _, f := range ex.Internal {
+		want = append(want, ex.Circuit.FFs[f].Name)
+	}
+	slices.Sort(got)
+	slices.Sort(want)
+	if !slices.Equal(got, want) {
+		t.Fatalf("internal flip-flops %v, want %v", got, want)
+	}
 	// The reloaded problem must show the same violations.
-	an := NewAnalysis(nw, ex.Circuit, ex.Internal, spec, Exact)
+	an := NewAnalysis(nw, d.Circuit, d.Internal, spec, Exact)
 	if len(an.Violations(nw)) == 0 {
 		t.Fatal("reloaded problem lost its violations")
 	}
