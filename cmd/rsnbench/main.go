@@ -29,9 +29,10 @@
 // (run > circuit > stage > query) as JSONL, query spans sampled per
 // -trace-sample; -debug-addr serves live expvar, Prometheus-text
 // metrics and pprof during the run. -validate FILE checks a stored
-// document (run report, bench record, or any other document the suite
-// writes) against the schema its schema field names, and -diff-report
-// old.json,new.json prints the regression deltas between two reports.
+// document (run report, bench record, delta report, or any other
+// document the suite writes) against the schema its schema field
+// names, and -diff-report old.json,new.json prints the regression
+// deltas between two reports.
 //
 // Performance observatory: -bench-out FILE measures the protocol
 // -reps times per benchmark and writes a schema-versioned bench
@@ -241,16 +242,7 @@ func runBenchRecord(c benchConfig) error {
 		return err
 	}
 	rec.CreatedAt = time.Now().UTC().Format(time.RFC3339)
-	w := io.Writer(os.Stdout)
-	if c.benchOut != "-" {
-		f, err := os.Create(c.benchOut)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
-	}
-	if err := rsnsec.WriteBenchRecord(w, rec); err != nil {
+	if err := cliutil.WriteOutput(c.benchOut, func(w io.Writer) error { return rsnsec.WriteBenchRecord(w, rec) }); err != nil {
 		return err
 	}
 	if c.benchOut != "-" {
@@ -355,16 +347,7 @@ func run(c benchConfig) (err error) {
 	if c.reportPath != "" {
 		rep := rsnsec.BuildRunReport("rsnbench", c.table, cfg, mainResults, r.Stats)
 		rep.StartedAt = time.Now().UTC().Format(time.RFC3339)
-		w := io.Writer(os.Stdout)
-		if c.reportPath != "-" {
-			f, err := os.Create(c.reportPath)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			w = f
-		}
-		if err := rsnsec.WriteRunReport(w, rep); err != nil {
+		if err := cliutil.WriteOutput(c.reportPath, func(w io.Writer) error { return rsnsec.WriteRunReport(w, rep) }); err != nil {
 			return err
 		}
 		if c.reportPath != "-" {

@@ -97,37 +97,31 @@ func runScale(cfg rsnsec.ScaleGenConfig, outDir, overlayOut string, lg *slog.Log
 	if cfg.Name == "" {
 		cfg.Name = fmt.Sprintf("scale%d", cfg.TargetScanFFs)
 	}
-	out := io.Writer(os.Stdout)
-	iclPath := "(stdout)"
+	iclPath := "-"
 	if outDir != "" {
 		if err := os.MkdirAll(outDir, 0o755); err != nil {
 			return err
 		}
 		iclPath = filepath.Join(outDir, cfg.Name+".icl")
-		f, err := os.Create(iclPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		out = f
 	}
-	var ovw io.Writer
 	ovPath := overlayOut
-	if cfg.ObfKeyBits > 0 {
-		if ovPath == "" {
-			if outDir == "" {
-				return fmt.Errorf("-obf-keybits with stdout output requires -overlay-out")
-			}
-			ovPath = filepath.Join(outDir, cfg.Name+".overlay.json")
+	if cfg.ObfKeyBits > 0 && ovPath == "" {
+		if outDir == "" {
+			return fmt.Errorf("-obf-keybits with stdout output requires -overlay-out")
 		}
-		of, err := os.Create(ovPath)
-		if err != nil {
+		ovPath = filepath.Join(outDir, cfg.Name+".overlay.json")
+	}
+	var st *rsnsec.ScaleGenStats
+	err := cliutil.WriteOutput(iclPath, func(out io.Writer) (err error) {
+		if cfg.ObfKeyBits == 0 {
+			st, err = rsnsec.StreamScaleICL(out, nil, cfg)
 			return err
 		}
-		defer of.Close()
-		ovw = of
-	}
-	st, err := rsnsec.StreamScaleICL(out, ovw, cfg)
+		return cliutil.WriteOutput(ovPath, func(ovw io.Writer) (err error) {
+			st, err = rsnsec.StreamScaleICL(out, ovw, cfg)
+			return err
+		})
+	})
 	if err != nil {
 		return err
 	}
@@ -170,38 +164,22 @@ func run(benchName string, all bool, scale float64, outDir string, seed int64, w
 			ffName = func(f rsnsec.FFID) string { return circuit.FFs[f].Name }
 		}
 		st := nw.Stats()
+		path := "-"
+		if outDir != "" {
+			path = filepath.Join(outDir, b.Name+".icl")
+		}
+		if err := cliutil.WriteOutput(path, func(w io.Writer) error { return rsnsec.WriteICL(w, nw, ffName) }); err != nil {
+			return err
+		}
 		if outDir == "" {
-			if err := rsnsec.WriteICL(os.Stdout, nw, ffName); err != nil {
-				return err
-			}
 			continue
-		}
-		path := filepath.Join(outDir, b.Name+".icl")
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		err = rsnsec.WriteICL(f, nw, ffName)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return err
 		}
 		lg.Info("benchmark written", "benchmark", b.Name, "registers", st.Registers,
 			"scan_ffs", st.ScanFFs, "muxes", st.Muxes, "path", path)
 		if circuit != nil {
 			// The attached circuit travels alongside as .bench.
 			cpath := filepath.Join(outDir, b.Name+".bench")
-			cf, err := os.Create(cpath)
-			if err != nil {
-				return err
-			}
-			err = rsnsec.WriteBench(cf, circuit)
-			if cerr := cf.Close(); err == nil {
-				err = cerr
-			}
-			if err != nil {
+			if err := cliutil.WriteOutput(cpath, func(w io.Writer) error { return rsnsec.WriteBench(w, circuit) }); err != nil {
 				return err
 			}
 			lg.Info("circuit written", "benchmark", b.Name, "ffs", circuit.NumFFs(),

@@ -52,15 +52,16 @@
 // Observability flags, in every mode: -q silences the informational
 // stdout lines and the stderr diagnostics (debug-endpoint banner,
 // progress, stats) — full machine mode, hard errors still reach
-// stderr; -trace writes the hierarchical span journal (run > secure >
-// stage > query) as JSONL with query spans sampled per -trace-sample,
-// and -debug-addr serves live expvar, Prometheus-text metrics and
-// pprof during the run.
+// stderr; -trace writes the hierarchical span journal as JSONL (the
+// dependency stages under run, since one analysis serves the whole
+// run, then run > secure > stage > query) with query spans sampled per
+// -trace-sample, and -debug-addr serves live expvar, Prometheus-text
+// metrics and pprof during the run.
 //
 // -validate FILE checks a stored document against the schema its
-// schema field names — a run report, bench record, attack report, SLO
-// config, SLO status or metrics-history result — prints one line and
-// exits.
+// schema field names — a run report, bench record, attack report,
+// delta report, SLO config, SLO status or metrics-history result —
+// prints one line and exits.
 package main
 
 import (
@@ -257,6 +258,15 @@ func run(in inputConfig, specSeed int64, modeName, outPath, deltaPath string, do
 	if spec != nil {
 		fmt.Fprintln(out, "using the security specification embedded in the ICL file")
 	}
+	// One dependency analysis serves the whole run: choosing a
+	// specification, -explain and securing. It does not depend on the
+	// specification, so each step binds its own with WithSpec.
+	t0 := time.Now()
+	analysis, err := rsnsec.NewAnalysisOpts(nw, circuit, internal, nil, m, engOpts)
+	if err != nil {
+		return err
+	}
+	depTime := time.Since(t0)
 	genSpec := func(seed int64) *rsnsec.Spec {
 		if ld.dataSources != nil {
 			return rsnsec.GenerateSpecWithRoles(len(nw.Modules), ld.dataSources, rsnsec.DefaultSpecGenConfig(), seed)
@@ -267,11 +277,7 @@ func run(in inputConfig, specSeed int64, modeName, outPath, deltaPath string, do
 		if explain <= 0 {
 			return nil
 		}
-		an, err := rsnsec.NewAnalysisOpts(nw, circuit, internal, sp, m, engOpts)
-		if err != nil {
-			return err
-		}
-		exps := an.ExplainAll(nw)
+		exps := analysis.WithSpec(sp).ExplainAll(nw)
 		if len(exps) == 0 {
 			fmt.Fprintln(out, "no violating data flows")
 			return nil
@@ -290,10 +296,6 @@ func run(in inputConfig, specSeed int64, modeName, outPath, deltaPath string, do
 		// which the circuit logic itself is insecure: no scan network
 		// transformation can help those.
 		const maxTries = 16
-		analysis, err := rsnsec.NewAnalysisOpts(nw, circuit, internal, nil, m, engOpts)
-		if err != nil {
-			return err
-		}
 		chosen := int64(-1)
 		for try := int64(0); try < maxTries; try++ {
 			cand := genSpec(specSeed + try)
@@ -317,13 +319,25 @@ func run(in inputConfig, specSeed int64, modeName, outPath, deltaPath string, do
 	if err := showFlows(spec); err != nil {
 		return err
 	}
+	// secure is rsnsec.Secure on the run's analysis: it logs the same
+	// dependency calculation line, and the report's times include the
+	// analysis build.
+	secure := func(nw *rsnsec.Network) (*rsnsec.Report, error) {
+		secOpts.LogAnalysis(analysis)
+		rep, err := rsnsec.SecureWithAnalysis(analysis.WithSpec(spec), nw, secOpts)
+		if rep != nil {
+			rep.Times.DependencyCalc = depTime
+			rep.Times.Total += depTime
+		}
+		return rep, err
+	}
 	if deltaPath != "" {
 		if outPath != "" || doVerify {
 			return fmt.Errorf("-delta is incompatible with -out and -verify (its result is the delta report, not a transformed network)")
 		}
-		return runDelta(nw, circuit, internal, spec, deltaPath, m, secOpts, out)
+		return runDelta(nw, secure, deltaPath, m, secOpts, out)
 	}
-	rep, err := rsnsec.Secure(nw, circuit, internal, spec, secOpts)
+	rep, err := secure(nw)
 	if err != nil {
 		return err
 	}
@@ -349,13 +363,10 @@ func run(in inputConfig, specSeed int64, modeName, outPath, deltaPath string, do
 		}
 	}
 	if outPath != "" && rep.Secured {
-		f, err := os.Create(outPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
 		name := func(ff rsnsec.FFID) string { return circuit.FFs[ff].Name }
-		if err := rsnsec.WriteICLWithSpec(f, nw, spec, name); err != nil {
+		if err := cliutil.WriteOutput(outPath, func(w io.Writer) error {
+			return rsnsec.WriteICLWithSpec(w, nw, spec, name)
+		}); err != nil {
 			return err
 		}
 		fmt.Fprintf(out, "secured network written to %s\n", outPath)
@@ -456,7 +467,7 @@ func runAttack(in inputConfig, ac attackConfig, ec engineConfig) (err error) {
 // the derived network through the incremental path, and print the
 // rsnsec.delta-report/v1 document on stdout — under -q the only bytes
 // stdout carries, so the mode pipes into jq and friends.
-func runDelta(nw *rsnsec.Network, circuit *rsnsec.Netlist, internal []rsnsec.FFID, spec *rsnsec.Spec, deltaPath string, m rsnsec.Mode, secOpts rsnsec.Options, out io.Writer) error {
+func runDelta(nw *rsnsec.Network, secure func(*rsnsec.Network) (*rsnsec.Report, error), deltaPath string, m rsnsec.Mode, secOpts rsnsec.Options, out io.Writer) error {
 	data, err := os.ReadFile(deltaPath)
 	if err != nil {
 		return err
@@ -469,7 +480,7 @@ func runDelta(nw *rsnsec.Network, circuit *rsnsec.Netlist, internal []rsnsec.FFI
 	if err != nil {
 		return err
 	}
-	base, err := rsnsec.Secure(nw.Clone(), circuit, internal, spec, secOpts)
+	base, err := secure(nw.Clone())
 	if err != nil {
 		return err
 	}

@@ -147,13 +147,8 @@ func run() (err error) {
 		}
 	}
 	var histCfg *series.Config
-	if *histInterval > 0 || *histRetain > 0 || sloCfg != nil {
+	if *histInterval > 0 || *histRetain > 0 {
 		histCfg = &series.Config{Interval: *histInterval, Retention: *histRetain}
-		if sloCfg != nil && *histRetain == 0 {
-			if w := sloCfg.MaxWindow(); w > histCfg.Retention {
-				histCfg.Retention = w
-			}
-		}
 	}
 	// Flushed after graceful shutdown, so no spans of drained jobs are
 	// lost.

@@ -109,3 +109,50 @@ func TestValidateDocuments(t *testing.T) {
 		t.Error("rsnsec -validate accepted an unknown schema")
 	}
 }
+
+// TestRsnsecBuildsDependenciesOnce checks that one rsnsec run computes
+// the dependency analysis once, whether it chooses a generated
+// specification, explains violating flows, or reads an embedded one:
+// the -v stats table shows one one-cycle call.
+func TestRsnsecBuildsDependenciesOnce(t *testing.T) {
+	dir := t.TempDir()
+	runCLI(t, "rsngen", "-scale-ff", "200", "-with-spec", "-out", dir, "-q")
+	for _, args := range [][]string{
+		{"-benchmark", "BasicSCB", "-scale", "0.3"},
+		{"-benchmark", "BasicSCB", "-scale", "0.3", "-explain", "2"},
+		{"-icl", filepath.Join(dir, "scale200.icl"), "-explain", "1"},
+	} {
+		_, stderr := runCLI(t, "rsnsec", append(args, "-v")...)
+		calls := ""
+		for _, line := range strings.Split(stderr, "\n") {
+			if f := strings.Fields(line); len(f) > 2 && f[0] == "one-cycle" {
+				calls = f[2]
+			}
+		}
+		if calls != "1" {
+			t.Errorf("rsnsec %v: one-cycle calls %q, want 1\n%s", args, calls, stderr)
+		}
+	}
+}
+
+// TestValidateDeltaReport checks that both -validate entry points
+// accept the delta report rsnsec -delta -q prints.
+func TestValidateDeltaReport(t *testing.T) {
+	dir := t.TempDir()
+	script := filepath.Join(dir, "edit.json")
+	if err := os.WriteFile(script, []byte(
+		`{"ops":[{"op":"add-register","pin":"R0","src":"SI","name":"dx","len":1,"module":0}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	doc, _ := runCLI(t, "rsnsec", "-benchmark", "TreeFlat", "-scale", "0.1", "-delta", script, "-q")
+	path := filepath.Join(dir, "d.json")
+	if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tool := range []string{"rsnsec", "rsnbench"} {
+		stdout, _ := runCLI(t, tool, "-validate", path)
+		if want := path + ": valid rsnsec.delta-report/v1 (1 script ops"; !strings.HasPrefix(stdout, want) {
+			t.Errorf("%s -validate: %q, want prefix %q", tool, stdout, want)
+		}
+	}
+}

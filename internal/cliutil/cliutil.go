@@ -2,7 +2,8 @@
 // suite: construction of the conventional -log-level / -log-format
 // structured logger and its interaction with the suite-wide -q flag,
 // the run set-up behind -timeout, -trace, -trace-sample and
-// -debug-addr, and the -validate document check.
+// -debug-addr, the output-file opener, and the -validate document
+// check.
 package cliutil
 
 import (
@@ -82,6 +83,21 @@ func OpenTrace(path string) (*obs.Tracer, func() error, error) {
 		}
 		return nil
 	}, nil
+}
+
+// WriteOutput writes an output file through write: it creates path, or
+// takes stdout when path is "-", and returns write's error or else the
+// file's close error, so an output the disk refused fails the run.
+func WriteOutput(path string, write func(io.Writer) error) (err error) {
+	if path == "-" {
+		return write(os.Stdout)
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	defer CloseFirstErr(&err, f.Close)
+	return write(f)
 }
 
 // CloseFirstErr runs close and stores its error in *err unless *err

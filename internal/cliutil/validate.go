@@ -4,14 +4,59 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
+	"sort"
+	"strings"
 
 	"repro/internal/obfus"
 	"repro/internal/obs"
 	"repro/internal/obs/perfrec"
+	"repro/internal/obs/reportdiff"
 	"repro/internal/obs/series"
 	"repro/internal/obs/slo"
 )
+
+// check pairs a validating reader with the one-line summary of what it
+// read.
+func check[T any](read func(io.Reader) (*T, error), summary func(*T) string) func(io.Reader) (string, error) {
+	return func(r io.Reader) (string, error) {
+		d, err := read(r)
+		if err != nil {
+			return "", err
+		}
+		return summary(d), nil
+	}
+}
+
+// validators maps every stored document schema to its reader. The SLO
+// config keeps its strict reader: operators write it by hand, so an
+// unknown field is a typo, not a newer writer.
+var validators = map[string]func(io.Reader) (string, error){
+	obs.ReportSchema: check(obs.ReadDoc[obs.RunReport], func(rep *obs.RunReport) string {
+		return fmt.Sprintf("%d benchmarks, %d stages, %d runs", len(rep.Benchmarks), len(rep.Stages), rep.Totals.Runs)
+	}),
+	perfrec.BenchSchema: check(obs.ReadDoc[perfrec.Record], func(rec *perfrec.Record) string {
+		return fmt.Sprintf("%d benchmarks, %d reps, %s/%s %s",
+			len(rec.Benchmarks), rec.Reps, rec.Env.GOOS, rec.Env.GOARCH, rec.Env.GoVersion)
+	}),
+	obfus.ReportSchema: check(obs.ReadDoc[obfus.Report], func(rep *obfus.Report) string {
+		return fmt.Sprintf("network %s, %d key bits", rep.Network.Name, rep.Overlay.KeyBits)
+	}),
+	reportdiff.DeltaSchema: check(obs.ReadDoc[reportdiff.DeltaDoc], func(d *reportdiff.DeltaDoc) string {
+		return fmt.Sprintf("%d script ops, %d benchmarks, %d changed fields",
+			d.ScriptOps, len(d.Report.Benchmarks), len(d.Diff.Deltas))
+	}),
+	slo.ConfigSchema: check(slo.ReadConfig, func(c *slo.Config) string {
+		return fmt.Sprintf("%d objectives", len(c.Objectives))
+	}),
+	slo.StatusSchema: check(obs.ReadDoc[slo.Status], func(s *slo.Status) string {
+		return fmt.Sprintf("%d objectives, breaching=%v", len(s.Objectives), s.Breaching)
+	}),
+	series.HistorySchema: check(obs.ReadDoc[series.History], func(h *series.History) string {
+		return fmt.Sprintf("%s %s/%s, %d points", h.Kind, h.Name, h.Fn, len(h.Points))
+	}),
+}
 
 // Validate is the -validate mode of rsnsec and rsnbench: it reads the
 // document's schema field, runs the document through that schema's
@@ -27,44 +72,16 @@ func Validate(path string) (string, error) {
 	if err := json.Unmarshal(data, &head); err != nil {
 		return "", fmt.Errorf("%s: parse: %w", path, err)
 	}
-	r := bytes.NewReader(data)
-	var detail string
-	switch head.Schema {
-	case obs.ReportSchema:
-		var rep *obs.RunReport
-		if rep, err = obs.ReadReport(r); err == nil {
-			detail = fmt.Sprintf("%d benchmarks, %d stages, %d runs", len(rep.Benchmarks), len(rep.Stages), rep.Totals.Runs)
+	v, ok := validators[head.Schema]
+	if !ok {
+		known := make([]string, 0, len(validators))
+		for schema := range validators {
+			known = append(known, schema)
 		}
-	case perfrec.BenchSchema:
-		var rec *perfrec.Record
-		if rec, err = perfrec.Read(r); err == nil {
-			detail = fmt.Sprintf("%d benchmarks, %d reps, %s/%s %s",
-				len(rec.Benchmarks), rec.Reps, rec.Env.GOOS, rec.Env.GOARCH, rec.Env.GoVersion)
-		}
-	case obfus.ReportSchema:
-		var rep *obfus.Report
-		if rep, err = obfus.ReadReport(r); err == nil {
-			detail = fmt.Sprintf("network %s, %d key bits", rep.Network.Name, rep.Overlay.KeyBits)
-		}
-	case slo.ConfigSchema:
-		var c *slo.Config
-		if c, err = slo.ReadConfig(r); err == nil {
-			detail = fmt.Sprintf("%d objectives", len(c.Objectives))
-		}
-	case slo.StatusSchema:
-		var s *slo.Status
-		if s, err = slo.ReadStatus(r); err == nil {
-			detail = fmt.Sprintf("%d objectives, breaching=%v", len(s.Objectives), s.Breaching)
-		}
-	case series.HistorySchema:
-		var h *series.History
-		if h, err = series.ReadHistory(r); err == nil {
-			detail = fmt.Sprintf("%s %s/%s, %d points", h.Kind, h.Name, h.Fn, len(h.Points))
-		}
-	default:
-		return "", fmt.Errorf("%s: unknown schema %q (want %s, %s, %s, %s, %s or %s)", path, head.Schema,
-			obs.ReportSchema, perfrec.BenchSchema, obfus.ReportSchema, slo.ConfigSchema, slo.StatusSchema, series.HistorySchema)
+		sort.Strings(known)
+		return "", fmt.Errorf("%s: unknown schema %q (want one of %s)", path, head.Schema, strings.Join(known, ", "))
 	}
+	detail, err := v(bytes.NewReader(data))
 	if err != nil {
 		return "", fmt.Errorf("%s: %w", path, err)
 	}

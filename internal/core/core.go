@@ -70,6 +70,15 @@ func (o Options) logf(format string, args ...any) {
 	}
 }
 
+// LogAnalysis writes the dependency calculation's summary line for an
+// to Log. Secure writes it once the analysis is built; a caller that
+// builds the analysis itself and secures with SecureWithAnalysis writes
+// it before that call.
+func (o Options) LogAnalysis(an *hybrid.Analysis) {
+	o.logf("dependency calculation: %d denoted FFs, %d dependencies (%d preset), %d SAT calls",
+		an.DepStats.FFsDenoted, an.DepStats.DepsMultiCycle, an.PresetDeps, an.DepStats.SATCalls)
+}
+
 // StageTimes records wall-clock runtimes per pipeline stage, matching
 // the runtime columns of Table I.
 type StageTimes struct {
@@ -133,8 +142,7 @@ func Secure(nw *rsn.Network, circuit *netlist.Netlist, internal []netlist.FFID, 
 			return nil, fmt.Errorf("core: dependency analysis: %w", err)
 		}
 		rep.Times.DependencyCalc = time.Since(t0)
-		opts.logf("dependency calculation: %d denoted FFs, %d dependencies (%d preset), %d SAT calls",
-			an.DepStats.FFsDenoted, an.DepStats.DepsMultiCycle, an.PresetDeps, an.DepStats.SATCalls)
+		opts.LogAnalysis(an)
 		return an, nil
 	})
 }

@@ -301,9 +301,6 @@ type OneCycleConfig struct {
 	// cofactor query (the pre-prefilter behavior; the differential
 	// tests compare both paths).
 	DisableSimFilter bool
-	// SimRounds is the number of 64-pattern simulation rounds per root;
-	// zero selects the default.
-	SimRounds int
 }
 
 // FillOneCycleCfg writes the circuit's 1-cycle dependencies into an
@@ -421,7 +418,7 @@ func FillOneCycleCfg(m *Matrix, n *netlist.Netlist, mode Mode, stats *Stats, opt
 							testIdx = append(testIdx, sl.li)
 						}
 						ws.testIdx = testIdx
-						wit := sc.filter(cfg.SimRounds, testIdx)
+						wit := sc.filter(testIdx)
 						witnessed = grow(ws.witnessed, len(leaves))
 						ws.witnessed = witnessed
 						for k, li := range testIdx {

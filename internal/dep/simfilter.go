@@ -17,9 +17,8 @@ import (
 // cofactor miter — so the resulting matrices are bit-identical to the
 // pure-SAT path.
 
-// defaultSimRounds is the number of 64-pattern simulation rounds per
-// root when OneCycleConfig.SimRounds is zero.
-const defaultSimRounds = 3
+// simRounds is the number of 64-pattern simulation rounds per root.
+const simRounds = 3
 
 // splitmix64 is a tiny deterministic PRNG (Steele et al., the splitmix64
 // generator). Each root seeds its own stream from its node id, so the
@@ -156,20 +155,17 @@ func (sc *simCone) eval() uint64 {
 	return words[sc.rootSlot]
 }
 
-// filter runs up to rounds 64-pattern rounds over the leaves named by
+// filter runs up to simRounds 64-pattern rounds over the leaves named by
 // testIdx (indices into the compiled leaf order; all must have live
 // slots). witnessed[k] reports that flipping leaves[testIdx[k]] flipped
 // the root in some lane — a concrete proof of functional dependence.
 // Rounds stop early once every tested leaf is witnessed. The result is
 // owned by sc and valid until the next filter.
-func (sc *simCone) filter(rounds int, testIdx []int) (witnessed []bool) {
-	if rounds <= 0 {
-		rounds = defaultSimRounds
-	}
+func (sc *simCone) filter(testIdx []int) (witnessed []bool) {
 	sc.witnessed = grow(sc.witnessed, len(testIdx))
 	witnessed = sc.witnessed
 	remaining := len(testIdx)
-	for r := 0; r < rounds && remaining > 0; r++ {
+	for r := 0; r < simRounds && remaining > 0; r++ {
 		for _, s := range sc.leafSlots {
 			if s >= 0 {
 				sc.words[s] = sc.rng.next()

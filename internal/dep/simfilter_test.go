@@ -113,7 +113,7 @@ func TestSimWitnessSoundness(t *testing.T) {
 					testIdx = append(testIdx, li)
 				}
 			}
-			wit := sc.filter(0, testIdx)
+			wit := sc.filter(testIdx)
 			for k, li := range testIdx {
 				if wit[k] && !FunctionalDepends(n, root, leaves[li]) {
 					t.Fatalf("seed %d root %d: sim witnessed leaf %d but SAT says not functional",

@@ -143,8 +143,9 @@ type Result struct {
 	AvgTotalTime  time.Duration
 }
 
-// effectiveScale resolves the scale for one benchmark.
-func (cfg RunConfig) effectiveScale(b bench.Benchmark) float64 {
+// EffectiveScale resolves the scale for one benchmark: Scale when set,
+// else the scale that brings it to TargetScanFFs.
+func (cfg RunConfig) EffectiveScale(b bench.Benchmark) float64 {
 	if cfg.Scale > 0 {
 		return cfg.Scale
 	}
@@ -180,7 +181,7 @@ func RunBenchmarkCtx(ctx context.Context, b bench.Benchmark, cfg RunConfig) (*Re
 		sumViol, sumPure, sumHybrid            float64
 		sumDep, sumPureT, sumHybT, sumTotalT   time.Duration
 	}
-	scale := cfg.effectiveScale(b)
+	scale := cfg.EffectiveScale(b)
 	perCircuit := make([]circuitSums, cfg.Circuits)
 
 	workers := cfg.Parallel
@@ -417,7 +418,7 @@ func RunBridging(b bench.Benchmark, cfg RunConfig) (*BridgingResult, error) {
 // RunBridgingCtx is RunBridging with cancellation.
 func RunBridgingCtx(ctx context.Context, b bench.Benchmark, cfg RunConfig) (*BridgingResult, error) {
 	eng := cfg.options(ctx, 1).EngineOptions()
-	nw := b.Build(cfg.effectiveScale(b))
+	nw := b.Build(cfg.EffectiveScale(b))
 	att := bench.AttachCircuit(nw, cfg.Circuit, benchSeed(cfg.Seed, b.Name))
 	with, err := hybrid.NewAnalysisOpts(nw, att.Circuit, att.Internal, nil, cfg.Mode, eng)
 	if err != nil {
@@ -481,7 +482,7 @@ func RunApprox(b bench.Benchmark, cfg RunConfig) (*ApproxResult, error) {
 func RunApproxCtx(ctx context.Context, b bench.Benchmark, cfg RunConfig) (*ApproxResult, error) {
 	res := &ApproxResult{Benchmark: b}
 	base := benchSeed(cfg.Seed, b.Name)
-	scale := cfg.effectiveScale(b)
+	scale := cfg.EffectiveScale(b)
 	opts := cfg.options(ctx, 1)
 	eng := opts.EngineOptions()
 	for c := 0; c < cfg.Circuits; c++ {

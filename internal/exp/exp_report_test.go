@@ -63,10 +63,10 @@ func TestBuildReportAgreesWithEngineStats(t *testing.T) {
 
 	// The serialized artifact round-trips through the validating reader.
 	var buf bytes.Buffer
-	if err := obs.WriteReport(&buf, rep); err != nil {
+	if err := obs.WriteDoc(&buf, rep); err != nil {
 		t.Fatal(err)
 	}
-	back, err := obs.ReadReport(&buf)
+	back, err := obs.ReadDoc[obs.RunReport](&buf)
 	if err != nil {
 		t.Fatal(err)
 	}

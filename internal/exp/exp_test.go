@@ -127,15 +127,15 @@ func TestRunApprox(t *testing.T) {
 func TestEffectiveScale(t *testing.T) {
 	cfg := DefaultRunConfig()
 	small := mustBench(t, "BasicSCB") // 176 FFs < 350 target
-	if s := cfg.effectiveScale(small); s != 1 {
+	if s := cfg.EffectiveScale(small); s != 1 {
 		t.Fatalf("small benchmark scale = %v, want 1", s)
 	}
 	big := mustBench(t, "p93791")
-	if s := cfg.effectiveScale(big); s >= 1 || s <= 0 {
+	if s := cfg.EffectiveScale(big); s >= 1 || s <= 0 {
 		t.Fatalf("big benchmark scale = %v", s)
 	}
 	cfg.Scale = 0.5
-	if s := cfg.effectiveScale(big); s != 0.5 {
+	if s := cfg.EffectiveScale(big); s != 0.5 {
 		t.Fatalf("explicit scale ignored: %v", s)
 	}
 }

@@ -177,11 +177,7 @@ func collectRep(ctx context.Context, b bench.Benchmark, cfg RunConfig, opts Coll
 // out of the rep's engine instrumentation so they land only in the
 // record's Attack annex, not among the pipeline stages.
 func collectAttackRep(ctx context.Context, b bench.Benchmark, cfg RunConfig, opts CollectOptions) (*attackRepSample, error) {
-	scale := cfg.Scale
-	if scale == 0 {
-		scale = b.ScaleForTarget(cfg.TargetScanFFs)
-	}
-	nw := b.Build(scale)
+	nw := b.Build(cfg.EffectiveScale(b))
 	ov, key, err := obfus.ObfuscateNetwork(nw, obfus.GenConfig{
 		KeyBits: opts.AttackKeyBits, MuxShare: -1, Dynamic: opts.AttackDynamic,
 	}, cfg.Seed)

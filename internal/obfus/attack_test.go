@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/cnf"
+	"repro/internal/obs"
 	"repro/internal/rsn"
 	"repro/internal/sat"
 )
@@ -547,10 +548,10 @@ func TestReportRoundTrip(t *testing.T) {
 	}
 	rep := NewReport("test", nw, ov, kr.Horizon, kr, fl)
 	var buf bytes.Buffer
-	if err := WriteReport(&buf, rep); err != nil {
+	if err := obs.WriteDoc(&buf, rep); err != nil {
 		t.Fatalf("WriteReport: %v", err)
 	}
-	got, err := ReadReport(bytes.NewReader(buf.Bytes()))
+	got, err := obs.ReadDoc[Report](bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatalf("ReadReport: %v", err)
 	}

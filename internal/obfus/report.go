@@ -1,9 +1,7 @@
 package obfus
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 
 	"repro/internal/rsn"
 )
@@ -197,27 +195,4 @@ func (r *Report) Validate() error {
 		}
 	}
 	return nil
-}
-
-// WriteReport serializes the report as indented JSON.
-func WriteReport(w io.Writer, r *Report) error {
-	if err := r.Validate(); err != nil {
-		return err
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
-}
-
-// ReadReport parses and validates an attack report.
-func ReadReport(rd io.Reader) (*Report, error) {
-	var r Report
-	dec := json.NewDecoder(rd)
-	if err := dec.Decode(&r); err != nil {
-		return nil, fmt.Errorf("attack report: parse: %w", err)
-	}
-	if err := r.Validate(); err != nil {
-		return nil, err
-	}
-	return &r, nil
 }

@@ -18,9 +18,7 @@ package perfrec
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 	"runtime"
 	"sort"
@@ -343,23 +341,4 @@ func validateStages(owner string, stages []Stage) error {
 		}
 	}
 	return nil
-}
-
-// Write serializes the record as indented JSON.
-func Write(w io.Writer, r *Record) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
-}
-
-// Read parses and validates a bench record.
-func Read(rd io.Reader) (*Record, error) {
-	var r Record
-	if err := json.NewDecoder(rd).Decode(&r); err != nil {
-		return nil, fmt.Errorf("bench-record: parse: %w", err)
-	}
-	if err := r.Validate(); err != nil {
-		return nil, err
-	}
-	return &r, nil
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 // sample builds a minimal valid record with one benchmark and the
@@ -71,10 +73,10 @@ func TestRecordRoundTrip(t *testing.T) {
 	r := sample(10_000_000, 11_000_000, 10_500_000)
 	r.CreatedAt = "2026-08-06T00:00:00Z"
 	var buf bytes.Buffer
-	if err := Write(&buf, r); err != nil {
+	if err := obs.WriteDoc(&buf, r); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Read(&buf)
+	got, err := obs.ReadDoc[Record](&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,13 +95,13 @@ func TestRecordRoundTrip(t *testing.T) {
 func TestSimSATSplitOptional(t *testing.T) {
 	r := sample(10, 20, 30)
 	var buf bytes.Buffer
-	if err := Write(&buf, r); err != nil {
+	if err := obs.WriteDoc(&buf, r); err != nil {
 		t.Fatal(err)
 	}
 	if s := buf.String(); strings.Contains(s, "sim_resolved") || strings.Contains(s, "sat_resolved") {
 		t.Fatalf("zero split fields serialized:\n%s", s)
 	}
-	got, err := Read(&buf)
+	got, err := obs.ReadDoc[Record](&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,10 +113,10 @@ func TestSimSATSplitOptional(t *testing.T) {
 	r.Benchmarks[0].Stages[0].SimResolved = 730
 	r.Benchmarks[0].Stages[0].SATResolved = 87
 	buf.Reset()
-	if err := Write(&buf, r); err != nil {
+	if err := obs.WriteDoc(&buf, r); err != nil {
 		t.Fatal(err)
 	}
-	got, err = Read(&buf)
+	got, err = obs.ReadDoc[Record](&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +306,7 @@ func TestAttackAnnexRoundTripAndOptional(t *testing.T) {
 	// record stays valid and the field stays absent from the encoding.
 	plain := sample(10_000_000, 11_000_000, 10_500_000)
 	var buf bytes.Buffer
-	if err := Write(&buf, plain); err != nil {
+	if err := obs.WriteDoc(&buf, plain); err != nil {
 		t.Fatal(err)
 	}
 	if strings.Contains(buf.String(), `"attack"`) {
@@ -313,10 +315,10 @@ func TestAttackAnnexRoundTripAndOptional(t *testing.T) {
 	// With the annex it round-trips.
 	r := withAttack(sample(10_000_000, 11_000_000, 10_500_000), 5_000_000, 5_100_000, 5_050_000)
 	buf.Reset()
-	if err := Write(&buf, r); err != nil {
+	if err := obs.WriteDoc(&buf, r); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Read(&buf)
+	got, err := obs.ReadDoc[Record](&buf)
 	if err != nil {
 		t.Fatal(err)
 	}

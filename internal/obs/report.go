@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 )
@@ -179,22 +178,6 @@ func (r *RunReport) Validate() error {
 	return nil
 }
 
-// WriteReport serializes the report as indented JSON.
-func WriteReport(w io.Writer, r *RunReport) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
-}
-
-// ReadReport parses and validates a report.
-func ReadReport(rd io.Reader) (*RunReport, error) {
-	var r RunReport
-	dec := json.NewDecoder(rd)
-	if err := dec.Decode(&r); err != nil {
-		return nil, fmt.Errorf("report: parse: %w", err)
-	}
-	if err := r.Validate(); err != nil {
-		return nil, err
-	}
-	return &r, nil
-}
+// WriteReport is WriteDoc for a run report; the perfbench module calls
+// it.
+func WriteReport(w io.Writer, r *RunReport) error { return WriteDoc(w, r) }

@@ -30,10 +30,10 @@ func sampleReport() *RunReport {
 func TestReportRoundTrip(t *testing.T) {
 	r := sampleReport()
 	var buf bytes.Buffer
-	if err := WriteReport(&buf, r); err != nil {
+	if err := WriteDoc(&buf, r); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadReport(&buf)
+	got, err := ReadDoc[RunReport](&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,10 +97,10 @@ func TestValidateIgnoresStartedAt(t *testing.T) {
 }
 
 func TestReadReportRejectsGarbage(t *testing.T) {
-	if _, err := ReadReport(strings.NewReader("not json")); err == nil {
+	if _, err := ReadDoc[RunReport](strings.NewReader("not json")); err == nil {
 		t.Fatal("parsed garbage")
 	}
-	if _, err := ReadReport(strings.NewReader(`{"schema":"bogus","tool":"x","config":{},"totals":{}}`)); err == nil {
+	if _, err := ReadDoc[RunReport](strings.NewReader(`{"schema":"bogus","tool":"x","config":{},"totals":{}}`)); err == nil {
 		t.Fatal("accepted unknown schema")
 	}
 }

@@ -1,7 +1,6 @@
 package reportdiff
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 
@@ -62,24 +61,6 @@ func (d *DeltaDoc) Validate() error {
 	return nil
 }
 
-// WriteDeltaDoc validates and writes the document as indented JSON.
-func WriteDeltaDoc(w io.Writer, d *DeltaDoc) error {
-	if err := d.Validate(); err != nil {
-		return err
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(d)
-}
-
-// ReadDeltaDoc decodes and validates a delta document.
-func ReadDeltaDoc(r io.Reader) (*DeltaDoc, error) {
-	var d DeltaDoc
-	if err := json.NewDecoder(r).Decode(&d); err != nil {
-		return nil, fmt.Errorf("reportdiff: decode delta doc: %w", err)
-	}
-	if err := d.Validate(); err != nil {
-		return nil, err
-	}
-	return &d, nil
-}
+// ReadDeltaDoc is obs.ReadDoc for a delta document; the perfbench
+// module calls it.
+func ReadDeltaDoc(r io.Reader) (*DeltaDoc, error) { return obs.ReadDoc[DeltaDoc](r) }

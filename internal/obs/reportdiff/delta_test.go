@@ -21,10 +21,10 @@ func TestDeltaDocRoundTrip(t *testing.T) {
 		t.Fatal("NewDeltaDoc did not compute the parent diff")
 	}
 	var buf bytes.Buffer
-	if err := WriteDeltaDoc(&buf, d); err != nil {
+	if err := obs.WriteDoc(&buf, d); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadDeltaDoc(&buf)
+	got, err := obs.ReadDoc[DeltaDoc](&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,8 +51,8 @@ func TestDeltaDocValidate(t *testing.T) {
 		if err := d.Validate(); err == nil {
 			t.Errorf("%s: Validate succeeded, want error", name)
 		}
-		if err := WriteDeltaDoc(&bytes.Buffer{}, d); err == nil {
-			t.Errorf("%s: WriteDeltaDoc succeeded, want error", name)
+		if err := obs.WriteDoc(&bytes.Buffer{}, d); err == nil {
+			t.Errorf("%s: WriteDoc succeeded, want error", name)
 		}
 	}
 }

@@ -9,9 +9,7 @@
 package series
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 	"sort"
 	"time"
@@ -117,25 +115,6 @@ func contains(ss []string, s string) bool {
 		}
 	}
 	return false
-}
-
-// WriteHistory serializes the document as indented JSON.
-func WriteHistory(w io.Writer, h *History) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(h)
-}
-
-// ReadHistory parses and validates a metrics-history document.
-func ReadHistory(rd io.Reader) (*History, error) {
-	var h History
-	if err := json.NewDecoder(rd).Decode(&h); err != nil {
-		return nil, fmt.Errorf("history: parse: %w", err)
-	}
-	if err := h.Validate(); err != nil {
-		return nil, err
-	}
-	return &h, nil
 }
 
 // Query evaluates fn over family on a step grid covering the trailing

@@ -2,6 +2,7 @@ package series
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"math"
 	"strings"
@@ -218,10 +219,10 @@ func TestQueryDocumentRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := WriteHistory(&buf, h); err != nil {
+	if err := obs.WriteDoc(&buf, h); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadHistory(&buf)
+	back, err := obs.ReadDoc[History](&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,8 +234,13 @@ func TestQueryDocumentRoundTrip(t *testing.T) {
 	bad := *h
 	bad.Schema = "rsnsec.metrics-history/v999"
 	var bb bytes.Buffer
-	_ = WriteHistory(&bb, &bad)
-	if _, err := ReadHistory(&bb); err == nil || !strings.Contains(err.Error(), "schema") {
+	if err := obs.WriteDoc(&bb, &bad); err == nil || !strings.Contains(err.Error(), "schema") {
+		t.Fatalf("unknown schema written: %v", err)
+	}
+	if err := json.NewEncoder(&bb).Encode(&bad); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := obs.ReadDoc[History](&bb); err == nil || !strings.Contains(err.Error(), "schema") {
 		t.Fatalf("unknown schema accepted: %v", err)
 	}
 	bad2 := *h

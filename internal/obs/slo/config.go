@@ -202,10 +202,3 @@ func LoadConfig(path string) (*Config, error) {
 	}
 	return c, nil
 }
-
-// WriteConfig serializes the config as indented JSON.
-func WriteConfig(w io.Writer, c *Config) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(c)
-}

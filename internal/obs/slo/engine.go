@@ -1,9 +1,7 @@
 package slo
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 	"sync"
 	"time"
@@ -113,25 +111,6 @@ func (s *Status) Validate() error {
 		return fmt.Errorf("slo status: breaching flag %v inconsistent with objectives", s.Breaching)
 	}
 	return nil
-}
-
-// WriteStatus serializes the document as indented JSON.
-func WriteStatus(w io.Writer, s *Status) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(s)
-}
-
-// ReadStatus parses and validates an slo-status document.
-func ReadStatus(rd io.Reader) (*Status, error) {
-	var s Status
-	if err := json.NewDecoder(rd).Decode(&s); err != nil {
-		return nil, fmt.Errorf("slo status: parse: %w", err)
-	}
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	return &s, nil
 }
 
 // Engine evaluates a config against a series store and re-exports the

@@ -2,6 +2,7 @@ package slo
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 	"time"
@@ -259,10 +260,10 @@ func TestStatusRoundTripAndRejects(t *testing.T) {
 	st := f.eng.Evaluate(now.Add(time.Second))
 
 	var buf bytes.Buffer
-	if err := WriteStatus(&buf, st); err != nil {
+	if err := obs.WriteDoc(&buf, st); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadStatus(&buf)
+	back, err := obs.ReadDoc[Status](&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,9 +273,14 @@ func TestStatusRoundTripAndRejects(t *testing.T) {
 
 	bad := *st
 	bad.Schema = "rsnsec.slo-status/v0"
+	if err := obs.WriteDoc(&bytes.Buffer{}, &bad); err == nil {
+		t.Fatal("unknown schema written")
+	}
 	buf.Reset()
-	_ = WriteStatus(&buf, &bad)
-	if _, err := ReadStatus(&buf); err == nil {
+	if err := json.NewEncoder(&buf).Encode(&bad); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := obs.ReadDoc[Status](&buf); err == nil {
 		t.Fatal("unknown schema accepted")
 	}
 	bad2 := *st
@@ -287,7 +293,7 @@ func TestStatusRoundTripAndRejects(t *testing.T) {
 func TestConfigRoundTripFile(t *testing.T) {
 	c := validConfig()
 	var buf bytes.Buffer
-	if err := WriteConfig(&buf, c); err != nil {
+	if err := obs.WriteDoc(&buf, c); err != nil {
 		t.Fatal(err)
 	}
 	back, err := ReadConfig(&buf)

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -100,7 +99,7 @@ func (s *Server) resolveAttack(req *AttackRequest) (*analysis, error) {
 	}
 	// Attack analyses never consult the instrument circuit; the loaded
 	// design's synthesized one is dropped.
-	d, err := icl.Load(req.ICL, "", s.cfg.limits().MaxScanFFs)
+	d, err := icl.Load(req.ICL, "", s.cfg.maxScanFFs())
 	if err != nil {
 		return nil, err
 	}
@@ -177,11 +176,10 @@ func (s *Server) handleAttack(w http.ResponseWriter, r *http.Request) {
 	s.serveOrSchedule(w, r, a, req.Priority, req.TimeoutMS)
 }
 
-// executeAttack runs one attack job to a serialized
-// rsnsec.attack-report/v1 document and stores it under the job's
-// content address. Reports are built without wall-clock timings, so a
-// replayed submission serves the stored bytes unchanged.
-func (s *Server) executeAttack(ctx context.Context, j *Job, a *analysis) ([]byte, error) {
+// executeAttack runs one attack job to its rsnsec.attack-report/v1
+// document. Reports are built without wall-clock timings, so a replayed
+// submission serves the stored bytes unchanged.
+func (s *Server) executeAttack(ctx context.Context, j *Job, a *analysis) (obs.Doc, error) {
 	at := a.atk
 	opts := at.opts
 	opts.Stats = s.stats
@@ -209,13 +207,5 @@ func (s *Server) executeAttack(ctx context.Context, j *Job, a *analysis) ([]byte
 		attrs = append(attrs, slog.Int("flush_rank", fl.Rank))
 	}
 	s.atkLog.LogAttrs(ctx, slog.LevelDebug, "report", attrs...)
-	var buf bytes.Buffer
-	if err := obfus.WriteReport(&buf, rep); err != nil {
-		return nil, fmt.Errorf("serve: encode attack report: %w", err)
-	}
-	if err := s.store.Put(a.key, buf.Bytes()); err != nil {
-		s.log.LogAttrs(ctx, slog.LevelWarn, "store put failed",
-			slog.String("key", shortKey(a.key)), slog.String("err", err.Error()))
-	}
-	return buf.Bytes(), nil
+	return rep, nil
 }

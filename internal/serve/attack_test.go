@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/obfus"
+	"repro/internal/obs"
 	"repro/internal/rsn"
 )
 
@@ -103,7 +104,7 @@ func TestAttackEndToEndCachedReplay(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("report: HTTP %d: %s", code, rep1)
 	}
-	rep, err := obfus.ReadReport(bytes.NewReader(rep1))
+	rep, err := obs.ReadDoc[obfus.Report](bytes.NewReader(rep1))
 	if err != nil {
 		t.Fatalf("report does not validate: %v", err)
 	}

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"log/slog"
 	"net/http"
 	"strings"
 	"time"
@@ -114,7 +113,7 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 	}
 	// Added registers allocate their flip-flops when the job applies
 	// the script, so their lengths are held to the scan-FF cap here.
-	limit, added := s.cfg.limits().MaxScanFFs, 0
+	limit, added := s.cfg.maxScanFFs(), 0
 	for _, op := range script.Ops {
 		if op.Op != rsn.OpAddRegister {
 			continue
@@ -188,10 +187,10 @@ func (s *Server) parentReport(baseKey string) (*obs.RunReport, error) {
 	if !ok {
 		return nil, fmt.Errorf("parent report %s not in store", shortKey(baseKey))
 	}
-	if rep, err := obs.ReadReport(bytes.NewReader(data)); err == nil {
+	if rep, err := obs.ReadDoc[obs.RunReport](bytes.NewReader(data)); err == nil {
 		return rep, nil
 	}
-	if doc, err := reportdiff.ReadDeltaDoc(bytes.NewReader(data)); err == nil {
+	if doc, err := obs.ReadDoc[reportdiff.DeltaDoc](bytes.NewReader(data)); err == nil {
 		return doc.Report, nil
 	}
 	return nil, fmt.Errorf("stored document %s is neither a run report nor a delta report", shortKey(baseKey))
@@ -199,10 +198,10 @@ func (s *Server) parentReport(baseKey string) (*obs.RunReport, error) {
 
 // executeDelta runs one delta job: hydrate (or fetch) the base
 // session, apply the script and re-secure incrementally, diff against
-// the parent report, store the delta document under the derived key,
-// and persist the derived session so the chain continues — across
-// process restarts — from this delta's state.
-func (s *Server) executeDelta(ctx context.Context, j *Job, a *analysis) ([]byte, error) {
+// the parent report into the delta document, and persist the derived
+// session so the chain continues — across process restarts — from this
+// delta's state.
+func (s *Server) executeDelta(ctx context.Context, j *Job, a *analysis) (obs.Doc, error) {
 	sess, err := s.sessionFor(ctx, a.baseKey)
 	if err != nil {
 		return nil, err
@@ -228,15 +227,6 @@ func (s *Server) executeDelta(ctx context.Context, j *Job, a *analysis) ([]byte,
 	if err != nil {
 		return nil, err
 	}
-	doc := reportdiff.NewDeltaDoc(a.baseKey, a.key, a.scriptHash, len(a.script.Ops), parent, res.Report)
-	var buf bytes.Buffer
-	if err := reportdiff.WriteDeltaDoc(&buf, doc); err != nil {
-		return nil, fmt.Errorf("serve: encode delta report: %w", err)
-	}
-	if err := s.store.Put(a.key, buf.Bytes()); err != nil {
-		s.log.LogAttrs(ctx, slog.LevelWarn, "store put failed",
-			slog.String("key", shortKey(a.key)), slog.String("err", err.Error()))
-	}
 	s.saveSession(&session{
 		hydrated: true, key: a.key, label: sess.label, mode: sess.mode,
 		iclText: sess.iclText, benchText: sess.benchText,
@@ -244,5 +234,5 @@ func (s *Server) executeDelta(ctx context.Context, j *Job, a *analysis) ([]byte,
 		an:      res.Analysis, nw: res.Derived,
 		circuit: sess.circuit, internal: sess.internal, spec: sess.spec,
 	})
-	return buf.Bytes(), nil
+	return reportdiff.NewDeltaDoc(a.baseKey, a.key, a.scriptHash, len(a.script.Ops), parent, res.Report), nil
 }

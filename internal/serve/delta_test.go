@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/dep"
+	"repro/internal/obs"
 	"repro/internal/obs/reportdiff"
 	"repro/internal/rsn"
 )
@@ -191,7 +192,7 @@ func runDelta(t *testing.T, baseURL, id, body string) (*reportdiff.DeltaDoc, []b
 	if code != http.StatusOK {
 		t.Fatalf("delta report: HTTP %d: %s", code, rep)
 	}
-	doc, err := reportdiff.ReadDeltaDoc(bytes.NewReader(rep))
+	doc, err := obs.ReadDoc[reportdiff.DeltaDoc](bytes.NewReader(rep))
 	if err != nil {
 		t.Fatalf("delta doc schema: %v\n%s", err, rep)
 	}

@@ -80,7 +80,7 @@ func TestHistoryAndSLOEndpoints(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("history query: %d %s", code, data)
 	}
-	doc, err := series.ReadHistory(bytes.NewReader(data))
+	doc, err := obs.ReadDoc[series.History](bytes.NewReader(data))
 	if err != nil {
 		t.Fatalf("history document invalid: %v\n%s", err, data)
 	}
@@ -102,7 +102,7 @@ func TestHistoryAndSLOEndpoints(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("p90 query: %d %s", code, data)
 	}
-	if _, err := series.ReadHistory(bytes.NewReader(data)); err != nil {
+	if _, err := obs.ReadDoc[series.History](bytes.NewReader(data)); err != nil {
 		t.Fatalf("p90 document invalid: %v", err)
 	}
 
@@ -123,7 +123,7 @@ func TestHistoryAndSLOEndpoints(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("/v1/slo: %d %s", code, data)
 	}
-	st, err := slo.ReadStatus(bytes.NewReader(data))
+	st, err := obs.ReadDoc[slo.Status](bytes.NewReader(data))
 	if err != nil {
 		t.Fatalf("slo status invalid: %v\n%s", err, data)
 	}
@@ -187,6 +187,37 @@ func TestSLOImpliesHistory(t *testing.T) {
 	}
 	if srv.SLOEngine() == nil {
 		t.Fatal("no SLO engine")
+	}
+}
+
+// TestSLOStretchesGivenHistory checks that the retention rule holds
+// when History is given too: a zero retention takes the slowest SLO
+// window, the given interval stays, an explicit retention wins, and
+// the caller's config is left as it was.
+func TestSLOStretchesGivenHistory(t *testing.T) {
+	for _, tc := range []struct {
+		retention, want time.Duration
+	}{
+		{0, 30 * time.Second},
+		{time.Minute, time.Minute},
+	} {
+		hist := &series.Config{Interval: 50 * time.Millisecond, Retention: tc.retention}
+		srv, err := New(Config{SLO: testSLOConfig(), History: hist})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := srv.History().Retention(); got != tc.want {
+			t.Errorf("retention %v: store keeps %v, want %v", tc.retention, got, tc.want)
+		}
+		if got := srv.History().Interval(); got != 50*time.Millisecond {
+			t.Errorf("retention %v: interval %v, want the given 50ms", tc.retention, got)
+		}
+		if hist.Retention != tc.retention || hist.Interval != 50*time.Millisecond {
+			t.Errorf("New modified the caller's history config: %+v", *hist)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+		_ = srv.Shutdown(ctx)
+		cancel()
 	}
 }
 
@@ -300,7 +331,7 @@ func TestReportsByteIdenticalWithSamplerRunning(t *testing.T) {
 // compared across independent recomputations.
 func stripWallTimes(t *testing.T, data []byte) []byte {
 	t.Helper()
-	rep, err := obs.ReadReport(bytes.NewReader(data))
+	rep, err := obs.ReadDoc[obs.RunReport](bytes.NewReader(data))
 	if err != nil {
 		t.Fatalf("report invalid: %v\n%s", err, data)
 	}

@@ -128,32 +128,44 @@ func (s *Server) resolve(req *AnalysisRequest) (*analysis, error) {
 	}
 }
 
+// Defaults and bounds of catalog protocol submissions. The defaults
+// are deliberately small — a service answers many users, so the
+// heavyweight full protocol must be asked for explicitly — and the
+// bounds keep one submission from monopolizing the workers.
+const (
+	defaultCircuits = 2
+	defaultSpecs    = 4
+	defaultScanFFs  = 120
+	maxCircuits     = 16
+	maxSpecs        = 64
+)
+
 // resolveBenchmark materializes a catalog protocol run.
 func (s *Server) resolveBenchmark(req *AnalysisRequest, mode dep.Mode) (*analysis, error) {
 	b, ok := bench.ByName(req.Benchmark)
 	if !ok {
 		return nil, fmt.Errorf("unknown benchmark %q", req.Benchmark)
 	}
-	lim := s.cfg.limits()
+	maxFFs := s.cfg.maxScanFFs()
 	if req.Circuits == 0 {
-		req.Circuits = lim.DefaultCircuits
+		req.Circuits = defaultCircuits
 	}
 	if req.Specs == 0 {
-		req.Specs = lim.DefaultSpecs
+		req.Specs = defaultSpecs
 	}
 	if req.Scale == 0 && req.TargetScanFFs == 0 {
-		req.TargetScanFFs = lim.DefaultScanFFs
+		req.TargetScanFFs = defaultScanFFs
 	}
 	if req.Seed == 0 {
 		req.Seed = 1
 	}
 	switch {
-	case req.Circuits < 0 || req.Circuits > lim.MaxCircuits:
-		return nil, fmt.Errorf("circuits %d out of range (1..%d)", req.Circuits, lim.MaxCircuits)
-	case req.Specs < 0 || req.Specs > lim.MaxSpecs:
-		return nil, fmt.Errorf("specs %d out of range (1..%d)", req.Specs, lim.MaxSpecs)
-	case req.TargetScanFFs < 0 || req.TargetScanFFs > lim.MaxScanFFs:
-		return nil, fmt.Errorf("target_scan_ffs %d out of range (1..%d)", req.TargetScanFFs, lim.MaxScanFFs)
+	case req.Circuits < 0 || req.Circuits > maxCircuits:
+		return nil, fmt.Errorf("circuits %d out of range (1..%d)", req.Circuits, maxCircuits)
+	case req.Specs < 0 || req.Specs > maxSpecs:
+		return nil, fmt.Errorf("specs %d out of range (1..%d)", req.Specs, maxSpecs)
+	case req.TargetScanFFs < 0 || req.TargetScanFFs > maxFFs:
+		return nil, fmt.Errorf("target_scan_ffs %d out of range (1..%d)", req.TargetScanFFs, maxFFs)
 	case req.Scale < 0 || req.Scale > 1:
 		return nil, fmt.Errorf("scale %g out of range (0..1]", req.Scale)
 	}
@@ -164,14 +176,10 @@ func (s *Server) resolveBenchmark(req *AnalysisRequest, mode dep.Mode) (*analysi
 	cfg.Scale = req.Scale
 	cfg.Seed = req.Seed
 	cfg.Mode = mode
-	scale := cfg.Scale
-	if scale == 0 {
-		scale = b.ScaleForTarget(cfg.TargetScanFFs)
-	}
-	nw := b.Build(scale)
+	nw := b.Build(cfg.EffectiveScale(b))
 	// An explicit scale must not exceed the scan-FF cap either.
-	if ffs := nw.NumScanFFs(); req.Scale > 0 && ffs > lim.MaxScanFFs {
-		return nil, fmt.Errorf("scale %g yields %d scan FFs (cap %d)", req.Scale, ffs, lim.MaxScanFFs)
+	if ffs := nw.NumScanFFs(); req.Scale > 0 && ffs > maxFFs {
+		return nil, fmt.Errorf("scale %g yields %d scan FFs (cap %d)", req.Scale, ffs, maxFFs)
 	}
 
 	a := &analysis{label: b.Name, benchmark: &b, cfg: cfg}
@@ -226,7 +234,7 @@ func hashSpecGen(h *netlist.Hasher, g secspec.GenConfig) {
 // address over the materialized circuit, internal list, network,
 // specification and mode.
 func (s *Server) resolveICL(req *AnalysisRequest, mode dep.Mode) (*analysis, error) {
-	d, err := icl.Load(req.ICL, req.Bench, s.cfg.limits().MaxScanFFs)
+	d, err := icl.Load(req.ICL, req.Bench, s.cfg.maxScanFFs())
 	if err != nil {
 		return nil, err
 	}

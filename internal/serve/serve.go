@@ -14,7 +14,7 @@
 //	                     │
 //	              worker pool ──► internal/exp / internal/core
 //	                     │
-//	              store.Put(key, report) — rsnsec.run-report/v1
+//	              store.Put(key, document) — run, delta or attack report
 //
 // Analysis results (counts, changes, violations) are deterministic by
 // construction, which is what makes content addressing sound; the
@@ -43,20 +43,12 @@ import (
 	"repro/internal/obs/slo"
 )
 
-// Limits bounds and defaults the per-request protocol parameters.
+// Limits bounds the per-request network size.
 type Limits struct {
-	// DefaultCircuits/DefaultSpecs/DefaultScanFFs fill zero-valued
-	// submissions; defaults are deliberately small — a service answers
-	// many users, so the heavyweight full protocol must be asked for
-	// explicitly.
-	DefaultCircuits int
-	DefaultSpecs    int
-	DefaultScanFFs  int
-	// MaxCircuits/MaxSpecs/MaxScanFFs reject submissions that would
-	// monopolize the workers.
-	MaxCircuits int
-	MaxSpecs    int
-	MaxScanFFs  int
+	// MaxScanFFs rejects submissions whose network would monopolize
+	// the workers (catalog targets and scales, ICL texts, delta
+	// scripts); <= 0 uses 1500.
+	MaxScanFFs int
 }
 
 // Config parameterizes a Server. The zero value is usable: ephemeral
@@ -73,17 +65,13 @@ type Config struct {
 	QueueDepth int
 	// JobTimeout caps each job's run time; 0 means no cap.
 	JobTimeout time.Duration
-	// FinishedJobs bounds the retained finished-job records; <= 0 uses
-	// 1024.
-	FinishedJobs int
 	// MaxSessions bounds the live (in-memory) analysis sessions kept
 	// for delta submissions; <= 0 uses 16. Evicted sessions re-hydrate
 	// from their persisted records on the next delta.
 	MaxSessions int
 	// Store sizes the content-addressed result store.
 	Store StoreConfig
-	// Limits bounds request parameters; zero fields use the package
-	// defaults (see limits).
+	// Limits bounds request parameters.
 	Limits Limits
 	// Registry receives the server's metrics (request latencies, queue
 	// depth, store hit/miss counters, engine stage counters); nil
@@ -115,7 +103,8 @@ type Config struct {
 	// bounded series store sampling the registry on History.Interval
 	// (served at /debug/metrics/history, feeding the SLO engine). Nil
 	// disables it — unless SLO is set, which enables history with
-	// defaults sized to the objectives.
+	// defaults. With SLO set, a zero Retention takes the slowest
+	// objective window.
 	History *series.Config
 	// SLO, when non-nil, evaluates the objectives against the metrics
 	// history: /v1/slo serves the status document, slo_* gauges appear
@@ -123,28 +112,12 @@ type Config struct {
 	SLO *slo.Config
 }
 
-// limits resolves the configured bounds against the defaults.
-func (c *Config) limits() Limits {
-	l := c.Limits
-	if l.DefaultCircuits <= 0 {
-		l.DefaultCircuits = 2
+// maxScanFFs resolves Limits.MaxScanFFs against its default.
+func (c *Config) maxScanFFs() int {
+	if c.Limits.MaxScanFFs > 0 {
+		return c.Limits.MaxScanFFs
 	}
-	if l.DefaultSpecs <= 0 {
-		l.DefaultSpecs = 4
-	}
-	if l.DefaultScanFFs <= 0 {
-		l.DefaultScanFFs = 120
-	}
-	if l.MaxCircuits <= 0 {
-		l.MaxCircuits = 16
-	}
-	if l.MaxSpecs <= 0 {
-		l.MaxSpecs = 64
-	}
-	if l.MaxScanFFs <= 0 {
-		l.MaxScanFFs = 1500
-	}
-	return l
+	return 1500
 }
 
 // Server is the rsnserved daemon: HTTP API + scheduler + store.
@@ -244,25 +217,24 @@ func New(cfg Config) (*Server, error) {
 	// dispatch wraps the substitutable runJob seam with the job span,
 	// the slow-job record and profile capture.
 	s.sched = NewScheduler(SchedulerConfig{
-		Workers:      cfg.Workers,
-		QueueDepth:   cfg.QueueDepth,
-		JobTimeout:   cfg.JobTimeout,
-		FinishedJobs: cfg.FinishedJobs,
-		Logger:       ringed,
+		Workers:    cfg.Workers,
+		QueueDepth: cfg.QueueDepth,
+		JobTimeout: cfg.JobTimeout,
+		Logger:     ringed,
 	}, cfg.Registry, s.dispatch)
 	s.registerLoadGauges()
-	// SLO evaluation needs history; an SLO config without one enables
-	// the series store with defaults stretched to cover the slowest
-	// objective window.
-	histCfg := cfg.History
-	if histCfg == nil && cfg.SLO != nil {
-		histCfg = &series.Config{}
-		if w := cfg.SLO.MaxWindow(); w > histCfg.Retention {
-			histCfg.Retention = w
+	// SLO evaluation needs history: an SLO config enables the series
+	// store, and a zero retention stretches to the slowest objective
+	// window. The caller's History is copied, never modified.
+	if cfg.History != nil || cfg.SLO != nil {
+		var histCfg series.Config
+		if cfg.History != nil {
+			histCfg = *cfg.History
 		}
-	}
-	if histCfg != nil {
-		s.history = series.NewStore(cfg.Registry, *histCfg)
+		if cfg.SLO != nil && histCfg.Retention == 0 {
+			histCfg.Retention = cfg.SLO.MaxWindow()
+		}
+		s.history = series.NewStore(cfg.Registry, histCfg)
 	}
 	if cfg.SLO != nil {
 		eng, err := slo.NewEngine(cfg.SLO, s.history, cfg.Registry)
@@ -342,61 +314,27 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return err
 }
 
-// execute runs one resolved analysis to a serialized
-// rsnsec.run-report/v1 document and stores it under the job's content
-// address. Job-level engine instrumentation feeds the server-wide
-// stats (live /metrics) but NOT the report document: a report is a
-// function of the analysis inputs, not of this process's cumulative
-// counters, so its Stages section is left empty and StartedAt unset.
+// execute runs one resolved analysis to its document (a run, delta or
+// attack report), encodes it and stores it under the job's content
+// address.
 func (s *Server) execute(ctx context.Context, j *Job) ([]byte, error) {
 	a := j.Payload.(*analysis)
-	if a.script != nil {
-		return s.executeDelta(ctx, j, a)
+	var doc obs.Doc
+	var err error
+	switch {
+	case a.script != nil:
+		doc, err = s.executeDelta(ctx, j, a)
+	case a.atk != nil:
+		doc, err = s.executeAttack(ctx, j, a)
+	default:
+		doc, err = s.executeRun(ctx, j, a)
 	}
-	if a.atk != nil {
-		return s.executeAttack(ctx, j, a)
-	}
-	var rep *obs.RunReport
-	if a.benchmark != nil {
-		cfg := a.cfg
-		cfg.Workers = s.cfg.EngineWorkers
-		cfg.Parallel = 1 // job concurrency comes from the scheduler pool
-		cfg.Stats = s.stats
-		cfg.Tracer = s.tracer
-		cfg.TraceParent = j.span
-		results, err := exp.RunProtocol(ctx, []bench.Benchmark{*a.benchmark}, cfg, nil)
-		if err != nil {
-			return nil, err
-		}
-		rep = exp.BuildReport("rsnserved", "main", cfg, results, nil)
-	} else {
-		// The run's dependency analysis outlives it as an incremental
-		// session: deltas against it skip the dependency calculation
-		// and re-propagate only their dirty cone.
-		d := a.design
-		crep, err := core.Secure(d.Network.Clone(), d.Circuit, d.Internal, d.Spec, core.Options{
-			Mode:        a.mode,
-			Workers:     s.cfg.EngineWorkers,
-			Context:     ctx,
-			Logger:      s.engLog.With("job", j.ID),
-			Stats:       s.stats,
-			Tracer:      s.tracer,
-			TraceParent: j.span,
-		})
-		if err != nil {
-			return nil, err
-		}
-		rep = exp.SecureReport("rsnserved", a.label, a.mode, d.Network.Stats(), crep, nil)
-		s.saveSession(&session{
-			hydrated: true, key: a.key, label: a.label, mode: a.mode,
-			iclText: a.iclText, benchText: a.benchText,
-			an: crep.Analysis.WithEngine(engine.Options{Workers: s.cfg.EngineWorkers, Stats: s.stats}),
-			nw: d.Network, circuit: d.Circuit, internal: d.Internal, spec: d.Spec,
-		})
+	if err != nil {
+		return nil, err
 	}
 	var buf bytes.Buffer
-	if err := obs.WriteReport(&buf, rep); err != nil {
-		return nil, fmt.Errorf("serve: encode report: %w", err)
+	if err := obs.WriteDoc(&buf, doc); err != nil {
+		return nil, fmt.Errorf("serve: encode %T: %w", doc, err)
 	}
 	// The store key is the undecorated content address (a.key): a
 	// profiled job's scheduler key carries a "#profile-..." suffix so
@@ -409,4 +347,49 @@ func (s *Server) execute(ctx context.Context, j *Job) ([]byte, error) {
 			slog.String("key", shortKey(a.key)), slog.String("err", err.Error()))
 	}
 	return buf.Bytes(), nil
+}
+
+// executeRun runs a catalog protocol or an ICL analysis to its
+// rsnsec.run-report/v1 document. Job-level engine instrumentation feeds
+// the server-wide stats (live /metrics) but NOT the report document: a
+// report is a function of the analysis inputs, not of this process's
+// cumulative counters, so its Stages section is left empty and
+// StartedAt unset.
+func (s *Server) executeRun(ctx context.Context, j *Job, a *analysis) (obs.Doc, error) {
+	if a.benchmark != nil {
+		cfg := a.cfg
+		cfg.Workers = s.cfg.EngineWorkers
+		cfg.Parallel = 1 // job concurrency comes from the scheduler pool
+		cfg.Stats = s.stats
+		cfg.Tracer = s.tracer
+		cfg.TraceParent = j.span
+		results, err := exp.RunProtocol(ctx, []bench.Benchmark{*a.benchmark}, cfg, nil)
+		if err != nil {
+			return nil, err
+		}
+		return exp.BuildReport("rsnserved", "main", cfg, results, nil), nil
+	}
+	// The run's dependency analysis outlives it as an incremental
+	// session: deltas against it skip the dependency calculation and
+	// re-propagate only their dirty cone.
+	d := a.design
+	crep, err := core.Secure(d.Network.Clone(), d.Circuit, d.Internal, d.Spec, core.Options{
+		Mode:        a.mode,
+		Workers:     s.cfg.EngineWorkers,
+		Context:     ctx,
+		Logger:      s.engLog.With("job", j.ID),
+		Stats:       s.stats,
+		Tracer:      s.tracer,
+		TraceParent: j.span,
+	})
+	if err != nil {
+		return nil, err
+	}
+	s.saveSession(&session{
+		hydrated: true, key: a.key, label: a.label, mode: a.mode,
+		iclText: a.iclText, benchText: a.benchText,
+		an: crep.Analysis.WithEngine(engine.Options{Workers: s.cfg.EngineWorkers, Stats: s.stats}),
+		nw: d.Network, circuit: d.Circuit, internal: d.Internal, spec: d.Spec,
+	})
+	return exp.SecureReport("rsnserved", a.label, a.mode, d.Network.Stats(), crep, nil), nil
 }

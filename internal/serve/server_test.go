@@ -410,7 +410,7 @@ func TestE2EDoubleSubmissionRealEngine(t *testing.T) {
 		t.Fatalf("first run: %+v", st)
 	}
 	_, _, rep1 := getBody(t, ts.URL+st.ReportURL)
-	report, err := obs.ReadReport(bytes.NewReader(rep1))
+	report, err := obs.ReadDoc[obs.RunReport](bytes.NewReader(rep1))
 	if err != nil {
 		t.Fatalf("report schema: %v\n%s", err, rep1)
 	}
@@ -478,7 +478,7 @@ func TestICLSubmissionRealEngine(t *testing.T) {
 		t.Fatalf("label = %q, want the network name", st.Label)
 	}
 	_, _, rep := getBody(t, ts.URL+st.ReportURL)
-	report, err := obs.ReadReport(bytes.NewReader(rep))
+	report, err := obs.ReadDoc[obs.RunReport](bytes.NewReader(rep))
 	if err != nil {
 		t.Fatalf("icl report schema: %v\n%s", err, rep)
 	}
@@ -576,7 +576,7 @@ func TestICLLinkedWithoutCircuit(t *testing.T) {
 		t.Fatalf("linked icl run: %+v", st)
 	}
 	_, _, rep := getBody(t, ts.URL+st.ReportURL)
-	if _, err := obs.ReadReport(bytes.NewReader(rep)); err != nil {
+	if _, err := obs.ReadDoc[obs.RunReport](bytes.NewReader(rep)); err != nil {
 		t.Fatalf("linked icl report schema: %v\n%s", err, rep)
 	}
 }

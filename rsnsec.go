@@ -295,11 +295,11 @@ func BuildRunReport(tool, table string, cfg RunConfig, results []*RunResult, sta
 	return exp.BuildReport(tool, table, cfg, results, stats)
 }
 
-// WriteRunReport serializes a report as indented JSON.
-func WriteRunReport(w io.Writer, r *RunReport) error { return obs.WriteReport(w, r) }
+// WriteRunReport validates a report and writes it as indented JSON.
+func WriteRunReport(w io.Writer, r *RunReport) error { return obs.WriteDoc(w, r) }
 
 // ReadRunReport parses and validates a report.
-func ReadRunReport(r io.Reader) (*RunReport, error) { return obs.ReadReport(r) }
+func ReadRunReport(r io.Reader) (*RunReport, error) { return obs.ReadDoc[RunReport](r) }
 
 // Performance observatory: schema-versioned bench records with
 // noise-aware regression gating.
@@ -339,11 +339,11 @@ func CompareBenchRecords(old, new *BenchRecord, lim BenchLimits) []BenchRegressi
 	return perfrec.Compare(old, new, lim)
 }
 
-// WriteBenchRecord serializes a record as indented JSON.
-func WriteBenchRecord(w io.Writer, r *BenchRecord) error { return perfrec.Write(w, r) }
+// WriteBenchRecord validates a record and writes it as indented JSON.
+func WriteBenchRecord(w io.Writer, r *BenchRecord) error { return obs.WriteDoc(w, r) }
 
 // ReadBenchRecord parses and validates a bench record.
-func ReadBenchRecord(r io.Reader) (*BenchRecord, error) { return perfrec.Read(r) }
+func ReadBenchRecord(r io.Reader) (*BenchRecord, error) { return obs.ReadDoc[BenchRecord](r) }
 
 // CaptureBenchEnvironment fingerprints the current machine and
 // toolchain for a bench record.
@@ -456,10 +456,10 @@ func NewDeltaDoc(baseKey, key, scriptHash string, scriptOps int, parent, report 
 }
 
 // WriteDeltaDoc validates and writes the document as indented JSON.
-func WriteDeltaDoc(w io.Writer, d *DeltaDoc) error { return reportdiff.WriteDeltaDoc(w, d) }
+func WriteDeltaDoc(w io.Writer, d *DeltaDoc) error { return obs.WriteDoc(w, d) }
 
 // ReadDeltaDoc decodes and validates a delta document.
-func ReadDeltaDoc(r io.Reader) (*DeltaDoc, error) { return reportdiff.ReadDeltaDoc(r) }
+func ReadDeltaDoc(r io.Reader) (*DeltaDoc, error) { return obs.ReadDoc[DeltaDoc](r) }
 
 // CompareRunReports computes the structured diff of two run reports.
 func CompareRunReports(old, new *RunReport) *ReportDiff { return reportdiff.Compare(old, new) }
@@ -675,11 +675,11 @@ func RunAttackAnalysis(ctx context.Context, tool string, nw *Network, ov *Obfusc
 	return exp.RunAttackAnalysis(ctx, tool, nw, ov, trueKey, opts)
 }
 
-// WriteAttackReport serializes an attack report as indented JSON.
-func WriteAttackReport(w io.Writer, r *AttackReport) error { return obfus.WriteReport(w, r) }
+// WriteAttackReport validates an attack report and writes it as indented JSON.
+func WriteAttackReport(w io.Writer, r *AttackReport) error { return obs.WriteDoc(w, r) }
 
 // ReadAttackReport parses and validates an attack report.
-func ReadAttackReport(r io.Reader) (*AttackReport, error) { return obfus.ReadReport(r) }
+func ReadAttackReport(r io.Reader) (*AttackReport, error) { return obs.ReadDoc[AttackReport](r) }
 
 // ObfusKeyFromSeed derives a deterministic key of n bits from a seed.
 func ObfusKeyFromSeed(seed int64, n int) []bool { return rsn.KeyFromSeed(seed, n) }
