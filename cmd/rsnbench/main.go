@@ -373,25 +373,40 @@ func sizesTable(out io.Writer, benchmarks []rsnsec.Benchmark) {
 	fmt.Fprintln(out)
 }
 
-func mainTable(ctx context.Context, out, errw io.Writer, benchmarks []rsnsec.Benchmark, cfg rsnsec.RunConfig, csvPath string) ([]*rsnsec.RunResult, error) {
-	var csvW *csv.Writer
-	if csvPath != "" {
-		f, err := os.Create(csvPath)
-		if err != nil {
-			return nil, err
+// mainTable runs the Table I protocol and prints its table, also
+// writing it as CSV to csvPath when one is given. The CSV is opened
+// before the protocol runs, and a write, flush or close error it meets
+// fails the run.
+func mainTable(ctx context.Context, out, errw io.Writer, benchmarks []rsnsec.Benchmark, cfg rsnsec.RunConfig, csvPath string) (results []*rsnsec.RunResult, err error) {
+	if csvPath == "" {
+		return runMainTable(ctx, out, errw, benchmarks, cfg, nil)
+	}
+	err = cliutil.WriteOutput(csvPath, func(w io.Writer) error {
+		csvW := csv.NewWriter(w)
+		var runErr error
+		results, runErr = runMainTable(ctx, out, errw, benchmarks, cfg, csvW)
+		csvW.Flush()
+		if runErr != nil {
+			return runErr
 		}
-		defer f.Close()
-		csvW = csv.NewWriter(f)
-		defer csvW.Flush()
-		if err := csvW.Write([]string{
+		return csvW.Error()
+	})
+	return results, err
+}
+
+// runMainTable is mainTable's run, writing CSV rows to csvW when it is
+// non-nil. A csv.Writer keeps its first write error, which csvW.Error
+// reports after the caller's Flush, so the rows' errors are not read
+// here.
+func runMainTable(ctx context.Context, out, errw io.Writer, benchmarks []rsnsec.Benchmark, cfg rsnsec.RunConfig, csvW *csv.Writer) ([]*rsnsec.RunResult, error) {
+	if csvW != nil {
+		csvW.Write([]string{
 			"benchmark", "family", "regs", "scan_ffs", "muxes",
 			"full_regs", "full_scan_ffs", "full_muxes",
 			"avg_violating_regs", "avg_pure_changes", "avg_hybrid_changes", "avg_total_changes",
 			"dep_calc_s", "pure_s", "hybrid_s", "total_s",
 			"runs", "skipped_secure", "skipped_insecure_logic", "errors",
-		}); err != nil {
-			return nil, err
-		}
+		})
 	}
 	fmt.Fprintf(out, "Protocol: %d circuits x %d specs per benchmark, mode=%v, scan-FF budget %d (scale %g)\n",
 		cfg.Circuits, cfg.Specs, cfg.Mode, cfg.TargetScanFFs, cfg.Scale)
@@ -401,7 +416,6 @@ func mainTable(ctx context.Context, out, errw io.Writer, benchmarks []rsnsec.Ben
 		">Dep calc (s)", ">Pure (s)", ">Hybrid (s)", ">Total (s)",
 		">Runs", ">Skip(sec)", ">Skip(logic)")
 	var sumPure, sumTotal float64
-	var csvErr error
 	// The protocol itself is the shared exp.RunProtocol driver (also
 	// behind rsnserved jobs); the observer renders each finished row.
 	results, err := rsnsec.RunProtocolCtx(ctx, benchmarks, cfg, func(res *rsnsec.RunResult) {
@@ -416,8 +430,8 @@ func mainTable(ctx context.Context, out, errw io.Writer, benchmarks []rsnsec.Ben
 			report.Int(res.Runs), report.Int(res.SkippedNoViolation), report.Int(res.SkippedInsecureLogic))
 		sumPure += res.AvgPureChanges
 		sumTotal += res.AvgTotalChanges
-		if csvW != nil && csvErr == nil {
-			csvErr = csvW.Write([]string{
+		if csvW != nil {
+			csvW.Write([]string{
 				b.Name, b.Family.String(),
 				report.Int(res.ScaledStats.Registers), report.Int(res.ScaledStats.ScanFFs), report.Int(res.ScaledStats.Muxes),
 				report.Int(res.FullStats.Registers), report.Int(res.FullStats.ScanFFs), report.Int(res.FullStats.Muxes),
@@ -429,9 +443,6 @@ func mainTable(ctx context.Context, out, errw io.Writer, benchmarks []rsnsec.Ben
 	})
 	if err != nil {
 		return nil, err
-	}
-	if csvErr != nil {
-		return nil, csvErr
 	}
 	t.WriteTo(out)
 	if sumTotal > 0 {

@@ -259,6 +259,26 @@ func TestTraceWriteFailureFailsTheRun(t *testing.T) {
 	}
 }
 
+// TestCSVWriteFailureFailsTheRun checks that a main-table CSV the disk
+// refuses fails rsnbench with the write error on stderr, instead of
+// exiting 0 with the CSV lost.
+func TestCSVWriteFailureFailsTheRun(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full on this platform")
+	}
+	cmd := exec.Command(filepath.Join(binDir, "rsnbench"), "-table", "main", "-benchmarks", "TreeFlat",
+		"-circuits", "1", "-specs", "1", "-ffbudget", "40", "-q", "-csv", "/dev/full")
+	var errb bytes.Buffer
+	cmd.Stderr = &errb
+	var exit *exec.ExitError
+	if err := cmd.Run(); !errors.As(err, &exit) {
+		t.Fatalf("err = %v, want a nonzero exit", err)
+	}
+	if !strings.Contains(errb.String(), "write /dev/full") {
+		t.Errorf("stderr lacks the CSV write error:\n%s", errb.String())
+	}
+}
+
 // TestRsngenLoggingKeepsStdoutPure turns structured logging ON and
 // checks the stream discipline still holds: the machine artifact owns
 // stdout, the JSON log records own stderr.

@@ -7,8 +7,10 @@
 // none < structural < path:
 //
 //   - a flip-flop b is 1-cycle functionally dependent on a if data can
-//     actually propagate from a to b in one cycle (SAT on the cofactor
-//     miter of b's next-state cone);
+//     actually propagate from a to b in one cycle: decided exactly from
+//     the truth table of b's next-state cone when the cone has at most
+//     truthMaxLeaves live leaves, otherwise by SAT on the cone's
+//     cofactor miter after a random-simulation prefilter;
 //   - b is only structurally dependent on a if a feeds b's next-state
 //     cone but no value change can propagate (e.g. masked by a
 //     reconvergence);
@@ -243,8 +245,8 @@ func rowsCSR(rows []bitset.Set, entries int) graph.CSR {
 type Stats struct {
 	Mode             Mode
 	SATCalls         int
-	SimResolved      int   // 1-cycle dependencies witnessed by simulation (no SAT call)
-	SimLanes         int64 // 64-bit pattern lanes evaluated by the prefilter
+	SimResolved      int   // 1-cycle dependencies decided by simulation, functional or structural (no SAT call)
+	SimLanes         int64 // 64-bit pattern lanes evaluated by simulation
 	Functional1Cycle int   // 1-cycle dependencies classified functional
 	StructOnly1Cycle int   // 1-cycle dependencies classified only structural
 	FFsTotal         int   // flip-flops before bridging
@@ -272,6 +274,16 @@ type oneCycleRow struct {
 	decisions, conflicts             int64
 }
 
+// add records one classified dependency of the row's root.
+func (r *oneCycleRow) add(leaf netlist.FFID, kind Kind) {
+	if kind == Path {
+		r.functional++
+	} else {
+		r.structOnly++
+	}
+	r.entries = append(r.entries, oneCycleEntry{leaf, kind})
+}
+
 // supportLeaf is a flip-flop leaf of a root's cone.
 type supportLeaf struct {
 	ff netlist.FFID
@@ -289,17 +301,17 @@ type oneCycleScratch struct {
 	sc        simCone
 	support   []supportLeaf
 	testIdx   []int
-	witnessed []bool // per leaf
+	decided   []Kind // per leaf
 	queryable []bool // per leaf
 }
 
 // OneCycleConfig tunes the exact-mode 1-cycle computation; the zero
 // value is the default tuning.
 type OneCycleConfig struct {
-	// DisableSimFilter turns off the bit-parallel random-simulation
-	// prefilter, forcing every exact-mode classification through a SAT
-	// cofactor query (the pre-prefilter behavior; the differential
-	// tests compare both paths).
+	// DisableSimFilter turns off simulation — the truth-table decision
+	// of small cones and the random prefilter of larger ones — forcing
+	// every exact-mode classification through a SAT cofactor query
+	// (the all-SAT reference the differential tests compare against).
 	DisableSimFilter bool
 }
 
@@ -311,13 +323,14 @@ type OneCycleConfig struct {
 // only structural; in StructuralApprox mode structural implies path.
 //
 // The per-root units of work — extract the root's fan-in cone once,
-// run the bit-parallel simulation prefilter over its support leaves,
-// encode the shared miter copy once for whatever the prefilter could
-// not witness, classify those leaves through an incremental
-// ConeQuerier — fan out over a worker pool of opts.WorkerCount()
-// goroutines. Rows are merged back into the matrix in root order on
-// the calling goroutine, so exact-mode results are bit-identical to the
-// sequential computation, and Stats counters are folded without races.
+// compile it to a word program that decides its support leaves by
+// truth table (small cones) or random prefilter (larger ones), encode
+// the shared miter copy once for whatever simulation left undecided,
+// classify those leaves through an incremental ConeQuerier — fan out
+// over a worker pool of opts.WorkerCount() goroutines. Rows are merged
+// back into the matrix in root order on the calling goroutine, so
+// exact-mode results are bit-identical to the sequential computation,
+// and Stats counters are folded without races.
 // Cancellation is honored between SAT queries; on cancellation the
 // matrix is left untouched and the context error is returned.
 func FillOneCycleCfg(m *Matrix, n *netlist.Netlist, mode Mode, stats *Stats, opts engine.Options, cfg OneCycleConfig) error {
@@ -383,7 +396,7 @@ func FillOneCycleCfg(m *Matrix, n *netlist.Netlist, mode Mode, stats *Stats, opt
 				root := n.FFs[b].D
 				row := &rows[idx]
 				// One cone walk serves the support computation, the
-				// simulation prefilter and (if needed) the miter encoding.
+				// simulation and (if needed) the miter encoding.
 				gates, leaves := ws.q.w.Walk(root)
 				support := ws.support[:0]
 				for li, l := range leaves {
@@ -403,13 +416,15 @@ func FillOneCycleCfg(m *Matrix, n *netlist.Netlist, mode Mode, stats *Stats, opt
 					qspan.End()
 					continue
 				}
-				// Bit-parallel prefilter: witnessed[li] means flipping
-				// leaf li provably flips the root — functional without
-				// a SAT call. Constants are never support leaves, so
-				// every tested leaf has a live slot.
-				var witnessed []bool
+				// Simulation settles what it can without a SAT call:
+				// decided[li] is Path when flipping leaf li provably
+				// flips the root, Structural when it provably never
+				// does, None when only the miter can tell. Constants are
+				// never support leaves, so every tested leaf has a live
+				// slot.
+				var decided []Kind
 				if useSim && len(support) > 0 {
-					// A child of the root's query span: the prefilter's
+					// A child of the root's query span: simulation's
 					// share of the root's time.
 					sim := queryOpts.WithParent(qspan).Begin("sim-filter")
 					if sc := &ws.sc; sc.compile(n, ws.q.w, root, gates, leaves) {
@@ -418,12 +433,11 @@ func FillOneCycleCfg(m *Matrix, n *netlist.Netlist, mode Mode, stats *Stats, opt
 							testIdx = append(testIdx, sl.li)
 						}
 						ws.testIdx = testIdx
-						wit := sc.filter(testIdx)
-						witnessed = grow(ws.witnessed, len(leaves))
-						ws.witnessed = witnessed
-						for k, li := range testIdx {
-							if wit[k] {
-								witnessed[li] = true
+						decided = grow(ws.decided, len(leaves))
+						ws.decided = decided
+						for k, kind := range sc.classify(testIdx) {
+							if kind != None {
+								decided[testIdx[k]] = kind
 								row.simResolved++
 							}
 						}
@@ -434,14 +448,13 @@ func FillOneCycleCfg(m *Matrix, n *netlist.Netlist, mode Mode, stats *Stats, opt
 					}
 					sim.End()
 				}
-				// Whatever the prefilter could not witness goes through
-				// the exact cofactor miter; the CNF encoding is only
-				// built if some leaf needs it.
+				// Whatever simulation left undecided goes through the
+				// exact cofactor miter; the CNF encoding is only built if
+				// some leaf needs it.
 				q, encoded := ws.q, false
 				for _, sl := range support {
-					if witnessed != nil && witnessed[sl.li] {
-						row.functional++
-						row.entries = append(row.entries, oneCycleEntry{sl.ff, Path})
+					if decided != nil && decided[sl.li] != None {
+						row.add(sl.ff, decided[sl.li])
 						continue
 					}
 					if ctx.Err() != nil {
@@ -450,16 +463,15 @@ func FillOneCycleCfg(m *Matrix, n *netlist.Netlist, mode Mode, stats *Stats, opt
 						return
 					}
 					if !encoded {
-						// With the prefilter's witnesses in hand, only
-						// the unwitnessed support leaves are ever
+						// Only the undecided support leaves are ever
 						// queried — the miter encoding collapses around
 						// them (hard-shared leaves, single-copy gates).
 						var queryable []bool
-						if witnessed != nil {
+						if decided != nil {
 							queryable = grow(ws.queryable, len(leaves))
 							ws.queryable = queryable
 							for _, s2 := range support {
-								if !witnessed[s2.li] {
+								if decided[s2.li] == None {
 									queryable[s2.li] = true
 								}
 							}
@@ -483,11 +495,9 @@ func FillOneCycleCfg(m *Matrix, n *netlist.Netlist, mode Mode, stats *Stats, opt
 					row.decisions += d.Decisions
 					row.conflicts += d.Conflicts
 					if functional {
-						row.functional++
-						row.entries = append(row.entries, oneCycleEntry{sl.ff, Path})
+						row.add(sl.ff, Path)
 					} else {
-						row.structOnly++
-						row.entries = append(row.entries, oneCycleEntry{sl.ff, Structural})
+						row.add(sl.ff, Structural)
 					}
 				}
 				satQueries.Add(int64(row.satCalls))

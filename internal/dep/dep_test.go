@@ -369,6 +369,9 @@ func TestClosureIdempotent(t *testing.T) {
 
 func TestComputeOnGeneratedCircuit(t *testing.T) {
 	g := netlist.Generate(netlist.DefaultGenConfig([]string{"a", "b", "c"}, 4), 5)
+	// One internal flip-flop with a cone above the truth-table cap, so
+	// exact mode still issues SAT calls.
+	g.InternalFFs = append(g.InternalFFs, netlist.AddWideCone(g.N, 0, truthMaxLeaves+1))
 	res := compute(g.N, g.InternalFFs, Exact)
 	if res.Stats.FFsTotal != g.N.NumFFs() {
 		t.Fatal("FFsTotal wrong")

@@ -4,18 +4,40 @@ import (
 	"repro/internal/netlist"
 )
 
-// This file implements the bit-parallel random-simulation prefilter of
-// the 1-cycle computation. A functional dependence query asks whether
-// some assignment of the cone's other leaves lets a flip of one leaf
-// flip the root — an existential question, so any concrete witness
-// settles it positively without a SAT call. The prefilter evaluates the
-// cone over 64-wide packed random vectors (one uint64 lane per pattern
-// pair: the leaf under test is flipped between the pair, every other
-// leaf keeps its lane value), proving most functional dependencies for
-// a few cone evaluations each. Simulation can only witness Sat — an
-// unwitnessed leaf proves nothing and falls through to the exact
-// cofactor miter — so the resulting matrices are bit-identical to the
-// pure-SAT path.
+// This file implements the simulation side of the 1-cycle computation.
+// A functional dependence query asks whether some assignment of the
+// cone's other leaves lets a flip of one leaf flip the root. Every cone
+// is compiled once to a flat word program that evaluates 64 leaf
+// assignments per uint64, and simulation then settles what it can
+// without a SAT call:
+//
+//   - A cone of at most truthMaxLeaves live leaves is decided exactly
+//     by its truth table. Each live leaf gets its projection pattern,
+//     one pass of the program over all 2^k assignments yields the
+//     root's table, and a leaf is functional iff the table's Boolean
+//     difference with respect to it is non-zero. Both verdicts are
+//     exact, so such a root never reaches the solver.
+//   - A larger cone gets the random prefilter: 64-wide packed random
+//     vectors (one lane per pattern pair: the leaf under test is
+//     flipped between the pair, every other leaf keeps its lane value)
+//     prove most functional dependencies for a few evaluations each.
+//     It can only witness Sat; an unwitnessed leaf proves nothing and
+//     falls through to the exact cofactor miter.
+//
+// Either way the resulting matrices are bit-identical to the pure-SAT
+// path.
+
+// truthMaxLeaves is the largest number of live (non-constant) leaves a
+// cone may have to be decided by its truth table: 2^6 words per leaf
+// slot at most.
+const truthMaxLeaves = 12
+
+// projection[j] is the truth-table column of variable j < 6 over the 64
+// assignments of one word: bit i is bit j of i.
+var projection = [6]uint64{
+	0xAAAAAAAAAAAAAAAA, 0xCCCCCCCCCCCCCCCC, 0xF0F0F0F0F0F0F0F0,
+	0xFF00FF00FF00FF00, 0xFFFF0000FFFF0000, 0xFFFFFFFF00000000,
+}
 
 // simRounds is the number of 64-pattern simulation rounds per root.
 const simRounds = 3
@@ -60,13 +82,19 @@ type simCone struct {
 	rootSlot  int32
 	rng       splitmix64
 	evals     int64  // cone evaluations performed
-	witnessed []bool // filter's result buffer
+	kinds     []Kind // classify's result buffer
+	// vars and table are truth's scratch: the variable index of each
+	// live leaf and the root's truth table, one word per 64
+	// assignments.
+	vars  []int
+	table []uint64
 }
 
 // compile rebuilds sc for root's cone, which must be the latest walk of
 // w (gates and leaves as it returned them). It returns false when the
 // cone contains a gate shape the word evaluator does not model (Mux/Maj
-// with an arity other than 3); such roots simply skip the prefilter.
+// with an arity other than 3); such roots skip simulation and go
+// straight to the miter.
 func (sc *simCone) compile(n *netlist.Netlist, w *netlist.ConeWalker, root netlist.NodeID, gates, leaves []netlist.NodeID) bool {
 	nl := int32(len(leaves))
 	slot := func(id netlist.NodeID) int32 {
@@ -157,13 +185,11 @@ func (sc *simCone) eval() uint64 {
 
 // filter runs up to simRounds 64-pattern rounds over the leaves named by
 // testIdx (indices into the compiled leaf order; all must have live
-// slots). witnessed[k] reports that flipping leaves[testIdx[k]] flipped
-// the root in some lane — a concrete proof of functional dependence.
-// Rounds stop early once every tested leaf is witnessed. The result is
-// owned by sc and valid until the next filter.
-func (sc *simCone) filter(testIdx []int) (witnessed []bool) {
-	sc.witnessed = grow(sc.witnessed, len(testIdx))
-	witnessed = sc.witnessed
+// slots) and sets kinds[k] to Path once flipping leaves[testIdx[k]]
+// flipped the root in some lane — a concrete proof of functional
+// dependence. Every other entry stays None. Rounds stop early once
+// every tested leaf is witnessed.
+func (sc *simCone) filter(testIdx []int, kinds []Kind) {
 	remaining := len(testIdx)
 	for r := 0; r < simRounds && remaining > 0; r++ {
 		for _, s := range sc.leafSlots {
@@ -173,7 +199,7 @@ func (sc *simCone) filter(testIdx []int) (witnessed []bool) {
 		}
 		base := sc.eval()
 		for k, li := range testIdx {
-			if witnessed[k] {
+			if kinds[k] == Path {
 				continue
 			}
 			s := sc.leafSlots[li]
@@ -181,10 +207,90 @@ func (sc *simCone) filter(testIdx []int) (witnessed []bool) {
 			flipped := sc.eval()
 			sc.words[s] = ^sc.words[s]
 			if flipped != base {
-				witnessed[k] = true
+				kinds[k] = Path
 				remaining--
 			}
 		}
 	}
-	return witnessed
+}
+
+// classify settles what simulation can for the leaves named by testIdx
+// (indices into the compiled leaf order; all must have live slots):
+// kinds[k] is Path when flipping leaves[testIdx[k]] provably flips the
+// root, Structural when it provably never does, and None when only the
+// cofactor miter can tell. A cone of at most truthMaxLeaves live leaves
+// is decided exactly by its truth table, so no leaf is None; a larger
+// one gets the one-sided random prefilter, which never answers
+// Structural. The result is owned by sc and valid until the next call.
+func (sc *simCone) classify(testIdx []int) []Kind {
+	sc.kinds = grow(sc.kinds, len(testIdx))
+	if !sc.truth(testIdx, sc.kinds) {
+		sc.filter(testIdx, sc.kinds)
+	}
+	return sc.kinds
+}
+
+// truth decides the leaves named by testIdx exactly from the root's
+// truth table, writing Path or Structural into kinds[k] for each, and
+// reports true — or reports false, deciding nothing, when the cone has
+// more than truthMaxLeaves live leaves. Live leaf j (in leaf order) is
+// variable j of the table: for j < 6 its slot holds projection[j] in
+// every word, for j >= 6 it is bit j-6 of the word index, so word w
+// evaluates the assignments 64w..64w+63 and the 2^(k-6) words cover all
+// of them.
+func (sc *simCone) truth(testIdx []int, kinds []Kind) bool {
+	sc.vars = grow(sc.vars, len(sc.leafSlots))
+	live := 0
+	for li, s := range sc.leafSlots {
+		if s >= 0 {
+			sc.vars[li] = live
+			live++
+		}
+	}
+	if live > truthMaxLeaves {
+		return false
+	}
+	nw := 1
+	if live > 6 {
+		nw = 1 << (live - 6)
+	}
+	sc.table = grow(sc.table, nw)
+	table := sc.table
+	for w := range table {
+		for li, s := range sc.leafSlots {
+			switch j := sc.vars[li]; {
+			case s < 0:
+			case j < 6:
+				sc.words[s] = projection[j]
+			default:
+				sc.words[s] = -uint64(w >> (j - 6) & 1)
+			}
+		}
+		table[w] = sc.eval()
+	}
+	// Leaf j is functional iff some assignment with j = 0 and its
+	// j = 1 twin give different roots: within a word the twin sits
+	// 2^j bits higher, across words 2^(j-6) words later.
+	for k, li := range testIdx {
+		kinds[k] = Structural
+		j := sc.vars[li]
+		if j < 6 {
+			shift, low := uint(1)<<j, ^projection[j]
+			for _, t := range table {
+				if (t^t>>shift)&low != 0 {
+					kinds[k] = Path
+					break
+				}
+			}
+			continue
+		}
+		d := 1 << (j - 6)
+		for w, t := range table {
+			if w&d == 0 && t != table[w|d] {
+				kinds[k] = Path
+				break
+			}
+		}
+	}
+	return true
 }

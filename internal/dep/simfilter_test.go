@@ -1,6 +1,8 @@
 package dep
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"repro/internal/engine"
@@ -88,9 +90,10 @@ func TestSimFilterRandomCircuits(t *testing.T) {
 	}
 }
 
-// TestSimWitnessSoundness checks the prefilter's one-sided guarantee
-// directly: every leaf it witnesses must be confirmed functional by the
-// exact cofactor miter.
+// TestSimWitnessSoundness checks simulation's verdicts directly against
+// the exact cofactor miter: every leaf the random prefilter witnesses
+// must be functional, and the truth table's verdict must match the
+// miter's both ways.
 func TestSimWitnessSoundness(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		g := netlist.Generate(netlist.DefaultGenConfig([]string{"x", "y"}, 4), seed)
@@ -113,11 +116,22 @@ func TestSimWitnessSoundness(t *testing.T) {
 					testIdx = append(testIdx, li)
 				}
 			}
-			wit := sc.filter(testIdx)
+			wit := make([]Kind, len(testIdx))
+			sc.filter(testIdx, wit)
 			for k, li := range testIdx {
-				if wit[k] && !FunctionalDepends(n, root, leaves[li]) {
+				if wit[k] == Path && !FunctionalDepends(n, root, leaves[li]) {
 					t.Fatalf("seed %d root %d: sim witnessed leaf %d but SAT says not functional",
 						seed, root, leaves[li])
+				}
+			}
+			exact := make([]Kind, len(testIdx))
+			if !sc.truth(testIdx, exact) {
+				continue
+			}
+			for k, li := range testIdx {
+				if sat := FunctionalDepends(n, root, leaves[li]); (exact[k] == Path) != sat {
+					t.Fatalf("seed %d root %d leaf %d: truth table says %v, SAT says functional=%v",
+						seed, root, leaves[li], exact[k], sat)
 				}
 			}
 		}
@@ -207,5 +221,123 @@ func TestQueryStatsDeltas(t *testing.T) {
 	}
 	if checked == 0 {
 		t.Fatal("no queries exercised")
+	}
+}
+
+// wideConeCircuit builds a circuit whose every next-state cone has
+// exactly live non-constant leaves, drawn from flip-flops and primary
+// inputs and mixed by random And/Or/Xor/Nand/Nor/Xnor/Not/Mux/Maj
+// gates, some of them fed constants. One or two leaves of each cone
+// reach the root only through a cancelling reconvergence —
+// XOR(s, XOR(s, x)) or OR(x, AND(s, NOT s)) — so they are
+// structural-only.
+func wideConeCircuit(live int, seed int64) *netlist.Netlist {
+	const ffs, inputs = 10, 6
+	rng := rand.New(rand.NewSource(seed))
+	n := netlist.New()
+	mod := n.AddModule("m")
+	var pool []netlist.NodeID
+	for i := 0; i < ffs; i++ {
+		pool = append(pool, n.FFs[n.AddFF(fmt.Sprintf("F%d", i), mod)].Node)
+	}
+	for i := 0; i < inputs; i++ {
+		pool = append(pool, n.AddInput(fmt.Sprintf("pi%d", i)))
+	}
+	consts := [2]netlist.NodeID{n.AddConst(false), n.AddConst(true)}
+	binary := []netlist.GateType{netlist.And, netlist.Or, netlist.Xor, netlist.Nand, netlist.Nor, netlist.Xnor}
+	for b := 0; b < ffs; b++ {
+		perm := rng.Perm(len(pool))[:live]
+		masked := 1 + rng.Intn(2)
+		var used, terms []netlist.NodeID
+		for _, p := range perm[masked:] {
+			used = append(used, pool[p])
+		}
+		terms = append(terms, used...)
+		for len(terms) > 1 {
+			rng.Shuffle(len(terms), func(i, j int) { terms[i], terms[j] = terms[j], terms[i] })
+			a, c := terms[0], terms[1]
+			terms = terms[2:]
+			var g netlist.NodeID
+			switch r := rng.Intn(10); {
+			case r < 6:
+				g = n.AddGate(binary[r], a, c)
+			case r == 6: // a select that is already a leaf of the cone
+				g = n.AddGate(netlist.Mux, used[rng.Intn(len(used))], a, c)
+			case r == 7:
+				g = n.AddGate(netlist.Maj, a, c, used[rng.Intn(len(used))])
+			case r == 8: // a constant third input
+				g = n.AddGate(netlist.Maj, a, consts[rng.Intn(2)], c)
+			default:
+				g = n.AddGate(netlist.Xor, n.AddGate(netlist.Not, a), n.AddGate(netlist.Or, c, consts[0]))
+			}
+			terms = append(terms, g)
+		}
+		d := terms[0]
+		for _, p := range perm[:masked] {
+			s := pool[p]
+			if rng.Intn(2) == 0 {
+				d = n.AddGate(netlist.Xor, s, n.AddGate(netlist.Xor, s, d))
+			} else {
+				d = n.AddGate(netlist.Or, d, n.AddGate(netlist.And, s, n.AddGate(netlist.Not, s)))
+			}
+		}
+		n.SetFFInput(netlist.FFID(b), d)
+	}
+	if err := n.Validate(); err != nil {
+		panic(err)
+	}
+	return n
+}
+
+// TestTruthTableBoundary is the differential gate at the truth-table
+// cap: circuits whose cones have 11 and 12 live leaves are decided
+// wholly by truth table, 13 live leaves fall back to the prefilter and
+// SAT, and every matrix must equal the pure-SAT reference at any worker
+// count, with every leaf classified exactly once.
+func TestTruthTableBoundary(t *testing.T) {
+	for _, live := range []int{truthMaxLeaves - 1, truthMaxLeaves, truthMaxLeaves + 1} {
+		for seed := int64(0); seed < 3; seed++ {
+			n := wideConeCircuit(live, seed)
+			w := netlist.NewConeWalker(n)
+			for b := range n.FFs {
+				got := 0
+				_, leaves := w.Walk(n.FFs[b].D)
+				for _, l := range leaves {
+					if k := n.Nodes[l].Kind; k != netlist.KindConst0 && k != netlist.KindConst1 {
+						got++
+					}
+				}
+				if got != live {
+					t.Fatalf("live %d seed %d: cone of FF %d has %d live leaves", live, seed, b, got)
+				}
+			}
+			pure := NewMatrix(n.NumFFs())
+			var pureStats Stats
+			if err := FillOneCycleCfg(pure, n, Exact, &pureStats, engine.Options{Workers: 2},
+				OneCycleConfig{DisableSimFilter: true}); err != nil {
+				t.Fatal(err)
+			}
+			if pureStats.StructOnly1Cycle == 0 || pureStats.Functional1Cycle == 0 {
+				t.Fatalf("live %d seed %d: fixture lacks a verdict kind: %+v", live, seed, pureStats)
+			}
+			for _, workers := range []int{1, 3, 8} {
+				filt := NewMatrix(n.NumFFs())
+				var st Stats
+				if err := FillOneCycleCfg(filt, n, Exact, &st, engine.Options{Workers: workers}, OneCycleConfig{}); err != nil {
+					t.Fatal(err)
+				}
+				if !filt.Equal(pure) {
+					t.Fatalf("live %d seed %d workers %d: matrix differs from pure SAT", live, seed, workers)
+				}
+				if st.SATCalls+st.SimResolved != pureStats.SATCalls ||
+					st.Functional1Cycle != pureStats.Functional1Cycle ||
+					st.StructOnly1Cycle != pureStats.StructOnly1Cycle {
+					t.Fatalf("live %d seed %d workers %d: stats %+v, pure %+v", live, seed, workers, st, pureStats)
+				}
+				if tt := live <= truthMaxLeaves; tt != (st.SATCalls == 0) {
+					t.Fatalf("live %d seed %d workers %d: %d SAT calls", live, seed, workers, st.SATCalls)
+				}
+			}
+		}
 	}
 }

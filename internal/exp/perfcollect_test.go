@@ -21,7 +21,11 @@ func TestCollectBenchRecord(t *testing.T) {
 	if !ok {
 		t.Fatal("BasicSCB not in catalog")
 	}
-	rec, err := CollectBenchRecord(context.Background(), []bench.Benchmark{basic}, smokeCollectConfig(),
+	cfg := smokeCollectConfig()
+	// Depth-4 gate trees give some next-state cones more live leaves
+	// than the truth-table cap, so exact mode still issues SAT calls.
+	cfg.Circuit.Depth = 4
+	rec, err := CollectBenchRecord(context.Background(), []bench.Benchmark{basic}, cfg,
 		CollectOptions{Reps: 2, Commit: "testcommit"})
 	if err != nil {
 		t.Fatal(err)

@@ -241,3 +241,21 @@ func Generate(cfg GenConfig, seed int64) *Generated {
 	}
 	return g
 }
+
+// AddWideCone adds a flip-flop to module m whose next state is
+// XOR(q, XOR(q, AND(x1..x(k-1)))) over k-1 fresh primary inputs x: a
+// cone of k live leaves in which the flip-flop's own output q is only a
+// structural support, masked by the reconvergence. The dependency
+// analysis decides cones of up to 12 live leaves by truth table, so a
+// fixture adds one such flip-flop with k > 12 to keep its exact mode's
+// SAT path covered.
+func AddWideCone(n *Netlist, m, k int) FFID {
+	ff := n.AddFF(fmt.Sprintf("wide%d", len(n.FFs)), m)
+	xs := make([]NodeID, k-1)
+	for i := range xs {
+		xs[i] = n.AddInput(fmt.Sprintf("wide%d.x%d", ff, i))
+	}
+	q := n.FFs[ff].Node
+	n.SetFFInput(ff, n.AddGate(Xor, q, n.AddGate(Xor, q, n.AddGate(And, xs...))))
+	return ff
+}

@@ -41,7 +41,10 @@ type Diff struct {
 	// report, prefixed like Delta paths ("benchmark/X", "stage/y").
 	Added   []string `json:"added,omitempty"`
 	Removed []string `json:"removed,omitempty"`
-	// Deltas lists the changed numeric fields, largest |Rel| first.
+	// Deltas lists the changed numeric fields: the analysis fields
+	// first, largest |Rel| first, then the wall-clock timing fields
+	// (paths ending in "_ns") by path, so timing noise neither leads
+	// the list nor reorders it between identical runs.
 	Deltas []Delta `json:"deltas,omitempty"`
 }
 
@@ -86,10 +89,11 @@ func (d *Diff) String() string {
 	return strings.TrimRight(sb.String(), "\n")
 }
 
-// Compare diffs two reports field by field. Wall-clock stage times are
-// compared like every other field; callers typically Filter by a
-// relative threshold before treating time deltas as regressions, since
-// absolute runtimes are machine-bound.
+// Compare diffs two reports field by field. Wall-clock times are
+// compared like every other field but listed after the analysis
+// fields, by path; callers typically Filter by a relative threshold
+// before treating time deltas as regressions, since absolute runtimes
+// are machine-bound.
 func Compare(old, new *obs.RunReport) *Diff {
 	d := &Diff{}
 	oldB := make(map[string]*obs.BenchmarkReport, len(old.Benchmarks))
@@ -158,15 +162,25 @@ func Compare(old, new *obs.RunReport) *Diff {
 
 	sort.Strings(d.Added)
 	sort.Strings(d.Removed)
-	sort.SliceStable(d.Deltas, func(i, j int) bool {
-		ri, rj := math.Abs(d.Deltas[i].Rel()), math.Abs(d.Deltas[j].Rel())
-		if ri != rj {
-			return ri > rj
+	sort.Slice(d.Deltas, func(i, j int) bool {
+		a, b := &d.Deltas[i], &d.Deltas[j]
+		ta, tb := a.timing(), b.timing()
+		if ta != tb {
+			return !ta // analysis deltas first
 		}
-		return d.Deltas[i].Path < d.Deltas[j].Path
+		if !ta {
+			if ra, rb := math.Abs(a.Rel()), math.Abs(b.Rel()); ra != rb {
+				return ra > rb
+			}
+		}
+		return a.Path < b.Path
 	})
 	return d
 }
+
+// timing reports whether the delta is a wall-clock time, which differs
+// between any two runs.
+func (d *Delta) timing() bool { return strings.HasSuffix(d.Path, "_ns") }
 
 // add records a delta when the values differ.
 func (d *Diff) add(path string, old, new float64) {

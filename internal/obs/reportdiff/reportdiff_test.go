@@ -55,11 +55,41 @@ func TestCompareDeltasSortedByRel(t *testing.T) {
 	if d.Deltas[0].Path != "benchmark/Mingle/avg_hybrid_changes" || !math.IsInf(d.Deltas[0].Rel(), 1) {
 		t.Fatalf("first delta: %+v", d.Deltas[0])
 	}
-	if d.Deltas[1].Path != "benchmark/BasicSCB/avg_total_ns" {
+	// Analysis deltas rank before every timing delta, however large.
+	if d.Deltas[1].Path != "benchmark/BasicSCB/avg_total_changes" {
 		t.Fatalf("second delta: %+v", d.Deltas[1])
+	}
+	if d.Deltas[2].Path != "benchmark/BasicSCB/avg_total_ns" {
+		t.Fatalf("third delta: %+v", d.Deltas[2])
 	}
 	if d.Deltas[3].Path != "stage/resolve/wall_ns" {
 		t.Fatalf("last delta: %+v", d.Deltas[3])
+	}
+}
+
+// TestCompareTimingOrderIsStable checks that timing deltas are listed
+// by path: two diffs whose timings differ only in size give the same
+// order, where ranking by relative change would swap them.
+func TestCompareTimingOrderIsStable(t *testing.T) {
+	paths := func(totalNS, wallNS int64) []string {
+		d := Compare(report(), report(func(r *obs.RunReport) {
+			r.Benchmarks[0].AvgTotalNS = totalNS
+			r.Stages[0].WallNS = wallNS
+			r.Stages[1].WallNS = 51
+			r.Benchmarks[0].AvgPureChanges = 3
+		}))
+		var out []string
+		for _, dd := range d.Deltas {
+			out = append(out, dd.Path)
+		}
+		return out
+	}
+	a, b := paths(1010, 300), paths(5000, 101)
+	if strings.Join(a, ",") != strings.Join(b, ",") {
+		t.Fatalf("timing sizes reorder the diff:\n%v\n%v", a, b)
+	}
+	if a[0] != "benchmark/BasicSCB/avg_pure_changes" {
+		t.Fatalf("analysis delta not first: %v", a)
 	}
 }
 
