@@ -64,23 +64,66 @@ func (s *Set) Or(o *Set) bool {
 	return changed
 }
 
-// OrNew sets s to s ∪ o and returns the number of bits that were not
-// already in s. When f is non-nil it is called with each of those bits
-// in ascending order. The sets must have equal capacity.
-func (s *Set) OrNew(o *Set, f func(i int)) int {
+// OrNewSpan sets s to s ∪ o and returns the number of bits that were
+// not already in s, reading only the words lo..hi-1 of o: the word span
+// that must hold all of o's bits. The cost is proportional to the span.
+// The sets must have equal capacity.
+func (s *Set) OrNewSpan(o *Set, lo, hi int) int {
 	c := 0
-	for wi, w := range o.words {
-		nw := w &^ s.words[wi]
+	for wi := lo; wi < hi; wi++ {
+		nw := o.words[wi] &^ s.words[wi]
+		s.words[wi] |= nw
+		c += bits.OnesCount64(nw)
+	}
+	return c
+}
+
+// OrNewWords sets s to s ∪ o and returns the number of bits that were
+// not already in s, reading only the listed word indices of o (as
+// AppendWords returns them): words of o outside the list must be zero.
+// The cost is proportional to the list. When watch is non-nil, f is
+// called with each new bit that is also in watch, in ascending order
+// when the list ascends. All three sets must have equal capacity.
+func (s *Set) OrNewWords(o *Set, words []int32, watch *Set, f func(i int)) int {
+	c := 0
+	for _, wi := range words {
+		nw := o.words[wi] &^ s.words[wi]
 		if nw == 0 {
 			continue
 		}
 		s.words[wi] |= nw
 		c += bits.OnesCount64(nw)
-		for ; f != nil && nw != 0; nw &= nw - 1 {
-			f(wi<<6 + bits.TrailingZeros64(nw))
+		if watch == nil {
+			continue
+		}
+		for nw &= watch.words[wi]; nw != 0; nw &= nw - 1 {
+			f(int(wi)<<6 + bits.TrailingZeros64(nw))
 		}
 	}
 	return c
+}
+
+// AppendWords appends the indices of s's non-zero words to dst in
+// ascending order and returns the extended slice: the word list
+// OrNewWords and ForEachAnd take.
+func (s *Set) AppendWords(dst []int32) []int32 {
+	for wi, w := range s.words {
+		if w != 0 {
+			dst = append(dst, int32(wi))
+		}
+	}
+	return dst
+}
+
+// ForEachAnd calls f with every bit of s ∩ o that lies in the listed
+// word indices, in ascending order when the list ascends. The sets must
+// have equal capacity.
+func (s *Set) ForEachAnd(o *Set, words []int32, f func(i int)) {
+	for _, wi := range words {
+		for w := s.words[wi] & o.words[wi]; w != 0; w &= w - 1 {
+			f(int(wi)<<6 + bits.TrailingZeros64(w))
+		}
+	}
 }
 
 // AndNot sets s to s \ o.

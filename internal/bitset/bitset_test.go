@@ -173,8 +173,15 @@ func TestRowsIndependent(t *testing.T) {
 	}
 }
 
+// TestOrNewReportsNewBits checks OrNewWords over all of o's non-zero
+// words with every bit watched: it reports each new bit once, in
+// ascending order, and a second union adds nothing.
 func TestOrNewReportsNewBits(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
+	all := New(200)
+	for i := 0; i < 200; i++ {
+		all.Set(i)
+	}
 	for iter := 0; iter < 50; iter++ {
 		a, b := New(200), New(200)
 		for i := 0; i < 30; i++ {
@@ -183,7 +190,8 @@ func TestOrNewReportsNewBits(t *testing.T) {
 		}
 		before := a.Clone()
 		var seen []int
-		got := a.OrNew(b, func(i int) { seen = append(seen, i) })
+		words := b.AppendWords(nil)
+		got := a.OrNewWords(b, words, all, func(i int) { seen = append(seen, i) })
 		var want []int
 		b.ForEach(func(i int) {
 			if !before.Has(i) {
@@ -191,14 +199,14 @@ func TestOrNewReportsNewBits(t *testing.T) {
 			}
 		})
 		if got != len(want) || !slices.Equal(seen, want) {
-			t.Fatalf("OrNew = %d %v, want %d %v", got, seen, len(want), want)
+			t.Fatalf("OrNewWords = %d %v, want %d %v", got, seen, len(want), want)
 		}
 		before.Or(b)
 		if !a.Equal(before) {
-			t.Fatal("OrNew result differs from Or")
+			t.Fatal("OrNewWords result differs from Or")
 		}
-		if a.OrNew(b, nil) != 0 {
-			t.Fatal("second OrNew must add nothing")
+		if a.OrNewWords(b, words, nil, nil) != 0 {
+			t.Fatal("second OrNewWords must add nothing")
 		}
 	}
 }
@@ -210,5 +218,70 @@ func TestAppendTo(t *testing.T) {
 	}
 	if got := s.AppendTo([]int32{7}); !slices.Equal(got, []int32{7, 1, 64, 65, 199}) {
 		t.Fatalf("AppendTo = %v", got)
+	}
+}
+
+// TestWordRestrictedOps checks the word-restricted operations against
+// whole-set ones on sizes around word boundaries: OrNewWords over o's
+// non-zero words and OrNewSpan over o's word span equal Or and count
+// the bits it adds, OrNewWords reports exactly the new bits inside
+// watch, and ForEachAnd over the listed words of o visits s ∩ o.
+func TestWordRestrictedOps(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for _, n := range []int{1, 63, 64, 65, 128, 130, 300} {
+		for iter := 0; iter < 30; iter++ {
+			rnd := func(k int) *Set {
+				s := New(n)
+				for i := 0; i < k; i++ {
+					s.Set(rng.Intn(n))
+				}
+				return s
+			}
+			a, o, watch := rnd(n/4+1), rnd(rng.Intn(n/8+2)), rnd(n/3+1)
+			words := o.AppendWords(nil)
+			for _, wi := range words {
+				if o.words[wi] == 0 {
+					t.Fatalf("n=%d: AppendWords listed zero word %d", n, wi)
+				}
+			}
+			want := a.Clone()
+			want.Or(o)
+			wantNew := want.Count() - a.Count()
+
+			got := a.Clone()
+			var seen []int
+			if c := got.OrNewWords(o, words, watch, func(i int) { seen = append(seen, i) }); c != wantNew || !got.Equal(want) {
+				t.Fatalf("n=%d: OrNewWords = %d, want %d (sets equal %v)", n, c, wantNew, got.Equal(want))
+			}
+			var wantSeen []int
+			o.ForEach(func(i int) {
+				if !a.Has(i) && watch.Has(i) {
+					wantSeen = append(wantSeen, i)
+				}
+			})
+			if !slices.Equal(seen, wantSeen) {
+				t.Fatalf("n=%d: watched new bits %v, want %v", n, seen, wantSeen)
+			}
+
+			got = a.Clone()
+			lo, hi := 0, 0
+			if len(words) > 0 {
+				lo, hi = int(words[0]), int(words[len(words)-1])+1
+			}
+			if c := got.OrNewSpan(o, lo, hi); c != wantNew || !got.Equal(want) {
+				t.Fatalf("n=%d: OrNewSpan = %d, want %d (sets equal %v)", n, c, wantNew, got.Equal(want))
+			}
+
+			var and, wantAnd []int
+			a.ForEachAnd(o, words, func(i int) { and = append(and, i) })
+			a.ForEach(func(i int) {
+				if o.Has(i) {
+					wantAnd = append(wantAnd, i)
+				}
+			})
+			if !slices.Equal(and, wantAnd) {
+				t.Fatalf("n=%d: ForEachAnd %v, want %v", n, and, wantAnd)
+			}
+		}
 	}
 }

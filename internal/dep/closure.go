@@ -35,14 +35,13 @@ import (
 // only-structural link is structural). path is m's path relation as
 // m.PathCSR returns it; a caller that already holds that snapshot
 // passes it, so it is built once. The closure is a new, read-only
-// matrix without reverse rows; m is left untouched. Cancellation is
-// honored between topological levels, returning the context error. The
-// stage "closure" items counter receives the number of condensed
-// components.
+// matrix; m is left untouched. Cancellation is honored between
+// topological levels, returning the context error. The stage "closure"
+// items counter receives the number of condensed components.
 func ClosureOpts(m *Matrix, path graph.CSR, opts engine.Options) (*Matrix, error) {
 	stage := opts.Begin("closure", obs.Int("nodes", int64(m.N())))
 	defer stage.End()
-	c := &Matrix{n: m.n}
+	c := &Matrix{n: m.n, closed: true}
 	var ncp, ncs int
 	var err error
 	if c.path, c.npath, ncp, err = closedRows(path, opts); err != nil {
@@ -81,7 +80,7 @@ func closedRows(g graph.CSR, opts engine.Options) ([]bitset.Set, int, int, error
 	for c := 0; c < nc; c++ {
 		ms := members[start[c]:start[c+1]]
 		cyclic[c] = len(ms) > 1
-		lv := int32(0)
+		lv, top := int32(0), -1
 		for _, u := range ms {
 			for _, w := range g.Row(int(u)) {
 				cw := comp[w]
@@ -94,11 +93,17 @@ func closedRows(g graph.CSR, opts engine.Options) ([]bitset.Set, int, int, error
 				if stamp[cw] != int32(c) {
 					stamp[cw] = int32(c)
 					succ = append(succ, cw)
-					lv = max(lv, level[cw]+1)
+					if level[cw]+1 > lv {
+						lv, top = level[cw]+1, len(succ)-1
+					}
 				}
 			}
 		}
 		succStart[c+1] = int32(len(succ))
+		if top >= 0 {
+			// The highest-level successor last, where the union starts.
+			succ[top], succ[len(succ)-1] = succ[len(succ)-1], succ[top]
+		}
 		level[c] = lv
 		maxLevel = max(maxLevel, lv)
 	}
@@ -123,21 +128,40 @@ func closedRows(g graph.CSR, opts engine.Options) ([]bitset.Set, int, int, error
 	// holds its members already), plus its own members when it is
 	// cyclic (a node on a cycle reaches itself). Every member gets that
 	// row, and the row's entries are counted as it is built.
+	// The union does work in proportion to what it can add. A successor
+	// whose representative the row already holds is skipped: something
+	// merged before reaches it, so its row is a subset by transitivity.
+	// The highest-level successor goes first and the rest in reverse
+	// edge order, so in a preset register chain bit j-1 covers bits
+	// 0..j-2. And each row's non-zero words span [lo, hi), which bounds
+	// the words a union with it reads.
 	// Components of one level are independent — each writes only its own
 	// members' rows and reads rows of lower levels — so a level fans out
 	// over the worker pool with a barrier in between, and the unions
 	// commute, keeping results bit-identical at any worker count.
 	rows := bitset.Rows(n, n)
+	span := make([][2]int32, nc) // per component: its row's non-zero word span [lo, hi)
 	process := func(c int32) int {
 		ms := members[start[c]:start[c+1]]
 		row := &rows[ms[0]]
 		cnt := 0
-		for _, s := range succ[succStart[c]:succStart[c+1]] {
+		lo, hi := int32(n), int32(0) // empty while lo >= hi
+		widen := func(l, h int32) { lo, hi = min(lo, l), max(hi, h) }
+		ss := succ[succStart[c]:succStart[c+1]]
+		for x := len(ss) - 1; x >= 0; x-- {
+			s := ss[x]
 			rep := int(members[start[s]])
-			cnt += row.OrNew(&rows[rep], nil)
+			if row.Has(rep) {
+				continue // covered: rows[rep] ⊆ row by transitivity
+			}
+			if sp := span[s]; sp[0] < sp[1] {
+				cnt += row.OrNewSpan(&rows[rep], int(sp[0]), int(sp[1]))
+				widen(sp[0], sp[1])
+			}
 			if !cyclic[s] && !row.Has(rep) {
 				row.Set(rep)
 				cnt++
+				widen(int32(rep>>6), int32(rep>>6)+1)
 			}
 		}
 		if cyclic[c] {
@@ -146,8 +170,10 @@ func closedRows(g graph.CSR, opts engine.Options) ([]bitset.Set, int, int, error
 					row.Set(int(u))
 					cnt++
 				}
+				widen(u>>6, u>>6+1)
 			}
 		}
+		span[c] = [2]int32{lo, hi}
 		for _, u := range ms[1:] {
 			rows[u].Copy(row)
 		}

@@ -115,20 +115,19 @@ func ParseMode(s string) (Mode, error) {
 // Matrix is a dependency relation over flip-flops 0..n-1. Entry (i, j)
 // means "i depends on j", i.e. data flows from j to i. Each relation is
 // a dense bit matrix whose rows share one allocation, and the entry
-// counts are kept as entries are set and cleared.
+// counts are kept as entries are set and cleared. There is no reverse
+// relation: Bridge builds the dependents lists it needs itself.
 type Matrix struct {
-	n    int
-	path []bitset.Set // path[i]: j such that i path-depends on j
-	str  []bitset.Set // str[i] ⊇ path[i]: structural dependency
-	// rstr[j]: i such that i depends on j, the dependents Bridge
-	// visits. A closure matrix has none and is read-only.
-	rstr        []bitset.Set
-	npath, nstr int // entry counts of path and str
+	n           int
+	path        []bitset.Set // path[i]: j such that i path-depends on j
+	str         []bitset.Set // str[i] ⊇ path[i]: structural dependency
+	npath, nstr int          // entry counts of path and str
+	closed      bool         // a closure matrix, read-only
 }
 
 // NewMatrix returns an empty dependency matrix over n flip-flops.
 func NewMatrix(n int) *Matrix {
-	return &Matrix{n: n, path: bitset.Rows(n, n), str: bitset.Rows(n, n), rstr: bitset.Rows(n, n)}
+	return &Matrix{n: n, path: bitset.Rows(n, n), str: bitset.Rows(n, n)}
 }
 
 // N returns the number of flip-flops indexed.
@@ -140,7 +139,7 @@ func (m *Matrix) Set(i, j int, k Kind) {
 	if k == None {
 		return
 	}
-	if m.rstr == nil {
+	if m.closed {
 		panic("dep: Set on a read-only closure matrix")
 	}
 	if k == Path && !m.path[i].Has(j) {
@@ -149,7 +148,6 @@ func (m *Matrix) Set(i, j int, k Kind) {
 	}
 	if !m.str[i].Has(j) {
 		m.str[i].Set(j)
-		m.rstr[j].Set(i)
 		m.nstr++
 	}
 }
@@ -165,25 +163,6 @@ func (m *Matrix) Kind(i, j int) Kind {
 	return None
 }
 
-// clearNode removes every dependency entering or leaving node k.
-func (m *Matrix) clearNode(k int) {
-	m.npath -= m.path[k].Count()
-	m.nstr -= m.str[k].Count()
-	m.str[k].ForEach(func(j int) { m.rstr[j].Clear(k) })
-	// A self-loop's reverse bit went with row k above, so i != k here.
-	m.rstr[k].ForEach(func(i int) {
-		if m.path[i].Has(k) {
-			m.path[i].Clear(k)
-			m.npath--
-		}
-		m.str[i].Clear(k)
-		m.nstr--
-	})
-	m.path[k].Reset()
-	m.str[k].Reset()
-	m.rstr[k].Reset()
-}
-
 // CountDeps returns the number of denoted dependencies (non-None
 // entries).
 func (m *Matrix) CountDeps() int { return m.nstr }
@@ -195,9 +174,6 @@ func (m *Matrix) CountPath() int { return m.npath }
 func (m *Matrix) Clone() *Matrix {
 	cp := *m
 	cp.path, cp.str = cloneRows(m.path), cloneRows(m.str)
-	if m.rstr != nil {
-		cp.rstr = cloneRows(m.rstr)
-	}
 	return &cp
 }
 
@@ -297,7 +273,7 @@ type supportLeaf struct {
 // the state New returns before each encoding, and every buffer is
 // cleared or overwritten before it is read.
 type oneCycleScratch struct {
-	q         *ConeQuerier // owns the cone walker and the solver
+	q         *ConeQuerier // owns the cone walker and, once a leaf needs it, the solver
 	sc        simCone
 	support   []supportLeaf
 	testIdx   []int
@@ -550,21 +526,73 @@ func FillOneCycleCfg(m *Matrix, n *netlist.Netlist, mode Mode, stats *Stats, opt
 // dependencies, so the raise is str[i] |= str[k], plus path[i] |=
 // path[k] when i path-depends on k. Bit k itself adds nothing — it is
 // in str[i], and in path[i] whenever path[k] is merged — so k's
-// self-loop never strengthens a bridged dependency. Only the newly set
-// bits touch the reverse rows and the counts.
+// self-loop never strengthens a bridged dependency. The unions touch
+// only the words that are non-zero in k's rows, gathered once per k,
+// so a dependent costs the words k's rows hold rather than n/64.
+//
+// The dependents of the internal columns are listed once, reading only
+// the words that hold internal columns, and each list grows when a
+// union gives a dependent a new pending internal predecessor (fill-in).
+// Only new bits touch the lists and the counts.
 func Bridge(m *Matrix, internal []netlist.FFID) {
+	if len(internal) == 0 {
+		return
+	}
+	// pending marks the internal flip-flops not eliminated yet and
+	// slot[k] is k's place in the elimination order. The dependents
+	// lists share one arena of links: head[slot[k]] starts the list of
+	// the i that depend on k, -1 ends it. A pending i eliminated no
+	// later than k is left out of k's list: its row is reset by then,
+	// and its dependents inherit the bit k instead. So every listed i
+	// still depends on k when k is eliminated.
+	pending := bitset.New(m.n)
+	slot := make([]int32, m.n)
+	head := make([]int32, len(internal))
+	for s, k := range internal {
+		head[s] = -1
+		if !pending.Has(int(k)) {
+			pending.Set(int(k))
+			slot[k] = int32(s)
+		}
+	}
+	type link struct{ i, next int32 }
+	arena := make([]link, 0, m.nstr)
+	add := func(k int, i int32) {
+		if pending.Has(int(i)) && slot[i] <= slot[k] {
+			return
+		}
+		arena = append(arena, link{i, head[slot[k]]})
+		head[slot[k]] = int32(len(arena) - 1)
+	}
+	iw := pending.AppendWords(nil)
+	for i := range m.str {
+		m.str[i].ForEachAnd(pending, iw, func(k int) { add(k, int32(i)) })
+	}
+	var sw, pw []int32
 	for _, kf := range internal {
 		k := int(kf)
+		if !pending.Has(k) {
+			continue // listed twice; eliminated at its first place
+		}
+		pending.Clear(k)
 		sk, pk := &m.str[k], &m.path[k]
-		m.rstr[k].ForEach(func(i int) {
-			if i == k {
-				return
+		sw, pw = sk.AppendWords(sw[:0]), pk.AppendWords(pw[:0])
+		for e := head[slot[k]]; e >= 0; e = arena[e].next {
+			i32 := arena[e].i
+			i := int(i32)
+			si, pi := &m.str[i], &m.path[i]
+			m.nstr += si.OrNewWords(sk, sw, pending, func(j int) { add(j, i32) })
+			if pi.Has(k) {
+				m.npath += pi.OrNewWords(pk, pw, nil, nil)
+				pi.Clear(k)
+				m.npath--
 			}
-			m.nstr += m.str[i].OrNew(sk, func(j int) { m.rstr[j].Set(i) })
-			if m.path[i].Has(k) {
-				m.npath += m.path[i].OrNew(pk, nil)
-			}
-		})
-		m.clearNode(k)
+			si.Clear(k)
+			m.nstr--
+		}
+		m.npath -= pk.Count()
+		m.nstr -= sk.Count()
+		pk.Reset()
+		sk.Reset()
 	}
 }

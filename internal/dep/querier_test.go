@@ -135,3 +135,25 @@ func TestReusedQuerierEncodesWithoutAllocating(t *testing.T) {
 		t.Fatalf("re-encoding every root allocated %.1f times per pass", a)
 	}
 }
+
+// TestQuerierBuildsSolverOnFirstEncoding checks that a querier owns no
+// solver until its first encoding — a 1-cycle worker whose cones are all
+// decided by simulation never allocates one — and reads zero solver
+// counters until then.
+func TestQuerierBuildsSolverOnFirstEncoding(t *testing.T) {
+	n := catalogCircuit(t, "BasicSCB", 0.15, 7)
+	q := NewQuerier(n)
+	if q.b != nil {
+		t.Fatal("NewQuerier built a solver")
+	}
+	if (q.SolverStats() != sat.Statistics{}) || (q.QueryStats() != sat.Statistics{}) {
+		t.Fatal("solver counters non-zero before any encoding")
+	}
+	if q.Depends(n.FFs[0].Node) {
+		t.Fatal("Depends true before any Reset")
+	}
+	q.Reset(n.FFs[0].D)
+	if q.b == nil {
+		t.Fatal("Reset left the querier without a solver")
+	}
+}

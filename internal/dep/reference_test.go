@@ -77,7 +77,9 @@ func compute(n *netlist.Netlist, internal []netlist.FFID, mode Mode) *computeRes
 // bridgeReference bridges pair by pair, as Figure 3 states it — the
 // reference TestBridgeMatchesReference checks Bridge against: for every
 // dependent i and predecessor j of k (self-loops skipped), the
-// dependency of i on j is raised to Combine(dep(i,k), dep(k,j)).
+// dependency of i on j is raised to Combine(dep(i,k), dep(k,j)). The
+// dependents are found by scanning column k, and the entry counts are
+// recounted afresh at the end.
 func bridgeReference(m *Matrix, internal []netlist.FFID) {
 	for _, kf := range internal {
 		k := int(kf)
@@ -91,11 +93,11 @@ func bridgeReference(m *Matrix, internal []netlist.FFID) {
 				preds = append(preds, edge{j, m.Kind(k, j)})
 			}
 		})
-		m.rstr[k].ForEach(func(i int) {
-			if i != k {
+		for i := 0; i < m.n; i++ {
+			if i != k && m.str[i].Has(k) {
 				dependents = append(dependents, edge{i, m.Kind(i, k)})
 			}
-		})
+		}
 		for _, d := range dependents {
 			for _, p := range preds {
 				k2 := Combine(d.kind, p.kind)
@@ -104,23 +106,20 @@ func bridgeReference(m *Matrix, internal []netlist.FFID) {
 				}
 			}
 		}
-		m.clearNode(k)
+		// Remove every dependency entering or leaving k.
+		for i := 0; i < m.n; i++ {
+			m.path[i].Clear(k)
+			m.str[i].Clear(k)
+		}
+		m.path[k].Reset()
+		m.str[k].Reset()
 	}
+	recount(m)
 }
 
-// reverseRows returns the transpose of a relation as a fresh slab.
-func reverseRows(rows []bitset.Set) []bitset.Set {
-	rev := bitset.Rows(len(rows), len(rows))
-	for i := range rows {
-		rows[i].ForEach(func(j int) { rev[j].Set(i) })
-	}
-	return rev
-}
-
-// reindex rebuilds the reverse rows and the entry counts of a matrix
-// whose forward rows were rewritten in place.
-func reindex(m *Matrix) {
-	m.rstr = reverseRows(m.str)
+// recount recomputes the entry counts of a matrix whose rows were
+// rewritten in place.
+func recount(m *Matrix) {
 	m.npath, m.nstr = popcount(m.path), popcount(m.str)
 }
 
@@ -154,7 +153,7 @@ func closureWarshall(m *Matrix) {
 	}
 	warshall(m.path)
 	warshall(m.str)
-	reindex(m)
+	recount(m)
 }
 
 // closureK computes the k-cycle-bounded dependency relation in place:
@@ -188,5 +187,5 @@ func closureK(m *Matrix, k int) {
 			break
 		}
 	}
-	reindex(m)
+	recount(m)
 }

@@ -26,7 +26,7 @@ type ConeQuerier struct {
 	w    *netlist.ConeWalker
 	root netlist.NodeID
 
-	b             *cnf.Builder
+	b             *cnf.Builder // built by the first encoding
 	gates, leaves []netlist.NodeID
 	// Per leaf (parallel to leaves): the two copy literals and the
 	// equality selector (sel -> copyA == copyB). sel is 0 for a leaf
@@ -50,9 +50,11 @@ type ConeQuerier struct {
 }
 
 // NewQuerier returns a reusable querier over n's cones, aimed at no
-// root: Depends is false until the first Reset.
+// root: Depends is false until the first Reset. The solver is built by
+// the first encoding, so a querier whose cones are all decided by
+// simulation never allocates one.
 func NewQuerier(n *netlist.Netlist) *ConeQuerier {
-	return &ConeQuerier{n: n, w: netlist.NewConeWalker(n), b: cnf.NewBuilder()}
+	return &ConeQuerier{n: n, w: netlist.NewConeWalker(n)}
 }
 
 // NewConeQuerier extracts and encodes root's fan-in cone. It is the
@@ -104,6 +106,9 @@ func grow[T any](s []T, n int) []T {
 // and queryable.
 func (q *ConeQuerier) encode(root netlist.NodeID, gates, leaves []netlist.NodeID, queryable []bool) {
 	n, w := q.n, q.w
+	if q.b == nil {
+		q.b = cnf.NewBuilder()
+	}
 	q.b.S.Reset()
 	b := q.b
 	q.root, q.gates, q.leaves = root, gates, leaves
@@ -253,7 +258,12 @@ func (q *ConeQuerier) SupportFFs() []netlist.FFID {
 // SolverStats returns the underlying solver's cumulative counters
 // (decisions, conflicts, ...) across the queries issued so far —
 // per-root solver telemetry for query-level trace spans and metrics.
-func (q *ConeQuerier) SolverStats() sat.Statistics { return q.b.S.Stats }
+func (q *ConeQuerier) SolverStats() sat.Statistics {
+	if q.b == nil {
+		return sat.Statistics{}
+	}
+	return q.b.S.Stats
+}
 
 // QueryStats returns the solver counters accrued since the previous
 // QueryStats call (or since construction): the cost of the queries
@@ -261,7 +271,7 @@ func (q *ConeQuerier) SolverStats() sat.Statistics { return q.b.S.Stats }
 // SolverStats reports. Callers attributing work to individual Depends
 // calls should read this after each one; the deltas sum to SolverStats.
 func (q *ConeQuerier) QueryStats() sat.Statistics {
-	cur := q.b.S.Stats
+	cur := q.SolverStats()
 	d := cur.Sub(q.prevStats)
 	q.prevStats = cur
 	return d

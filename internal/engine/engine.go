@@ -115,32 +115,45 @@ func (o Options) WithParent(s *obs.Span) Options {
 
 // Stage is one running invocation of a named pipeline stage, opened by
 // Options.Begin and closed by End. It is a value: with stats and
-// tracing off, opening and closing a stage allocates nothing. The zero
-// Stage counts and traces nothing.
+// tracing off, opening and closing a stage allocates nothing and reads
+// no clock. The zero Stage counts and traces nothing.
 type Stage struct {
 	st   *StageStats
 	span *obs.Span
-	t0   time.Time
+	t0   time.Time // zero when nothing records the stage and it is not Timed
 	opts Options
 }
 
-// Begin opens one invocation of the named stage: it reads the clock
-// once, looks up the stage's counters (without a lock) and opens its
-// span under the run's parent span. Close it with End.
+// Begin opens one invocation of the named stage: it looks up the
+// stage's counters (without a lock), reads the clock once if stats or a
+// tracer record the stage, and opens its span under the run's parent
+// span. Close it with End.
 func (o Options) Begin(name string, attrs ...obs.Attr) Stage {
-	t0 := time.Now()
-	return Stage{
-		st:   o.Stats.Stage(name),
-		span: o.Tracer.StartAt(o.TraceParent, name, t0, attrs...),
-		t0:   t0,
-		opts: o,
+	s := Stage{st: o.Stats.Stage(name), opts: o}
+	if s.st != nil || o.Tracer != nil {
+		s.t0 = time.Now()
+		s.span = o.Tracer.StartAt(o.TraceParent, name, s.t0, attrs...)
 	}
+	return s
+}
+
+// Timed returns the stage with its clock started even when nothing
+// records it, for a caller that reads End's duration itself.
+func (s Stage) Timed() Stage {
+	if s.t0.IsZero() {
+		s.t0 = time.Now()
+	}
+	return s
 }
 
 // End closes the invocation: it adds the elapsed wall time and one call
 // to the stage's counters, ends its span at the same instant, and
-// returns the elapsed time.
+// returns the elapsed time. A stage that nothing records and that is not
+// Timed reads no clock and returns 0.
 func (s Stage) End() time.Duration {
+	if s.t0.IsZero() {
+		return 0
+	}
 	t1 := time.Now()
 	d := t1.Sub(s.t0)
 	if s.st != nil {

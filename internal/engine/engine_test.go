@@ -250,6 +250,29 @@ func TestBeginEndDoesNotAllocate(t *testing.T) {
 	}
 }
 
+// TestUnrecordedStageReadsNoClock checks that a stage nothing records
+// reads no clock (End returns 0), while a Timed one still measures.
+func TestUnrecordedStageReadsNoClock(t *testing.T) {
+	var o Options
+	st := o.Begin("quiet")
+	time.Sleep(100 * time.Microsecond)
+	if d := st.End(); d != 0 {
+		t.Fatalf("unrecorded stage End = %v, want 0 (no clock read)", d)
+	}
+	st = o.Begin("timed").Timed()
+	time.Sleep(100 * time.Microsecond)
+	if d := st.End(); d < 100*time.Microsecond {
+		t.Fatalf("Timed stage End = %v, want >= 100µs", d)
+	}
+	// With stats, Timed keeps Begin's clock reading.
+	s := NewStats()
+	st = Options{Stats: s}.Begin("counted").Timed()
+	time.Sleep(100 * time.Microsecond)
+	if d := st.End(); d < 100*time.Microsecond || s.Stage("counted").Wall() != d {
+		t.Fatalf("End = %v, wall counter %v", d, s.Stage("counted").Wall())
+	}
+}
+
 // TestStageWallIsEndDuration checks that the stage's wall counter and
 // its span record the interval End returns.
 func TestStageWallIsEndDuration(t *testing.T) {

@@ -63,7 +63,7 @@ func RunAttackAnalysis(ctx context.Context, tool string, nw *rsn.Network, ov *rs
 	)
 	eng := engine.Options{Stats: opts.Stats, Tracer: opts.Tracer, TraceParent: opts.TraceParent}
 	if !opts.SkipSAT {
-		stage := eng.Begin("attack-sat", obs.Str("network", nw.Name), obs.Int("key_bits", int64(ov.NumKeyBits)))
+		stage := eng.Begin("attack-sat", obs.Str("network", nw.Name), obs.Int("key_bits", int64(ov.NumKeyBits))).Timed()
 		res, err := obfus.KeyRecovery(ctx, nw, ov, trueKey, obfus.KeyRecoveryOptions{
 			Horizon:        horizon,
 			MaxIterations:  opts.MaxIterations,
@@ -83,7 +83,7 @@ func RunAttackAnalysis(ctx context.Context, tool string, nw *rsn.Network, ov *rs
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		stage := eng.Begin("attack-flush", obs.Str("network", nw.Name), obs.Int("key_bits", int64(ov.NumKeyBits)))
+		stage := eng.Begin("attack-flush", obs.Str("network", nw.Name), obs.Int("key_bits", int64(ov.NumKeyBits))).Timed()
 		res, err := obfus.FlushAttack(nw, ov, trueKey, obfus.FlushOptions{
 			Horizon:    horizon,
 			MaxConfigs: opts.MaxConfigs,

@@ -2,6 +2,7 @@ package hybrid
 
 import (
 	"bytes"
+	"fmt"
 	"slices"
 	"testing"
 
@@ -57,6 +58,10 @@ func propEqual(tb testing.TB, ctx string, full, delta *propagation) {
 	}
 }
 
+// flexScanSeeds are the circuit-attachment seeds of the flexscan-shaped
+// differential cases.
+var flexScanSeeds = []int64{1, 2, 3, 4}
+
 // scaleDesign builds a 1000-flip-flop rsngen SIB hierarchy and attaches
 // a circuit to it, as perfbench's scale workload does.
 func scaleDesign(tb testing.TB) (*rsn.Network, *bench.Attachment) {
@@ -87,6 +92,37 @@ func scaleCase(tb testing.TB) (*Analysis, *rsn.Network) {
 		}
 	}
 	tb.Fatal("scale network: no spec seed with resolvable violations found")
+	return nil, nil
+}
+
+// flexScanCase builds a design of perfbench's flexscan workload:
+// FlexScan at scale 0.01 with a circuit attached under the given seed
+// and a protocol-style specification, pure-resolved as the pipeline
+// does before the hybrid stage, with hybrid violations left over.
+func flexScanCase(tb testing.TB, seed int64) (*Analysis, *rsn.Network) {
+	tb.Helper()
+	b, ok := bench.ByName("FlexScan")
+	if !ok {
+		tb.Fatal("FlexScan not in catalog")
+	}
+	nw := b.Build(0.01)
+	att := bench.AttachCircuit(nw, bench.DefaultCircuitConfig(), seed)
+	an := NewAnalysis(nw, att.Circuit, att.Internal, nil, dep.Exact)
+	for specSeed := int64(0); specSeed < 32; specSeed++ {
+		spec := secspec.GenerateWithRoles(len(nw.Modules), att.DataSources, secspec.DefaultGenConfig(), specSeed)
+		a := an.WithSpec(spec)
+		if len(a.InsecureModulePairs()) > 0 {
+			continue
+		}
+		run := nw.Clone()
+		if _, err := pure.Resolve(run, spec, engine.Options{}); err != nil {
+			tb.Fatal(err)
+		}
+		if len(a.violationsFrom(a.propagate(run))) > 0 {
+			return a, run
+		}
+	}
+	tb.Fatalf("FlexScan seed %d: no spec seed with hybrid violations found", seed)
 	return nil, nil
 }
 
@@ -138,8 +174,9 @@ func wiringEqual(tb testing.TB, a *Analysis, nw *rsn.Network, got *wiring) {
 }
 
 // TestIncrementalPropagateMatchesFull is the differential check of the
-// delta worklist: it drives the resolve loop over catalog benchmarks
-// and a 1000-flip-flop rsngen hierarchy with an attached circuit and,
+// delta worklist: it drives the resolve loop over catalog benchmarks,
+// a 1000-flip-flop rsngen hierarchy with an attached circuit and
+// pure-resolved FlexScan designs of perfbench's flexscan shape and,
 // at every iteration, evaluates EVERY candidate cut/reconnect change —
 // all compatible pure-path predecessors of each wiring hop, uncapped,
 // plus the scan-in fallback — comparing the incremental propagation
@@ -151,16 +188,22 @@ func wiringEqual(tb testing.TB, a *Analysis, nw *rsn.Network, got *wiring) {
 // produces under parallel candidate evaluation). It also checks the CSR
 // adjacency against Base.
 func TestIncrementalPropagateMatchesFull(t *testing.T) {
-	cases := []string{"BasicSCB", "TreeFlat", "MBIST_1_5_5", "scale1000"}
-	for _, name := range cases {
+	type tcase struct {
+		name  string
+		build func(testing.TB) (*Analysis, *rsn.Network)
+	}
+	var cases []tcase
+	for _, name := range []string{"BasicSCB", "TreeFlat", "MBIST_1_5_5"} {
+		cases = append(cases, tcase{name, func(tb testing.TB) (*Analysis, *rsn.Network) { return catalogCase(tb, name, 0.15, 7) }})
+	}
+	cases = append(cases, tcase{"scale1000", scaleCase})
+	for _, seed := range flexScanSeeds {
+		cases = append(cases, tcase{fmt.Sprintf("flexscan%d", seed), func(tb testing.TB) (*Analysis, *rsn.Network) { return flexScanCase(tb, seed) }})
+	}
+	for _, c := range cases {
+		name := c.name
 		t.Run(name, func(t *testing.T) {
-			var a *Analysis
-			var nw *rsn.Network
-			if name == "scale1000" {
-				a, nw = scaleCase(t)
-			} else {
-				a, nw = catalogCase(t, name, 0.15, 7)
-			}
+			a, nw := c.build(t)
 			checkAdjacency(t, a)
 			p0 := a.propagate(nw)
 			nw0 := nw.Clone()

@@ -99,25 +99,31 @@ func referenceResolve(a *Analysis, nw *rsn.Network) ([]rsn.Change, error) {
 // with an attached circuit and four specifications drawn the way the
 // protocol draws them, the pure-resolved network must be resolved by
 // Resolve at 1 and 4 workers with the identical change list the
-// reference applies.
+// reference applies. FlexScan at scale 0.01, perfbench's flexscan
+// shape, is also run with the circuit attached under each of
+// flexScanSeeds.
 func TestHybridResolveMatchesReference(t *testing.T) {
 	type tcase struct {
-		name  string
-		scale float64
+		name   string
+		scale  float64
+		attach int64
 	}
 	var cases []tcase
 	for _, b := range bench.Catalog() {
 		if b.Name == "FlexScan" {
-			cases = append(cases, tcase{b.Name, 0.01}, tcase{b.Name, 0.1})
+			cases = append(cases, tcase{b.Name, 0.1, 1})
+			for _, seed := range flexScanSeeds {
+				cases = append(cases, tcase{b.Name, 0.01, seed})
+			}
 			continue
 		}
-		cases = append(cases, tcase{b.Name, b.ScaleForTarget(700)})
+		cases = append(cases, tcase{b.Name, b.ScaleForTarget(700), 1})
 	}
 	total := 0
 	for _, c := range cases {
 		b, _ := bench.ByName(c.name)
 		base := b.Build(c.scale)
-		att := bench.AttachCircuit(base, bench.DefaultCircuitConfig(), 1)
+		att := bench.AttachCircuit(base, bench.DefaultCircuitConfig(), c.attach)
 		var an *Analysis
 		for seed := int64(0); seed < 4; seed++ {
 			spec := secspec.GenerateWithRoles(len(base.Modules), att.DataSources, secspec.DefaultGenConfig(), seed)
@@ -127,7 +133,7 @@ func TestHybridResolveMatchesReference(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			ctx := fmt.Sprintf("%s@%g seed %d", c.name, c.scale, seed)
+			ctx := fmt.Sprintf("%s@%g attach %d seed %d", c.name, c.scale, c.attach, seed)
 			nw := base.Clone()
 			if _, err := pure.Resolve(nw, spec, engine.Options{}); err != nil {
 				t.Fatalf("%s: pure stage: %v", ctx, err)
