@@ -59,9 +59,8 @@
 // metrics and pprof during the run.
 //
 // -validate FILE checks a stored document against the schema its
-// schema field names — a run report, bench record, attack report,
-// delta report, SLO config, SLO status or metrics-history result —
-// prints one line and exits.
+// schema field names — a run report, bench record, attack report or
+// delta report — prints one line and exits.
 package main
 
 import (

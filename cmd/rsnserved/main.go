@@ -42,13 +42,8 @@
 // finished jobs; -readyz-saturation DUR turns /readyz into a
 // backpressure signal.
 //
-// Metrics history and SLOs: -history-interval samples every registry
-// metric into a bounded in-process series store (window sized by
-// -history-retention), queryable at GET /debug/metrics/history as
-// rsnsec.metrics-history/v1 documents; -slo FILE loads declarative
-// objectives (rsnsec.slo-config/v1) evaluated with fast+slow burn-rate
-// windows over that history, served at GET /v1/slo, re-exported as
-// slo_* gauges, and — for gate_ready objectives — coupled to /readyz.
+// Metrics: /metrics is the one metrics surface, in Prometheus text;
+// windowed rates and SLO burn rates belong to the scraper reading it.
 package main
 
 import (
@@ -67,8 +62,6 @@ import (
 	"repro/internal/cliutil"
 	"repro/internal/obs"
 	"repro/internal/obs/olog"
-	"repro/internal/obs/series"
-	"repro/internal/obs/slo"
 	"repro/internal/serve"
 	"repro/internal/version"
 )
@@ -101,9 +94,6 @@ func run() (err error) {
 		logFile      = flag.String("log-file", "", "write log records to this file instead of stderr (buffered, flushed on shutdown)")
 		flightEvents = flag.Int("flight-events", 0, "flight-recorder ring size per category (0 = 256, -1 = disabled)")
 		readyzSat    = flag.Duration("readyz-saturation", 0, "/readyz answers 503 while the predicted backlog exceeds this (0 = off)")
-		histInterval = flag.Duration("history-interval", 0, "sample metrics into the in-process history every DUR (0 = off unless -slo)")
-		histRetain   = flag.Duration("history-retention", 0, "metrics-history window (0 = 1h, or the slowest SLO window)")
-		sloPath      = flag.String("slo", "", "evaluate SLO objectives from this rsnsec.slo-config/v1 file")
 		showVersion  = flag.Bool("version", false, "print version and exit")
 	)
 	flag.Parse()
@@ -139,17 +129,6 @@ func run() (err error) {
 	obs.EnableRuntimeMetrics(reg)
 	version.Register(reg)
 
-	var sloCfg *slo.Config
-	if *sloPath != "" {
-		sloCfg, err = slo.LoadConfig(*sloPath)
-		if err != nil {
-			return err
-		}
-	}
-	var histCfg *series.Config
-	if *histInterval > 0 || *histRetain > 0 {
-		histCfg = &series.Config{Interval: *histInterval, Retention: *histRetain}
-	}
 	// Flushed after graceful shutdown, so no spans of drained jobs are
 	// lost.
 	tracer, closeTrace, err := cliutil.OpenTrace(*tracePath)
@@ -176,8 +155,6 @@ func run() (err error) {
 		Logger:              lg,
 		FlightEvents:        *flightEvents,
 		SaturationThreshold: *readyzSat,
-		History:             histCfg,
-		SLO:                 sloCfg,
 	})
 	if err != nil {
 		return err

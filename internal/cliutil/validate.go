@@ -13,8 +13,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/obs/perfrec"
 	"repro/internal/obs/reportdiff"
-	"repro/internal/obs/series"
-	"repro/internal/obs/slo"
 )
 
 // check pairs a validating reader with the one-line summary of what it
@@ -29,9 +27,7 @@ func check[T any](read func(io.Reader) (*T, error), summary func(*T) string) fun
 	}
 }
 
-// validators maps every stored document schema to its reader. The SLO
-// config keeps its strict reader: operators write it by hand, so an
-// unknown field is a typo, not a newer writer.
+// validators maps every stored document schema to its reader.
 var validators = map[string]func(io.Reader) (string, error){
 	obs.ReportSchema: check(obs.ReadDoc[obs.RunReport], func(rep *obs.RunReport) string {
 		return fmt.Sprintf("%d benchmarks, %d stages, %d runs", len(rep.Benchmarks), len(rep.Stages), rep.Totals.Runs)
@@ -46,15 +42,6 @@ var validators = map[string]func(io.Reader) (string, error){
 	reportdiff.DeltaSchema: check(obs.ReadDoc[reportdiff.DeltaDoc], func(d *reportdiff.DeltaDoc) string {
 		return fmt.Sprintf("%d script ops, %d benchmarks, %d changed fields",
 			d.ScriptOps, len(d.Report.Benchmarks), len(d.Diff.Deltas))
-	}),
-	slo.ConfigSchema: check(slo.ReadConfig, func(c *slo.Config) string {
-		return fmt.Sprintf("%d objectives", len(c.Objectives))
-	}),
-	slo.StatusSchema: check(obs.ReadDoc[slo.Status], func(s *slo.Status) string {
-		return fmt.Sprintf("%d objectives, breaching=%v", len(s.Objectives), s.Breaching)
-	}),
-	series.HistorySchema: check(obs.ReadDoc[series.History], func(h *series.History) string {
-		return fmt.Sprintf("%s %s/%s, %d points", h.Kind, h.Name, h.Fn, len(h.Points))
 	}),
 }
 

@@ -7,9 +7,8 @@ import (
 )
 
 // Doc is a schema-versioned rsnsec.* document: a run report, bench
-// record, attack report, delta report, SLO config or status, or a
-// metrics-history result. Validate checks its schema identifier and
-// structural invariants.
+// record, attack report or delta report. Validate checks its schema
+// identifier and structural invariants.
 type Doc interface{ Validate() error }
 
 // WriteDoc validates d and writes it as indented JSON with a trailing

@@ -10,8 +10,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/obs/perfrec"
 	"repro/internal/obs/reportdiff"
-	"repro/internal/obs/series"
-	"repro/internal/obs/slo"
 )
 
 // docCase is one schema's codec check: a valid document, and edits
@@ -87,32 +85,6 @@ var docCases = []docCase{
 		func(d *reportdiff.DeltaDoc) { d.Schema = "rsnsec.delta-report/v0" },
 		func(d *reportdiff.DeltaDoc) { d.ScriptHash = "" },
 		func(d *reportdiff.DeltaDoc) { d.Report.Totals.Runs++ }),
-	newDocCase(slo.ConfigSchema, func() *slo.Config {
-		return &slo.Config{Schema: slo.ConfigSchema, Objectives: []slo.Objective{
-			{Name: "latency", Type: slo.TypeLatency, Metric: "lat_seconds", ThresholdSeconds: 0.1, Target: 0.9},
-			{Name: "errors", Type: slo.TypeErrorRate, GoodMetric: "ok_total", BadMetric: "bad_total", Target: 0.9, GateReady: true},
-		}}
-	},
-		func(c *slo.Config) { c.Schema = "rsnsec.slo-config/v0" },
-		func(c *slo.Config) { c.Objectives = nil },
-		func(c *slo.Config) { c.Objectives[1].Target = 1 }),
-	newDocCase(slo.StatusSchema, func() *slo.Status {
-		return &slo.Status{Schema: slo.StatusSchema, EvaluatedUnixMS: 1000, Breaching: true,
-			Objectives: []slo.ObjectiveStatus{{Name: "errors", Type: slo.TypeErrorRate, Target: 0.9,
-				BurnFast: 3, BurnSlow: 2, Events: 10, BadEvents: 2, Breaching: true}}}
-	},
-		func(s *slo.Status) { s.Schema = "rsnsec.slo-status/v0" },
-		func(s *slo.Status) { s.Breaching = false },
-		func(s *slo.Status) { s.Objectives[0].BadEvents = 11 }),
-	newDocCase(series.HistorySchema, func() *series.History {
-		v := 3.0
-		return &series.History{Schema: series.HistorySchema, Name: "serve_jobs_done_total",
-			Kind: series.KindCounter, Fn: "rate", WindowMS: 4000, StepMS: 2000, IntervalMS: 1000,
-			Points: []series.HistoryPoint{{T: 2000}, {T: 4000, V: &v}}}
-	},
-		func(h *series.History) { h.Schema = "rsnsec.metrics-history/v0" },
-		func(h *series.History) { h.Fn = "p99" },
-		func(h *series.History) { h.Points[1].T = 5000 }),
 }
 
 // TestDocCodec runs every stored document schema through the codec:
@@ -168,7 +140,7 @@ func TestDocCodec(t *testing.T) {
 			}
 		})
 	}
-	if len(seen) != 7 {
-		t.Errorf("codec table covers %d schemas, want 7", len(seen))
+	if len(seen) != 4 {
+		t.Errorf("codec table covers %d schemas, want 4", len(seen))
 	}
 }

@@ -79,20 +79,6 @@ func TestHistogramBoundsAndBucketCounts(t *testing.T) {
 	}
 }
 
-func TestRegistryCollectRunsCollectors(t *testing.T) {
-	r := NewRegistry()
-	g := r.Gauge("pulled")
-	n := 0
-	r.AddCollector(func() { n++; g.Set(int64(n)) })
-	r.Collect()
-	r.Collect()
-	if g.Value() != 2 || n != 2 {
-		t.Fatalf("collector ran %d times, gauge = %d", n, g.Value())
-	}
-	var nilR *Registry
-	nilR.Collect() // must not panic
-}
-
 func TestRuntimeMetricsExportCPUSeconds(t *testing.T) {
 	r := NewRegistry()
 	EnableRuntimeMetrics(r)
@@ -103,7 +89,6 @@ func TestRuntimeMetricsExportCPUSeconds(t *testing.T) {
 		x += i % 7
 	}
 	_ = x
-	r.Collect()
 	snap := r.Snapshot()
 	v, ok := snap["go_cpu_seconds_total"]
 	if !ok {

@@ -120,27 +120,27 @@ func (h *Histogram) Sum() float64 {
 }
 
 // Quantile returns an upper bound for the q-quantile from the bucket
-// counts (see BucketQuantile). An empty histogram returns 0 (nothing
+// counts (see bucketQuantile). An empty histogram returns 0 (nothing
 // observed bounds at zero), matching the nil receiver.
 func (h *Histogram) Quantile(q float64) float64 {
 	if h == nil {
 		return 0
 	}
-	return BucketQuantile(q, h.count.Load(), h.bounds, h.BucketCounts(nil), 0)
+	return bucketQuantile(q, h.count.Load(), h.bounds, h.BucketCounts(nil))
 }
 
-// BucketQuantile returns an upper bound for the q-quantile of total
+// bucketQuantile returns an upper bound for the q-quantile of total
 // observations bucketed by counts under the sorted upper bounds: the
 // bound of the first bucket whose cumulative count reaches q, or +Inf
 // when the sample lands in the overflow bucket after the last bound.
 // q must lie in (0, 1]; anything else returns NaN. With no
-// observations it returns empty.
-func BucketQuantile(q float64, total int64, bounds []float64, counts []int64, empty float64) float64 {
+// observations it returns 0.
+func bucketQuantile(q float64, total int64, bounds []float64, counts []int64) float64 {
 	if math.IsNaN(q) || q <= 0 || q > 1 {
 		return math.NaN()
 	}
 	if total <= 0 {
-		return empty
+		return 0
 	}
 	target := max(int64(math.Ceil(q*float64(total))), 1)
 	var cum int64
@@ -171,9 +171,7 @@ func (h *Histogram) Bounds() []float64 {
 // enough. The counts are read bucket-by-bucket without a lock, so a
 // snapshot taken under concurrent Observe calls may be internally
 // skewed by in-flight observations; each bucket value is itself
-// monotone, which is what windowed-delta consumers (the series
-// sampler) need. A nil receiver returns dst unchanged (nil for a nil
-// dst).
+// monotone. A nil receiver returns dst unchanged (nil for a nil dst).
 func (h *Histogram) BucketCounts(dst []int64) []int64 {
 	if h == nil {
 		return dst[:0]
@@ -329,17 +327,6 @@ func (r *Registry) collect() {
 	for _, fn := range fns {
 		fn()
 	}
-}
-
-// Collect runs the registered collectors without rendering anything —
-// the refresh half of an exposition. Non-rendering consumers that read
-// metric values directly (the series sampler) call it so pull-style
-// gauges are as fresh in their samples as they are in a scrape.
-func (r *Registry) Collect() {
-	if r == nil {
-		return
-	}
-	r.collect()
 }
 
 // SetHelp attaches a HELP line to a metric family.

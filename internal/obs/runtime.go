@@ -30,8 +30,8 @@ var runtimeSamples = []struct {
 // CPU time available to the process minus the idle share — i.e. the
 // CPU the process actually spent working (user code, GC, scavenger).
 // Kept apart from runtimeSamples because two samples combine into one
-// exported value, and that value is a float (seconds truncate too
-// coarsely for SLO CPU accounting).
+// exported value, and that value is a float (whole seconds would
+// truncate a short run's CPU time to zero).
 var cpuSamples = struct{ total, idle string }{
 	total: "/cpu/classes/total:cpu-seconds",
 	idle:  "/cpu/classes/idle:cpu-seconds",

@@ -56,7 +56,7 @@ type EditScript struct {
 
 // ParseRef parses the reference syntax used by edit scripts: "SI",
 // "SO", "R<id>" or "M<id>" (case-insensitive element letter, decimal
-// non-negative id).
+// non-negative id that fits an int32).
 func ParseRef(s string) (Ref, error) {
 	switch s {
 	case "SI", "si":
@@ -74,7 +74,7 @@ func ParseRef(s string) (Ref, error) {
 		default:
 			return NoRef, fmt.Errorf("rsn: bad element reference %q", s)
 		}
-		id, err := strconv.Atoi(s[1:])
+		id, err := strconv.ParseInt(s[1:], 10, 32)
 		if err != nil || id < 0 {
 			return NoRef, fmt.Errorf("rsn: bad element reference %q", s)
 		}

@@ -1,6 +1,9 @@
 package rsn
 
 import (
+	"bytes"
+	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -11,6 +14,7 @@ func TestParseRef(t *testing.T) {
 		"SO": ScanOut, "so": ScanOut,
 		"R0": Reg(0), "r12": Reg(12),
 		"M3": Mx(3), "m0": Mx(0),
+		"R2147483647": Reg(2147483647),
 	}
 	for s, want := range good {
 		got, err := ParseRef(s)
@@ -18,7 +22,7 @@ func TestParseRef(t *testing.T) {
 			t.Errorf("ParseRef(%q) = %v, %v; want %v", s, got, err, want)
 		}
 	}
-	for _, s := range []string{"", "R", "M", "R-1", "Rx", "X3", "SI0", "3", "reg0"} {
+	for _, s := range []string{"", "R", "M", "R-1", "Rx", "X3", "SI0", "3", "reg0", "R2147483648", "M4294967296"} {
 		if _, err := ParseRef(s); err == nil {
 			t.Errorf("ParseRef(%q) succeeded, want error", s)
 		}
@@ -180,4 +184,90 @@ func TestParseEditScript(t *testing.T) {
 	if _, err := ParseEditScript([]byte(`{"ops":[{"op":"connect","pin":"R0","src":"SI"}],"extra":1}`)); err == nil {
 		t.Fatal("unknown field accepted")
 	}
+}
+
+// FuzzParseEditScript drives the edit-script boundary: the JSON a
+// client posts to /v1/analyses/{id}/delta. Parsing never panics; an
+// accepted script is canonical (Canonical returns it unchanged, and its
+// hash survives a JSON round trip); Validate accepts exactly the
+// decoded scripts ParseEditScript accepts; and Apply on the diamond
+// network either errors or returns a network that validates, leaving
+// the base untouched.
+func FuzzParseEditScript(f *testing.F) {
+	for _, seed := range []string{
+		// The delta-chain and offline delta-mode scripts of the CI jobs.
+		`{"ops":[{"op":"add-register","pin":"R0","src":"SI","name":"d1","len":1,"module":0}]}`,
+		`{"ops":[{"op":"add-register","pin":"R1","src":"SI","name":"d2","len":2,"module":0}]}`,
+		`{"ops":[{"op":"add-register","pin":"R0","src":"SI","name":"dx","len":1,"module":0}]}`,
+		`{"base":"diamond","ops":[{"op":"cut-reconnect","pin":"r2","src":"si"}]}`,
+		`{"ops":[{"op":"add-register","pin":"R2","src":"R0","name":"N","len":2},{"op":"cut-reconnect","pin":"R1","src":"R3"}]}`,
+		`{"ops":[{"op":"CONNECT","pin":"m0","pin_idx":1,"src":"R0"}]}`,
+		`{"ops":[{"op":"connect","pin":"SO","src":"R1"}]}`,
+		`{"ops":[{"op":"connect","pin":"R2147483648","src":"SI"}]}`,
+		`{"ops":[]}`,
+		`{"ops":[{"op":"connect","pin":"R0","src":"SI"}],"extra":1}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := ParseEditScript(data)
+
+		var raw EditScript
+		dec := json.NewDecoder(bytes.NewReader(data))
+		dec.DisallowUnknownFields()
+		if dec.Decode(&raw) == nil {
+			valid := raw.Validate() == nil && len(raw.Ops) > 0
+			if valid != (err == nil) {
+				t.Fatalf("Validate accepts %v, ParseEditScript err %v", valid, err)
+			}
+		} else if err == nil {
+			t.Fatal("ParseEditScript accepted a script that does not decode")
+		}
+		if err != nil {
+			return
+		}
+
+		c, err := s.Canonical()
+		if err != nil || !reflect.DeepEqual(c, s) {
+			t.Fatalf("parsed script is not a canonical fixed point (err %v):\n%+v\n%+v", err, s, c)
+		}
+		hash, err := s.CanonicalHash()
+		if err != nil {
+			t.Fatal(err)
+		}
+		enc, err := json.Marshal(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := ParseEditScript(enc)
+		if err != nil {
+			t.Fatalf("encoded script does not parse: %v\n%s", err, enc)
+		}
+		if h, _ := back.CanonicalHash(); h != hash {
+			t.Fatalf("hash changed over a JSON round trip:\n%s", enc)
+		}
+
+		// The daemon refuses scripts past its scan-FF cap before Apply;
+		// a small cap here keeps huge lengths from allocating.
+		added := 0
+		for _, op := range s.Ops {
+			if op.Op == OpAddRegister {
+				if op.Len > 64-added {
+					return
+				}
+				added += op.Len
+			}
+		}
+		base := buildDiamond()
+		nw, err := s.Apply(base)
+		if !reflect.DeepEqual(base, buildDiamond()) {
+			t.Fatal("Apply mutated the base network")
+		}
+		if err != nil {
+			return
+		}
+		if err := nw.Validate(); err != nil {
+			t.Fatalf("Apply returned an invalid network: %v", err)
+		}
+	})
 }

@@ -112,17 +112,11 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Added registers allocate their flip-flops when the job applies
-	// the script, so their lengths are held to the scan-FF cap here.
-	limit, added := s.cfg.maxScanFFs(), 0
-	for _, op := range script.Ops {
-		if op.Op != rsn.OpAddRegister {
-			continue
-		}
-		if op.Len > limit-added {
-			writeError(w, http.StatusBadRequest, "script adds registers past the scan-FF cap (%d)", limit)
-			return
-		}
-		added += op.Len
+	// the script, so a script too large for any base is refused here;
+	// the job checks again against the base's own scan FFs.
+	if err := checkScanFFCap(script, 0, s.cfg.maxScanFFs()); err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return
 	}
 	if !s.hasSession(baseKey) {
 		writeError(w, http.StatusConflict,
@@ -143,6 +137,23 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 		scriptHash: scriptHash,
 	}
 	s.serveOrSchedule(w, r, a, req.Priority, req.TimeoutMS)
+}
+
+// checkScanFFCap refuses a canonical script whose add-register ops
+// would grow a network of base scan flip-flops past limit. Each length
+// is compared with the room left, so no sum can overflow.
+func checkScanFFCap(script *rsn.EditScript, base, limit int) error {
+	room := limit - base
+	for _, op := range script.Ops {
+		if op.Op != rsn.OpAddRegister {
+			continue
+		}
+		if op.Len > room {
+			return fmt.Errorf("script adds registers past the scan-FF cap (%d)", limit)
+		}
+		room -= op.Len
+	}
+	return nil
 }
 
 // serveOrSchedule answers a resolved submission from the store (200,
@@ -204,6 +215,11 @@ func (s *Server) parentReport(baseKey string) (*obs.RunReport, error) {
 func (s *Server) executeDelta(ctx context.Context, j *Job, a *analysis) (obs.Doc, error) {
 	sess, err := s.sessionFor(ctx, a.baseKey)
 	if err != nil {
+		return nil, err
+	}
+	// A chain of deltas each within the cap could otherwise grow the
+	// session without bound: the derived network is analysed afresh.
+	if err := checkScanFFCap(a.script, sess.nw.NumScanFFs(), s.cfg.maxScanFFs()); err != nil {
 		return nil, err
 	}
 	opts := core.Options{

@@ -131,8 +131,22 @@ func TestOversizedDeltaRefused(t *testing.T) {
 			t.Errorf("%s: HTTP %d: %s (want 400 with the cap message)", name, code, data)
 		}
 	}
-	if code, _, data := postJSON(t, deltaURL, `{"script":{"ops":[`+addReg("small", 6)+`]}}`); code != http.StatusAccepted {
-		t.Errorf("delta within the cap: HTTP %d: %s", code, data)
+	code, _, data = postJSON(t, deltaURL, `{"script":{"ops":[`+addReg("small", 6)+`]}}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("delta within the cap: HTTP %d: %s", code, data)
+	}
+	first := pollDone(t, ts.URL, decodeStatus(t, data).ID)
+	if first.State != StateDone {
+		t.Fatalf("delta within the cap (4 + 6 = 10 FFs): %+v", first)
+	}
+	// Chained on the first, a second 6-FF delta would reach 16 FFs: each
+	// script is within the cap on its own, but the session is not.
+	code, _, data = postJSON(t, ts.URL+"/v1/analyses/"+first.ID+"/delta", `{"script":{"ops":[`+addReg("more", 6)+`]}}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("chained delta: HTTP %d: %s", code, data)
+	}
+	if st := pollDone(t, ts.URL, decodeStatus(t, data).ID); st.State != StateFailed || !strings.Contains(st.Error, "scan-FF cap") {
+		t.Errorf("chained delta past the cap: %+v (want failed with the cap message)", st)
 	}
 	if code, _, _ := getBody(t, ts.URL+"/healthz"); code != http.StatusOK {
 		t.Fatalf("/healthz after the oversized delta: HTTP %d", code)

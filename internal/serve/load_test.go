@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -205,5 +206,93 @@ func TestBacklogTracksSlowModeUnderBimodalMix(t *testing.T) {
 	}
 	if est := m.estimate(ffs); est < 2*time.Second {
 		t.Fatalf("estimate = %v, want >= 2s (slow mode)", est)
+	}
+}
+
+// TestLoadUnderChurn hammers /v1/load while jobs are submitted and
+// canceled around a pinned worker, asserting the two signal invariants
+// under concurrency: the oldest queued wait is monotone non-decreasing
+// (the head of the queue only gets older while it is stuck) and the
+// predicted backlog never goes negative. Run with -race.
+func TestLoadUnderChurn(t *testing.T) {
+	release := make(chan struct{})
+	started := make(chan struct{}, 64)
+	_, ts := testServer(t, Config{Workers: 1, QueueDepth: 64},
+		func(ctx context.Context, j *Job) ([]byte, error) {
+			started <- struct{}{}
+			select {
+			case <-release:
+				return []byte(`{"stub":"done"}`), nil
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+		})
+
+	// Pin the worker and park one job at the head of the queue.
+	var ids []string
+	for seed := 1; seed <= 2; seed++ {
+		body := fmt.Sprintf(`{"benchmark":"TreeFlat","circuits":1,"specs":1,"seed":%d}`, seed)
+		code, _, data := postJSON(t, ts.URL+"/v1/analyses", body)
+		if code != http.StatusAccepted {
+			t.Fatalf("submit %d: %d %s", seed, code, data)
+		}
+		ids = append(ids, decodeStatus(t, data).ID)
+	}
+	<-started
+
+	// Churn: submit-and-cancel behind the parked head while the main
+	// goroutine polls the signal.
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		seed := 100
+		client := &http.Client{Timeout: 5 * time.Second}
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			seed++
+			body := fmt.Sprintf(`{"benchmark":"TreeFlat","circuits":1,"specs":1,"seed":%d}`, seed)
+			resp, err := client.Post(ts.URL+"/v1/analyses", "application/json", strings.NewReader(body))
+			if err != nil {
+				continue
+			}
+			var jst JobStatus
+			_ = json.NewDecoder(resp.Body).Decode(&jst)
+			resp.Body.Close()
+			if jst.ID != "" {
+				req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/analyses/"+jst.ID, nil)
+				if dresp, err := client.Do(req); err == nil {
+					dresp.Body.Close()
+				}
+			}
+		}
+	}()
+
+	prevWait := -1.0
+	for i := 0; i < 40; i++ {
+		ls := getLoad(t, ts.URL)
+		if ls.PredictedBacklogSeconds < 0 {
+			t.Fatalf("negative predicted backlog: %+v", ls)
+		}
+		if ls.OldestWaitSeconds < prevWait {
+			t.Fatalf("oldest wait went backwards: %v -> %v", prevWait, ls.OldestWaitSeconds)
+		}
+		prevWait = ls.OldestWaitSeconds
+		time.Sleep(2 * time.Millisecond)
+	}
+	close(stop)
+	wg.Wait()
+
+	close(release)
+	for _, id := range ids {
+		pollDone(t, ts.URL, id)
+	}
+	if ls := getLoad(t, ts.URL); ls.PredictedBacklogSeconds < 0 {
+		t.Fatalf("negative backlog after drain: %+v", ls)
 	}
 }

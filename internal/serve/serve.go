@@ -39,8 +39,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/obs/flight"
 	"repro/internal/obs/olog"
-	"repro/internal/obs/series"
-	"repro/internal/obs/slo"
 )
 
 // Limits bounds the per-request network size.
@@ -99,17 +97,6 @@ type Config struct {
 	// SaturationThreshold flips /readyz to 503 "saturated" while the
 	// predicted backlog meets or exceeds it; 0 disables the gate.
 	SaturationThreshold time.Duration
-	// History, when non-nil, enables the in-process metrics history: a
-	// bounded series store sampling the registry on History.Interval
-	// (served at /debug/metrics/history, feeding the SLO engine). Nil
-	// disables it — unless SLO is set, which enables history with
-	// defaults. With SLO set, a zero Retention takes the slowest
-	// objective window.
-	History *series.Config
-	// SLO, when non-nil, evaluates the objectives against the metrics
-	// history: /v1/slo serves the status document, slo_* gauges appear
-	// in /metrics, and gate_ready objectives couple to /readyz.
-	SLO *slo.Config
 }
 
 // maxScanFFs resolves Limits.MaxScanFFs against its default.
@@ -141,8 +128,6 @@ type Server struct {
 	engLog  *slog.Logger
 	flight  *flight.Recorder
 	cost    *costModel
-	history *series.Store
-	sloEng  *slo.Engine
 
 	slowJobs *obs.Counter
 	profMu   sync.Mutex // the CPU profiler is process-global
@@ -223,26 +208,6 @@ func New(cfg Config) (*Server, error) {
 		Logger:     ringed,
 	}, cfg.Registry, s.dispatch)
 	s.registerLoadGauges()
-	// SLO evaluation needs history: an SLO config enables the series
-	// store, and a zero retention stretches to the slowest objective
-	// window. The caller's History is copied, never modified.
-	if cfg.History != nil || cfg.SLO != nil {
-		var histCfg series.Config
-		if cfg.History != nil {
-			histCfg = *cfg.History
-		}
-		if cfg.SLO != nil && histCfg.Retention == 0 {
-			histCfg.Retention = cfg.SLO.MaxWindow()
-		}
-		s.history = series.NewStore(cfg.Registry, histCfg)
-	}
-	if cfg.SLO != nil {
-		eng, err := slo.NewEngine(cfg.SLO, s.history, cfg.Registry)
-		if err != nil {
-			return nil, err
-		}
-		s.sloEng = eng
-	}
 	s.httpSrv = &http.Server{
 		Handler:           s.Handler(),
 		ReadHeaderTimeout: 10 * time.Second,
@@ -261,9 +226,6 @@ func (s *Server) Start() error {
 		return fmt.Errorf("serve: listen: %w", err)
 	}
 	s.ln = ln
-	if s.history != nil {
-		s.history.Start()
-	}
 	if s.tracer != nil {
 		s.root = s.tracer.Start(nil, "server", obs.Str("addr", ln.Addr().String()))
 	}
@@ -287,13 +249,6 @@ func (s *Server) Addr() string {
 // Registry returns the server's metrics registry.
 func (s *Server) Registry() *obs.Registry { return s.reg }
 
-// History returns the in-process series store (nil when disabled).
-// Tests tick it manually via Sample; the daemon samples in background.
-func (s *Server) History() *series.Store { return s.history }
-
-// SLOEngine returns the objectives engine (nil when no SLO config).
-func (s *Server) SLOEngine() *slo.Engine { return s.sloEng }
-
 // Shutdown drains gracefully: new submissions are refused immediately
 // (503), queued and running jobs are given until ctx's deadline to
 // finish, then any stragglers are canceled, and finally the HTTP
@@ -302,9 +257,6 @@ func (s *Server) SLOEngine() *slo.Engine { return s.sloEng }
 // process exits.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.log.Info("rsnserved draining", "queued", s.sched.Queued(), "running", s.sched.Running())
-	if s.history != nil {
-		s.history.Stop()
-	}
 	s.sched.Drain(ctx)
 	err := s.httpSrv.Shutdown(ctx)
 	if s.root != nil {

@@ -31,15 +31,10 @@ import (
 //	                                job namespace)
 //	GET    /v1/attacks/{id}/report  finished rsnsec.attack-report/v1
 //	GET    /v1/load                 autoscale load signal (see load.go)
-//	GET    /v1/slo                  SLO burn-rate status, rsnsec.slo-status/v1
-//	                                (404 without -slo; see internal/obs/slo)
 //	GET    /debug/events            flight-recorder events (?cat=, ?job=,
 //	                                ?n=, ?since=<seq> for incremental tails)
-//	GET    /debug/metrics/history   windowed metrics history (?name=, ?window=,
-//	                                ?step=, ?fn=), rsnsec.metrics-history/v1
 //	GET    /healthz                 liveness
-//	GET    /readyz                  readiness (503 while draining, saturated,
-//	                                or a gate_ready SLO is breaching)
+//	GET    /readyz                  readiness (503 while draining or saturated)
 //	GET    /metrics                 Prometheus text metrics
 //
 // Every endpoint is instrumented with per-endpoint latency histograms
@@ -64,9 +59,7 @@ func (s *Server) Handler() http.Handler {
 		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	}))
 	mux.Handle("GET /v1/load", s.instrument("load", s.handleLoad))
-	mux.Handle("GET /v1/slo", s.instrument("slo", s.handleSLO))
 	mux.Handle("GET /debug/events", s.instrument("events", s.handleEvents))
-	mux.Handle("GET /debug/metrics/history", s.instrument("history", s.handleHistory))
 	mux.Handle("GET /readyz", s.instrument("readyz", func(w http.ResponseWriter, r *http.Request) {
 		if s.sched.Draining() {
 			writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
@@ -83,13 +76,6 @@ func (s *Server) Handler() http.Handler {
 				})
 				return
 			}
-		}
-		// An objective marked gate_ready couples its burn-rate alert to
-		// readiness: while both windows burn over threshold, drain this
-		// instance rather than keep failing its SLO on live traffic.
-		if s.sloEng != nil && s.sloEng.Breaching(time.Now()) {
-			writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "slo-breaching"})
-			return
 		}
 		writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
 	}))

@@ -629,3 +629,127 @@ func TestRequestKeyStability(t *testing.T) {
 		t.Fatal("priority/timeout must not change the content address")
 	}
 }
+
+// TestEventsSinceCursorThroughServer exercises the flight recorder's
+// incremental tail through the daemon endpoint.
+func TestEventsSinceCursorThroughServer(t *testing.T) {
+	_, ts := testServer(t, Config{}, func(ctx context.Context, j *Job) ([]byte, error) {
+		return []byte(`{}`), nil
+	})
+	code, _, data := postJSON(t, ts.URL+"/v1/analyses", `{"benchmark":"TreeFlat","circuits":1,"specs":1}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: %d %s", code, data)
+	}
+	pollDone(t, ts.URL, decodeStatus(t, data).ID)
+
+	var resp struct {
+		LastSeq uint64            `json:"last_seq"`
+		Events  []json.RawMessage `json:"events"`
+	}
+	code, _, data = getBody(t, ts.URL+"/debug/events")
+	if code != http.StatusOK {
+		t.Fatalf("/debug/events: %d", code)
+	}
+	if err := json.Unmarshal(data, &resp); err != nil {
+		t.Fatal(err)
+	}
+	if resp.LastSeq == 0 || len(resp.Events) == 0 {
+		t.Fatalf("baseline events = %+v", resp)
+	}
+
+	// Nothing new after the cursor...
+	code, _, data = getBody(t, fmt.Sprintf("%s/debug/events?since=%d", ts.URL, resp.LastSeq))
+	if code != http.StatusOK {
+		t.Fatalf("tail: %d", code)
+	}
+	cursor := resp.LastSeq
+	if err := json.Unmarshal(data, &resp); err != nil {
+		t.Fatal(err)
+	}
+	if len(resp.Events) != 0 {
+		t.Fatalf("tail from tip returned %d events", len(resp.Events))
+	}
+
+	// ...until more work happens.
+	code, _, data = postJSON(t, ts.URL+"/v1/analyses", `{"benchmark":"TreeFlat","circuits":1,"specs":1,"seed":9}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("second submit: %d", code)
+	}
+	pollDone(t, ts.URL, decodeStatus(t, data).ID)
+	code, _, data = getBody(t, fmt.Sprintf("%s/debug/events?since=%d", ts.URL, cursor))
+	if code != http.StatusOK {
+		t.Fatalf("tail 2: %d", code)
+	}
+	if err := json.Unmarshal(data, &resp); err != nil {
+		t.Fatal(err)
+	}
+	if len(resp.Events) == 0 || resp.LastSeq <= cursor {
+		t.Fatalf("tail after new work: %d events, last_seq %d (cursor %d)", len(resp.Events), resp.LastSeq, cursor)
+	}
+}
+
+// TestReportsIdenticalAcrossRepeatRuns is the determinism acceptance
+// check: a real engine-backed analysis must produce byte-identical
+// report documents on a repeated identical submission, and a fresh
+// recomputation on a second server must match on every content field
+// (reports embed wall times — started_at, stage wall_ns, avg_*_ns —
+// which are the only fields allowed to differ).
+func TestReportsIdenticalAcrossRepeatRuns(t *testing.T) {
+	body := `{"benchmark":"TreeFlat","circuits":1,"specs":1}`
+	runOnce := func() []byte {
+		_, ts := testServer(t, Config{}, nil) // nil run = the real engine path
+
+		code, _, data := postJSON(t, ts.URL+"/v1/analyses", body)
+		if code != http.StatusAccepted && code != http.StatusOK {
+			t.Fatalf("submit: %d %s", code, data)
+		}
+		id := decodeStatus(t, data).ID
+		pollDone(t, ts.URL, id)
+		code, _, rep := getBody(t, ts.URL+"/v1/analyses/"+id+"/report")
+		if code != http.StatusOK {
+			t.Fatalf("report: %d %s", code, rep)
+		}
+
+		// Same server, identical submission: served from the store,
+		// byte-identical by construction.
+		code, _, data = postJSON(t, ts.URL+"/v1/analyses", body)
+		if code != http.StatusOK {
+			t.Fatalf("resubmit: %d %s", code, data)
+		}
+		id2 := decodeStatus(t, data).ID
+		code, _, rep2 := getBody(t, ts.URL+"/v1/analyses/"+id2+"/report")
+		if code != http.StatusOK || !bytes.Equal(rep, rep2) {
+			t.Fatalf("cache-hit report differs (%d bytes vs %d)", len(rep), len(rep2))
+		}
+		return rep
+	}
+	a := runOnce()
+	b := runOnce() // fresh server: full recomputation
+	if na, nb := stripWallTimes(t, a), stripWallTimes(t, b); !bytes.Equal(na, nb) {
+		t.Fatalf("recomputed report content differs across servers:\n%s\nvs\n%s", na, nb)
+	}
+}
+
+// stripWallTimes zeroes a report's timing fields so content can be
+// compared across independent recomputations.
+func stripWallTimes(t *testing.T, data []byte) []byte {
+	t.Helper()
+	rep, err := obs.ReadDoc[obs.RunReport](bytes.NewReader(data))
+	if err != nil {
+		t.Fatalf("report invalid: %v\n%s", err, data)
+	}
+	rep.StartedAt = ""
+	for i := range rep.Stages {
+		rep.Stages[i].WallNS = 0
+	}
+	rep.Totals.StageWallNS = 0
+	for i := range rep.Benchmarks {
+		b := &rep.Benchmarks[i]
+		b.AvgDepNS, b.AvgPureNS, b.AvgHybridNS, b.AvgTotalNS = 0, 0, 0, 0
+	}
+	out, err := json.Marshal(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
