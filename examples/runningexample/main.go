@@ -31,10 +31,10 @@ func main() {
 	}
 
 	fmt.Println("\n== Figure 3: dependencies after bridging IF1 and IF2 ==")
-	an := rsnsec.NewAnalysis(ex.Network, ex.Circuit, ex.Internal, ex.Spec, rsnsec.Exact)
+	census := rsnsec.NewCensus(ex.Network, ex.Circuit, ex.Internal, rsnsec.Exact)
 	for _, pair := range [][2]rsnsec.FFID{{ex.F[8], ex.F[4]}, {ex.F[8], ex.F[5]}} {
 		dst, src := pair[0], pair[1]
-		kind := an.Clo.Kind(int(dst), int(src))
+		kind := census.Clo.Kind(int(dst), int(src))
 		fmt.Printf("%s on %s: %v\n", ex.Circuit.FFs[dst].Name, ex.Circuit.FFs[src].Name, kind)
 	}
 	fmt.Println("(the XOR reconvergence makes the F6 dependency only structural)")

@@ -75,8 +75,8 @@ func (o Options) logf(format string, args ...any) {
 // builds the analysis itself and secures with SecureWithAnalysis writes
 // it before that call.
 func (o Options) LogAnalysis(an *hybrid.Analysis) {
-	o.logf("dependency calculation: %d denoted FFs, %d dependencies (%d preset), %d SAT calls",
-		an.DepStats.FFsDenoted, an.DepStats.DepsMultiCycle, an.PresetDeps, an.DepStats.SATCalls)
+	o.logf("dependency calculation: %d denoted FFs, %d path dependencies in %d SCCs (%d preset), %d SAT calls",
+		an.DepStats.FFsDenoted, an.DepStats.PathDeps, an.DepStats.PathSCCs, an.PresetDeps, an.DepStats.SATCalls)
 }
 
 // StageTimes records wall-clock runtimes per pipeline stage, matching

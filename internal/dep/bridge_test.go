@@ -50,10 +50,22 @@ func hybridShaped(tb testing.TB, name string, scale float64, mode Mode) (*Matrix
 	return m, att.Internal
 }
 
+// pathOnly returns a path-only copy of m: the matrix the pipeline
+// builds from the same Set calls.
+func pathOnly(m *Matrix) *Matrix {
+	p := NewPathMatrix(m.n)
+	for i := range m.path {
+		p.path[i].Copy(&m.path[i])
+	}
+	p.npath = m.npath
+	return p
+}
+
 // TestBridgeMatchesReference is the differential check of the
 // word-parallel Bridge against the per-pair reference loop: rows and
 // both entry counts must agree, and the counts must equal a fresh
-// popcount.
+// popcount. Bridging the path-only copy of the input must give exactly
+// the two-relation result's path rows and count.
 func TestBridgeMatchesReference(t *testing.T) {
 	check := func(t *testing.T, base *Matrix, internal []netlist.FFID) {
 		t.Helper()
@@ -68,6 +80,12 @@ func TestBridgeMatchesReference(t *testing.T) {
 				got.CountDeps(), got.CountPath(), want.CountDeps(), want.CountPath())
 		}
 		countsConsistent(t, got)
+		po := pathOnly(base)
+		Bridge(po, internal)
+		if !identical(po, pathOnly(got)) {
+			t.Fatalf("path-only Bridge(%v) differs from the two-relation path rows", internal)
+		}
+		countsConsistent(t, po)
 	}
 
 	t.Run("random", func(t *testing.T) {
@@ -186,12 +204,16 @@ func TestBridgeMatchesReference(t *testing.T) {
 }
 
 // TestMatrixCountsMatchPopcount checks that the kept entry counts equal
-// a fresh popcount after random interleavings of Set and Bridge.
+// a fresh popcount after random interleavings of Set and Bridge, on
+// two-relation and path-only matrices.
 func TestMatrixCountsMatchPopcount(t *testing.T) {
 	rng := rand.New(rand.NewSource(67))
 	for iter := 0; iter < 100; iter++ {
 		n := 1 + rng.Intn(100)
 		m := NewMatrix(n)
+		if iter%2 == 1 {
+			m = NewPathMatrix(n)
+		}
 		for op := 0; op < 6*n; op++ {
 			if rng.Intn(10) == 0 {
 				Bridge(m, []netlist.FFID{netlist.FFID(rng.Intn(n))})

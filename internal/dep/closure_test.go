@@ -13,8 +13,8 @@ import (
 // popcount of the forward rows.
 func countsConsistent(t *testing.T, m *Matrix) {
 	t.Helper()
-	if got, want := m.CountDeps(), popcount(m.str); got != want {
-		t.Fatalf("CountDeps = %d, popcount %d", got, want)
+	if rows, _ := m.deps(); m.CountDeps() != popcount(rows) {
+		t.Fatalf("CountDeps = %d, popcount %d", m.CountDeps(), popcount(rows))
 	}
 	if got, want := m.CountPath(), popcount(m.path); got != want {
 		t.Fatalf("CountPath = %d, popcount %d", got, want)

@@ -117,17 +117,40 @@ func ParseMode(s string) (Mode, error) {
 // a dense bit matrix whose rows share one allocation, and the entry
 // counts are kept as entries are set and cleared. There is no reverse
 // relation: Bridge builds the dependents lists it needs itself.
+//
+// The structural relation is optional. A path-only matrix
+// (NewPathMatrix) drops Structural entries on Set, so it holds exactly
+// the path relation of the two-relation matrix built by the same calls:
+// a path entry arises only from path entries (Combine), in bridging and
+// in the closure alike. The analysis pipeline needs nothing else; the
+// structural relation serves the census.
 type Matrix struct {
 	n           int
 	path        []bitset.Set // path[i]: j such that i path-depends on j
-	str         []bitset.Set // str[i] ⊇ path[i]: structural dependency
+	str         []bitset.Set // str[i] ⊇ path[i]: structural dependency; nil in a path-only matrix
 	npath, nstr int          // entry counts of path and str
 	closed      bool         // a closure matrix, read-only
 }
 
-// NewMatrix returns an empty dependency matrix over n flip-flops.
+// NewMatrix returns an empty two-relation dependency matrix over n
+// flip-flops.
 func NewMatrix(n int) *Matrix {
 	return &Matrix{n: n, path: bitset.Rows(n, n), str: bitset.Rows(n, n)}
+}
+
+// NewPathMatrix returns an empty path-only dependency matrix over n
+// flip-flops.
+func NewPathMatrix(n int) *Matrix {
+	return &Matrix{n: n, path: bitset.Rows(n, n)}
+}
+
+// deps returns the relation of denoted dependencies and its entry
+// count: str, or path in a path-only matrix.
+func (m *Matrix) deps() ([]bitset.Set, int) {
+	if m.str == nil {
+		return m.path, m.npath
+	}
+	return m.str, m.nstr
 }
 
 // N returns the number of flip-flops indexed.
@@ -146,18 +169,19 @@ func (m *Matrix) Set(i, j int, k Kind) {
 		m.path[i].Set(j)
 		m.npath++
 	}
-	if !m.str[i].Has(j) {
+	if m.str != nil && !m.str[i].Has(j) {
 		m.str[i].Set(j)
 		m.nstr++
 	}
 }
 
-// Kind returns the dependency of i on j.
+// Kind returns the dependency of i on j; a path-only matrix never
+// reports Structural.
 func (m *Matrix) Kind(i, j int) Kind {
 	if m.path[i].Has(j) {
 		return Path
 	}
-	if m.str[i].Has(j) {
+	if m.str != nil && m.str[i].Has(j) {
 		return Structural
 	}
 	return None
@@ -165,7 +189,10 @@ func (m *Matrix) Kind(i, j int) Kind {
 
 // CountDeps returns the number of denoted dependencies (non-None
 // entries).
-func (m *Matrix) CountDeps() int { return m.nstr }
+func (m *Matrix) CountDeps() int {
+	_, n := m.deps()
+	return n
+}
 
 // CountPath returns the number of Path entries.
 func (m *Matrix) CountPath() int { return m.npath }
@@ -177,8 +204,11 @@ func (m *Matrix) Clone() *Matrix {
 	return &cp
 }
 
-// cloneRows copies a relation's rows into a fresh slab.
+// cloneRows copies a relation's rows into a fresh slab; nil stays nil.
 func cloneRows(rows []bitset.Set) []bitset.Set {
+	if rows == nil {
+		return nil
+	}
 	out := bitset.Rows(len(rows), len(rows))
 	for i := range rows {
 		out[i].Copy(&rows[i])
@@ -187,13 +217,14 @@ func cloneRows(rows []bitset.Set) []bitset.Set {
 }
 
 // Equal reports whether the two matrices denote exactly the same
-// dependencies (same size, same path and structural entries).
+// dependencies (same size, same path and structural entries). A
+// path-only matrix equals only a path-only one.
 func (m *Matrix) Equal(o *Matrix) bool {
-	if m.n != o.n {
+	if m.n != o.n || (m.str == nil) != (o.str == nil) {
 		return false
 	}
 	for i := 0; i < m.n; i++ {
-		if !m.path[i].Equal(&o.path[i]) || !m.str[i].Equal(&o.str[i]) {
+		if !m.path[i].Equal(&o.path[i]) || (m.str != nil && !m.str[i].Equal(&o.str[i])) {
 			return false
 		}
 	}
@@ -202,7 +233,10 @@ func (m *Matrix) Equal(o *Matrix) bool {
 
 // DependsOn returns the set of j on which i depends (structurally or
 // more). The returned set is live; do not modify it.
-func (m *Matrix) DependsOn(i int) *bitset.Set { return &m.str[i] }
+func (m *Matrix) DependsOn(i int) *bitset.Set {
+	rows, _ := m.deps()
+	return &rows[i]
+}
 
 // PathDependsOn returns the set of j on which i path-depends.
 // The returned set is live; do not modify it.
@@ -227,11 +261,9 @@ type Stats struct {
 	StructOnly1Cycle int   // 1-cycle dependencies classified only structural
 	FFsTotal         int   // flip-flops before bridging
 	FFsDenoted       int   // flip-flops after bridging (denoted)
-	DepsBeforeBridge int   // 1-cycle dependencies before bridging
-	DepsAfterBridge  int   // dependencies after bridging, before closure
-	DepsMultiCycle   int   // denoted dependencies after the closure
-	ClosurePathDeps  int   // path entries after the closure
-	BridgedFFs       int
+	BridgedFFs       int   // internal flip-flops bridged away
+	PathDeps         int   // path dependencies after bridging
+	PathSCCs         int   // strongly connected components of the bridged path relation
 }
 
 // oneCycleEntry is one classified 1-cycle dependency of a root row.
@@ -269,9 +301,11 @@ type supportLeaf struct {
 // oneCycleScratch is one 1-cycle worker's reusable state. Every root
 // the worker classifies walks, simulates and encodes its cone in these
 // buffers, so after warm-up a root allocates nothing but its result
-// row. Reuse cannot change a result: the querier's solver is Reset to
-// the state New returns before each encoding, and every buffer is
-// cleared or overwritten before it is read.
+// row. Workers take their scratch from oneCycleScratchPool and return
+// it, so it stays warm across FillOneCycleCfg calls, re-aimed at each
+// call's netlist. Reuse cannot change a result: the querier's solver is
+// Reset to the state New returns before each encoding, and every buffer
+// is cleared or overwritten before it is read.
 type oneCycleScratch struct {
 	q         *ConeQuerier // owns the cone walker and, once a leaf needs it, the solver
 	sc        simCone
@@ -279,6 +313,19 @@ type oneCycleScratch struct {
 	testIdx   []int
 	decided   []Kind // per leaf
 	queryable []bool // per leaf
+}
+
+var oneCycleScratchPool sync.Pool
+
+// getOneCycleScratch returns pooled worker scratch aimed at n, or fresh
+// scratch when the pool is empty.
+func getOneCycleScratch(n *netlist.Netlist) *oneCycleScratch {
+	ws, _ := oneCycleScratchPool.Get().(*oneCycleScratch)
+	if ws == nil {
+		return &oneCycleScratch{q: NewQuerier(n)}
+	}
+	ws.q.aim(n)
+	return ws
 }
 
 // OneCycleConfig tunes the exact-mode 1-cycle computation; the zero
@@ -358,7 +405,8 @@ func FillOneCycleCfg(m *Matrix, n *netlist.Netlist, mode Mode, stats *Stats, opt
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			ws := oneCycleScratch{q: NewQuerier(n)}
+			ws := getOneCycleScratch(n)
+			defer oneCycleScratchPool.Put(ws)
 			for {
 				idx := int(next.Add(1)) - 1
 				if idx >= len(jobs) || cancelled.Load() {
@@ -528,12 +576,16 @@ func FillOneCycleCfg(m *Matrix, n *netlist.Netlist, mode Mode, stats *Stats, opt
 // in str[i], and in path[i] whenever path[k] is merged — so k's
 // self-loop never strengthens a bridged dependency. The unions touch
 // only the words that are non-zero in k's rows, gathered once per k,
-// so a dependent costs the words k's rows hold rather than n/64.
+// so a dependent costs the words k's rows hold rather than n/64. In a
+// path-only matrix the structural union is skipped: every dependent
+// path-depends on k, and the path rows are those of the two-relation
+// bridge.
 //
 // The dependents of the internal columns are listed once, reading only
 // the words that hold internal columns, and each list grows when a
 // union gives a dependent a new pending internal predecessor (fill-in).
-// Only new bits touch the lists and the counts.
+// The lists come from the structural rows, or from the path rows in a
+// path-only matrix. Only new bits touch the lists and the counts.
 func Bridge(m *Matrix, internal []netlist.FFID) {
 	if len(internal) == 0 {
 		return
@@ -556,7 +608,8 @@ func Bridge(m *Matrix, internal []netlist.FFID) {
 		}
 	}
 	type link struct{ i, next int32 }
-	arena := make([]link, 0, m.nstr)
+	rel, entries := m.deps()
+	arena := make([]link, 0, entries)
 	add := func(k int, i int32) {
 		if pending.Has(int(i)) && slot[i] <= slot[k] {
 			return
@@ -565,8 +618,8 @@ func Bridge(m *Matrix, internal []netlist.FFID) {
 		head[slot[k]] = int32(len(arena) - 1)
 	}
 	iw := pending.AppendWords(nil)
-	for i := range m.str {
-		m.str[i].ForEachAnd(pending, iw, func(k int) { add(k, int32(i)) })
+	for i := range rel {
+		rel[i].ForEachAnd(pending, iw, func(k int) { add(k, int32(i)) })
 	}
 	var sw, pw []int32
 	for _, kf := range internal {
@@ -575,24 +628,37 @@ func Bridge(m *Matrix, internal []netlist.FFID) {
 			continue // listed twice; eliminated at its first place
 		}
 		pending.Clear(k)
-		sk, pk := &m.str[k], &m.path[k]
-		sw, pw = sk.AppendWords(sw[:0]), pk.AppendWords(pw[:0])
+		pk := &m.path[k]
+		pw = pk.AppendWords(pw[:0])
+		var sk *bitset.Set
+		if m.str != nil {
+			sk = &m.str[k]
+			sw = sk.AppendWords(sw[:0])
+		}
 		for e := head[slot[k]]; e >= 0; e = arena[e].next {
 			i32 := arena[e].i
 			i := int(i32)
-			si, pi := &m.str[i], &m.path[i]
-			m.nstr += si.OrNewWords(sk, sw, pending, func(j int) { add(j, i32) })
-			if pi.Has(k) {
+			pi := &m.path[i]
+			if sk == nil {
+				m.npath += pi.OrNewWords(pk, pw, pending, func(j int) { add(j, i32) })
+			} else {
+				si := &m.str[i]
+				m.nstr += si.OrNewWords(sk, sw, pending, func(j int) { add(j, i32) })
+				si.Clear(k)
+				m.nstr--
+				if !pi.Has(k) {
+					continue
+				}
 				m.npath += pi.OrNewWords(pk, pw, nil, nil)
-				pi.Clear(k)
-				m.npath--
 			}
-			si.Clear(k)
-			m.nstr--
+			pi.Clear(k)
+			m.npath--
 		}
 		m.npath -= pk.Count()
-		m.nstr -= sk.Count()
 		pk.Reset()
-		sk.Reset()
+		if sk != nil {
+			m.nstr -= sk.Count()
+			sk.Reset()
+		}
 	}
 }

@@ -165,3 +165,36 @@ func BenchmarkOneCycleParallel(b *testing.B) {
 		}
 	}
 }
+
+// TestPooledScratchAcrossNetlists checks that 1-cycle worker scratch
+// pooled across FillOneCycleCfg calls leaves no trace of the netlists
+// it served before: the matrices of several circuits, computed in one
+// order and again in the reverse order at other worker counts, are
+// identical.
+func TestPooledScratchAcrossNetlists(t *testing.T) {
+	var circuits []*netlist.Netlist
+	for _, name := range []string{"BasicSCB", "MBIST_1_5_5", "TreeFlat"} {
+		circuits = append(circuits, catalogCircuit(t, name, 0.15, 3))
+	}
+	for seed := int64(0); seed < 2; seed++ {
+		circuits = append(circuits, netlist.Generate(netlist.DefaultGenConfig([]string{"a", "b", "c"}, 6), seed).N)
+	}
+	fill := func(n *netlist.Netlist, workers int) *Matrix {
+		m := NewMatrix(n.NumFFs())
+		if err := FillOneCycleCfg(m, n, Exact, &Stats{}, engine.Options{Workers: workers}, OneCycleConfig{}); err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	first := make([]*Matrix, len(circuits))
+	for i, n := range circuits {
+		first[i] = fill(n, 2)
+	}
+	for _, workers := range []int{1, 3} {
+		for i := len(circuits) - 1; i >= 0; i-- {
+			if !identical(fill(circuits[i], workers), first[i]) {
+				t.Fatalf("circuit %d, workers=%d: matrix differs after pooled scratch served other netlists", i, workers)
+			}
+		}
+	}
+}

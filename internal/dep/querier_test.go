@@ -44,8 +44,10 @@ func traceQueries(n *netlist.Netlist, q *ConeQuerier) queryTrace {
 // every root — the 1-cycle worker's pattern — answers exactly as a
 // fresh querier per root: same Depends answers, same per-query
 // QueryStats, same encoding size. It covers the unrestricted encoding
-// (Reset vs NewConeQuerier) and restricted ones (encode with a random
-// queryable set vs a fresh querier given the same set).
+// (Reset vs NewConeQuerier), restricted ones (encode with a random
+// queryable set vs a fresh querier given the same set), and a querier
+// re-aimed from circuit to circuit (aim, as pooled worker scratch is),
+// larger and smaller ones alternating.
 func TestReusedQuerierMatchesFresh(t *testing.T) {
 	type circuit struct {
 		name string
@@ -63,12 +65,20 @@ func TestReusedQuerierMatchesFresh(t *testing.T) {
 		g := netlist.Generate(netlist.DefaultGenConfig([]string{"a", "b", "c"}, 4), seed)
 		circuits = append(circuits, circuit{fmt.Sprintf("random%d", seed), g.N})
 	}
+	var across *ConeQuerier
 	for ci, c := range circuits {
 		n := c.n
 		t.Run(c.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(ci)))
 			reused := NewQuerier(n)
 			restricted := NewQuerier(n)
+			if across == nil {
+				across = NewQuerier(n)
+			}
+			across.aim(n)
+			if across.Depends(n.FFs[0].Node) {
+				t.Fatal("re-aimed querier answers before an encoding")
+			}
 			roots := 0
 			for b := range n.FFs {
 				root := n.FFs[b].D
@@ -81,6 +91,10 @@ func TestReusedQuerierMatchesFresh(t *testing.T) {
 				want := traceQueries(n, NewConeQuerier(n, root))
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("root ff %d: reused querier %+v, fresh %+v", b, got, want)
+				}
+				across.Reset(root)
+				if got := traceQueries(n, across); !reflect.DeepEqual(got, want) {
+					t.Fatalf("root ff %d: querier re-aimed across circuits %+v, fresh %+v", b, got, want)
 				}
 
 				// Restricted: a random half of the non-constant leaves

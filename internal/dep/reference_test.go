@@ -42,28 +42,15 @@ type computeResult struct {
 func (r *computeResult) Kind(i, j netlist.FFID) Kind { return r.M.Kind(int(i), int(j)) }
 
 // compute runs the full data-flow analysis of Section III-A over the
-// circuit: 1-cycle dependencies, bridging over the internal flip-flops,
-// and the iterative multi-cycle closure on the reduced (denoted) set.
+// circuit through the census: 1-cycle dependencies, bridging over the
+// internal flip-flops, and the multi-cycle closure on the reduced
+// (denoted) set.
 func compute(n *netlist.Netlist, internal []netlist.FFID, mode Mode) *computeResult {
-	res := &computeResult{}
-	res.Stats.Mode = mode
-	res.Stats.FFsTotal = n.NumFFs()
-
-	one := oneCycleMatrix(n, mode, &res.Stats)
-	res.OneCycle = one
-	res.Stats.DepsBeforeBridge = one.CountDeps()
-
-	m := one.Clone()
-	Bridge(m, internal)
-	res.Stats.BridgedFFs = len(internal)
-	res.Stats.FFsDenoted = n.NumFFs() - len(internal)
-	res.Stats.DepsAfterBridge = m.CountDeps()
-
-	m = closure(m)
-	res.M = m
-	res.Stats.DepsMultiCycle = m.CountDeps()
-	res.Stats.ClosurePathDeps = m.CountPath()
-
+	st := Stats{Mode: mode, FFsTotal: n.NumFFs()}
+	one := oneCycleMatrix(n, mode, &st)
+	// The background context never cancels, so the error is always nil.
+	c, _ := NewCensus(one.Clone(), internal, st, engine.Options{})
+	res := &computeResult{M: c.Clo, OneCycle: one, Stats: c.Stats}
 	res.Denoted = make([]bool, n.NumFFs())
 	for i := range res.Denoted {
 		res.Denoted[i] = true

@@ -57,6 +57,14 @@ func NewQuerier(n *netlist.Netlist) *ConeQuerier {
 	return &ConeQuerier{n: n, w: netlist.NewConeWalker(n)}
 }
 
+// aim re-aims the querier at n's cones, keeping its walker, solver and
+// tables: Depends is false until the next encoding.
+func (q *ConeQuerier) aim(n *netlist.Netlist) {
+	q.n = n
+	q.w.Reset(n)
+	q.root, q.gates, q.leaves = netlist.NoNode, nil, nil
+}
+
 // NewConeQuerier extracts and encodes root's fan-in cone. It is the
 // one-shot form; callers querying many roots should Reset one querier.
 func NewConeQuerier(n *netlist.Netlist, root netlist.NodeID) *ConeQuerier {

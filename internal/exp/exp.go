@@ -409,8 +409,8 @@ func (r BridgingResult) DepReduction() float64 {
 }
 
 // RunBridging computes the bridging reductions for one benchmark by
-// running the dependency analysis with and without bridging on the
-// same generated circuit.
+// running the dependency census with and without bridging on the same
+// generated circuit.
 func RunBridging(b bench.Benchmark, cfg RunConfig) (*BridgingResult, error) {
 	return RunBridgingCtx(context.Background(), b, cfg)
 }
@@ -420,20 +420,20 @@ func RunBridgingCtx(ctx context.Context, b bench.Benchmark, cfg RunConfig) (*Bri
 	eng := cfg.options(ctx, 1).EngineOptions()
 	nw := b.Build(cfg.EffectiveScale(b))
 	att := bench.AttachCircuit(nw, cfg.Circuit, benchSeed(cfg.Seed, b.Name))
-	with, err := hybrid.NewAnalysisOpts(nw, att.Circuit, att.Internal, nil, cfg.Mode, eng)
+	with, err := hybrid.NewCensus(nw, att.Circuit, att.Internal, cfg.Mode, eng)
 	if err != nil {
 		return nil, err
 	}
-	without, err := hybrid.NewAnalysisOpts(nw, att.Circuit, nil, nil, cfg.Mode, eng)
+	without, err := hybrid.NewCensus(nw, att.Circuit, nil, cfg.Mode, eng)
 	if err != nil {
 		return nil, err
 	}
 	return &BridgingResult{
 		Benchmark:    b,
-		FFsTotal:     without.DepStats.FFsDenoted,
-		FFsBridged:   with.DepStats.FFsDenoted,
-		DepsNoBridge: without.DepStats.DepsMultiCycle,
-		DepsBridge:   with.DepStats.DepsMultiCycle,
+		FFsTotal:     without.Stats.FFsDenoted,
+		FFsBridged:   with.Stats.FFsDenoted,
+		DepsNoBridge: without.DepsMultiCycle,
+		DepsBridge:   with.DepsMultiCycle,
 	}, nil
 }
 

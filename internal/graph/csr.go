@@ -66,3 +66,79 @@ func (c *CSR) Transpose() CSR {
 	}
 	return t
 }
+
+// SCC computes the strongly connected components of g with Tarjan's
+// algorithm, iteratively (no recursion — register chains make paths
+// thousands of nodes long). It returns the component id per node and
+// the members of component c as members[start[c]:start[c+1]], in
+// reverse topological emission order: every component is emitted after
+// all components reachable from it.
+func (g *CSR) SCC() (comp, members, start []int32) {
+	n := g.Len()
+	comp = make([]int32, n)
+	members = make([]int32, 0, n)
+	start = []int32{0}
+	index := make([]int32, n) // 0 = unvisited, otherwise discovery index + 1
+	low := make([]int32, n)
+	onStack := make([]bool, n)
+	sccStack := make([]int32, 0, 64)
+	var counter int32 = 1
+
+	type frame struct {
+		v  int32
+		si int
+	}
+	var dfs []frame
+	for root := 0; root < n; root++ {
+		if index[root] != 0 {
+			continue
+		}
+		index[root] = counter
+		low[root] = counter
+		counter++
+		sccStack = append(sccStack, int32(root))
+		onStack[root] = true
+		dfs = append(dfs[:0], frame{int32(root), 0})
+		for len(dfs) > 0 {
+			f := &dfs[len(dfs)-1]
+			v := f.v
+			if row := g.Row(int(v)); f.si < len(row) {
+				w := row[f.si]
+				f.si++
+				if index[w] == 0 {
+					index[w] = counter
+					low[w] = counter
+					counter++
+					sccStack = append(sccStack, w)
+					onStack[w] = true
+					dfs = append(dfs, frame{w, 0})
+				} else if onStack[w] && index[w] < low[v] {
+					low[v] = index[w]
+				}
+				continue
+			}
+			if low[v] == index[v] {
+				c := int32(len(start) - 1)
+				for {
+					w := sccStack[len(sccStack)-1]
+					sccStack = sccStack[:len(sccStack)-1]
+					onStack[w] = false
+					comp[w] = c
+					members = append(members, w)
+					if w == v {
+						break
+					}
+				}
+				start = append(start, int32(len(members)))
+			}
+			dfs = dfs[:len(dfs)-1]
+			if len(dfs) > 0 {
+				p := &dfs[len(dfs)-1]
+				if low[v] < low[p.v] {
+					low[p.v] = low[v]
+				}
+			}
+		}
+	}
+	return comp, members, start
+}

@@ -23,7 +23,6 @@ import (
 	"sort"
 	"sync"
 
-	"repro/internal/bitset"
 	"repro/internal/dep"
 	"repro/internal/engine"
 	"repro/internal/graph"
@@ -41,11 +40,6 @@ type Analysis struct {
 	Spec    *secspec.Spec
 	Mode    dep.Mode
 
-	// Base is the bridged 1-cycle dependency matrix over the combined
-	// index space: circuit flip-flops first, then scan flip-flops.
-	Base *dep.Matrix
-	// Clo is the multi-cycle closure of Base.
-	Clo *dep.Matrix
 	// Denoted marks combined indices that survived bridging.
 	Denoted []bool
 	// DepStats carries the dependency computation bookkeeping.
@@ -63,14 +57,18 @@ type Analysis struct {
 	nodeModule []int
 	// nDenoted counts the combined indices that survived bridging.
 	nDenoted int
-	// pathIn holds Base's path edges in compressed-sparse-row form
-	// (PathDependsOn rows) and pathOut its transpose (each node's path
+	// pathIn holds the bridged path relation over the combined index
+	// space — circuit flip-flops first, then scan flip-flops — in
+	// compressed-sparse-row form (row i lists the j that i
+	// path-depends on), and pathOut its transpose (each node's path
 	// dependents): the adjacency the propagation worklist and the
-	// culprit search walk, and pathIn is the closure's path input. The
-	// bridged matrix averages about one path edge per node, so scanning
-	// dense bitset rows per evaluation cost far more than the edges
-	// themselves.
+	// culprit search walk. It is the only dependency relation the
+	// analysis keeps; the dense matrix it was built in is dropped.
 	pathIn, pathOut graph.CSR
+	// sccComp, sccMembers and sccStart are the strongly connected
+	// components of pathIn as graph.SCC returns them, sources first:
+	// the condensation InsecureModulePairs propagates over.
+	sccComp, sccMembers, sccStart []int32
 	// headReg maps the combined index of each register's scan flip-flop
 	// 0 — the node its wiring input feeds — to the register, and every
 	// other index to -1.
@@ -109,10 +107,83 @@ func NewAnalysis(nw *rsn.Network, circuit *netlist.Netlist, internal []netlist.F
 // analysis: circuit 1-cycle dependencies (SAT-classified in Exact mode,
 // fanned out over the engine's worker pool), preset register chains,
 // capture/update links, bridging over the internal flip-flops, and the
-// multi-cycle closure. Per-stage wall times and query counts are
+// condensation of the bridged path relation. The build is path-only:
+// only the path relation is kept (dep.NewPathMatrix), and the
+// structural relation and the node-level closure are left to the
+// census (NewCensus). Per-stage wall times and query counts are
 // reported through opts.Stats; cancellation via opts.Context is honored
 // between SAT queries and pipeline stages, returning the context error.
 func NewAnalysisOpts(nw *rsn.Network, circuit *netlist.Netlist, internal []netlist.FFID, spec *secspec.Spec, mode dep.Mode, opts engine.Options) (*Analysis, error) {
+	a := newLayout(nw, circuit, spec, mode, opts)
+	m := dep.NewPathMatrix(a.total)
+	if err := a.fillDeps(m, nw, opts); err != nil {
+		return nil, err
+	}
+
+	before := m.CountPath()
+	bridge := opts.Begin("bridge", obs.Int("internal_ffs", int64(len(internal))),
+		obs.Int("path_deps_before", int64(before)))
+	dep.Bridge(m, internal)
+	a.pathIn = m.PathCSR()
+	a.pathOut = a.pathIn.Transpose()
+	bridge.SetAttrs(obs.Int("path_deps_after", int64(m.CountPath())))
+	bridge.End()
+	a.DepStats.BridgedFFs = len(internal)
+	a.DepStats.FFsDenoted = a.total - len(internal)
+	a.DepStats.PathDeps = m.CountPath()
+	opts.Logf("bridge: %d internal FFs eliminated, %d -> %d path deps",
+		len(internal), before, a.DepStats.PathDeps)
+	if err := opts.Err(); err != nil {
+		return nil, err
+	}
+
+	// The spec-independent half of the insecure-logic check: the
+	// condensation of the path relation.
+	closure := opts.Begin("closure", obs.Int("nodes", int64(a.total)))
+	a.sccComp, a.sccMembers, a.sccStart = a.pathIn.SCC()
+	a.DepStats.PathSCCs = len(a.sccStart) - 1
+	closure.AddItems(int64(a.DepStats.PathSCCs))
+	closure.SetAttrs(obs.Int("sccs_path", int64(a.DepStats.PathSCCs)))
+	closure.End()
+	opts.Logf("closure: %d path SCCs", a.DepStats.PathSCCs)
+
+	a.Denoted = make([]bool, a.total)
+	for i := range a.Denoted {
+		a.Denoted[i] = true
+	}
+	for _, k := range internal {
+		a.Denoted[k] = false
+	}
+	for _, d := range a.Denoted {
+		if d {
+			a.nDenoted++
+		}
+	}
+	if err := opts.Err(); err != nil {
+		return nil, err
+	}
+	return a, nil
+}
+
+// NewCensus runs the dependency census of the analysis NewAnalysisOpts
+// builds for the same arguments: the same 1-cycle, preset and link
+// dependencies in a two-relation matrix, bridged over the internal
+// flip-flops and closed (dep.NewCensus). It is opt-in: the bridging
+// table, the running example and the differential tests read it; the
+// analysis pipeline does not.
+func NewCensus(nw *rsn.Network, circuit *netlist.Netlist, internal []netlist.FFID, mode dep.Mode, opts engine.Options) (*dep.Census, error) {
+	a := newLayout(nw, circuit, nil, mode, opts)
+	m := dep.NewMatrix(a.total)
+	if err := a.fillDeps(m, nw, opts); err != nil {
+		return nil, err
+	}
+	return dep.NewCensus(m, internal, a.DepStats, opts)
+}
+
+// newLayout returns an analysis with the combined index space of nw's
+// registers after circuit's flip-flops laid out, and no dependencies
+// yet.
+func newLayout(nw *rsn.Network, circuit *netlist.Netlist, spec *secspec.Spec, mode dep.Mode, opts engine.Options) *Analysis {
 	a := &Analysis{Circuit: circuit, Spec: spec, Mode: mode, eng: opts, cache: &propCache{}}
 	a.nCirc = circuit.NumFFs()
 	a.regOffset = make([]int, len(nw.Registers))
@@ -135,12 +206,24 @@ func NewAnalysisOpts(nw *rsn.Network, circuit *netlist.Netlist, internal []netli
 			a.nodeModule[a.regOffset[r]+i] = a.regModule[r]
 		}
 	}
-
+	a.headReg = make([]int32, a.total)
+	for i := range a.headReg {
+		a.headReg[i] = -1
+	}
+	for r := range a.regOffset {
+		a.headReg[a.regOffset[r]] = int32(r)
+	}
 	a.DepStats.Mode = mode
 	a.DepStats.FFsTotal = a.total
-	m := dep.NewMatrix(a.total)
-	if err := dep.FillOneCycleCfg(m, circuit, mode, &a.DepStats, opts, dep.OneCycleConfig{}); err != nil {
-		return nil, err
+	return a
+}
+
+// fillDeps writes the fixed dependencies into m, before bridging: the
+// circuit's 1-cycle dependencies, the preset register chains and the
+// capture/update links.
+func (a *Analysis) fillDeps(m *dep.Matrix, nw *rsn.Network, opts engine.Options) error {
+	if err := dep.FillOneCycleCfg(m, a.Circuit, a.Mode, &a.DepStats, opts, dep.OneCycleConfig{}); err != nil {
+		return err
 	}
 
 	// Preset the dependencies of consecutive flip-flops inside each
@@ -165,67 +248,14 @@ func NewAnalysisOpts(nw *rsn.Network, circuit *netlist.Netlist, internal []netli
 			}
 		}
 	}
-	a.DepStats.DepsBeforeBridge = m.CountDeps()
-	if err := opts.Err(); err != nil {
-		return nil, err
-	}
-
-	bridge := opts.Begin("bridge", obs.Int("internal_ffs", int64(len(internal))),
-		obs.Int("deps_before", int64(a.DepStats.DepsBeforeBridge)))
-	dep.Bridge(m, internal)
-	a.pathIn = m.PathCSR()
-	a.pathOut = a.pathIn.Transpose()
-	bridge.End()
-	a.DepStats.BridgedFFs = len(internal)
-	a.DepStats.FFsDenoted = a.total - len(internal)
-	a.DepStats.DepsAfterBridge = m.CountDeps()
-	a.Base = m
-	a.headReg = make([]int32, a.total)
-	for i := range a.headReg {
-		a.headReg[i] = -1
-	}
-	for r := range a.regOffset {
-		a.headReg[a.regOffset[r]] = int32(r)
-	}
-	opts.Logf("bridge: %d internal FFs eliminated, %d -> %d deps",
-		len(internal), a.DepStats.DepsBeforeBridge, a.DepStats.DepsAfterBridge)
-	if err := opts.Err(); err != nil {
-		return nil, err
-	}
-
-	clo, err := dep.ClosureOpts(m, a.pathIn, opts)
-	if err != nil {
-		return nil, err
-	}
-	a.Clo = clo
-	a.DepStats.DepsMultiCycle = a.Clo.CountDeps()
-	a.DepStats.ClosurePathDeps = a.Clo.CountPath()
-	opts.Logf("closure: %d multi-cycle deps (%d path)",
-		a.DepStats.DepsMultiCycle, a.DepStats.ClosurePathDeps)
-
-	a.Denoted = make([]bool, a.total)
-	for i := range a.Denoted {
-		a.Denoted[i] = true
-	}
-	for _, k := range internal {
-		a.Denoted[k] = false
-	}
-	for _, d := range a.Denoted {
-		if d {
-			a.nDenoted++
-		}
-	}
-	if err := opts.Err(); err != nil {
-		return nil, err
-	}
-	return a, nil
+	return opts.Err()
 }
 
 // WithSpec returns a shallow copy of the analysis evaluating a
-// different security specification. The dependency matrices do not
-// depend on the specification, so one analysis can be reused across
-// many specs (the experimental protocol evaluates 16 specifications per
-// generated circuit).
+// different security specification. The path relation and its
+// condensation do not depend on the specification, so one analysis can
+// be reused across many specs (the experimental protocol evaluates 16
+// specifications per generated circuit).
 func (a *Analysis) WithSpec(spec *secspec.Spec) *Analysis {
 	cp := *a
 	cp.Spec = spec
@@ -267,68 +297,118 @@ func (a *Analysis) NodeName(n int) string {
 	return fmt.Sprintf("ff:%s", a.Circuit.FFs[n].Name)
 }
 
-// InsecurePair is a fixed-infrastructure data flow that violates the
-// specification independently of the reconfigurable scan wiring.
-type InsecurePair struct {
-	Src, Dst int // combined indices; data flows Src -> Dst
-}
-
-// InsecureLogic returns the security violations that exist over the
-// fixed infrastructure alone (circuit logic, register chains and
-// capture/update links) — violations that no re-wiring of the RSN can
-// resolve and that require a redesign of the circuit (Section III-B).
-// Pairs are sorted by (Src, Dst) so every run — parallel or not —
-// reports them byte-identically.
-func (a *Analysis) InsecureLogic() []InsecurePair {
-	var out []InsecurePair
-	a.insecureFlows(func(src, dst int) { out = append(out, InsecurePair{Src: src, Dst: dst}) })
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Src != out[j].Src {
-			return out[i].Src < out[j].Src
-		}
-		return out[i].Dst < out[j].Dst
-	})
-	return out
-}
-
 // InsecureModulePairs returns the module pairs (source, destination)
-// of InsecureLogic, each once, sorted. Pairs are marked in one row of
-// destination modules per source module while the closure's path rows
-// are walked, so no node pair is collected.
+// of the security violations that exist over the fixed infrastructure
+// alone (circuit logic, register chains and capture/update links) —
+// violations that no re-wiring of the RSN can resolve and that require
+// a redesign of the circuit (Section III-B). A pair is reported, once,
+// when a denoted flip-flop of the destination module path-depends in
+// the multi-cycle closure on a denoted flip-flop of the source module
+// and the specification forbids the flow. Pairs are sorted, so every
+// run — parallel or not — reports them identically.
+//
+// The closure is never built. A node reaches a node of another
+// component exactly when their components are linked in the
+// condensation, and a node of a component with several members reaches
+// every member of its own. So the set of source modules reaching a
+// component is the union, over the components its members path-depend
+// on, of that component's set plus the module of the member depended
+// on (a multi-member predecessor's set holds its own modules already),
+// plus the component's own modules when it has several members. A
+// self-loop needs no case of its own: a node reaching itself adds only
+// its own module, which never violates, and its dependents get that
+// module from the edge. The sets are propagated in Tarjan's emission
+// order, which lists every component after those it depends on. Only
+// the sensitive source modules — those some module may not receive
+// data from — get a bit, so a set is a word or two.
 func (a *Analysis) InsecureModulePairs() [][2]int {
-	nm := len(a.Spec.Trust)
-	bySrc := make([]*bitset.Set, nm)
-	a.insecureFlows(func(src, dst int) {
-		ms := a.nodeModule[src]
-		if bySrc[ms] == nil {
-			bySrc[ms] = bitset.New(nm)
+	spec := a.Spec
+	nm := len(spec.Trust)
+	// bit[ms] is source module ms's bit, -1 when no module violates it;
+	// sens lists the sensitive modules by bit, ascending. Violates(ms,
+	// md) depends on md only through its trust category (and ms != md).
+	ncat := 0
+	for _, c := range spec.Trust {
+		ncat = max(ncat, int(c)+1)
+	}
+	trusted := make([]int, ncat) // modules per trust category
+	for _, c := range spec.Trust {
+		trusted[c]++
+	}
+	bit := make([]int, nm)
+	var sens []int
+	for ms := range nm {
+		bit[ms] = -1
+		for c, k := range trusted {
+			if k > 0 && !spec.Accepts[ms].Has(secspec.Category(c)) && (k > 1 || spec.Trust[ms] != secspec.Category(c)) {
+				bit[ms] = len(sens)
+				sens = append(sens, ms)
+				break
+			}
 		}
-		bySrc[ms].Set(a.nodeModule[dst])
-	})
+	}
+	if len(sens) == 0 {
+		return nil
+	}
+	w := (len(sens) + 63) / 64
+	// violCat[c]: the sensitive sources a module of trust c may not
+	// receive data from (its own bit aside).
+	violCat := make([]uint64, ncat*w)
+	for b, ms := range sens {
+		for c := range trusted {
+			if !spec.Accepts[ms].Has(secspec.Category(c)) {
+				violCat[c*w+b/64] |= 1 << (b % 64)
+			}
+		}
+	}
+	nc := len(a.sccStart) - 1
+	reach := make([]uint64, nc*w)
+	found := make([]uint64, nm*w) // per destination module: violating sources reaching it
+	setModule := func(set []uint64, n int) {
+		if b := bit[a.nodeModule[n]]; b >= 0 && a.Denoted[n] {
+			set[b/64] |= 1 << (b % 64)
+		}
+	}
+	for c := range nc {
+		members := a.sccMembers[a.sccStart[c]:a.sccStart[c+1]]
+		rc := reach[c*w : (c+1)*w]
+		for _, u := range members {
+			for _, j := range a.pathIn.Row(int(u)) {
+				cj := int(a.sccComp[j])
+				if cj == c {
+					continue
+				}
+				for x, v := range reach[cj*w : (cj+1)*w] {
+					rc[x] |= v
+				}
+				setModule(rc, int(j))
+			}
+		}
+		if len(members) > 1 {
+			for _, u := range members {
+				setModule(rc, int(u))
+			}
+		}
+		for _, u := range members {
+			if !a.Denoted[u] {
+				continue
+			}
+			md := a.nodeModule[u]
+			vc := violCat[int(spec.Trust[md])*w:]
+			for x, v := range rc {
+				found[md*w+x] |= v & vc[x]
+			}
+		}
+	}
 	var out [][2]int
-	for ms, dsts := range bySrc {
-		if dsts != nil {
-			dsts.ForEach(func(md int) { out = append(out, [2]int{ms, md}) })
+	for b, ms := range sens {
+		for md := range nm {
+			if md != ms && found[md*w+b/64]&(1<<(b%64)) != 0 {
+				out = append(out, [2]int{ms, md})
+			}
 		}
 	}
 	return out
-}
-
-// insecureFlows calls f(src, dst) for every pair of denoted combined
-// indices where dst path-depends on src in the closure and the
-// specification forbids the flow between their modules.
-func (a *Analysis) insecureFlows(f func(src, dst int)) {
-	for i := 0; i < a.total; i++ {
-		if !a.Denoted[i] {
-			continue
-		}
-		mi := a.nodeModule[i]
-		a.Clo.PathDependsOn(i).ForEach(func(j int) {
-			if a.Denoted[j] && a.Spec.Violates(a.nodeModule[j], mi) {
-				f(j, i)
-			}
-		})
-	}
 }
 
 // Violation is a detected security violation: confidential data flows
@@ -371,7 +451,7 @@ func (a *Analysis) srcIdx(ref rsn.Ref) int {
 // wiring is the reverse adjacency of a network's inter-register
 // connections: sinks(s) lists, ascending, the propagation nodes (bit-0
 // scan flip-flops and mux pseudo-nodes) to re-evaluate when node s's
-// out-attribute changes. The fixed Base edges are not included; they
+// out-attribute changes. The fixed path edges are not included; they
 // are read from the CSR arrays. A trial wiring derived by trialWiring
 // shares its parent's rows and overrides only the rows of sources whose
 // sinks changed.
@@ -526,7 +606,7 @@ func (a *Analysis) runWorklist(nw *rsn.Network, w *wiring, p *propagation, queue
 			continue
 		}
 		p.attrOut[n] = out
-		// Re-evaluate everything fed by n. Base edges end at combined
+		// Re-evaluate everything fed by n. Path edges end at combined
 		// indices, active when denoted; wiring sinks may be muxes.
 		if n < a.total {
 			for _, d := range a.pathOut.Row(n) {
@@ -547,7 +627,7 @@ func (a *Analysis) runWorklist(nw *rsn.Network, w *wiring, p *propagation, queue
 }
 
 // propagate computes the omnidirectional fixed point of security
-// attributes over the combined graph from scratch: fixed Base edges
+// attributes over the combined graph from scratch: fixed path edges
 // plus the network's current inter-register wiring. Scan multiplexers
 // are transparent pseudo-nodes (indices a.total..a.total+muxes-1) so
 // the wiring contributes O(edges) work instead of flattening mux

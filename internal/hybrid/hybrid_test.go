@@ -50,21 +50,22 @@ func TestAnalysisIndexing(t *testing.T) {
 
 func TestExampleDependencies(t *testing.T) {
 	e, a := newExampleAnalysis(t, dep.Exact)
+	c := censusOf(t, a, e.Network)
 	// After bridging IF1/IF2, F7 path-depends on F5 and only
 	// structurally on F6 (the XOR reconvergence).
 	f7, f5, f6 := int(e.F[6]), int(e.F[4]), int(e.F[5])
-	if got := a.Clo.Kind(f7, f5); got != dep.Path {
+	if got := c.Clo.Kind(f7, f5); got != dep.Path {
 		t.Errorf("F7 on F5 = %v, want path", got)
 	}
-	if got := a.Clo.Kind(f7, f6); got != dep.Structural {
+	if got := c.Clo.Kind(f7, f6); got != dep.Structural {
 		t.Errorf("F7 on F6 = %v, want structural", got)
 	}
 	// F9 likewise (Figure 3).
 	f9 := int(e.F[8])
-	if got := a.Clo.Kind(f9, f5); got != dep.Path {
+	if got := c.Clo.Kind(f9, f5); got != dep.Path {
 		t.Errorf("F9 on F5 = %v, want path", got)
 	}
-	if got := a.Clo.Kind(f9, f6); got != dep.Structural {
+	if got := c.Clo.Kind(f9, f6); got != dep.Structural {
 		t.Errorf("F9 on F6 = %v, want structural", got)
 	}
 	// Internal flip-flops are bridged away.
@@ -74,7 +75,7 @@ func TestExampleDependencies(t *testing.T) {
 		}
 	}
 	// Scan chains are preset: SF2 path-depends on SF1.
-	if got := a.Base.Kind(a.ScanIndex(0, 1), a.ScanIndex(0, 0)); got != dep.Path {
+	if got := c.Base.Kind(a.ScanIndex(0, 1), a.ScanIndex(0, 0)); got != dep.Path {
 		t.Errorf("preset SF2 on SF1 = %v", got)
 	}
 	if a.PresetDeps == 0 {
@@ -83,10 +84,13 @@ func TestExampleDependencies(t *testing.T) {
 }
 
 func TestExampleNoInsecureLogic(t *testing.T) {
-	_, a := newExampleAnalysis(t, dep.Exact)
-	if pairs := a.InsecureLogic(); len(pairs) != 0 {
+	e, a := newExampleAnalysis(t, dep.Exact)
+	if pairs := insecureLogic(a, censusOf(t, a, e.Network)); len(pairs) != 0 {
 		t.Fatalf("unexpected insecure logic: %v (e.g. %s -> %s)", len(pairs),
 			a.NodeName(pairs[0].Src), a.NodeName(pairs[0].Dst))
+	}
+	if mp := a.InsecureModulePairs(); len(mp) != 0 {
+		t.Fatalf("unexpected insecure module pairs: %v", mp)
 	}
 }
 
@@ -223,7 +227,7 @@ func TestInsecureLogicDetection(t *testing.T) {
 	// Wire the untrusted module directly to crypto state: F7' = F2.
 	e.Circuit.SetFFInput(e.F[6], e.Circuit.FFs[e.F[1]].Node)
 	a := NewAnalysis(e.Network, e.Circuit, e.Internal, e.Spec, dep.Exact)
-	pairs := a.InsecureLogic()
+	pairs := insecureLogic(a, censusOf(t, a, e.Network))
 	if len(pairs) == 0 {
 		t.Fatal("direct crypto-to-untrusted circuit path must be insecure logic")
 	}
@@ -373,9 +377,9 @@ func BenchmarkNewAnalysisScale(b *testing.B) {
 }
 
 // TestInsecureModulePairsMatchLogic checks that the module pairs
-// collected while walking the closure equal InsecureLogic deduplicated
-// to module pairs and sorted, on catalog specifications with insecure
-// circuit logic.
+// decided on the condensation equal the closure reference's node pairs
+// deduplicated to module pairs and sorted, on catalog specifications
+// with insecure circuit logic.
 func TestInsecureModulePairsMatchLogic(t *testing.T) {
 	cases := 0
 	for _, name := range []string{"BasicSCB", "TreeFlat", "MBIST_1_5_5"} {
@@ -383,28 +387,17 @@ func TestInsecureModulePairsMatchLogic(t *testing.T) {
 		nw := b.Build(0.3)
 		att := bench.AttachCircuit(nw, bench.DefaultCircuitConfig(), 5)
 		an := NewAnalysis(nw, att.Circuit, att.Internal, nil, dep.Exact)
+		c := censusOf(t, an, nw)
 		for seed := int64(0); seed < 16; seed++ {
 			a := an.WithSpec(secspec.Generate(len(nw.Modules), secspec.DefaultGenConfig(), seed))
-			logic := a.InsecureLogic()
+			logic := insecureLogic(a, c)
 			if len(logic) == 0 {
 				continue
 			}
 			cases++
-			var want [][2]int
-			for _, p := range logic {
-				mp := [2]int{a.NodeModule(p.Src), a.NodeModule(p.Dst)}
-				if !slices.Contains(want, mp) {
-					want = append(want, mp)
-				}
-			}
-			slices.SortFunc(want, func(x, y [2]int) int {
-				if x[0] != y[0] {
-					return x[0] - y[0]
-				}
-				return x[1] - y[1]
-			})
+			want := modulePairsRef(a, logic)
 			if got := a.InsecureModulePairs(); !slices.Equal(got, want) {
-				t.Fatalf("%s seed %d: InsecureModulePairs = %v, InsecureLogic gives %v", name, seed, got, want)
+				t.Fatalf("%s seed %d: InsecureModulePairs = %v, closure reference gives %v", name, seed, got, want)
 			}
 		}
 	}

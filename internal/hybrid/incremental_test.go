@@ -126,18 +126,20 @@ func flexScanCase(tb testing.TB, seed int64) (*Analysis, *rsn.Network) {
 	return nil, nil
 }
 
-// checkAdjacency asserts that the CSR arrays hold Base's path edges row
-// for row — pathIn its rows, pathOut their transpose, computed here —
-// and that headReg maps exactly each register's bit 0.
-func checkAdjacency(t *testing.T, a *Analysis) {
+// checkAdjacency asserts that the CSR arrays hold the path edges of the
+// census's two-relation bridge row for row — pathIn its rows, pathOut
+// their transpose, computed here — and that headReg maps exactly each
+// register's bit 0.
+func checkAdjacency(t *testing.T, a *Analysis, nw *rsn.Network) {
 	t.Helper()
+	base := censusOf(t, a, nw).Base
 	dependents := make([][]int32, a.total)
 	for i := 0; i < a.total; i++ {
-		a.Base.PathDependsOn(i).ForEach(func(j int) { dependents[j] = append(dependents[j], int32(i)) })
+		base.PathDependsOn(i).ForEach(func(j int) { dependents[j] = append(dependents[j], int32(i)) })
 	}
 	for n := 0; n < a.total; n++ {
 		var in []int32
-		a.Base.PathDependsOn(n).ForEach(func(j int) { in = append(in, int32(j)) })
+		base.PathDependsOn(n).ForEach(func(j int) { in = append(in, int32(j)) })
 		for _, c := range []struct {
 			name      string
 			row, want []int32
@@ -146,7 +148,7 @@ func checkAdjacency(t *testing.T, a *Analysis) {
 			{"pathOut", a.pathOut.Row(n), dependents[n]},
 		} {
 			if !slices.Equal(c.row, c.want) {
-				t.Fatalf("%s row %d = %v, Base has %v", c.name, n, c.row, c.want)
+				t.Fatalf("%s row %d = %v, census has %v", c.name, n, c.row, c.want)
 			}
 		}
 		r, bit, ok := a.IsScanNode(n)
@@ -186,7 +188,7 @@ func wiringEqual(tb testing.TB, a *Analysis, nw *rsn.Network, got *wiring) {
 // dirty cone), the delta from the parent wiring, and the delta from a
 // stale ancestor fixed point (the multi-change diff the shared cache
 // produces under parallel candidate evaluation). It also checks the CSR
-// adjacency against Base.
+// adjacency against the census.
 func TestIncrementalPropagateMatchesFull(t *testing.T) {
 	type tcase struct {
 		name  string
@@ -204,7 +206,7 @@ func TestIncrementalPropagateMatchesFull(t *testing.T) {
 		name := c.name
 		t.Run(name, func(t *testing.T) {
 			a, nw := c.build(t)
-			checkAdjacency(t, a)
+			checkAdjacency(t, a, nw)
 			p0 := a.propagate(nw)
 			nw0 := nw.Clone()
 			candidates := 0

@@ -38,7 +38,7 @@ func (e *ErrInsecureLogic) Error() string {
 // chain from u to v (used by Explain) and the wiring hops on the
 // u-to-v flow. The BFS runs once per violation inside the resolve
 // loop, so its state lives in dense slices keyed by combined index and
-// it walks the CSR copy of Base's path in-edges: visited/parentNext/
+// it walks the CSR copy of the bridged path in-edges: visited/parentNext/
 // wireFrom are flat arrays of a.total entries, and a wiring hop records
 // its source register on the edge's tail, its fed register being the
 // one whose bit 0 is the edge's head.

@@ -17,7 +17,7 @@ const SnapshotSchema = "rsnsec.hybrid-snapshot/v1"
 
 // ErrStructuralDelta reports an edit script that changes the register
 // set. The fixed infrastructure of an Analysis — the combined index
-// space, the bridged dependency matrices — is built over a concrete
+// space, the bridged path relation — is built over a concrete
 // register list, so such deltas need a fresh Analysis over the derived
 // network instead of a dirty-cone update (exp.SecureDelta does this
 // fallback automatically).
@@ -93,10 +93,12 @@ func (s *Snapshot) Encode() []byte {
 // InitFrom decodes an encoded snapshot against the wiring it claims to
 // describe: the canonical hash embedded in the bytes must match nw, so
 // a snapshot can never be restored onto the wrong network revision.
+// Only Encode's own form is accepted — minimal varints, a node count
+// the bytes can hold — so an accepted snapshot re-encodes to data.
 func InitFrom(nw *rsn.Network, data []byte) (*Snapshot, error) {
 	rest := data
 	readStr := func() (string, error) {
-		n, k := binary.Uvarint(rest)
+		n, k := uvarint(rest)
 		if k <= 0 || uint64(len(rest)-k) < n {
 			return "", fmt.Errorf("hybrid: snapshot truncated")
 		}
@@ -118,8 +120,9 @@ func InitFrom(nw *rsn.Network, data []byte) (*Snapshot, error) {
 	if got := rsn.CanonicalHash(nw); hash != got {
 		return nil, fmt.Errorf("hybrid: snapshot wiring hash %.12s does not match network %.12s", hash, got)
 	}
-	n, k := binary.Uvarint(rest)
-	if k <= 0 {
+	n, k := uvarint(rest)
+	// Every attribute value takes at least one byte.
+	if k <= 0 || n > uint64(len(rest)-k)/2 {
 		return nil, fmt.Errorf("hybrid: snapshot truncated")
 	}
 	rest = rest[k:]
@@ -130,7 +133,7 @@ func InitFrom(nw *rsn.Network, data []byte) (*Snapshot, error) {
 	}
 	readCats := func(dst []secspec.CatSet) error {
 		for i := range dst {
-			v, k := binary.Uvarint(rest)
+			v, k := uvarint(rest)
 			if k <= 0 || v > uint64(^secspec.CatSet(0)) {
 				return fmt.Errorf("hybrid: snapshot truncated or corrupt at node %d", i)
 			}
@@ -149,6 +152,17 @@ func InitFrom(nw *rsn.Network, data []byte) (*Snapshot, error) {
 		return nil, fmt.Errorf("hybrid: snapshot has %d trailing bytes", len(rest))
 	}
 	return s, nil
+}
+
+// uvarint reads a uvarint as binary.Uvarint does, but refuses (k <= 0)
+// an overlong encoding — one ending in a zero byte after continuation
+// bytes — which binary.AppendUvarint never writes.
+func uvarint(b []byte) (uint64, int) {
+	v, k := binary.Uvarint(b)
+	if k > 1 && b[k-1] == 0 {
+		return 0, -1
+	}
+	return v, k
 }
 
 // compatible checks that a network shares the analysis's register set
@@ -210,7 +224,7 @@ func (a *Analysis) ApplyDelta(base *rsn.Network, script *rsn.EditScript) (*rsn.N
 
 // WithEngine returns a shallow copy of the analysis running under a
 // different engine configuration (workers, stats, tracing, context).
-// The copy shares the dependency matrices AND the propagation cache, so
+// The copy shares the path relation AND the propagation cache, so
 // per-request engine options can be threaded through a long-lived
 // session analysis without losing incremental state.
 func (a *Analysis) WithEngine(opts engine.Options) *Analysis {

@@ -1,13 +1,19 @@
 package hybrid
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
 
+	"repro/internal/bench"
+	"repro/internal/dep"
 	"repro/internal/engine"
+	"repro/internal/icl"
 	"repro/internal/rsn"
+	"repro/internal/secspec"
 )
 
 // TestSnapshotEncodeRoundTrip drives the full persistence seam:
@@ -75,6 +81,28 @@ func TestSnapshotInitFromErrors(t *testing.T) {
 	bad[1] ^= 0xff // inside the schema string
 	if _, err := InitFrom(nw, bad); err == nil {
 		t.Fatal("corrupted schema accepted")
+	}
+
+	// The frames before the node count, as Encode writes them.
+	var hdr []byte
+	for _, str := range []string{SnapshotSchema, rsn.CanonicalHash(nw)} {
+		hdr = binary.AppendUvarint(hdr, uint64(len(str)))
+		hdr = append(hdr, str...)
+	}
+	// A node count the remaining bytes cannot hold is refused before
+	// anything is allocated for it.
+	for _, n := range []uint64{uint64(snap.Nodes()) + 1, 1 << 33, 1 << 62} {
+		huge := binary.AppendUvarint(append([]byte(nil), hdr...), n)
+		if _, err := InitFrom(nw, append(huge, data[len(binary.AppendUvarint(hdr, uint64(snap.Nodes()))):]...)); err == nil {
+			t.Fatalf("node count %d accepted", n)
+		}
+	}
+	// An overlong varint decodes to the right value but would re-encode
+	// to other bytes: the encoding is canonical, so it is refused.
+	vals := len(binary.AppendUvarint(hdr, uint64(snap.Nodes())))
+	overlong := append(append([]byte(nil), data[:vals]...), data[vals]|0x80, 0)
+	if _, err := InitFrom(nw, append(overlong, data[vals+1:]...)); err == nil {
+		t.Fatal("overlong attribute varint accepted")
 	}
 }
 
@@ -221,4 +249,44 @@ func TestDeltaChainMatchesFullAnalysis(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzInitFrom feeds arbitrary bytes to the snapshot decoder, decoded
+// against a catalog network or an rsngen network: it must never panic,
+// and a snapshot it accepts must re-encode to exactly the bytes it was
+// read from (the encoding is canonical, so stored session snapshots
+// are content-addressable). The seeds are the two networks' encoded
+// fixed points.
+func FuzzInitFrom(f *testing.F) {
+	var nets []*rsn.Network
+	add := func(a *Analysis, nw *rsn.Network) {
+		snap, err := a.Snapshot(nw)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(uint8(len(nets)), snap.Encode())
+		nets = append(nets, nw)
+	}
+	add(catalogCase(f, "BasicSCB", 0.15, 7))
+	var buf bytes.Buffer
+	if _, err := bench.StreamScaleICL(&buf, nil, bench.ScaleGenConfig{TargetScanFFs: 200, Seed: 5}); err != nil {
+		f.Fatal(err)
+	}
+	nw, err := icl.ParseNetwork(buf.String(), nil)
+	if err != nil {
+		f.Fatal(err)
+	}
+	att := bench.AttachCircuit(nw, bench.DefaultCircuitConfig(), 5)
+	spec := secspec.GenerateWithRoles(len(nw.Modules), att.DataSources, secspec.DefaultGenConfig(), 5)
+	add(NewAnalysis(nw, att.Circuit, att.Internal, spec, dep.Exact), nw)
+
+	f.Fuzz(func(t *testing.T, which uint8, data []byte) {
+		s, err := InitFrom(nets[int(which)%len(nets)], data)
+		if err != nil {
+			return
+		}
+		if got := s.Encode(); !bytes.Equal(got, data) {
+			t.Fatalf("accepted snapshot re-encodes to %d bytes, read from %d", len(got), len(data))
+		}
+	})
 }

@@ -304,7 +304,8 @@ func (n *Netlist) Cone(root NodeID) (gates []NodeID, leaves []NodeID) {
 // ConeWalker extracts fan-in cones of one netlist, reusing its scratch
 // across walks: after warm-up a walk allocates nothing and costs time
 // proportional to the cone, not to the netlist. Visit marks are
-// generation-stamped per node, so starting a walk clears nothing. A
+// generation-stamped per node, so starting a walk clears nothing, and
+// Reset re-aims the walker at another netlist, keeping its scratch. A
 // ConeWalker is not safe for concurrent use.
 type ConeWalker struct {
 	n *Netlist
@@ -324,6 +325,25 @@ func NewConeWalker(n *Netlist) *ConeWalker {
 	return &ConeWalker{n: n}
 }
 
+// Reset re-aims the walker at n's cones. Its scratch is kept and grows
+// on the first walk if n has more nodes; no node is in the latest cone
+// until then.
+func (w *ConeWalker) Reset(n *Netlist) {
+	w.n = n
+	w.nextGen()
+}
+
+// nextGen starts a new visit generation: no stamp reads as current.
+func (w *ConeWalker) nextGen() {
+	w.gen++
+	if w.gen == 0 {
+		// Wrapped: a stamp left by a walk 2^32 walks ago would read as
+		// current, so clear every stamp once and restart at 1.
+		clear(w.stamp)
+		w.gen = 1
+	}
+}
+
 // Walk extracts root's fan-in cone: the gate nodes in topological order
 // and the leaves (inputs, constants and FF outputs) in discovery order,
 // exactly as Cone returns them. The slices are owned by the walker and
@@ -334,13 +354,7 @@ func (w *ConeWalker) Walk(root NodeID) (gates []NodeID, leaves []NodeID) {
 		w.stamp = append(w.stamp, make([]uint32, len(n.Nodes)-len(w.stamp))...)
 		w.pos = append(w.pos, make([]int32, len(n.Nodes)-len(w.pos))...)
 	}
-	w.gen++
-	if w.gen == 0 {
-		// Wrapped: a stamp left by a walk 2^32 walks ago would read as
-		// current, so clear every stamp once and restart at 1.
-		clear(w.stamp)
-		w.gen = 1
-	}
+	w.nextGen()
 	gen := w.gen
 	w.gates, w.leaves = w.gates[:0], w.leaves[:0]
 	// push marks leaves done on sight; gates go on the stack, possibly

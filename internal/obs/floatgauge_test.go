@@ -42,17 +42,28 @@ func TestFloatGaugeSetValueAndRender(t *testing.T) {
 }
 
 func TestHistogramBoundsAndBucketCounts(t *testing.T) {
-	h := NewRegistry().Histogram("h", 0.01, 0.1, 1)
+	r := NewRegistry()
+	bounds := []float64{0.01, 0.1, 1}
+	h := r.Histogram("h", bounds...)
 	for _, v := range []float64{0.005, 0.05, 0.5, 5, 7} {
 		h.Observe(v)
 	}
-	b := h.Bounds()
-	if len(b) != 3 || b[0] != 0.01 || b[2] != 1 {
-		t.Fatalf("bounds = %v", b)
+	bounds[0] = 99 // the histogram must hold a copy
+	// The bounds, as the exposition renders them: one cumulative bucket
+	// per bound, ascending, then the +Inf overflow.
+	var sb strings.Builder
+	if err := r.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
 	}
-	b[0] = 99 // must be a copy
-	if h.Bounds()[0] != 0.01 {
-		t.Fatal("Bounds aliases internal state")
+	var got []string
+	for _, line := range strings.Split(sb.String(), "\n") {
+		if strings.HasPrefix(line, "h_bucket") {
+			got = append(got, line)
+		}
+	}
+	wantLines := []string{`h_bucket{le="0.01"} 1`, `h_bucket{le="0.1"} 2`, `h_bucket{le="1"} 3`, `h_bucket{le="+Inf"} 5`}
+	if strings.Join(got, "\n") != strings.Join(wantLines, "\n") {
+		t.Fatalf("bucket lines = %q, want %q", got, wantLines)
 	}
 	counts := h.BucketCounts(nil)
 	want := []int64{1, 1, 1, 2} // last = +Inf overflow
@@ -74,8 +85,9 @@ func TestHistogramBoundsAndBucketCounts(t *testing.T) {
 	if got := nilH.BucketCounts(buf); len(got) != 0 {
 		t.Fatalf("nil histogram counts = %v", got)
 	}
-	if nilH.Bounds() != nil {
-		t.Fatal("nil histogram bounds != nil")
+	var nilR *Registry
+	if nilR.Histogram("h") != nil {
+		t.Fatal("nil registry returned a histogram")
 	}
 }
 

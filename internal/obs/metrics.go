@@ -155,18 +155,9 @@ func bucketQuantile(q float64, total int64, bounds []float64, counts []int64) fl
 	return math.Inf(1)
 }
 
-// Bounds returns a copy of the histogram's sorted bucket upper bounds
-// (the implicit +Inf overflow bucket is not listed). A nil receiver
-// returns nil.
-func (h *Histogram) Bounds() []float64 {
-	if h == nil {
-		return nil
-	}
-	return append([]float64(nil), h.bounds...)
-}
-
 // BucketCounts copies the per-bucket (non-cumulative) observation
-// counts into dst — len(Bounds())+1 entries, the last being the +Inf
+// counts into dst — one entry per bucket bound the histogram was made
+// with, in ascending bound order, plus a last one for the +Inf
 // overflow bucket — reusing dst's backing array when it is large
 // enough. The counts are read bucket-by-bucket without a lock, so a
 // snapshot taken under concurrent Observe calls may be internally

@@ -187,6 +187,9 @@ type (
 	Mode = dep.Mode
 	// Analysis is the reusable fixed-infrastructure data-flow analysis.
 	Analysis = hybrid.Analysis
+	// Census is the opt-in two-relation dependency census of an
+	// analysis: path and structural dependencies, bridged and closed.
+	Census = dep.Census
 	// Change describes one transformation applied by the pure or the
 	// hybrid resolution stage (Report.PureChangeList,
 	// Report.HybridChangeList).
@@ -215,6 +218,16 @@ func Secure(nw *Network, circuit *Netlist, internal []FFID, spec *Spec, opts Opt
 // that detect violations without transforming the network.
 func NewAnalysis(nw *Network, circuit *Netlist, internal []FFID, spec *Spec, mode Mode) *Analysis {
 	return hybrid.NewAnalysis(nw, circuit, internal, spec, mode)
+}
+
+// NewCensus runs the dependency census of the analysis NewAnalysis
+// builds: it classifies every multi-cycle dependency as path or only
+// structural (Census.Clo.Kind), which the analysis itself does not
+// keep.
+func NewCensus(nw *Network, circuit *Netlist, internal []FFID, mode Mode) *Census {
+	// The background context never cancels, so the error is always nil.
+	c, _ := hybrid.NewCensus(nw, circuit, internal, mode, engine.Options{})
+	return c
 }
 
 // Engine orchestration: worker pools, cancellation and per-stage

@@ -109,7 +109,7 @@ func TestFacadeAnalysis(t *testing.T) {
 	if len(an.Violations(ex.Network)) == 0 {
 		t.Fatal("analysis found no violations on the insecure example")
 	}
-	if len(an.InsecureLogic()) != 0 {
+	if len(an.InsecureModulePairs()) != 0 {
 		t.Fatal("unexpected insecure logic")
 	}
 }
