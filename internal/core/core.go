@@ -151,7 +151,7 @@ func Secure(nw *rsn.Network, circuit *netlist.Netlist, internal []netlist.FFID, 
 // calculation against an existing Analysis — the incremental-session
 // entry point: the caller amortizes the expensive fixed-infrastructure
 // analysis (and its cached attribute fixed point) across a chain of
-// derived networks, each run re-propagating only its dirty cone. nw
+// derived networks, each run repairing only what its edit changed. nw
 // must share the analysis's register set (its wiring may differ
 // arbitrarily). The analysis runs under the engine configuration
 // derived from opts for this call (workers, stats, tracing,

@@ -32,7 +32,7 @@ type DeltaResult struct {
 // pipeline on the derived network, reusing an's fixed infrastructure
 // (dependency matrices, cached attribute fixed point) whenever the
 // script only rewires: those runs skip the dependency calculation
-// entirely and re-propagate only the dirty cone of the edit. Scripts
+// entirely and repair only what the edit changes. Scripts
 // that add registers fall back to a fresh analysis over the derived
 // network (ErrStructuralDelta path) — correct, just not incremental.
 // The pipeline runs on a clone, so the returned Derived network keeps

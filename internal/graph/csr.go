@@ -34,6 +34,9 @@ func (c *CSR) Len() int { return len(c.ptr) - 1 }
 // Row returns node i's successors.
 func (c *CSR) Row(i int) []int32 { return c.idx[c.ptr[i]:c.ptr[i+1]] }
 
+// Edges returns the number of edges.
+func (c *CSR) Edges() int { return len(c.idx) }
+
 // FromRows builds the graph of n nodes whose successors row(i, dst)
 // appends to dst for each node i in turn; edges is a capacity hint for
 // the total edge count.

@@ -60,11 +60,16 @@ type Analysis struct {
 	// pathIn holds the bridged path relation over the combined index
 	// space — circuit flip-flops first, then scan flip-flops — in
 	// compressed-sparse-row form (row i lists the j that i
-	// path-depends on), and pathOut its transpose (each node's path
-	// dependents): the adjacency the propagation worklist and the
-	// culprit search walk. It is the only dependency relation the
-	// analysis keeps; the dense matrix it was built in is dropped.
-	pathIn, pathOut graph.CSR
+	// path-depends on): the adjacency the culprit search and the
+	// insecure-logic condensation walk. It is the only dependency
+	// relation the analysis keeps; the dense matrix it was built in is
+	// dropped.
+	pathIn graph.CSR
+	// chainIn is the preset-chain adjacency the attribute propagation
+	// walks (buildChain): pathIn over denoted nodes without the
+	// intra-register edges the register chains imply. chainOut is its
+	// transpose, each node's dependents.
+	chainIn, chainOut graph.CSR
 	// sccComp, sccMembers and sccStart are the strongly connected
 	// components of pathIn as graph.SCC returns them, sources first:
 	// the condensation InsecureModulePairs propagates over.
@@ -125,7 +130,19 @@ func NewAnalysisOpts(nw *rsn.Network, circuit *netlist.Netlist, internal []netli
 		obs.Int("path_deps_before", int64(before)))
 	dep.Bridge(m, internal)
 	a.pathIn = m.PathCSR()
-	a.pathOut = a.pathIn.Transpose()
+	a.Denoted = make([]bool, a.total)
+	for i := range a.Denoted {
+		a.Denoted[i] = true
+	}
+	for _, k := range internal {
+		a.Denoted[k] = false
+	}
+	for _, d := range a.Denoted {
+		if d {
+			a.nDenoted++
+		}
+	}
+	a.buildChain()
 	bridge.SetAttrs(obs.Int("path_deps_after", int64(m.CountPath())))
 	bridge.End()
 	a.DepStats.BridgedFFs = len(internal)
@@ -146,19 +163,6 @@ func NewAnalysisOpts(nw *rsn.Network, circuit *netlist.Netlist, internal []netli
 	closure.SetAttrs(obs.Int("sccs_path", int64(a.DepStats.PathSCCs)))
 	closure.End()
 	opts.Logf("closure: %d path SCCs", a.DepStats.PathSCCs)
-
-	a.Denoted = make([]bool, a.total)
-	for i := range a.Denoted {
-		a.Denoted[i] = true
-	}
-	for _, k := range internal {
-		a.Denoted[k] = false
-	}
-	for _, d := range a.Denoted {
-		if d {
-			a.nDenoted++
-		}
-	}
 	if err := opts.Err(); err != nil {
 		return nil, err
 	}
@@ -421,12 +425,6 @@ type Violation struct {
 	Missing secspec.Category
 }
 
-// propagation holds the fixed-point attribute state for one wiring.
-type propagation struct {
-	attrIn  []secspec.CatSet
-	attrOut []secspec.CatSet
-}
-
 // lastIndex returns the combined index of the last scan flip-flop of a
 // register.
 func (a *Analysis) lastIndex(reg int) int { return a.regOffset[reg] + a.regLen[reg] - 1 }
@@ -493,22 +491,21 @@ func (a *Analysis) buildWiring(nw *rsn.Network) *wiring {
 	})}
 }
 
-// nodeSources appends the propagation nodes feeding node n under nw's
-// wiring (the scan-in port is no node and is skipped): the register
-// input of a bit-0 scan flip-flop or a mux's inputs.
-func (a *Analysis) nodeSources(dst []int32, nw *rsn.Network, n int) []int32 {
-	var refs []rsn.Ref
+// forSources calls f for every propagation node feeding node n through
+// nw's wiring — the register input of a bit-0 scan flip-flop or a mux's
+// inputs — skipping the scan-in port, which is no node.
+func (a *Analysis) forSources(nw *rsn.Network, n int, f func(s int32)) {
 	if n >= a.total {
-		refs = nw.Muxes[n-a.total].Inputs
+		for _, ref := range nw.Muxes[n-a.total].Inputs {
+			if s := a.srcIdx(ref); s >= 0 {
+				f(int32(s))
+			}
+		}
 	} else if r := a.headReg[n]; r >= 0 {
-		refs = []rsn.Ref{nw.Registers[r].In}
-	}
-	for _, ref := range refs {
-		if s := a.srcIdx(ref); s >= 0 {
-			dst = append(dst, int32(s))
+		if s := a.srcIdx(nw.Registers[r].In); s >= 0 {
+			f(int32(s))
 		}
 	}
-	return dst
 }
 
 // trialWiring derives the wiring of nw after the candidate change rw,
@@ -527,10 +524,9 @@ func (a *Analysis) trialWiring(pw *wiring, nw *rsn.Network, rw rsn.Rewiring) (*w
 		}
 	}
 	for _, c := range changed {
-		srcs = a.nodeSources(srcs, nw, int(c))
+		a.forSources(nw, int(c), func(s int32) { srcs = append(srcs, s) })
 	}
 	w := &wiring{rows: pw.rows}
-	var ins []int32
 	for _, s := range srcs {
 		if slices.Contains(w.patchSrc, s) {
 			continue
@@ -542,154 +538,17 @@ func (a *Analysis) trialWiring(pw *wiring, nw *rsn.Network, rw rsn.Rewiring) (*w
 			}
 		}
 		for _, c := range changed {
-			ins = a.nodeSources(ins[:0], nw, int(c))
-			for _, in := range ins {
+			a.forSources(nw, int(c), func(in int32) {
 				if in == s {
 					row = append(row, c)
 				}
-			}
+			})
 		}
 		slices.Sort(row)
 		w.patchSrc = append(w.patchSrc, s)
 		w.patchRow = append(w.patchRow, row)
 	}
 	return w, changed
-}
-
-// runWorklist drives the monotone-decreasing attribute iteration to its
-// fixed point from the given seed queue, re-evaluating nodes whose
-// inputs changed. The queue is consumed through a head index and
-// compacted in place once the dead prefix dominates, so the worklist
-// never retains its backing array's consumed half (the former
-// queue=queue[1:] pattern leaked the whole array until completion).
-// It returns the number of node evaluations and the queue's backing
-// slice, emptied, for reuse; inQueue is all false again on return.
-func (a *Analysis) runWorklist(nw *rsn.Network, w *wiring, p *propagation, queue []int32, inQueue []bool) (int64, []int32) {
-	all := secspec.AllCats(a.Spec.NumCategories)
-	evals := int64(0)
-	head := 0
-	for head < len(queue) {
-		if head >= 1024 && head*2 >= len(queue) {
-			queue = queue[:copy(queue, queue[head:])]
-			head = 0
-		}
-		n := int(queue[head])
-		head++
-		inQueue[n] = false
-		evals++
-
-		in := all
-		var out secspec.CatSet
-		if n >= a.total {
-			// Transparent mux node: intersection of its inputs.
-			for _, ref := range nw.Muxes[n-a.total].Inputs {
-				if s := a.srcIdx(ref); s >= 0 {
-					in &= p.attrOut[s]
-				}
-			}
-			out = in
-		} else {
-			for _, u := range a.pathIn.Row(n) {
-				if a.Denoted[u] {
-					in &= p.attrOut[u]
-				}
-			}
-			if r := a.headReg[n]; r >= 0 {
-				if s := a.srcIdx(nw.Registers[r].In); s >= 0 {
-					in &= p.attrOut[s]
-				}
-			}
-			out = in & a.Spec.Accepts[a.nodeModule[n]]
-		}
-		p.attrIn[n] = in
-		if out == p.attrOut[n] {
-			continue
-		}
-		p.attrOut[n] = out
-		// Re-evaluate everything fed by n. Path edges end at combined
-		// indices, active when denoted; wiring sinks may be muxes.
-		if n < a.total {
-			for _, d := range a.pathOut.Row(n) {
-				if a.Denoted[d] && !inQueue[d] {
-					inQueue[d] = true
-					queue = append(queue, d)
-				}
-			}
-		}
-		for _, d := range w.sinks(n) {
-			if a.active(int(d)) && !inQueue[d] {
-				inQueue[d] = true
-				queue = append(queue, d)
-			}
-		}
-	}
-	return evals, queue[:0]
-}
-
-// propagate computes the omnidirectional fixed point of security
-// attributes over the combined graph from scratch: fixed path edges
-// plus the network's current inter-register wiring. Scan multiplexers
-// are transparent pseudo-nodes (indices a.total..a.total+muxes-1) so
-// the wiring contributes O(edges) work instead of flattening mux
-// chains. All active nodes start at top and seed the worklist; the
-// finite attribute lattice guarantees convergence to the greatest fixed
-// point, which is unique — the reference point the incremental
-// propagateDelta must reproduce exactly.
-func (a *Analysis) propagate(nw *rsn.Network) *propagation {
-	stage := a.eng.Begin("propagate")
-	defer stage.End()
-	all := secspec.AllCats(a.Spec.NumCategories)
-	size := a.total + len(nw.Muxes)
-	p := &propagation{
-		attrIn:  make([]secspec.CatSet, size),
-		attrOut: make([]secspec.CatSet, size),
-	}
-	for i := 0; i < a.total; i++ {
-		p.attrIn[i] = all
-		p.attrOut[i] = all & a.Spec.Accepts[a.nodeModule[i]]
-	}
-	for i := a.total; i < size; i++ {
-		p.attrIn[i] = all
-		p.attrOut[i] = all
-	}
-	inQueue := make([]bool, size)
-	queue := make([]int32, 0, size)
-	for n := 0; n < size; n++ {
-		if a.active(n) {
-			queue = append(queue, int32(n))
-			inQueue[n] = true
-		}
-	}
-	evals, _ := a.runWorklist(nw, a.buildWiring(nw), p, queue, inQueue)
-	stage.AddQueries(evals)
-	return p
-}
-
-// violates reports whether the active combined index n lacks its own
-// module's trust category in the propagation's incoming attribute.
-func (a *Analysis) violates(p *propagation, n int) bool {
-	return !p.attrIn[n].Has(a.Spec.Trust[a.nodeModule[n]])
-}
-
-// propagateDelta computes the fixed point of nw's wiring by re-seeding
-// from the parent network's fixed point instead of from scratch.
-//
-// The invariant making this exact: a node is dirty when its evaluation
-// equation changed (its register input or mux input list differs
-// between the two wirings, or it is a new mux), or when a dirty node
-// feeds it — the dirty set is the forward closure of the changed-wiring
-// seeds over nw's dependency edges. Every clean node therefore has the
-// same equation in both wirings and only clean sources, so the clean
-// region is a backward-closed subsystem identical in both networks, and
-// the greatest fixed point — unique on the finite attribute lattice —
-// restricted to it coincides with the parent's. Resetting the dirty
-// cone to top and re-running the monotone worklist from the dirty seeds
-// then reconstructs exactly the full propagation's fixed point
-// (TestIncrementalPropagateMatchesFull checks this differentially on
-// every candidate change of catalog benchmarks).
-func (a *Analysis) propagateDelta(parent *propagation, parentNW, nw *rsn.Network) *propagation {
-	p, _ := a.propagateDeltaOn(parent, a.buildWiring(nw), nw, a.seeds(nw.ChangedInputs(parentNW)))
-	return p
 }
 
 // seeds maps elements whose inputs changed to their propagation nodes:
@@ -707,108 +566,6 @@ func (a *Analysis) seeds(elems []rsn.Ref) []int32 {
 	}
 	return seeds
 }
-
-// propagateDeltaOn re-propagates the dirty cone of the seeds over nw's
-// wiring w from the parent fixed point, and returns the new fixed point
-// with the change in the number of violating nodes, counted over the
-// cone alone (nodes outside it keep the parent's attributes).
-func (a *Analysis) propagateDeltaOn(parent *propagation, w *wiring, nw *rsn.Network, seeds []int32) (*propagation, int) {
-	// A high-frequency stage (one per candidate trial); sample its
-	// span via the tracer (SampleEvery("propagate-delta", n)) on large
-	// runs.
-	stage := a.eng.Begin("propagate-delta")
-	defer stage.End()
-	all := secspec.AllCats(a.Spec.NumCategories)
-	size := a.total + len(nw.Muxes)
-
-	p := &propagation{
-		attrIn:  make([]secspec.CatSet, size),
-		attrOut: make([]secspec.CatSet, size),
-	}
-	common := min(size, len(parent.attrIn))
-	copy(p.attrIn, parent.attrIn[:common])
-	copy(p.attrOut, parent.attrOut[:common])
-	for i := common; i < size; i++ {
-		p.attrIn[i] = all
-		p.attrOut[i] = all
-	}
-
-	// Dirty cone: forward closure of the seeds over nw's edges.
-	sc, _ := deltaScratchPool.Get().(*deltaScratch)
-	if sc == nil {
-		sc = &deltaScratch{}
-	}
-	defer deltaScratchPool.Put(sc)
-	if len(sc.inQueue) < size {
-		sc.inQueue = make([]bool, size+size/4)
-	}
-	inQueue := sc.inQueue
-	cone := sc.cone[:0]
-	for _, s := range seeds {
-		if a.active(int(s)) && !inQueue[s] {
-			inQueue[s] = true
-			cone = append(cone, s)
-		}
-	}
-	for head := 0; head < len(cone); head++ {
-		n := int(cone[head])
-		if n < a.total {
-			for _, d := range a.pathOut.Row(n) {
-				if a.Denoted[d] && !inQueue[d] {
-					inQueue[d] = true
-					cone = append(cone, d)
-				}
-			}
-		}
-		for _, d := range w.sinks(n) {
-			if a.active(int(d)) && !inQueue[d] {
-				inQueue[d] = true
-				cone = append(cone, d)
-			}
-		}
-	}
-	// Reset the cone to top and re-run the worklist from it, counting
-	// the cone's violating scan and circuit flip-flops on both sides.
-	dv := 0
-	for _, n := range cone {
-		if int(n) >= a.total {
-			p.attrIn[n] = all
-			p.attrOut[n] = all
-			continue
-		}
-		if a.violates(p, int(n)) {
-			dv--
-		}
-		p.attrIn[n] = all
-		p.attrOut[n] = all & a.Spec.Accepts[a.nodeModule[n]]
-	}
-	dirty := len(cone)
-	evals, queue := a.runWorklist(nw, w, p, append(sc.queue[:0], cone...), inQueue)
-	sc.cone, sc.queue = cone, queue
-	for _, n := range cone {
-		if int(n) < a.total && a.violates(p, int(n)) {
-			dv++
-		}
-	}
-	stage.AddQueries(evals)
-	stage.AddItems(int64(dirty))
-	saved := a.activeCount(nw) - dirty
-	stage.AddSaved(int64(saved))
-	stage.SetAttrs(obs.Int("dirty", int64(dirty)), obs.Int("saved", int64(saved)),
-		obs.Int("evals", evals))
-	return p, dv
-}
-
-// deltaScratch is the dirty-cone state propagateDeltaOn reuses across
-// calls through deltaScratchPool (candidate trials run concurrently):
-// the membership marks, all false between uses, the cone and the
-// worklist queue.
-type deltaScratch struct {
-	inQueue     []bool
-	cone, queue []int32
-}
-
-var deltaScratchPool sync.Pool
 
 // activeCount returns the number of attribute-carrying nodes of the
 // combined graph under the given wiring.
@@ -832,8 +589,8 @@ func propWiringEqual(x, y *rsn.Network) bool {
 // fixedPoint returns the attribute fixed point of the network's current
 // wiring, reusing the analysis's cached parent fixed point when
 // possible: wiring-identical networks are answered from the cache
-// outright, and otherwise only the dirty cone downstream of the wiring
-// delta is re-propagated. Falls back to a full propagation when no
+// outright, and otherwise the cached fixed point is repaired for the
+// wiring delta (propagateDelta). Falls back to a full propagation when no
 // parent is cached. The cache is updated to the returned fixed point
 // (keyed by a private clone of the wiring), and all paths produce the
 // identical unique greatest fixed point, so callers — including the

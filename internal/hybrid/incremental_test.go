@@ -126,16 +126,27 @@ func flexScanCase(tb testing.TB, seed int64) (*Analysis, *rsn.Network) {
 	return nil, nil
 }
 
-// checkAdjacency asserts that the CSR arrays hold the path edges of the
-// census's two-relation bridge row for row — pathIn its rows, pathOut
-// their transpose, computed here — and that headReg maps exactly each
-// register's bit 0.
+// checkAdjacency asserts that pathIn holds the path edges of the
+// census's two-relation bridge row for row, that chainIn is those rows
+// restricted to denoted nodes without the intra-register edges bit i ->
+// bit j (i < j-1), computed here from the census, that chainOut is its
+// transpose, and that headReg maps exactly each register's bit 0.
 func checkAdjacency(t *testing.T, a *Analysis, nw *rsn.Network) {
 	t.Helper()
 	base := censusOf(t, a, nw).Base
+	chain := make([][]int32, a.total)
 	dependents := make([][]int32, a.total)
-	for i := 0; i < a.total; i++ {
-		base.PathDependsOn(i).ForEach(func(j int) { dependents[j] = append(dependents[j], int32(i)) })
+	for j := 0; j < a.total; j++ {
+		r, bit, scan := a.IsScanNode(j)
+		base.PathDependsOn(j).ForEach(func(i int) {
+			if ri, bi, ok := a.IsScanNode(i); scan && ok && ri == r && bi < bit-1 {
+				return
+			}
+			if a.Denoted[i] && a.Denoted[j] {
+				chain[j] = append(chain[j], int32(i))
+				dependents[i] = append(dependents[i], int32(j))
+			}
+		})
 	}
 	for n := 0; n < a.total; n++ {
 		var in []int32
@@ -145,7 +156,8 @@ func checkAdjacency(t *testing.T, a *Analysis, nw *rsn.Network) {
 			row, want []int32
 		}{
 			{"pathIn", a.pathIn.Row(n), in},
-			{"pathOut", a.pathOut.Row(n), dependents[n]},
+			{"chainIn", a.chainIn.Row(n), chain[n]},
+			{"chainOut", a.chainOut.Row(n), dependents[n]},
 		} {
 			if !slices.Equal(c.row, c.want) {
 				t.Fatalf("%s row %d = %v, census has %v", c.name, n, c.row, c.want)
@@ -176,19 +188,25 @@ func wiringEqual(tb testing.TB, a *Analysis, nw *rsn.Network, got *wiring) {
 }
 
 // TestIncrementalPropagateMatchesFull is the differential check of the
-// delta worklist: it drives the resolve loop over catalog benchmarks,
-// a 1000-flip-flop rsngen hierarchy with an attached circuit and
-// pure-resolved FlexScan designs of perfbench's flexscan shape and,
-// at every iteration, evaluates EVERY candidate cut/reconnect change —
-// all compatible pure-path predecessors of each wiring hop, uncapped,
-// plus the scan-in fallback — comparing the incremental propagation
-// against a from-scratch propagation, attribute for attribute: the
-// candidate-trial path (the change applied in place, the round's wiring
-// patched at the changed sinks, the violation count derived from the
-// dirty cone), the delta from the parent wiring, and the delta from a
-// stale ancestor fixed point (the multi-change diff the shared cache
-// produces under parallel candidate evaluation). It also checks the CSR
-// adjacency against the census.
+// propagation engine: it drives the resolve loop over catalog
+// benchmarks, a 1000-flip-flop rsngen hierarchy with an attached
+// circuit and pure-resolved FlexScan designs of perfbench's flexscan
+// shape and, at every iteration, evaluates EVERY candidate
+// cut/reconnect change — all compatible pure-path predecessors of each
+// wiring hop, uncapped, plus the scan-in fallback — comparing against
+// the reference chaotic worklist over the full-preset pathIn, attribute
+// for attribute: the level BFS of the full propagation, the
+// candidate-trial path (the change applied in place, the round's
+// wiring patched at the changed sinks, the overlay's diff materialised,
+// its violation delta and the targeted node's attribute checked
+// exactly — also against the reference dirty-cone delta and a trial
+// that records no diff — and the trial repeated from the resolution's
+// repaired rather than BFS levels), the delta from the parent wiring,
+// and the delta from a stale ancestor fixed point with and without
+// levels (the multi-change diff the shared cache produces under
+// parallel candidate evaluation).
+// Every level array produced is checked for the witness invariant. It
+// also checks the CSR adjacency against the census.
 func TestIncrementalPropagateMatchesFull(t *testing.T) {
 	type tcase struct {
 		name  string
@@ -207,11 +225,21 @@ func TestIncrementalPropagateMatchesFull(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			a, nw := c.build(t)
 			checkAdjacency(t, a, nw)
+			ref := newRefGraph(a)
 			p0 := a.propagate(nw)
 			nw0 := nw.Clone()
+			// rolling follows the applied changes by propagateDelta
+			// alone, and cur by resolveOne alone, so their levels are
+			// repaired ones, never a BFS's.
+			rolling, rollingNW := p0, nw0
+			rs := &roundState{}
+			cur := p0
 			candidates := 0
 			for step := 0; step < 12; step++ {
 				parent := a.propagate(nw)
+				propEqual(t, "full", ref.propagate(nw), parent)
+				checkLevels(t, "full", a, nw, parent, parent.lv)
+				checkLevels(t, "full from a level BFS", a, nw, parent, levelsOf(a, parent, nw))
 				viols := a.violationsFrom(parent)
 				if len(viols) == 0 {
 					break
@@ -238,16 +266,46 @@ func TestIncrementalPropagateMatchesFull(t *testing.T) {
 							continue
 						}
 						if nw.Validate() == nil {
-							full := a.propagate(nw)
+							full := ref.propagate(nw)
+							want := len(a.violationsFrom(full)) - len(viols)
 							tw, seeds := a.trialWiring(pw, nw, rw)
 							wiringEqual(t, a, nw, tw)
-							tp, dv := a.propagateDeltaOn(parent, tw, nw, seeds)
-							propEqual(t, "trial", full, tp)
-							if want := len(a.violationsFrom(full)) - len(viols); dv != want {
-								t.Fatalf("trial violation delta %d, want %d", dv, want)
+							size := a.total + len(nw.Muxes)
+							for _, lv := range []struct {
+								name string
+								lv   []int32
+							}{{"trial", parent.lv}, {"trial from repaired levels", cur.lv}} {
+								var d attrDiff
+								dv, in := a.delta(parent, lv.lv, tw, nw, seeds, v, &d)
+								tlv := make([]int32, size*a.ncat())
+								tp := a.materialise(&propagation{}, parent, lv.lv, &d, size, tlv)
+								propEqual(t, lv.name, full, tp)
+								checkLevels(t, lv.name, a, nw, tp, tlv)
+								if dv != want || in != full.attrIn[v] {
+									t.Fatalf("%s: violation delta %d, attrIn[v] %v; want %d, %v", lv.name, dv, in, want, full.attrIn[v])
+								}
+								if ndv, nin := a.delta(parent, lv.lv, tw, nw, seeds, v, nil); ndv != dv || nin != in {
+									t.Fatalf("%s without a diff: %d, %v; want %d, %v", lv.name, ndv, nin, dv, in)
+								}
 							}
-							propEqual(t, "parent delta", full, a.propagateDelta(parent, parentNW, nw))
-							propEqual(t, "ancestor delta", full, a.propagateDelta(p0, nw0, nw))
+							cone, cdv := ref.deltaOn(parent, tw, nw, seeds)
+							propEqual(t, "reference cone delta", full, cone)
+							if cdv != want {
+								t.Fatalf("reference cone violation delta %d, want %d", cdv, want)
+							}
+							for _, parents := range []struct {
+								name string
+								p    *propagation
+								nw   *rsn.Network
+							}{
+								{"parent delta", parent, parentNW},
+								{"ancestor delta", p0, nw0},
+								{"ancestor delta without levels", &propagation{attrIn: p0.attrIn, attrOut: p0.attrOut}, nw0},
+							} {
+								q := a.propagateDelta(parents.p, parents.nw, nw)
+								propEqual(t, parents.name, full, q)
+								checkLevels(t, parents.name, a, nw, q, q.lv)
+							}
 							candidates++
 						}
 						nw.Undo(rw)
@@ -256,11 +314,17 @@ func TestIncrementalPropagateMatchesFull(t *testing.T) {
 						}
 					}
 				}
-				if _, next, err := a.resolveOne(engine.Stage{}, nw, parent, u, v, hops, len(viols)); err != nil {
+				next, err := resolveStep(a, nw, cur, rs, u, v, hops, len(viols))
+				if err != nil {
 					break
-				} else {
-					propEqual(t, "applied change", a.propagate(nw), next)
 				}
+				full := ref.propagate(nw)
+				propEqual(t, "applied change", full, next)
+				checkLevels(t, "applied change", a, nw, next, next.lv)
+				cur = next
+				rolling, rollingNW = a.propagateDelta(rolling, rollingNW, nw), nw.Clone()
+				propEqual(t, "rolling repair", full, rolling)
+				checkLevels(t, "rolling repair", a, nw, rolling, rolling.lv)
 			}
 			if candidates == 0 {
 				t.Fatal("no candidate changes were compared")
@@ -268,6 +332,12 @@ func TestIncrementalPropagateMatchesFull(t *testing.T) {
 			t.Logf("%s: %d candidate changes compared", name, candidates)
 		})
 	}
+}
+
+// resolveStep runs one resolveOne round outside a resolve stage.
+func resolveStep(a *Analysis, nw *rsn.Network, cur *propagation, rs *roundState, u, v int, hops []hop, before int) (*propagation, error) {
+	_, next, err := a.resolveOne(engine.Stage{}, nw, cur, rs, u, v, hops, before)
+	return next, err
 }
 
 // TestFixedPointCache checks the cache semantics: identical wiring is

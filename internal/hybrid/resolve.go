@@ -115,16 +115,17 @@ func maxChanges(nw *rsn.Network) int { return 8*len(nw.Registers) + 64 }
 //
 // Violation checking is incremental: the fixed point of the current
 // wiring is computed once and threaded through the loop, each candidate
-// cut/reconnect is evaluated by delta propagation from it (only the
-// dirty cone downstream of the changed wiring is re-run), and the
-// winning candidate's fixed point becomes the next iteration's current
-// one (rsn.ApplyBest applies the winner with the same Rewire its trial
-// used). Candidate trials fan out over the engine's worker pool; the
-// unique greatest fixed point and the strict tie-break in candidate
-// order keep the applied changes byte-identical to the sequential
-// evaluation at any worker count. The analysis's engine context is
-// honored between iterations, and the stage's wall time and change
-// count are reported through its engine stats.
+// cut/reconnect is evaluated by repairing it (delta: only the witnesses
+// the changed wiring breaks or creates are re-derived) into an overlay
+// that yields the trial's score and a compact diff, and only the
+// winning candidate's diff is materialised as the next iteration's
+// fixed point (rsn.ApplyBest applies the winner with the same Rewire
+// its trial used). Candidate trials fan out over the engine's worker
+// pool; the unique greatest fixed point and the strict tie-break in
+// candidate order keep the applied changes byte-identical to the
+// sequential evaluation at any worker count. The analysis's engine
+// context is honored between iterations, and the stage's wall time and
+// change count are reported through its engine stats.
 func Resolve(a *Analysis, nw *rsn.Network) (*Result, error) {
 	stage := a.eng.Begin("resolve")
 	defer stage.End()
@@ -137,6 +138,8 @@ func Resolve(a *Analysis, nw *rsn.Network) (*Result, error) {
 	ctx := a.eng.Ctx()
 	cur := a.fixedPoint(nw)
 	res.ViolationsBefore = len(a.violationsFrom(cur))
+	rs := getRoundState()
+	defer roundPool.Put(rs)
 	for {
 		if err := ctx.Err(); err != nil {
 			return res, err
@@ -153,7 +156,7 @@ func Resolve(a *Analysis, nw *rsn.Network) (*Result, error) {
 		if err != nil {
 			return res, err
 		}
-		ch, next, err := a.resolveOne(stage, nw, cur, u, v, hops, len(viols))
+		ch, next, err := a.resolveOne(stage, nw, cur, rs, u, v, hops, len(viols))
 		if err != nil {
 			return res, err
 		}
@@ -164,18 +167,18 @@ func Resolve(a *Analysis, nw *rsn.Network) (*Result, error) {
 
 // hybridScore is one accepted trial: whether it removes the targeted
 // violation, the number of violations after it, its inserted muxes and
-// its fixed point.
+// its fixed point's difference from the round's.
 type hybridScore struct {
 	removed      bool
 	after, muxes int
-	p            *propagation
+	diff         *attrDiff
 }
 
 // resolveOne cuts one wiring hop of the violating flow and re-connects
 // the separated segments, applying the best acceptable candidate. cur
-// is the fixed point of nw's current wiring; the returned propagation
-// is the fixed point of the applied change's wiring.
-func (a *Analysis) resolveOne(stage engine.Stage, nw *rsn.Network, cur *propagation, u, v int, hops []hop, before int) (rsn.Change, *propagation, error) {
+// is the fixed point of nw's current wiring; the returned fixed point,
+// with its levels, is the applied change's and lives in rs.
+func (a *Analysis) resolveOne(stage engine.Stage, nw *rsn.Network, cur *propagation, rs *roundState, u, v int, hops []hop, before int) (rsn.Change, *propagation, error) {
 	var cands []rsn.Candidate
 	for _, h := range hops {
 		trust := a.Spec.Trust[a.regModule[h.To]]
@@ -185,15 +188,26 @@ func (a *Analysis) resolveOne(stage engine.Stage, nw *rsn.Network, cur *propagat
 	}
 	stage.AddItems(int64(len(cands)))
 	// The current wiring's reverse adjacency, built once per round; each
-	// trial patches only the sinks its cut/reconnect changed. The trial
-	// fixed points are exact (delta propagation from cur reproduces the
-	// unique greatest fixed point), so the worker count cannot change
-	// any score.
+	// trial patches only the sinks its cut/reconnect changed. The
+	// witness levels are cur's — the previous winner's repaired ones,
+	// or the cached fixed point's — or, when it has none, a level BFS's.
+	// Trials are overlays that return their
+	// score and diff, and only the winner's diff is materialised. The
+	// repair reproduces the unique greatest fixed point, so the worker
+	// count cannot change any score.
 	w := a.buildWiring(nw)
+	lv := cur.lv
+	if lv == nil {
+		_, lv = rs.next(len(cur.attrOut) * a.ncat())
+		a.levels(cur, nw, w, lv, &rs.sc)
+	}
+	trust := a.Spec.Trust[a.nodeModule[v]]
+	defer rs.release()
 	trial := func(net *rsn.Network, rw rsn.Rewiring) (hybridScore, bool) {
 		tw, seeds := a.trialWiring(w, net, rw)
-		tp, dv := a.propagateDeltaOn(cur, tw, net, seeds)
-		return hybridScore{!a.violates(tp, v), before + dv, len(net.Muxes) - rw.Muxes, tp}, dv <= 0
+		d := rs.diff()
+		dv, in := a.delta(cur, lv, tw, net, seeds, v, d)
+		return hybridScore{in.Has(trust), before + dv, len(net.Muxes) - rw.Muxes, d}, dv <= 0
 	}
 	ch, best, ok := rsn.ApplyBest(nw, cands, a.eng.WorkerCount(), trial, func(s, t hybridScore) bool {
 		if s.removed != t.removed {
@@ -207,5 +221,7 @@ func (a *Analysis) resolveOne(stage engine.Stage, nw *rsn.Network, cur *propagat
 	if !ok {
 		return rsn.Change{}, nil, fmt.Errorf("hybrid: no valid candidate to sever flow %s -> %s", a.NodeName(u), a.NodeName(v))
 	}
-	return ch, best.p, nil
+	size := a.total + len(nw.Muxes)
+	next, nlv := rs.next(size * a.ncat())
+	return ch, a.materialise(next, cur, lv, best.diff, size, nlv), nil
 }

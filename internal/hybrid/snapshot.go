@@ -19,7 +19,7 @@ const SnapshotSchema = "rsnsec.hybrid-snapshot/v1"
 // set. The fixed infrastructure of an Analysis — the combined index
 // space, the bridged path relation — is built over a concrete
 // register list, so such deltas need a fresh Analysis over the derived
-// network instead of a dirty-cone update (exp.SecureDelta does this
+// network instead of an incremental repair (exp.SecureDelta does this
 // fallback automatically).
 var ErrStructuralDelta = errors.New("hybrid: delta changes the register set; a fresh Analysis is required")
 
@@ -27,8 +27,9 @@ var ErrStructuralDelta = errors.New("hybrid: delta changes the register set; a f
 // public form of the propagation cache that seeds incremental
 // re-analysis. A snapshot pairs a private clone of the wiring with the
 // per-node attribute arrays, so restoring it into a compatible Analysis
-// re-establishes exactly the state from which propagateDelta runs only
-// the dirty cone of the next edit.
+// re-establishes exactly the state from which propagateDelta repairs
+// only what the next edit changes. The witness levels the repair reads
+// are not part of it: the repair recomputes them.
 type Snapshot struct {
 	nw      *rsn.Network
 	attrIn  []secspec.CatSet
@@ -183,8 +184,8 @@ func (a *Analysis) compatible(nw *rsn.Network) error {
 }
 
 // Restore installs a snapshot as the analysis's cached fixed point, so
-// the next Violations/ApplyDelta call re-propagates only the dirty cone
-// of whatever wiring difference it sees. The snapshot must match the
+// the next Violations/ApplyDelta call repairs it for whatever wiring
+// difference it sees. The snapshot must match the
 // analysis's index space: same register set, and attribute arrays sized
 // total+muxes. Restore replaces any previously cached state.
 func (a *Analysis) Restore(s *Snapshot) error {
@@ -207,8 +208,8 @@ func (a *Analysis) Restore(s *Snapshot) error {
 
 // ApplyDelta applies an edit script to base and returns the derived
 // network together with its violations, computed incrementally from the
-// cached fixed point (only the dirty cone downstream of the edit is
-// re-propagated; see propagateDelta for the exactness argument). Scripts
+// cached fixed point (it is repaired for the edit; see delta for the
+// exactness argument). Scripts
 // that change the register set return ErrStructuralDelta along with the
 // derived network, so callers can fall back to a fresh Analysis.
 func (a *Analysis) ApplyDelta(base *rsn.Network, script *rsn.EditScript) (*rsn.Network, []Violation, error) {

@@ -8,9 +8,20 @@ import (
 	"strings"
 )
 
+// maxDIMACSMagnitude bounds every literal and header count: a literal
+// of variable v is encoded as 2v or 2v+1 in an int32.
+const maxDIMACSMagnitude = 1 << 30
+
+// MaxDIMACSVars caps the variable count of a DIMACS formula, declared or
+// used: LoadDIMACS allocates solver state for every variable up front,
+// so an oversized header is refused instead of exhausting memory.
+const MaxDIMACSVars = 1 << 20
+
 // ParseDIMACS reads a CNF formula in DIMACS format. It returns the
-// declared variable count and the clauses. The header is optional; the
-// actual variable count grows with the literals seen.
+// variable count — the largest of the declared count and the variables
+// the literals use — and the clauses. The header is optional. Literals
+// and header counts of magnitude 2^30 or more, and variable counts above
+// MaxDIMACSVars, are refused with the line they occur on.
 func ParseDIMACS(r io.Reader) (numVars int, clauses [][]Lit, err error) {
 	sc := bufio.NewScanner(r)
 	// Start small (the scanner grows its buffer on demand) but accept
@@ -18,6 +29,20 @@ func ParseDIMACS(r io.Reader) (numVars int, clauses [][]Lit, err error) {
 	sc.Buffer(nil, 64<<20)
 	var cur []Lit
 	lineNo := 0
+	// number parses a literal or header count: magnitudes the literal
+	// encoding cannot hold, and above limit, are refused.
+	number := func(what, tok string, limit int) (int, error) {
+		v, err := strconv.Atoi(tok)
+		switch {
+		case err != nil:
+			return 0, fmt.Errorf("dimacs: line %d: bad %s %q", lineNo, what, tok)
+		case v >= maxDIMACSMagnitude || v <= -maxDIMACSMagnitude:
+			return 0, fmt.Errorf("dimacs: line %d: %s %q out of range (magnitude must be below 2^30)", lineNo, what, tok)
+		case v > limit || v < -limit:
+			return 0, fmt.Errorf("dimacs: line %d: %s %q exceeds the cap of %d variables", lineNo, what, tok, limit)
+		}
+		return v, nil
+	}
 	for sc.Scan() {
 		lineNo++
 		line := strings.TrimSpace(sc.Text())
@@ -29,17 +54,24 @@ func ParseDIMACS(r io.Reader) (numVars int, clauses [][]Lit, err error) {
 			if len(fields) != 4 || fields[1] != "cnf" {
 				return 0, nil, fmt.Errorf("dimacs: line %d: malformed problem line %q", lineNo, line)
 			}
-			v, err := strconv.Atoi(fields[2])
-			if err != nil || v < 0 {
-				return 0, nil, fmt.Errorf("dimacs: line %d: bad variable count %q", lineNo, fields[2])
+			v, err := number("variable count", fields[2], MaxDIMACSVars)
+			if err != nil {
+				return 0, nil, err
 			}
-			numVars = v
+			c, err := number("clause count", fields[3], maxDIMACSMagnitude)
+			if err != nil {
+				return 0, nil, err
+			}
+			if v < 0 || c < 0 {
+				return 0, nil, fmt.Errorf("dimacs: line %d: negative count in %q", lineNo, line)
+			}
+			numVars = max(numVars, v)
 			continue
 		}
 		for _, tok := range strings.Fields(line) {
-			v, err := strconv.Atoi(tok)
+			v, err := number("literal", tok, MaxDIMACSVars)
 			if err != nil {
-				return 0, nil, fmt.Errorf("dimacs: line %d: bad literal %q", lineNo, tok)
+				return 0, nil, err
 			}
 			if v == 0 {
 				clauses = append(clauses, cur)
@@ -50,9 +82,7 @@ func ParseDIMACS(r io.Reader) (numVars int, clauses [][]Lit, err error) {
 			if neg {
 				v = -v
 			}
-			if v > numVars {
-				numVars = v
-			}
+			numVars = max(numVars, v)
 			cur = append(cur, MkLit(Var(v), neg))
 		}
 	}

@@ -150,3 +150,44 @@ func TestReduceDBKeepsCorrectness(t *testing.T) {
 		t.Fatalf("Solve = %v, want Sat", got)
 	}
 }
+
+// TestParseDIMACSRefusesOutOfRange checks that literals and counts the
+// literal encoding cannot hold, and variable counts above the cap, are
+// refused with their line number instead of wrapping around or
+// allocating: 1 -2147483649 once parsed as (v1 ∨ ¬v1), and 1073741824
+// as a negative variable.
+func TestParseDIMACSRefusesOutOfRange(t *testing.T) {
+	for _, c := range []struct{ src, want string }{
+		{"1 -2147483649 0\n", "line 1: literal \"-2147483649\" out of range"},
+		{"1 1073741824 0\n", "line 1: literal \"1073741824\" out of range"},
+		{"c wide\n1 2 0\n-1073741824 0\n", "line 3: literal \"-1073741824\" out of range"},
+		{"p cnf 1073741824 1\n1 0\n", "line 1: variable count \"1073741824\" out of range"},
+		{"p cnf 3 4294967296\n1 0\n", "line 1: clause count \"4294967296\" out of range"},
+		{"p cnf 1048577 1\n1 0\n", "line 1: variable count \"1048577\" exceeds the cap"},
+		{"1 0\n2 -1048577 0\n", "line 2: literal \"-1048577\" exceeds the cap"},
+		{"p cnf 3 -1\n", "line 1: negative count"},
+		{"p cnf -3 1\n", "line 1: negative count"},
+		{"p cnf 3 x\n", "line 1: bad clause count"},
+	} {
+		_, _, err := ParseDIMACS(strings.NewReader(c.src))
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%q: error %v, want one containing %q", c.src, err, c.want)
+		}
+		if _, err := LoadDIMACS(strings.NewReader(c.src)); err == nil {
+			t.Errorf("%q: LoadDIMACS accepted it", c.src)
+		}
+	}
+	// At the cap itself, and a later header below the literals seen.
+	for _, c := range []struct {
+		src  string
+		want int
+	}{
+		{"p cnf 1048576 1\n1048576 0\n", MaxDIMACSVars},
+		{"5 0\np cnf 2 1\n", 5},
+	} {
+		n, _, err := ParseDIMACS(strings.NewReader(c.src))
+		if err != nil || n != c.want {
+			t.Errorf("%q: %d variables, error %v; want %d", c.src, n, err, c.want)
+		}
+	}
+}

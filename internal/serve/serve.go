@@ -323,7 +323,7 @@ func (s *Server) executeRun(ctx context.Context, j *Job, a *analysis) (obs.Doc, 
 	}
 	// The run's dependency analysis outlives it as an incremental
 	// session: deltas against it skip the dependency calculation and
-	// re-propagate only their dirty cone.
+	// repair only what their edit changes.
 	d := a.design
 	crep, err := core.Secure(d.Network.Clone(), d.Circuit, d.Internal, d.Spec, core.Options{
 		Mode:        a.mode,

@@ -112,7 +112,7 @@ func (s *Server) registerSession(sess *session) {
 // LRU + atomic disk write when a store dir is configured) and
 // registers the live session. The snapshot is the fixed point of the
 // session's derived input wiring — exactly the seed the next delta's
-// dirty-cone propagation needs.
+// incremental repair needs.
 func (s *Server) saveSession(sess *session) {
 	snap, err := sess.an.Snapshot(sess.nw)
 	if err != nil {
