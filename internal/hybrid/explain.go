@@ -58,7 +58,7 @@ func (e *Explanation) String() string {
 // infrastructure alone it still returns the explanation, alongside an
 // ErrInsecureLogic error.
 func (a *Analysis) Explain(nw *rsn.Network, v int) (*Explanation, error) {
-	culprit, chain, hops, err := a.flowChain(nw, v)
+	culprit, chain, hops, err := a.flowChain(nw, v, new(chainScratch))
 	if err != nil {
 		if _, isLogic := err.(*ErrInsecureLogic); !isLogic || chain == nil {
 			return nil, err

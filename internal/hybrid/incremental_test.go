@@ -245,7 +245,7 @@ func TestIncrementalPropagateMatchesFull(t *testing.T) {
 					break
 				}
 				v := viols[0].Node
-				u, _, hops, err := a.flowChain(nw, v)
+				u, _, hops, err := a.flowChain(nw, v, new(chainScratch))
 				if err != nil {
 					break // insecure-logic flow: nothing to transform
 				}
@@ -254,7 +254,7 @@ func TestIncrementalPropagateMatchesFull(t *testing.T) {
 				for _, h := range hops {
 					pin := rsn.Sink{Elem: rsn.Reg(h.To), Idx: 0}
 					var srcs []rsn.Ref
-					for _, pr := range nw.PurePredecessors(h.To) {
+					for _, pr := range nw.PurePredecessors(h.To, new(rsn.Marks)) {
 						if pr != h.From {
 							srcs = append(srcs, rsn.Reg(pr))
 						}
@@ -355,7 +355,7 @@ func TestFixedPointCache(t *testing.T) {
 
 	// Re-wire, then check the delta-path answer against from-scratch.
 	viols := a.violationsFrom(p1)
-	_, _, hops, err := a.flowChain(nw, viols[0].Node)
+	_, _, hops, err := a.flowChain(nw, viols[0].Node, new(chainScratch))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -447,7 +447,7 @@ func BenchmarkPropagateDelta(b *testing.B) {
 	a, nw := catalogCase(b, "MBIST_1_5_5", 0.15, 7)
 	parent := a.propagate(nw)
 	viols := a.violationsFrom(parent)
-	_, _, hops, err := a.flowChain(nw, viols[0].Node)
+	_, _, hops, err := a.flowChain(nw, viols[0].Node, new(chainScratch))
 	if err != nil {
 		b.Fatal(err)
 	}

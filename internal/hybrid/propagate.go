@@ -592,12 +592,14 @@ func (a *Analysis) propagateDelta(parent *propagation, parentNW, nw *rsn.Network
 // pooled across resolutions and fixed-point deltas: two fixed points
 // with their witness levels, used in turn — the round's, which its
 // trials read, and the next round's, into which the winner's diff is
-// materialised — the trials' diff buffers and the BFS scratch.
+// materialised — the trials' diff buffers, the BFS scratch and the
+// culprit search's scratch.
 type roundState struct {
-	turn int
-	p    [2]propagation
-	lv   [2][]int32
-	sc   bfsScratch
+	turn  int
+	p     [2]propagation
+	lv    [2][]int32
+	sc    bfsScratch
+	chain chainScratch
 	// mu guards the diff buffers, which concurrent trials take: free
 	// ones, and those handed out since the last release.
 	mu         sync.Mutex

@@ -477,7 +477,7 @@ func TestDeltaStageCounters(t *testing.T) {
 	st := engine.NewStats()
 	a = a.WithEngine(engine.Options{Stats: st})
 	viols := a.violationsFrom(cur)
-	_, _, hops, err := a.flowChain(nw, viols[0].Node)
+	_, _, hops, err := a.flowChain(nw, viols[0].Node, new(chainScratch))
 	if err != nil {
 		t.Fatal(err)
 	}

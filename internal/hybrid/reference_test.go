@@ -52,7 +52,7 @@ func referenceResolve(a *Analysis, nw *rsn.Network) ([]rsn.Change, error) {
 			return changes, fmt.Errorf("hybrid: resolution did not converge after %d changes (%d violations left)", len(changes), len(viols))
 		}
 		v := viols[0].Node
-		u, _, hops, err := a.flowChain(nw, v)
+		u, _, hops, err := a.flowChain(nw, v, new(chainScratch))
 		if err != nil {
 			return changes, err
 		}
@@ -60,7 +60,7 @@ func referenceResolve(a *Analysis, nw *rsn.Network) ([]rsn.Change, error) {
 		for _, h := range hops {
 			pin := rsn.Sink{Elem: rsn.Reg(h.To)}
 			var srcs []rsn.Ref
-			for _, pr := range nw.PurePredecessors(h.To) {
+			for _, pr := range nw.PurePredecessors(h.To, new(rsn.Marks)) {
 				if pr == h.From || !cur.attrOut[a.lastIndex(pr)].Has(a.Spec.Trust[a.regModule[h.To]]) {
 					continue
 				}

@@ -33,37 +33,49 @@ func (e *ErrInsecureLogic) Error() string {
 	return fmt.Sprintf("hybrid: flow %s is carried by circuit logic and fixed scan structure alone; resolving it requires a circuit redesign", e.Name)
 }
 
+// chainScratch is flowChain's search state, kept in the pooled
+// roundState so that a round's search allocates nothing once grown.
+// Between searches only the previous search's queued nodes are marked
+// visited.
+type chainScratch struct {
+	visited              []bool
+	parentNext, wireFrom []int32
+	queue                []int32
+	srcs                 []rsn.Ref
+	marks                rsn.Marks
+}
+
 // flowChain searches backward from the violating node v for a source
 // node u whose module data must not reach v, returning u, the node
 // chain from u to v (used by Explain) and the wiring hops on the
 // u-to-v flow. The BFS runs once per violation inside the resolve
-// loop, so its state lives in dense slices keyed by combined index and
-// it walks the CSR copy of the bridged path in-edges: visited/parentNext/
-// wireFrom are flat arrays of a.total entries, and a wiring hop records
-// its source register on the edge's tail, its fed register being the
-// one whose bit 0 is the edge's head.
-func (a *Analysis) flowChain(nw *rsn.Network, v int) (int, []int, []hop, error) {
-	visited := make([]bool, a.total)
-	parentNext := make([]int32, a.total) // node x flows into parentNext[x], toward v
-	wireFrom := make([]int32, a.total)   // r+1 if x -> parentNext[x] is a wiring hop out of register r, else 0
-	visited[v] = true
-	queue := make([]int32, 0, 64)
-	queue = append(queue, int32(v))
+// loop, so its state lives in sc, keyed by combined index, and it
+// walks the CSR copy of the bridged path in-edges: node x flows into
+// parentNext[x], toward v, and wireFrom[x] is r+1 if that step is a
+// wiring hop out of register r, else 0; the fed register is the one
+// whose bit 0 is the edge's head.
+func (a *Analysis) flowChain(nw *rsn.Network, v int, sc *chainScratch) (int, []int, []hop, error) {
+	for _, x := range sc.queue {
+		sc.visited[x] = false
+	}
+	sc.visited, sc.parentNext, sc.wireFrom = grow(sc.visited, a.total), grow(sc.parentNext, a.total), grow(sc.wireFrom, a.total)
+	sc.visited[v] = true
+	sc.queue = append(sc.queue[:0], int32(v))
 	vmod := a.nodeModule[v]
 	var culprit = -1
-	for head := 0; head < len(queue) && culprit < 0; head++ {
-		y := int(queue[head])
+	for head := 0; head < len(sc.queue) && culprit < 0; head++ {
+		y := int(sc.queue[head])
 		expand := func(x int, wire int32) {
-			if visited[x] || !a.Denoted[x] {
+			if sc.visited[x] || !a.Denoted[x] {
 				return
 			}
-			visited[x] = true
-			parentNext[x] = int32(y)
-			wireFrom[x] = wire
+			sc.visited[x] = true
+			sc.parentNext[x] = int32(y)
+			sc.wireFrom[x] = wire
 			if a.Spec.Violates(a.nodeModule[x], vmod) {
 				culprit = x
 			}
-			queue = append(queue, int32(x))
+			sc.queue = append(sc.queue, int32(x))
 		}
 		for _, x := range a.pathIn.Row(y) {
 			if expand(int(x), 0); culprit >= 0 {
@@ -77,7 +89,8 @@ func (a *Analysis) flowChain(nw *rsn.Network, v int) (int, []int, []hop, error) 
 			// Each node is dequeued at most once, so resolving the
 			// register's wiring sources here (instead of precomputing
 			// them for every register) does no repeated work.
-			for _, src := range nw.EffectiveSources(int(r)) {
+			sc.srcs = nw.AppendEffectiveSources(sc.srcs[:0], int(r), &sc.marks)
+			for _, src := range sc.srcs {
 				if src.Kind != rsn.KRegister {
 					continue
 				}
@@ -93,8 +106,8 @@ func (a *Analysis) flowChain(nw *rsn.Network, v int) (int, []int, []hop, error) 
 	var hops []hop
 	chain := []int{culprit}
 	for n := culprit; n != v; {
-		next := int(parentNext[n])
-		if from := wireFrom[n]; from > 0 {
+		next := int(sc.parentNext[n])
+		if from := sc.wireFrom[n]; from > 0 {
 			hops = append(hops, hop{From: int(from - 1), To: int(a.headReg[next])})
 		}
 		n = next
@@ -152,7 +165,7 @@ func Resolve(a *Analysis, nw *rsn.Network) (*Result, error) {
 			return res, fmt.Errorf("hybrid: resolution did not converge after %d changes (%d violations left)", len(res.Changes), len(viols))
 		}
 		v := viols[0].Node
-		u, _, hops, err := a.flowChain(nw, v)
+		u, _, hops, err := a.flowChain(nw, v, &rs.chain)
 		if err != nil {
 			return res, err
 		}
@@ -182,7 +195,7 @@ func (a *Analysis) resolveOne(stage engine.Stage, nw *rsn.Network, cur *propagat
 	var cands []rsn.Candidate
 	for _, h := range hops {
 		trust := a.Spec.Trust[a.regModule[h.To]]
-		cands = nw.AppendCandidates(cands, h.To, rsn.Reg(h.From), 4, func(pr int) bool {
+		cands = rsn.AppendCandidates(cands, h.To, nw.PurePredecessors(h.To, &rs.chain.marks), rsn.Reg(h.From), 4, func(pr int) bool {
 			return cur.attrOut[a.lastIndex(pr)].Has(trust)
 		})
 	}

@@ -105,7 +105,7 @@ func TestDeriveMatchesPropagate(t *testing.T) {
 		fan := newFanout(nw)
 		for _, y := range p.Violating {
 			srcs := []rsn.Ref{rsn.ScanIn}
-			for _, pr := range nw.PurePredecessors(y) {
+			for _, pr := range nw.PurePredecessors(y, new(rsn.Marks)) {
 				srcs = append(srcs, rsn.Reg(pr))
 			}
 			for _, src := range srcs {

@@ -103,6 +103,8 @@ type propagator struct {
 	// wiring, and added their current input edges.
 	changed []int32
 	added   []edge
+	// marks is the round's predecessor walk.
+	marks rsn.Marks
 }
 
 // edge is one connection from element src to element dst.
@@ -331,11 +333,12 @@ func ViolatingRegisters(nw *rsn.Network, spec *secspec.Spec) []int {
 	return Propagate(nw, spec).Violating
 }
 
-// FindCulprit returns a register upstream of y whose data must not
-// traverse y, if any.
-func FindCulprit(nw *rsn.Network, spec *secspec.Spec, y int) (int, bool) {
+// FindCulprit returns the first of preds, the pure-path predecessors
+// of register y (PurePredecessors), whose data must not traverse y, if
+// any.
+func FindCulprit(nw *rsn.Network, spec *secspec.Spec, y int, preds []int) (int, bool) {
 	ymod := nw.Registers[y].Module
-	for _, x := range nw.PurePredecessors(y) {
+	for _, x := range preds {
 		if spec.Violates(nw.Registers[x].Module, ymod) {
 			return x, true
 		}
@@ -385,12 +388,15 @@ func Resolve(nw *rsn.Network, spec *secspec.Spec, opts engine.Options) (*Result,
 		if len(p.Violating) == 0 {
 			return res, nil
 		}
+		// One predecessor walk per round serves the culprit search and
+		// the candidates.
 		y := p.Violating[0]
-		x, ok := FindCulprit(nw, spec, y)
+		preds := nw.PurePredecessors(y, &q.marks)
+		x, ok := FindCulprit(nw, spec, y, preds)
 		if !ok {
 			return res, fmt.Errorf("pure: register R%d violates but no culprit found", y)
 		}
-		ch, next, err := q.resolveOne(nw, p, x, y, round >= maxRounds(nw))
+		ch, next, err := q.resolveOne(nw, p, preds, x, y, round >= maxRounds(nw))
 		if err != nil {
 			return res, err
 		}
@@ -408,10 +414,11 @@ type pureScore struct {
 
 // resolveOne repairs the flow from register x into register y by
 // cutting y's input and re-connecting the separated segments. p is the
-// current wiring's propagation; the returned one is the propagation of
-// the applied change's wiring. With fallbackOnly set, only the
-// always-valid candidate (connect y to the scan-in port) is considered.
-func (q *propagator) resolveOne(nw *rsn.Network, p *Propagation, x, y int, fallbackOnly bool) (rsn.Change, *Propagation, error) {
+// current wiring's propagation and preds y's pure-path predecessors;
+// the returned propagation is the applied change's wiring's. With
+// fallbackOnly set, only the always-valid candidate (connect y to the
+// scan-in port) is considered.
+func (q *propagator) resolveOne(nw *rsn.Network, p *Propagation, preds []int, x, y int, fallbackOnly bool) (rsn.Change, *Propagation, error) {
 	// Every predecessor of a deep chain position would cost a trial
 	// each, so the predecessor candidates are capped.
 	limit := 6
@@ -419,7 +426,7 @@ func (q *propagator) resolveOne(nw *rsn.Network, p *Propagation, x, y int, fallb
 		limit = 0
 	}
 	trust := q.spec.Trust[nw.Registers[y].Module]
-	cands := nw.AppendCandidates(nil, y, nw.Registers[y].In, limit, func(pr int) bool {
+	cands := rsn.AppendCandidates(nil, y, preds, nw.Registers[y].In, limit, func(pr int) bool {
 		return p.Out(rsn.Reg(pr)).Has(trust)
 	})
 	// Trials are scored against the round's fanout. They run on nw

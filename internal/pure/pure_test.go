@@ -60,11 +60,11 @@ func TestPropagateChain(t *testing.T) {
 
 func TestFindCulprit(t *testing.T) {
 	nw, spec := chainSpec()
-	x, ok := FindCulprit(nw, spec, 1)
+	x, ok := FindCulprit(nw, spec, 1, nw.PurePredecessors(1, new(rsn.Marks)))
 	if !ok || x != 0 {
 		t.Fatalf("culprit = %d, %v", x, ok)
 	}
-	if _, ok := FindCulprit(nw, spec, 2); ok {
+	if _, ok := FindCulprit(nw, spec, 2, nw.PurePredecessors(2, new(rsn.Marks))); ok {
 		t.Fatal("C has no culprit")
 	}
 }

@@ -85,7 +85,7 @@ func referenceResolve(nw *rsn.Network, spec *secspec.Spec) (*Result, error) {
 			return res, nil
 		}
 		y := p.Violating[0]
-		x, ok := FindCulprit(nw, spec, y)
+		x, ok := FindCulprit(nw, spec, y, nw.PurePredecessors(y, new(rsn.Marks)))
 		if !ok {
 			return res, fmt.Errorf("pure: register R%d violates but no culprit found", y)
 		}
@@ -108,7 +108,7 @@ func referenceResolveOne(nw *rsn.Network, spec *secspec.Spec, p *refPropagation,
 	var cands []candidate
 	if !fallbackOnly {
 		const maxPredCandidates = 6
-		preds := nw.PurePredecessors(y)
+		preds := nw.PurePredecessors(y, new(rsn.Marks))
 		ymod := nw.Registers[y].Module
 		for _, pr := range preds {
 			src := rsn.Reg(pr)

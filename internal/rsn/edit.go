@@ -3,6 +3,7 @@ package rsn
 import (
 	"fmt"
 	"slices"
+	"strconv"
 )
 
 // Change records one structural modification bundle applied by the
@@ -28,10 +29,9 @@ func (c Change) String() string {
 
 // CutAndReconnect rewires the input pin to a new source and, if the cut
 // left the old source without any consumer, re-attaches it so that no
-// scan segment dangles (Section III-D of the paper: separated segments
-// are connected to multi-cycle predecessors/successors over pure scan
-// paths, or to the scan-in/scan-out port when none exists). It returns
-// the number of multiplexers inserted.
+// scan segment dangles: a new multiplexer feeds it to the scan-out port
+// (see reattach for how this narrows Section III-D). It returns the
+// number of multiplexers inserted.
 func (nw *Network) CutAndReconnect(pin Sink, newSrc Ref) (int, error) {
 	rw, err := nw.Rewire(pin, newSrc)
 	if err != nil {
@@ -115,60 +115,53 @@ func (nw *Network) drives(src Ref) bool {
 	return nw.OutSrc == src
 }
 
-// reattach gives a dangling source a consumer: it feeds the separated
-// segment into a pure-path successor through a new multiplexer, or into
-// the scan-out port if no successor exists. Attachment points are
-// checked against post-cut reachability so no cycle can be created and
-// no new data-flow pairs appear. The changes are recorded in rw.
+// reattach gives a dangling source a consumer: a new multiplexer over
+// the scan-out port's current source and src takes over the port. src
+// drives nothing, so the mux closes no cycle, and every register that
+// reached scan-out still does. The changes are recorded in rw.
+//
+// This narrows Section III-D, which also lets a separated segment
+// re-attach to a multi-cycle pure-path successor: the cut source has
+// no successor left, so the port is the one attachment point used.
 func (nw *Network) reattach(src Ref, rw *Rewiring) {
-	up := nw.reachableBackward(src)  // everything upstream of src
-	down := nw.reachableForward(src) // everything downstream of src
-	for i := range nw.Registers {
-		r := Reg(i)
-		if r == src || up.has(r) {
-			continue // upstream of src: attaching would create a cycle
-		}
-		if down.has(r) {
-			m := nw.AddMux(fmt.Sprintf("m_reattach_%d", len(nw.Muxes)), nw.Registers[i].In, src)
-			rw.set(nw, Sink{r, 0}, Mx(m))
-			return
-		}
-	}
-	m := nw.AddMux(fmt.Sprintf("m_reattach_%d", len(nw.Muxes)), nw.OutSrc, src)
+	m := nw.AddMux("m_reattach_"+strconv.Itoa(len(nw.Muxes)), nw.OutSrc, src)
 	rw.set(nw, Sink{ScanOut, 0}, Mx(m))
 }
 
-// EffectiveSources returns the registers (and possibly the scan-in
-// port) whose scan output can feed register id, looking through
-// multiplexers: the inter-register connectivity of the reconfigurable
-// wiring. Sources appear in depth-first order over the mux inputs, each
-// once.
-func (nw *Network) EffectiveSources(id int) []Ref {
-	var out []Ref
-	// Dense marks keyed by refIndex; the extra last slot stands for an
+// AppendEffectiveSources appends to dst the registers (and possibly
+// the scan-in port) whose scan output can feed register id, looking
+// through multiplexers: the inter-register connectivity of the
+// reconfigurable wiring. Sources appear in depth-first order over the
+// mux inputs, each once. The walk runs on m.
+func (nw *Network) AppendEffectiveSources(dst []Ref, id int, m *Marks) []Ref {
+	// Slots keyed by RefIndex; the extra last slot stands for an
 	// unconnected input.
-	seen := make([]bool, nw.numRefs()+1)
-	var walk func(r Ref)
-	walk = func(r Ref) {
-		i := len(seen) - 1
+	unconnected := nw.NumRefs()
+	m.start(unconnected + 1)
+	m.stack = append(m.stack, nw.Registers[id].In)
+	for len(m.stack) > 0 {
+		r := m.stack[len(m.stack)-1]
+		m.stack = m.stack[:len(m.stack)-1]
+		i := unconnected
 		if r != NoRef && r.IsValid() {
-			i = nw.refIndex(r)
+			i = nw.RefIndex(r)
 		}
-		if seen[i] {
-			return
+		if !m.visit(i) {
+			continue
 		}
-		seen[i] = true
 		switch r.Kind {
 		case KScanIn, KRegister:
-			out = append(out, r)
+			dst = append(dst, r)
 		case KMux:
-			for _, in := range nw.Muxes[r.ID].Inputs {
-				walk(in)
+			// Pushed in reverse, the inputs are visited in order, each
+			// one's sources before the next input's.
+			ins := nw.Muxes[r.ID].Inputs
+			for j := len(ins) - 1; j >= 0; j-- {
+				m.stack = append(m.stack, ins[j])
 			}
 		}
 	}
-	walk(nw.Registers[id].In)
-	return out
+	return dst
 }
 
 // ChangedInputs returns the elements whose input connections differ

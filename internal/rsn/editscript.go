@@ -15,7 +15,8 @@ import (
 const (
 	// OpCutReconnect rewires one input pin to a new source and, when
 	// the cut leaves the old source without a consumer, re-attaches the
-	// separated segment per Section III-D (CutAndReconnect). It errors
+	// separated segment to scan-out through a new mux (CutAndReconnect,
+	// a narrowing of Section III-D). It errors
 	// if the pin already has the requested source.
 	OpCutReconnect = "cut-reconnect"
 	// OpConnect rewires one input pin with no re-attachment of the old
@@ -24,7 +25,7 @@ const (
 	OpConnect = "connect"
 	// OpAddRegister adds a scan register fed by Src and splices it into
 	// the pin named by Pin/PinIdx (the pin's previous source becomes
-	// unused and is re-attached if it dangles).
+	// unused and is re-attached to scan-out if it dangles).
 	OpAddRegister = "add-register"
 )
 

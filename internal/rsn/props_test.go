@@ -110,10 +110,38 @@ func TestPureReachesTransitive(t *testing.T) {
 		}
 		// Direct edges imply reachability.
 		for i := range nw.Registers {
-			for _, src := range nw.EffectiveSources(i) {
+			for _, src := range nw.AppendEffectiveSources(nil, i, new(Marks)) {
 				if src.Kind == KRegister && !nw.PureReaches(src, Reg(i)) {
 					t.Fatalf("direct source %v does not reach R%d", src, i)
 				}
+			}
+		}
+	}
+}
+
+// TestMarksReuse: one Marks reused across networks of growing and
+// shrinking size, and across the wrap of its generation counter, walks
+// exactly what fresh marks walk.
+func TestMarksReuse(t *testing.T) {
+	rng := rand.New(rand.NewSource(57))
+	var m Marks
+	for iter := 0; iter < 200; iter++ {
+		nw := randomAccessNetwork(rng, 2+rng.Intn(12))
+		if iter%10 == 9 {
+			// Stamp a walk with generation 1, then make the next walk
+			// wrap the counter back to 1.
+			m = Marks{}
+			nw.PurePredecessors(len(nw.Registers)-1, &m)
+			m.gen = ^uint32(0)
+		}
+		for y := range nw.Registers {
+			got, want := nw.PurePredecessors(y, &m), nw.PurePredecessors(y, new(Marks))
+			if !slices.Equal(got, want) {
+				t.Fatalf("iter %d: predecessors of R%d on reused marks %v, fresh %v", iter, y, got, want)
+			}
+			gotSrc := nw.AppendEffectiveSources(nil, y, &m)
+			if wantSrc := nw.AppendEffectiveSources(nil, y, new(Marks)); !slices.Equal(gotSrc, wantSrc) {
+				t.Fatalf("iter %d: sources of R%d on reused marks %v, fresh %v", iter, y, gotSrc, wantSrc)
 			}
 		}
 	}
@@ -153,7 +181,7 @@ func TestRewireUndo(t *testing.T) {
 		orig := nw.Clone()
 		victim := rng.Intn(len(nw.Registers))
 		src := ScanIn
-		if preds := nw.PurePredecessors(victim); len(preds) > 0 {
+		if preds := nw.PurePredecessors(victim, new(Marks)); len(preds) > 0 {
 			src = Reg(preds[rng.Intn(len(preds))])
 		}
 		rw, err := nw.Rewire(Sink{Elem: Reg(victim)}, src)
@@ -189,8 +217,9 @@ func TestEffectiveSourcesOrder(t *testing.T) {
 	inner := nw.AddMux("inner", Reg(1), Reg(0), NoRef)
 	outer := nw.AddMux("outer", Reg(2), Mx(inner), Reg(1), ScanIn, NoRef)
 	nw.Connect(3, Mx(outer))
-	got := nw.EffectiveSources(3)
-	if want := []Ref{Reg(2), Reg(1), Reg(0), NoRef, ScanIn}; !slices.Equal(got, want) {
-		t.Fatalf("EffectiveSources = %v, want %v", got, want)
+	prefix := []Ref{Reg(3)}
+	got := nw.AppendEffectiveSources(slices.Clone(prefix), 3, new(Marks))
+	if want := []Ref{Reg(3), Reg(2), Reg(1), Reg(0), NoRef, ScanIn}; !slices.Equal(got, want) {
+		t.Fatalf("AppendEffectiveSources = %v, want %v", got, want)
 	}
 }

@@ -13,16 +13,16 @@ type Candidate struct {
 }
 
 // AppendCandidates appends the candidates that re-feed register reg:
-// up to limit of its pure-path predecessors, in PurePredecessors order,
-// skipping skip and every predecessor compatible rejects (re-connecting
-// to one keeps the segment deep in the network), then the scan-in port,
-// which is always valid and provably terminating. With limit 0 the
-// predecessors are not walked.
-func (nw *Network) AppendCandidates(dst []Candidate, reg int, skip Ref, limit int, compatible func(pred int) bool) []Candidate {
+// up to limit of preds, its pure-path predecessors in PurePredecessors
+// order, skipping skip and every predecessor compatible rejects
+// (re-connecting to one keeps the segment deep in the network), then
+// the scan-in port, which is always valid and provably terminating.
+// With limit 0 preds is not read.
+func AppendCandidates(dst []Candidate, reg int, preds []int, skip Ref, limit int, compatible func(pred int) bool) []Candidate {
 	pin := Sink{Elem: Reg(reg)}
 	if limit > 0 {
 		taken := 0
-		for _, pr := range nw.PurePredecessors(reg) {
+		for _, pr := range preds {
 			if Reg(pr) == skip || !compatible(pr) {
 				continue
 			}
@@ -38,11 +38,12 @@ func (nw *Network) AppendCandidates(dst []Candidate, reg int, skip Ref, limit in
 // ApplyBest runs one resolution round over cands and applies the
 // winner to nw. Each candidate is applied in place with Rewire, scored
 // by trial and undone; trial reports false to reject it. With workers
-// > 1 the trials fan out over per-worker clones of nw into
-// candidate-order slots, so the winner does not depend on scheduling as
-// long as trial's score depends only on the wiring. The winner is the
-// best accepted score under the strict order better, the earliest
-// candidate among equals.
+// > 1 the trials fan out over nw and workers−1 clones of its wiring
+// (which share the registers' Capture/Update links and the modules, so
+// trial must not write those) into candidate-order slots, so the
+// winner does not depend on scheduling as long as trial's score
+// depends only on the wiring. The winner is the best accepted score
+// under the strict order better, the earliest candidate among equals.
 //
 // Structural validation is deferred to winner selection: candidates
 // rarely fail it, so scoring first and validating only the prospective
@@ -63,13 +64,18 @@ func ApplyBest[S any](nw *Network, cands []Candidate, workers int, trial func(ne
 		net.Undo(rw)
 	}
 	if workers = min(workers, len(cands)); workers > 1 {
+		// nw serves one worker; the others run on wiring clones, taken
+		// before any trial rewires nw.
+		nets := []*Network{nw}
+		for range workers - 1 {
+			nets = append(nets, nw.cloneWiring())
+		}
 		var next atomic.Int64
 		var wg sync.WaitGroup
-		for range workers {
+		for _, net := range nets {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				net := nw.Clone()
 				for i := int(next.Add(1)) - 1; i < len(cands); i = int(next.Add(1)) - 1 {
 					try(net, i)
 				}

@@ -23,7 +23,7 @@ func TestAppendCandidates(t *testing.T) {
 		{"fallback only", Mx(0), 0, func(int) bool { t.Fatal("limit 0 walked the predecessors"); return true }, []Ref{ScanIn}},
 	} {
 		prefix := []Candidate{{Sink{Elem: Reg(1)}, ScanIn}}
-		got := nw.AppendCandidates(slices.Clone(prefix), 2, tc.skip, tc.limit, tc.compatible)
+		got := AppendCandidates(slices.Clone(prefix), 2, nw.PurePredecessors(2, new(Marks)), tc.skip, tc.limit, tc.compatible)
 		want := prefix
 		for _, src := range tc.want {
 			want = append(want, Candidate{pin, src})
@@ -47,7 +47,7 @@ func TestApplyBestWorkers(t *testing.T) {
 	want := Change{Cut: Sink{Elem: Reg(2)}, OldSrc: Mx(0), NewSrc: Reg(1), NewMuxes: 1}
 	for _, workers := range []int{1, 3} {
 		nw := buildDiamond()
-		cands := nw.AppendCandidates([]Candidate{{Sink{Elem: Reg(0)}, Reg(2)}}, 2, Mx(0), 6, func(int) bool { return true })
+		cands := AppendCandidates([]Candidate{{Sink{Elem: Reg(0)}, Reg(2)}}, 2, nw.PurePredecessors(2, new(Marks)), Mx(0), 6, func(int) bool { return true })
 		ch, score, ok := ApplyBest(nw, cands, workers, trial, better)
 		if !ok || ch != want || score != 1 {
 			t.Fatalf("workers=%d: change %v score %d ok %v, want %v score 1", workers, ch, score, ok, want)
@@ -64,7 +64,7 @@ func TestApplyBestWorkers(t *testing.T) {
 func TestApplyBestNoCandidate(t *testing.T) {
 	nw := buildDiamond()
 	orig := nw.Clone()
-	cands := nw.AppendCandidates(nil, 2, Mx(0), 6, func(int) bool { return true })
+	cands := AppendCandidates(nil, 2, nw.PurePredecessors(2, new(Marks)), Mx(0), 6, func(int) bool { return true })
 	_, _, ok := ApplyBest(nw, cands, 2, func(*Network, Rewiring) (int, bool) { return 0, false }, func(s, t int) bool { return s < t })
 	if ok {
 		t.Fatal("ApplyBest applied a rejected candidate")

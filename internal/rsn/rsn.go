@@ -13,8 +13,9 @@ package rsn
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
-	"repro/internal/graph"
 	"repro/internal/netlist"
 )
 
@@ -180,8 +181,8 @@ func (nw *Network) NumScanFFs() int {
 	return n
 }
 
-// inputsOf returns the source references feeding the element.
-func (nw *Network) inputsOf(r Ref) []Ref {
+// InputsOf returns the source references feeding the element.
+func (nw *Network) InputsOf(r Ref) []Ref {
 	if r.Kind == KMux {
 		return nw.Muxes[r.ID].Inputs
 	}
@@ -191,8 +192,8 @@ func (nw *Network) inputsOf(r Ref) []Ref {
 	return nil
 }
 
-// inputAt returns the element's i-th source in inputsOf order, and
-// false past the last one. Graph walks iterate it instead of inputsOf,
+// inputAt returns the element's i-th source in InputsOf order, and
+// false past the last one. Graph walks iterate it instead of InputsOf,
 // which allocates for single-input elements.
 func (nw *Network) inputAt(r Ref, i int) (Ref, bool) {
 	var in Ref
@@ -218,10 +219,19 @@ func (nw *Network) inputAt(r Ref, i int) (Ref, bool) {
 // Validate checks structural sanity: all references in range, scan-out
 // connected, the connection graph acyclic, and every register reachable
 // from scan-in and able to reach scan-out over some configuration.
+//
+// After the per-pin checks, one depth-first search over inputs decides
+// the rest. Its roots are scan-out, then the registers, then the muxes,
+// and it reports the first input found on the open path as the cycle.
+// The elements finished under the first root are exactly those that
+// reach scan-out. An element is reachable from scan-in exactly when it
+// is scan-in or one of its inputs is, which the post-order settles once
+// every input is finished; on an acyclic graph every input is.
 func (nw *Network) Validate() error {
 	// ok is the pure range check; the error strings are built only on
-	// the failure path — Validate runs per candidate trial inside the
-	// resolve loops, where eager message formatting dominated its cost.
+	// the failure path — Validate runs per prospective winner inside
+	// the resolve loops, where eager message formatting dominated its
+	// cost.
 	ok := func(r Ref) bool {
 		switch r.Kind {
 		case KRegister:
@@ -259,27 +269,111 @@ func (nw *Network) Validate() error {
 	if !ok(nw.OutSrc) {
 		return fmt.Errorf("rsn: scan-out references %v out of range", nw.OutSrc)
 	}
-	if cyc := nw.findCycle(); cyc != "" {
+	s := searchPool.Get().(*searchScratch)
+	defer searchPool.Put(s)
+	if cyc := nw.searchInputs(s, false); cyc != "" {
 		return fmt.Errorf("rsn: scan network contains a cycle through %s", cyc)
 	}
-	// Reachability both ways.
-	fromIn := nw.reachableForward(ScanIn)
-	toOut := nw.reachableBackward(ScanOut)
 	for i := range nw.Registers {
-		r := Reg(i)
-		if !fromIn.has(r) {
+		st := s.state[nw.RefIndex(Reg(i))]
+		if st&fromScanIn == 0 {
 			return fmt.Errorf("rsn: register R%d not reachable from scan-in", i)
 		}
-		if !toOut.has(r) {
+		if st&toScanOut == 0 {
 			return fmt.Errorf("rsn: register R%d cannot reach scan-out", i)
 		}
 	}
 	return nil
 }
 
-// refIndex maps an element reference to a dense index for slice-based
-// marks: registers first, then muxes, then the two ports.
-func (nw *Network) refIndex(r Ref) int {
+// Element states of Validate's search: on the search path or
+// finished, and, once finished, the two reachability facts.
+const (
+	onPath     = 1
+	finished   = 2
+	fromScanIn = 4 // scan-in reaches the element
+	toScanOut  = 8 // the element reaches scan-out
+)
+
+// searchScratch is the state of one search over inputs.
+type searchScratch struct {
+	state []uint8 // keyed by RefIndex
+	stack []inputFrame
+	order []Ref // the finished elements, when recorded
+}
+
+// inputFrame is one element on the search path: the next input to
+// follow and whether a finished input is reachable from scan-in.
+type inputFrame struct {
+	r      Ref
+	idx    int
+	fromIn bool
+}
+
+var searchPool = sync.Pool{New: func() any { return new(searchScratch) }}
+
+// searchInputs runs Validate's depth-first search into s.state, and
+// with record set appends every element to s.order as it finishes. It
+// returns the element the search met on its own open path, or "" if the
+// graph is acyclic.
+func (nw *Network) searchInputs(s *searchScratch, record bool) string {
+	n := nw.NumRefs()
+	s.state = slices.Grow(s.state[:0], n)[:n]
+	clear(s.state)
+	nr := len(nw.Registers)
+	for k := range n - 1 { // scan-out, the registers, the muxes
+		root, done := ScanOut, uint8(finished|toScanOut)
+		if k > 0 {
+			root, done = Reg(k-1), finished
+			if k > nr {
+				root = Mx(k - 1 - nr)
+			}
+		}
+		if s.state[nw.RefIndex(root)] != 0 {
+			continue
+		}
+		s.state[nw.RefIndex(root)] = onPath
+		s.stack = append(s.stack[:0], inputFrame{r: root})
+		for len(s.stack) > 0 {
+			f := &s.stack[len(s.stack)-1]
+			next, ok := nw.inputAt(f.r, f.idx)
+			if !ok {
+				st := done
+				if f.fromIn || f.r.Kind == KScanIn {
+					st |= fromScanIn
+				}
+				s.state[nw.RefIndex(f.r)] = st
+				if record {
+					s.order = append(s.order, f.r)
+				}
+				s.stack = s.stack[:len(s.stack)-1]
+				if len(s.stack) > 0 && st&fromScanIn != 0 {
+					s.stack[len(s.stack)-1].fromIn = true
+				}
+				continue
+			}
+			f.idx++
+			switch st := s.state[nw.RefIndex(next)]; {
+			case st == onPath:
+				return next.String()
+			case st == 0:
+				s.state[nw.RefIndex(next)] = onPath
+				s.stack = append(s.stack, inputFrame{r: next})
+			case st&fromScanIn != 0 && next.IsValid():
+				// An invalid mux input maps to scan-out's slot, but no
+				// data flows out of it, so scan-in reach stops there.
+				f.fromIn = true
+			}
+		}
+	}
+	return ""
+}
+
+// RefIndex maps an element reference to a dense index in
+// [0, NumRefs()): registers first, then muxes, then the two ports.
+// Attribute propagations and the graph walks key flat per-element
+// arrays by it instead of hashing Refs into maps.
+func (nw *Network) RefIndex(r Ref) int {
 	switch r.Kind {
 	case KRegister:
 		return int(r.ID)
@@ -292,230 +386,113 @@ func (nw *Network) refIndex(r Ref) int {
 	}
 }
 
-// numRefs returns the size of the dense element index space.
-func (nw *Network) numRefs() int { return len(nw.Registers) + len(nw.Muxes) + 2 }
-
-// RefIndex maps an element reference to a dense index in
-// [0, NumRefs()): registers first, then muxes, then the two ports.
-// Attribute propagations key flat per-element arrays by it instead of
-// hashing Refs into maps.
-func (nw *Network) RefIndex(r Ref) int { return nw.refIndex(r) }
-
 // NumRefs returns the size of the dense element index space.
-func (nw *Network) NumRefs() int { return nw.numRefs() }
+func (nw *Network) NumRefs() int { return len(nw.Registers) + len(nw.Muxes) + 2 }
 
-// refSet is a dense element set.
-type refSet struct {
-	nw    *Network
-	marks []bool
+// Marks is reusable scratch for the network's reachability walks: a
+// generation-stamped element set and a stack. Starting a walk costs
+// O(1) instead of a fresh array, so per-round walks allocate nothing
+// once the marks have grown. The zero value is ready to use; one Marks
+// serves one walk at a time.
+type Marks struct {
+	stamp []uint32
+	gen   uint32
+	stack []Ref
 }
 
-func (s refSet) has(r Ref) bool { return s.marks[s.nw.refIndex(r)] }
-
-// findCycle returns a description of an element on a cycle of the
-// connection graph, or "" if the graph is acyclic.
-func (nw *Network) findCycle() string {
-	const (
-		white = 0
-		gray  = 1
-		black = 2
-	)
-	color := make([]uint8, nw.numRefs())
-	type frame struct {
-		r   Ref
-		idx int
+// start begins a walk over n dense slots with every slot unmarked.
+func (m *Marks) start(n int) {
+	if len(m.stamp) < n {
+		// Slack for the muxes later rounds insert.
+		m.stamp = make([]uint32, n+n/4+8)
+		m.gen = 0
 	}
-	var stack []frame
-	var roots []Ref
-	roots = append(roots, ScanOut)
-	for i := range nw.Registers {
-		roots = append(roots, Reg(i))
+	if m.gen++; m.gen == 0 {
+		clear(m.stamp)
+		m.gen = 1
 	}
-	for i := range nw.Muxes {
-		roots = append(roots, Mx(i))
-	}
-	for _, root := range roots {
-		if color[nw.refIndex(root)] != white {
-			continue
-		}
-		stack = append(stack[:0], frame{root, 0})
-		color[nw.refIndex(root)] = gray
-		for len(stack) > 0 {
-			f := &stack[len(stack)-1]
-			next, ok := nw.inputAt(f.r, f.idx)
-			if !ok {
-				color[nw.refIndex(f.r)] = black
-				stack = stack[:len(stack)-1]
-				continue
-			}
-			f.idx++
-			switch color[nw.refIndex(next)] {
-			case gray:
-				return next.String()
-			case white:
-				color[nw.refIndex(next)] = gray
-				stack = append(stack, frame{next, 0})
-			}
-		}
-	}
-	return ""
+	m.stack = m.stack[:0]
 }
 
-// reachableBackward returns the set of elements reachable from r by
+// visit marks slot i, reporting whether it was unmarked.
+func (m *Marks) visit(i int) bool {
+	if m.stamp[i] == m.gen {
+		return false
+	}
+	m.stamp[i] = m.gen
+	return true
+}
+
+// has reports whether slot i is marked.
+func (m *Marks) has(i int) bool { return m.stamp[i] == m.gen }
+
+var marksPool = sync.Pool{New: func() any { return new(Marks) }}
+
+// reachableBackward marks in m the elements reachable from r by
 // following inputs (i.e. all elements whose data can reach r over some
-// configuration).
-func (nw *Network) reachableBackward(r Ref) refSet {
-	seen := refSet{nw, make([]bool, nw.numRefs())}
-	stack := []Ref{r}
-	for len(stack) > 0 {
-		cur := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		idx := nw.refIndex(cur)
-		if seen.marks[idx] {
+// configuration), keyed by RefIndex.
+func (nw *Network) reachableBackward(r Ref, m *Marks) {
+	m.start(nw.NumRefs())
+	m.stack = append(m.stack, r)
+	for len(m.stack) > 0 {
+		cur := m.stack[len(m.stack)-1]
+		m.stack = m.stack[:len(m.stack)-1]
+		if !m.visit(nw.RefIndex(cur)) {
 			continue
 		}
-		seen.marks[idx] = true
 		for i := 0; ; i++ {
 			in, ok := nw.inputAt(cur, i)
 			if !ok {
 				break
 			}
-			stack = append(stack, in)
+			m.stack = append(m.stack, in)
 		}
 	}
-	return seen
-}
-
-// reachableForward returns the set of elements reachable from r by
-// following fanout (i.e. all elements r's data can reach over some
-// configuration).
-func (nw *Network) reachableForward(r Ref) refSet {
-	fan := graph.NewCSR(nw.numRefs(), func(add func(src, dst int)) {
-		edge := func(src, dst Ref) {
-			if src != NoRef && src.IsValid() {
-				add(nw.refIndex(src), nw.refIndex(dst))
-			}
-		}
-		for i := range nw.Registers {
-			edge(nw.Registers[i].In, Reg(i))
-		}
-		for i := range nw.Muxes {
-			for _, in := range nw.Muxes[i].Inputs {
-				edge(in, Mx(i))
-			}
-		}
-		edge(nw.OutSrc, ScanOut)
-	})
-	seen := refSet{nw, make([]bool, nw.numRefs())}
-	stack := []int32{int32(nw.refIndex(r))}
-	for len(stack) > 0 {
-		idx := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if seen.marks[idx] {
-			continue
-		}
-		seen.marks[idx] = true
-		stack = append(stack, fan.Row(int(idx))...)
-	}
-	return seen
 }
 
 // PureReaches reports whether data in element a can reach element b
 // over some configuration of pure scan paths (a == b counts as true).
 func (nw *Network) PureReaches(a, b Ref) bool {
-	return nw.reachableBackward(b).has(a)
+	m := marksPool.Get().(*Marks)
+	defer marksPool.Put(m)
+	nw.reachableBackward(b, m)
+	return m.has(nw.RefIndex(a))
 }
 
 // PurePredecessors returns all registers whose data can reach register
-// id over pure scan paths (excluding itself).
-func (nw *Network) PurePredecessors(id int) []int {
-	seen := nw.reachableBackward(Reg(id))
+// id over pure scan paths (excluding itself), ascending. The walk runs
+// on m.
+func (nw *Network) PurePredecessors(id int, m *Marks) []int {
+	nw.reachableBackward(Reg(id), m)
 	var out []int
 	for i := range nw.Registers {
-		if i != id && seen.has(Reg(i)) {
+		if i != id && m.has(nw.RefIndex(Reg(i))) {
 			out = append(out, i)
 		}
 	}
 	return out
 }
-
-// PureSuccessors returns all registers reachable from register id over
-// pure scan paths (excluding itself).
-func (nw *Network) PureSuccessors(id int) []int {
-	seen := nw.reachableForward(Reg(id))
-	var out []int
-	for i := range nw.Registers {
-		if i != id && seen.has(Reg(i)) {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// InputsOf returns the source references feeding the element.
-func (nw *Network) InputsOf(r Ref) []Ref { return nw.inputsOf(r) }
 
 // ElementTopoOrder returns every element (registers and muxes, ScanIn
 // first, ScanOut last) in a topological order of the connection graph:
-// sources before the elements they feed. It panics if the network is
-// cyclic; call Validate first.
+// sources before the elements they feed, in the post-order of
+// Validate's search. It panics if the network is cyclic; call Validate
+// first.
 func (nw *Network) ElementTopoOrder() []Ref {
-	order := make([]Ref, 0, nw.numRefs())
-	state := make([]uint8, nw.numRefs()) // 0 new, 1 open, 2 done
-	type frame struct {
-		r   Ref
-		ins []Ref // the element's inputs, resolved once per visit
-		idx int
+	s := searchPool.Get().(*searchScratch)
+	defer searchPool.Put(s)
+	s.order = s.order[:0]
+	if nw.searchInputs(s, true) != "" {
+		panic("rsn: ElementTopoOrder on cyclic network")
 	}
-	var stack []frame
-	var roots []Ref
-	roots = append(roots, ScanOut)
-	for i := range nw.Registers {
-		roots = append(roots, Reg(i))
-	}
-	for i := range nw.Muxes {
-		roots = append(roots, Mx(i))
-	}
-	for _, root := range roots {
-		if state[nw.refIndex(root)] != 0 {
-			continue
-		}
-		stack = append(stack[:0], frame{root, nw.inputsOf(root), 0})
-		state[nw.refIndex(root)] = 1
-		for len(stack) > 0 {
-			f := &stack[len(stack)-1]
-			if f.idx >= len(f.ins) {
-				state[nw.refIndex(f.r)] = 2
-				order = append(order, f.r)
-				stack = stack[:len(stack)-1]
-				continue
-			}
-			next := f.ins[f.idx]
-			f.idx++
-			switch state[nw.refIndex(next)] {
-			case 1:
-				panic("rsn: ElementTopoOrder on cyclic network")
-			case 0:
-				if next != ScanIn {
-					state[nw.refIndex(next)] = 1
-					stack = append(stack, frame{next, nw.inputsOf(next), 0})
-				} else {
-					state[nw.refIndex(next)] = 2
-				}
-			}
-		}
-	}
-	// ScanIn first, ScanOut naturally last among its ancestors; move
-	// ScanOut to the very end for a stable contract.
-	out := make([]Ref, 0, len(order)+1)
+	out := make([]Ref, 0, len(s.order)+1)
 	out = append(out, ScanIn)
-	for _, r := range order {
+	for _, r := range s.order {
 		if r != ScanOut && r != ScanIn {
 			out = append(out, r)
 		}
 	}
-	out = append(out, ScanOut)
-	return out
+	return append(out, ScanOut)
 }
 
 // Sink identifies one input pin of an element: the element and the
@@ -523,26 +500,6 @@ func (nw *Network) ElementTopoOrder() []Ref {
 type Sink struct {
 	Elem Ref
 	Idx  int
-}
-
-// FanoutMap maps each element to the elements it feeds.
-func (nw *Network) FanoutMap() map[Ref][]Ref {
-	m := map[Ref][]Ref{}
-	add := func(src, dst Ref) {
-		if src != NoRef && src.IsValid() {
-			m[src] = append(m[src], dst)
-		}
-	}
-	for i := range nw.Registers {
-		add(nw.Registers[i].In, Reg(i))
-	}
-	for i := range nw.Muxes {
-		for _, in := range nw.Muxes[i].Inputs {
-			add(in, Mx(i))
-		}
-	}
-	add(nw.OutSrc, ScanOut)
-	return m
 }
 
 // Sinks returns every input pin currently driven by src.
@@ -666,7 +623,7 @@ func (nw *Network) ConfigsThrough(id int) (Config, bool) {
 			return v
 		}
 		reach[r] = false // cycle guard; network is acyclic anyway
-		for _, in := range nw.inputsOf(r) {
+		for _, in := range nw.InputsOf(r) {
 			if canReach(in) {
 				reach[r] = true
 				return true
@@ -752,4 +709,20 @@ func (nw *Network) Clone() *Network {
 		cp.Muxes[i] = nm
 	}
 	return cp
+}
+
+// cloneWiring returns a copy of nw whose connections — the registers'
+// inputs, the muxes and the scan-out source — are its own, while the
+// parts rewiring never writes are shared with nw: the registers'
+// Capture/Update links and the module names. Trials that only Rewire
+// and Undo run on such copies.
+func (nw *Network) cloneWiring() *Network {
+	cp := *nw
+	cp.Modules = slices.Clip(nw.Modules)
+	cp.Registers = slices.Clone(nw.Registers)
+	cp.Muxes = slices.Clone(nw.Muxes)
+	for i := range cp.Muxes {
+		cp.Muxes[i].Inputs = slices.Clone(cp.Muxes[i].Inputs)
+	}
+	return &cp
 }

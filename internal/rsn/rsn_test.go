@@ -168,17 +168,29 @@ func TestPureReachability(t *testing.T) {
 	if nw.PureReaches(Reg(2), Reg(0)) {
 		t.Error("C must not reach A")
 	}
-	preds := nw.PurePredecessors(2)
+	preds := nw.PurePredecessors(2, new(Marks))
 	if len(preds) != 2 {
 		t.Errorf("predecessors of C = %v", preds)
 	}
-	succs := nw.PureSuccessors(0)
+	succs := pureSuccessors(nw, 0)
 	if len(succs) != 2 {
 		t.Errorf("successors of A = %v", succs)
 	}
-	if got := nw.PureSuccessors(2); len(got) != 0 {
+	if got := pureSuccessors(nw, 2); len(got) != 0 {
 		t.Errorf("successors of C = %v", got)
 	}
+}
+
+// pureSuccessors returns all registers reachable from register id over
+// pure scan paths (excluding itself).
+func pureSuccessors(nw *Network, id int) []int {
+	var out []int
+	for i := range nw.Registers {
+		if i != id && nw.PureReaches(Reg(id), Reg(i)) {
+			out = append(out, i)
+		}
+	}
+	return out
 }
 
 func TestSinksAndSetSink(t *testing.T) {
@@ -217,6 +229,39 @@ func TestCloneIndependence(t *testing.T) {
 	}
 	if nw.Registers[0].Capture[0] == 7 {
 		t.Fatal("clone shares capture slices")
+	}
+}
+
+// TestCloneWiringIndependence: rewiring a wiring-only clone — pins,
+// inserted muxes, Undo — never shows in the original, whose Capture
+// links and modules the clone shares.
+func TestCloneWiringIndependence(t *testing.T) {
+	nw := buildDiamond()
+	nw.Modules = append(make([]string, 0, 8), nw.Modules...)
+	orig := nw.Clone()
+	cp := nw.cloneWiring()
+	if err := cp.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if &cp.Registers[0].Capture[0] != &nw.Registers[0].Capture[0] {
+		t.Fatal("wiring clone copied the capture links")
+	}
+	rw, err := cp.Rewire(Sink{Elem: Reg(2)}, ScanIn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp.Muxes[0].Inputs[1] = ScanIn
+	cp.Muxes = append(cp.Muxes, Mux{Name: "extra"})
+	cp.AddModule("extra")
+	if len(nw.ChangedInputs(orig)) != 0 || len(nw.Muxes) != len(orig.Muxes) || len(nw.Modules) != len(orig.Modules) ||
+		nw.Modules[:cap(nw.Modules)][len(nw.Modules)] != "" {
+		t.Fatal("rewiring the wiring clone changed the original")
+	}
+	cp.Muxes = cp.Muxes[:len(cp.Muxes)-1]
+	cp.Muxes[0].Inputs[1] = orig.Muxes[0].Inputs[1]
+	cp.Undo(rw)
+	if len(cp.ChangedInputs(orig)) != 0 || len(cp.Muxes) != len(orig.Muxes) {
+		t.Fatal("Undo on the wiring clone did not restore it")
 	}
 }
 
