@@ -6,7 +6,9 @@
 // fetch the finished rsnsec.run-report/v1 document from
 // GET /v1/analyses/{id}/report, cancel with DELETE /v1/analyses/{id}.
 // Identical submissions are answered from the store (or coalesced onto
-// the in-flight run); a full queue answers 429. /metrics exposes queue
+// the in-flight run); a byte-identical body is found through its
+// submission alias without being decoded again. A full queue answers
+// 429. /metrics exposes queue
 // depth, cache hit/miss counters, per-endpoint latencies and the
 // engine stage counters; -debug-addr additionally serves expvar and
 // pprof. SIGINT/SIGTERM drain gracefully: queued and running jobs

@@ -25,9 +25,41 @@ const CanonVersion = "rsnsec.canon/v1"
 // ones. Structures serialize their fields in a fixed, documented order
 // (netlist.Netlist, rsn.Network and secspec.Spec implement
 // AppendCanonical); maps never feed the hasher.
+//
+// Primitives are framed into a fixed buffer inside the Hasher, which
+// reaches SHA-256 in one Write whenever the next primitive would not
+// fit and at Sum. Only the chunking of the stream differs from writing
+// each primitive on its own, so the digests are the same; hashing
+// allocates nothing beyond the Hasher, its SHA-256 state and SumHex's
+// string.
 type Hasher struct {
 	h   hash.Hash
-	buf [binary.MaxVarintLen64 + 1]byte
+	n   int // bytes pending in buf
+	buf [hasherBufSize]byte
+	sum [sha256.Size]byte
+	// mirror, when set, receives every primitive call too; the tests
+	// attach the unbuffered reference hasher here.
+	mirror canonSink
+}
+
+// hasherBufSize holds the longest fixed primitive (a tag pair and a
+// varint) many times over; strings longer than the free space are
+// copied through it in pieces.
+const hasherBufSize = 512
+
+// maxFixed is the longest fixed-size primitive: two tag bytes and a
+// varint.
+const maxFixed = 2 + binary.MaxVarintLen64
+
+// canonSink is the primitive call set of a Hasher.
+type canonSink interface {
+	Str(s string)
+	Int(v int64)
+	Uint(v uint64)
+	Float(v float64)
+	Bool(v bool)
+	Section(name string)
+	List(n int)
 }
 
 // NewHasher returns a hasher seeded with the CanonVersion prefix.
@@ -37,50 +69,91 @@ func NewHasher() *Hasher {
 	return h
 }
 
-// writeTagged writes tag, then payload.
-func (h *Hasher) writeTagged(tag byte, payload []byte) {
-	h.buf[0] = tag
-	h.h.Write(h.buf[:1])
-	h.h.Write(payload)
+// flush hands the pending bytes to SHA-256.
+func (h *Hasher) flush() {
+	h.h.Write(h.buf[:h.n])
+	h.n = 0
+}
+
+// reserve makes room for a fixed-size primitive.
+func (h *Hasher) reserve() {
+	if h.n > len(h.buf)-maxFixed {
+		h.flush()
+	}
+}
+
+// uvarint frames tag, then v as an unsigned varint; room is reserved.
+func (h *Hasher) uvarint(tag byte, v uint64) {
+	h.buf[h.n] = tag
+	h.n += 1 + binary.PutUvarint(h.buf[h.n+1:], v)
+}
+
+// str frames a length-prefixed string.
+func (h *Hasher) str(s string) {
+	h.reserve()
+	h.uvarint('S', uint64(len(s)))
+	for {
+		c := copy(h.buf[h.n:], s)
+		h.n += c
+		s = s[c:]
+		if len(s) == 0 {
+			return
+		}
+		h.flush()
+	}
 }
 
 // Str hashes a length-prefixed string.
 func (h *Hasher) Str(s string) {
-	h.buf[0] = 'S'
-	n := binary.PutUvarint(h.buf[1:], uint64(len(s)))
-	h.h.Write(h.buf[:1+n])
-	h.h.Write([]byte(s))
+	if h.mirror != nil {
+		h.mirror.Str(s)
+	}
+	h.str(s)
 }
 
 // Int hashes a signed integer.
 func (h *Hasher) Int(v int64) {
-	h.buf[0] = 'I'
-	n := binary.PutVarint(h.buf[1:], v)
-	h.h.Write(h.buf[:1+n])
+	if h.mirror != nil {
+		h.mirror.Int(v)
+	}
+	h.reserve()
+	h.buf[h.n] = 'I'
+	h.n += 1 + binary.PutVarint(h.buf[h.n+1:], v)
 }
 
 // Uint hashes an unsigned integer.
 func (h *Hasher) Uint(v uint64) {
-	h.buf[0] = 'U'
-	n := binary.PutUvarint(h.buf[1:], v)
-	h.h.Write(h.buf[:1+n])
+	if h.mirror != nil {
+		h.mirror.Uint(v)
+	}
+	h.reserve()
+	h.uvarint('U', v)
 }
 
 // Float hashes a float64 by its IEEE-754 bit pattern, so canonical
 // digests never depend on decimal formatting.
 func (h *Hasher) Float(v float64) {
-	var p [8]byte
-	binary.BigEndian.PutUint64(p[:], math.Float64bits(v))
-	h.writeTagged('F', p[:])
+	if h.mirror != nil {
+		h.mirror.Float(v)
+	}
+	h.reserve()
+	h.buf[h.n] = 'F'
+	binary.BigEndian.PutUint64(h.buf[h.n+1:], math.Float64bits(v))
+	h.n += 9
 }
 
 // Bool hashes a boolean.
 func (h *Hasher) Bool(v bool) {
-	if v {
-		h.writeTagged('B', []byte{1})
-	} else {
-		h.writeTagged('B', []byte{0})
+	if h.mirror != nil {
+		h.mirror.Bool(v)
 	}
+	h.reserve()
+	h.buf[h.n] = 'B'
+	h.buf[h.n+1] = 0
+	if v {
+		h.buf[h.n+1] = 1
+	}
+	h.n += 2
 }
 
 // Section marks the start of a named substructure. Every
@@ -88,31 +161,41 @@ func (h *Hasher) Bool(v bool) {
 // so digests of different structure kinds can never collide even when
 // their field payloads happen to agree.
 func (h *Hasher) Section(name string) {
-	h.buf[0] = 'T'
-	h.h.Write(h.buf[:1])
-	h.Str(name)
+	if h.mirror != nil {
+		h.mirror.Section(name)
+	}
+	h.reserve()
+	h.buf[h.n] = 'T'
+	h.n++
+	h.str(name)
 }
 
 // List marks a list of n elements; the elements follow.
 func (h *Hasher) List(n int) {
-	h.buf[0] = 'L'
-	h.h.Write(h.buf[:1])
-	h.Uint(uint64(n))
+	if h.mirror != nil {
+		h.mirror.List(n)
+	}
+	h.reserve()
+	h.buf[h.n] = 'L'
+	h.n++
+	h.uvarint('U', uint64(n))
 }
 
 // Sum returns the digest of everything hashed so far. The hasher
 // remains usable; later writes extend the stream.
 func (h *Hasher) Sum() [sha256.Size]byte {
-	var out [sha256.Size]byte
-	h.h.Sum(out[:0])
-	return out
+	h.flush()
+	h.h.Sum(h.sum[:0])
+	return h.sum
 }
 
 // SumHex returns Sum as a lowercase hex string — the content-address
 // form used as store key and HTTP-visible identifier.
 func (h *Hasher) SumHex() string {
 	sum := h.Sum()
-	return hex.EncodeToString(sum[:])
+	var dst [2 * sha256.Size]byte
+	hex.Encode(dst[:], sum[:])
+	return string(dst[:])
 }
 
 // AppendCanonical hashes the netlist in canonical form: node table

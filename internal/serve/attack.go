@@ -159,7 +159,7 @@ func (s *Server) resolveAttack(req *AttackRequest) (*analysis, error) {
 // when queued or coalesced, plus the usual 429/503 backpressure.
 func (s *Server) handleAttack(w http.ResponseWriter, r *http.Request) {
 	var req AttackRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 8<<20))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		writeError(w, http.StatusBadRequest, "decode request: %v", err)

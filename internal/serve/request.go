@@ -57,6 +57,10 @@ type analysis struct {
 	// profile requests on-demand pprof capture around the run: "",
 	// "cpu" or "heap" (from the ?profile= query parameter).
 	profile string
+	// submission is the alias store key of the raw body of an
+	// /v1/analyses submission (see alias.go); empty for deltas and
+	// attacks.
+	submission string
 	// scanFFs is the analyzed structure size, the cost-model feature
 	// behind the predicted-backlog load signal (0 when unknown, e.g.
 	// delta submissions).

@@ -5,9 +5,13 @@
 //
 // The pieces compose as
 //
-//	HTTP API  ──►  content address (canonical SHA-256 of the inputs)
-//	   │                 │
-//	   │           store hit? ── yes ──► finished record, cached report
+//	HTTP API  ──►  submission alias (SHA-256 of the raw body)
+//	   │                 │ known? ── yes ──► finished record, cached report
+//	   │                 │ no                          ▲
+//	   │           content address (canonical          │
+//	   │           SHA-256 of the inputs)              │
+//	   │                 │                             │
+//	   │           store hit? ── yes ──────────────────┘
 //	   │                 │ no
 //	   └──────►  scheduler (coalesce identical in-flight jobs,
 //	             bounded queue with priority, 429 backpressure)
@@ -15,6 +19,7 @@
 //	              worker pool ──► internal/exp / internal/core
 //	                     │
 //	              store.Put(key, document) — run, delta or attack report
+//	              (plus the submission alias of a run report)
 //
 // Analysis results (counts, changes, violations) are deterministic by
 // construction, which is what makes content addressing sound; the
@@ -297,6 +302,8 @@ func (s *Server) execute(ctx context.Context, j *Job) ([]byte, error) {
 		// identical submissions lose the cache hit.
 		s.log.LogAttrs(ctx, slog.LevelWarn, "store put failed",
 			slog.String("key", shortKey(a.key)), slog.String("err", err.Error()))
+	} else if a.submission != "" {
+		s.putAlias(ctx, a)
 	}
 	return buf.Bytes(), nil
 }

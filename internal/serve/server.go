@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -171,9 +172,22 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 //	fresh                 → 202, new queued job, cache "miss"
 //	queue full            → 429 + Retry-After
 //	draining              → 503
+//
+// A byte-identical resubmission is answered from its submission alias
+// (see alias.go) before the body is decoded.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	body, err := readBody(w, r)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "decode request: %v", err)
+		return
+	}
+	prof := r.URL.Query().Get("profile")
+	sub := s.submissionKey(body)
+	if prof == "" && s.serveAlias(w, r, sub) {
+		return
+	}
 	var req AnalysisRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 8<<20))
+	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		writeError(w, http.StatusBadRequest, "decode request: %v", err)
@@ -184,13 +198,14 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	switch prof := r.URL.Query().Get("profile"); prof {
+	switch prof {
 	case "", "cpu", "heap":
 		a.profile = prof
 	default:
 		writeError(w, http.StatusBadRequest, "unknown profile %q (want cpu or heap)", prof)
 		return
 	}
+	a.submission = sub
 	s.serveOrSchedule(w, r, a, req.Priority, req.TimeoutMS)
 }
 

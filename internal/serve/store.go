@@ -45,10 +45,12 @@ func (c StoreConfig) maxBytes() int64 {
 }
 
 // Store is the content-addressed analysis-result store: finished
-// run-report documents keyed by the canonical SHA-256 of their inputs
-// (see analysisKey). The in-memory tier is a byte- and entry-bounded
-// LRU; the optional disk tier is one JSON file per key, written
-// atomically. All methods are safe for concurrent use.
+// report documents keyed by the canonical SHA-256 of their inputs (see
+// Server.resolve), next to session records (<key>.session) and
+// submission aliases (<digest>.submission) under decorated keys. The
+// in-memory tier is a byte- and entry-bounded LRU; the optional disk
+// tier is one JSON file per key, written atomically. All methods are
+// safe for concurrent use.
 type Store struct {
 	mu    sync.Mutex
 	cfg   StoreConfig
@@ -92,37 +94,53 @@ func NewStore(cfg StoreConfig, reg *obs.Registry) (*Store, error) {
 }
 
 // path returns the disk file of a key. Keys are lowercase hex SHA-256
-// digests (validated at construction in analysisKey), so they are
-// path-safe by construction.
+// digests, optionally with a fixed suffix such as ".session"; a key
+// read from a request or from a stored alias passes isContentKey
+// first, so they are path-safe by construction.
 func (s *Store) path(key string) string {
 	return filepath.Join(s.cfg.Dir, key+".json")
 }
 
-// Get returns the stored report bytes for key. Memory misses fall back
-// to the disk tier (re-populating memory). The returned slice is the
-// cached backing array — callers must not mutate it.
+// Get returns the stored report bytes for key, counting the lookup as
+// a hit or a miss. Memory misses fall back to the disk tier
+// (re-populating memory). The returned slice is the cached backing
+// array — callers must not mutate it.
 func (s *Store) Get(key string) ([]byte, bool) {
+	data, ok := s.find(key, true)
+	if !ok {
+		s.misses.Inc()
+		s.log.Debug("miss", "key", shortKey(key))
+	}
+	return data, ok
+}
+
+// find looks key up in memory, then on disk (re-populating memory),
+// like Get. A counted lookup counts and logs a found entry as a hit;
+// neither kind counts a miss.
+func (s *Store) find(key string, counted bool) ([]byte, bool) {
 	s.mu.Lock()
 	if el, ok := s.byKey[key]; ok {
 		s.ll.MoveToFront(el)
 		data := el.Value.(*storeEntry).data
 		s.mu.Unlock()
-		s.hits.Inc()
-		s.log.Debug("hit", "key", shortKey(key))
+		if counted {
+			s.hits.Inc()
+			s.log.Debug("hit", "key", shortKey(key))
+		}
 		return data, true
 	}
 	s.mu.Unlock()
 	if s.cfg.Dir != "" {
 		if data, err := os.ReadFile(s.path(key)); err == nil {
-			s.hits.Inc()
-			s.diskHits.Inc()
-			s.log.Debug("disk-hit", "key", shortKey(key))
+			if counted {
+				s.hits.Inc()
+				s.diskHits.Inc()
+				s.log.Debug("disk-hit", "key", shortKey(key))
+			}
 			s.insert(key, data, false) // already on disk
 			return data, true
 		}
 	}
-	s.misses.Inc()
-	s.log.Debug("miss", "key", shortKey(key))
 	return nil, false
 }
 

@@ -115,6 +115,7 @@ func buildGraph(nw *rsn.Network, n *netlist.Netlist, res *Result) *graph {
 	// leaf query reuses the root's encoding instead of re-walking the
 	// netlist.
 	q := dep.NewQuerier(n)
+	brute := newConeEval(n)
 	for b := range n.FFs {
 		root := n.FFs[b].D
 		if root == netlist.NoNode {
@@ -132,7 +133,7 @@ func buildGraph(nw *rsn.Network, n *netlist.Netlist, res *Result) *graph {
 			var functional bool
 			if free <= maxExhaustiveLeaves {
 				res.ExhaustiveChecks++
-				functional = bruteFunctional(n, root, n.FFs[a].Node, leaves)
+				functional = brute.functional(root, n.FFs[a].Node, leaves)
 			} else {
 				res.SATChecks++
 				functional = q.Depends(n.FFs[a].Node)
@@ -183,53 +184,84 @@ func buildGraph(nw *rsn.Network, n *netlist.Netlist, res *Result) *graph {
 	return g
 }
 
-// bruteFunctional enumerates all assignments of the cone's free leaves.
-// leaves is root's cone leaf list, extracted once by the caller.
-func bruteFunctional(n *netlist.Netlist, root, leaf netlist.NodeID, leaves []netlist.NodeID) bool {
-	var free []netlist.NodeID
+// coneEval decides functional dependencies by exhaustive enumeration.
+// The leaf assignment is a dense value slice over the netlist's nodes:
+// a node is assigned in the current check exactly when its stamp equals
+// the check's generation, so starting a check clears nothing. Gate
+// evaluation stacks its fan-in values on one shared buffer.
+type coneEval struct {
+	n     *netlist.Netlist
+	val   []bool
+	stamp []uint32
+	gen   uint32
+	in    []bool
+	free  []netlist.NodeID
+}
+
+func newConeEval(n *netlist.Netlist) *coneEval {
+	return &coneEval{n: n, val: make([]bool, len(n.Nodes)), stamp: make([]uint32, len(n.Nodes))}
+}
+
+// eval computes a node's value under the current assignment.
+func (e *coneEval) eval(id netlist.NodeID) bool {
+	if e.stamp[id] == e.gen {
+		return e.val[id]
+	}
+	nd := &e.n.Nodes[id]
+	switch nd.Kind {
+	case netlist.KindConst0:
+		return false
+	case netlist.KindConst1:
+		return true
+	case netlist.KindGate:
+		base := len(e.in)
+		for _, f := range nd.Fanin {
+			v := e.eval(f)
+			e.in = append(e.in, v)
+		}
+		v := netlist.EvalGate(nd.Gate, e.in[base:])
+		e.in = e.in[:base]
+		return v
+	}
+	return false // unreachable: leaves are assigned
+}
+
+// functional enumerates all assignments of the cone's free leaves and
+// reports whether root's value ever depends on leaf. leaves is root's
+// cone leaf list, extracted once by the caller.
+func (e *coneEval) functional(root, leaf netlist.NodeID, leaves []netlist.NodeID) bool {
+	e.free = e.free[:0]
 	found := false
 	for _, l := range leaves {
 		if l == leaf {
 			found = true
 			continue
 		}
-		if k := n.Nodes[l].Kind; k == netlist.KindConst0 || k == netlist.KindConst1 {
+		if k := e.n.Nodes[l].Kind; k == netlist.KindConst0 || k == netlist.KindConst1 {
 			continue
 		}
-		free = append(free, l)
+		e.free = append(e.free, l)
 	}
 	if !found {
 		return false
 	}
-	asg := make(map[netlist.NodeID]bool, len(free)+1)
-	var eval func(id netlist.NodeID) bool
-	eval = func(id netlist.NodeID) bool {
-		if v, ok := asg[id]; ok {
-			return v
-		}
-		nd := &n.Nodes[id]
-		switch nd.Kind {
-		case netlist.KindConst0:
-			return false
-		case netlist.KindConst1:
-			return true
-		case netlist.KindGate:
-			in := make([]bool, len(nd.Fanin))
-			for i, f := range nd.Fanin {
-				in[i] = eval(f)
-			}
-			return netlist.EvalGate(nd.Gate, in)
-		}
-		return false // unreachable: leaves are assigned
+	e.gen++
+	if e.gen == 0 {
+		clear(e.stamp)
+		e.gen = 1
 	}
-	for m := 0; m < 1<<uint(len(free)); m++ {
-		for i, l := range free {
-			asg[l] = m>>uint(i)&1 == 1
+	for _, l := range e.free {
+		e.stamp[l] = e.gen
+	}
+	e.stamp[leaf] = e.gen
+	for m := 0; m < 1<<uint(len(e.free)); m++ {
+		for i, l := range e.free {
+			e.val[l] = m>>uint(i)&1 == 1
 		}
-		asg[leaf] = false
-		v0 := eval(root)
-		asg[leaf] = true
-		v1 := eval(root)
+		e.val[leaf] = false
+		v0 := e.eval(root)
+		e.val[leaf] = true
+		v1 := e.eval(root)
 		if v0 != v1 {
 			return true
 		}

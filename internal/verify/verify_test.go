@@ -139,6 +139,7 @@ func TestBruteFunctionalMatchesSAT(t *testing.T) {
 		g := bench.RandomNetwork(rng, 3)
 		att := bench.AttachCircuit(g, bench.DefaultCircuitConfig(), rng.Int63())
 		n := att.Circuit
+		e := newConeEval(n)
 		for b := 0; b < n.NumFFs(); b++ {
 			root := n.FFs[b].D
 			_, leaves := n.Cone(root)
@@ -146,7 +147,7 @@ func TestBruteFunctionalMatchesSAT(t *testing.T) {
 				continue
 			}
 			for _, a := range n.SupportFFs(root) {
-				brute := bruteFunctional(n, root, n.FFs[a].Node, leaves)
+				brute := e.functional(root, n.FFs[a].Node, leaves)
 				satr := dep.FunctionalDepends(n, root, n.FFs[a].Node)
 				if brute != satr {
 					t.Fatalf("iter %d: brute=%v sat=%v for ff %d on %d", iter, brute, satr, b, a)
