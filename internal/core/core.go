@@ -20,7 +20,6 @@ import (
 	"repro/internal/hybrid"
 	"repro/internal/netlist"
 	"repro/internal/obs"
-	"repro/internal/pure"
 	"repro/internal/rsn"
 	"repro/internal/secspec"
 )
@@ -237,14 +236,14 @@ func resolve(an *hybrid.Analysis, nw *rsn.Network, opts Options, rep *Report) er
 
 	// Pure scan paths (Section III-C first half).
 	t0 := time.Now()
-	pres, err := pure.Resolve(nw, an.Spec, eng)
+	pres, err := hybrid.ResolvePure(nw, an.Spec, eng)
 	rep.Times.PureStage = time.Since(t0)
 	if err != nil {
 		return fmt.Errorf("core: pure stage: %w", err)
 	}
 	rep.PureChanges = len(pres.Changes)
 	rep.PureChangeList = pres.Changes
-	opts.logf("pure scan paths: %d violations resolved with %d changes", pres.ViolatingBefore, len(pres.Changes))
+	opts.logf("pure scan paths: %d violations resolved with %d changes", pres.ViolationsBefore, len(pres.Changes))
 
 	// Hybrid scan paths (Sections III-C/III-D, the novel stage).
 	t0 = time.Now()

@@ -7,10 +7,10 @@ import (
 	"testing"
 
 	"repro/internal/dep"
+	"repro/internal/engine"
 	"repro/internal/hybrid"
 	"repro/internal/netlist"
 	"repro/internal/paperex"
-	"repro/internal/pure"
 	"repro/internal/rsn"
 )
 
@@ -121,7 +121,7 @@ func TestSecureRejectsInvalidNetwork(t *testing.T) {
 // pure-path violations fails in the pure stage and changes nothing.
 func TestResolveCancelledInPureStage(t *testing.T) {
 	e := paperex.New()
-	if len(pure.ViolatingRegisters(e.Network, e.Spec)) == 0 {
+	if res, err := hybrid.ResolvePure(e.Network.Clone(), e.Spec, engine.Options{}); err != nil || res.ViolationsBefore == 0 {
 		t.Fatal("the running example must have pure-path violations")
 	}
 	an := hybrid.NewAnalysis(e.Network, e.Circuit, e.Internal, e.Spec, dep.Exact)

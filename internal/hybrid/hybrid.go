@@ -14,7 +14,8 @@
 // after each change. Security attributes are propagated
 // omnidirectionally over the combined graph to a fixed point; the
 // finitely many attribute values guarantee termination even on the
-// cyclic flows hybrid paths create.
+// cyclic flows hybrid paths create. The pure-path stage that precedes
+// it (ResolvePure) runs on the same engine over a register-level view.
 package hybrid
 
 import (
@@ -219,6 +220,26 @@ func newLayout(nw *rsn.Network, circuit *netlist.Netlist, spec *secspec.Spec, mo
 	}
 	a.DepStats.Mode = mode
 	a.DepStats.FFsTotal = a.total
+	return a
+}
+
+// newRegisterView returns the analysis the pure stage propagates over:
+// one node per register — register r is node r, its own head and last
+// bit — and the mux pseudo-nodes after them, with no circuit and no
+// fixed path edges, so attributes flow over the scan wiring alone. Its
+// engine options are zero: the propagate spans it would open stay
+// closed, and its work is accounted to the pure-resolve stage.
+func newRegisterView(nw *rsn.Network, spec *secspec.Spec) *Analysis {
+	n := len(nw.Registers)
+	a := &Analysis{Spec: spec, total: n, nDenoted: n,
+		regOffset: make([]int, n), regLen: make([]int, n), nodeModule: make([]int, n),
+		headReg: make([]int32, n), Denoted: make([]bool, n)}
+	for r := range nw.Registers {
+		a.regOffset[r], a.regLen[r], a.headReg[r], a.Denoted[r] = r, 1, int32(r), true
+		a.nodeModule[r] = nw.Registers[r].Module
+	}
+	a.chainIn = graph.NewCSR(n, func(func(src, dst int)) {})
+	a.chainOut = a.chainIn
 	return a
 }
 

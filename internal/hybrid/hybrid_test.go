@@ -11,7 +11,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/netlist"
 	"repro/internal/paperex"
-	"repro/internal/pure"
 	"repro/internal/rsn"
 	"repro/internal/secspec"
 )
@@ -128,14 +127,14 @@ func TestExampleFullPipeline(t *testing.T) {
 	e, a := newExampleAnalysis(t, dep.Exact)
 	nw := e.Network
 
-	pres, err := pure.Resolve(nw, e.Spec, engine.Options{})
+	pres, err := ResolvePure(nw, e.Spec, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(pres.Changes) == 0 {
 		t.Fatal("the pure scan path violation must require changes")
 	}
-	if v := pure.ViolatingRegisters(nw, e.Spec); len(v) != 0 {
+	if v := pureViolating(nw, e.Spec); len(v) != 0 {
 		t.Fatalf("pure violations remain: %v", v)
 	}
 	// The hybrid violation must remain after the pure stage (the
@@ -246,7 +245,7 @@ func TestInsecureLogicDetection(t *testing.T) {
 func TestResolveIdempotentOnSecureNetwork(t *testing.T) {
 	e, a := newExampleAnalysis(t, dep.Exact)
 	nw := e.Network
-	if _, err := pure.Resolve(nw, e.Spec, engine.Options{}); err != nil {
+	if _, err := ResolvePure(nw, e.Spec, engine.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Resolve(a, nw); err != nil {
@@ -270,7 +269,7 @@ func TestChangeCostString(t *testing.T) {
 	// description as any other rsn.Change.
 	e, a := newExampleAnalysis(t, dep.Exact)
 	nw := e.Network
-	if _, err := pure.Resolve(nw, e.Spec, engine.Options{}); err != nil {
+	if _, err := ResolvePure(nw, e.Spec, engine.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	res, err := Resolve(a, nw)

@@ -11,7 +11,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/icl"
 	"repro/internal/netlist"
-	"repro/internal/pure"
 	"repro/internal/rsn"
 	"repro/internal/secspec"
 )
@@ -115,7 +114,7 @@ func flexScanCase(tb testing.TB, seed int64) (*Analysis, *rsn.Network) {
 			continue
 		}
 		run := nw.Clone()
-		if _, err := pure.Resolve(run, spec, engine.Options{}); err != nil {
+		if _, err := ResolvePure(run, spec, engine.Options{}); err != nil {
 			tb.Fatal(err)
 		}
 		if len(a.violationsFrom(a.propagate(run))) > 0 {
@@ -507,7 +506,7 @@ func BenchmarkResolveHybridFlexScan(b *testing.B) {
 		if len(cand.Violations(r)) == 0 {
 			continue
 		}
-		if _, err := pure.Resolve(r, spec, engine.Options{}); err != nil {
+		if _, err := ResolvePure(r, spec, engine.Options{}); err != nil {
 			continue
 		}
 		if len(cand.Violations(r)) == 0 {

@@ -7,7 +7,6 @@ import (
 	"repro/internal/bench"
 	"repro/internal/dep"
 	"repro/internal/engine"
-	"repro/internal/pure"
 	"repro/internal/rsn"
 	"repro/internal/secspec"
 )
@@ -135,7 +134,7 @@ func TestHybridResolveMatchesReference(t *testing.T) {
 			}
 			ctx := fmt.Sprintf("%s@%g attach %d seed %d", c.name, c.scale, c.attach, seed)
 			nw := base.Clone()
-			if _, err := pure.Resolve(nw, spec, engine.Options{}); err != nil {
+			if _, err := ResolvePure(nw, spec, engine.Options{}); err != nil {
 				t.Fatalf("%s: pure stage: %v", ctx, err)
 			}
 			refNW := nw.Clone()

@@ -1,3 +1,9 @@
+// Package pure holds the tests of the pure-path stage (the method of
+// Raiola et al., IOLTS 2018, that the paper applies first): the
+// resolver, hybrid.ResolvePure, runs on the hybrid witness-repair
+// engine over a register-level view, and these tests drive it from
+// outside and check it against the from-scratch reference resolver of
+// reference_test.go.
 package pure
 
 import (
@@ -5,9 +11,16 @@ import (
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/hybrid"
 	"repro/internal/rsn"
 	"repro/internal/secspec"
 )
+
+// violatingRegisters returns the registers with a pure-path violation,
+// ascending, by the reference propagation.
+func violatingRegisters(nw *rsn.Network, spec *secspec.Spec) []int {
+	return referencePropagate(nw, spec).Violating
+}
 
 // chainSpec builds SI -> A(crypto) -> B(untrusted) -> C(plain) -> SO and
 // a spec where crypto data must not traverse untrusted segments.
@@ -36,7 +49,7 @@ func chainSpec() (*rsn.Network, *secspec.Spec) {
 
 func TestPropagateChain(t *testing.T) {
 	nw, spec := chainSpec()
-	p := Propagate(nw, spec)
+	p := referencePropagate(nw, spec)
 	if got := p.Out(rsn.ScanIn); got != secspec.AllCats(4) {
 		t.Fatalf("scan-in out = %v", got)
 	}
@@ -60,23 +73,23 @@ func TestPropagateChain(t *testing.T) {
 
 func TestFindCulprit(t *testing.T) {
 	nw, spec := chainSpec()
-	x, ok := FindCulprit(nw, spec, 1, nw.PurePredecessors(1, new(rsn.Marks)))
+	x, ok := hybrid.FindCulprit(nw, spec, 1, nw.PurePredecessors(1, new(rsn.Marks)))
 	if !ok || x != 0 {
 		t.Fatalf("culprit = %d, %v", x, ok)
 	}
-	if _, ok := FindCulprit(nw, spec, 2, nw.PurePredecessors(2, new(rsn.Marks))); ok {
+	if _, ok := hybrid.FindCulprit(nw, spec, 2, nw.PurePredecessors(2, new(rsn.Marks))); ok {
 		t.Fatal("C has no culprit")
 	}
 }
 
 func TestResolveChain(t *testing.T) {
 	nw, spec := chainSpec()
-	res, err := Resolve(nw, spec, engine.Options{})
+	res, err := hybrid.ResolvePure(nw, spec, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.ViolatingBefore != 1 {
-		t.Fatalf("ViolatingBefore = %d", res.ViolatingBefore)
+	if res.ViolationsBefore != 1 {
+		t.Fatalf("ViolatingBefore = %d", res.ViolationsBefore)
 	}
 	if len(res.Changes) == 0 {
 		t.Fatal("expected at least one change")
@@ -84,7 +97,7 @@ func TestResolveChain(t *testing.T) {
 	if err := nw.Validate(); err != nil {
 		t.Fatalf("network invalid after resolve: %v", err)
 	}
-	if v := ViolatingRegisters(nw, spec); len(v) != 0 {
+	if v := violatingRegisters(nw, spec); len(v) != 0 {
 		t.Fatalf("violations remain: %v", v)
 	}
 	if nw.PureReaches(rsn.Reg(0), rsn.Reg(1)) {
@@ -101,11 +114,11 @@ func TestResolveNoViolations(t *testing.T) {
 	nw, spec := chainSpec()
 	// Loosen the spec: crypto accepts everything.
 	spec.SetAccepts(0, secspec.AllCats(4))
-	res, err := Resolve(nw, spec, engine.Options{})
+	res, err := hybrid.ResolvePure(nw, spec, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Changes) != 0 || res.ViolatingBefore != 0 {
+	if len(res.Changes) != 0 || res.ViolationsBefore != 0 {
 		t.Fatalf("unexpected changes: %+v", res)
 	}
 }
@@ -143,7 +156,7 @@ func TestResolveDiamondPrefersCheapCut(t *testing.T) {
 	if err := nw.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	res, err := Resolve(nw, spec, engine.Options{})
+	res, err := hybrid.ResolvePure(nw, spec, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +166,7 @@ func TestResolveDiamondPrefersCheapCut(t *testing.T) {
 	if err := nw.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if len(ViolatingRegisters(nw, spec)) != 0 {
+	if len(violatingRegisters(nw, spec)) != 0 {
 		t.Fatal("violations remain")
 	}
 	if nw.PureReaches(rsn.Reg(a), rsn.Reg(b)) {
@@ -185,11 +198,11 @@ func TestResolveMultipleViolations(t *testing.T) {
 	spec.SetTrust(u2, 1)
 	spec.SetAccepts(u2, secspec.AllCats(4))
 
-	res, err := Resolve(nw, spec, engine.Options{})
+	res, err := hybrid.ResolvePure(nw, spec, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ViolatingRegisters(nw, spec)) != 0 {
+	if len(violatingRegisters(nw, spec)) != 0 {
 		t.Fatal("violations remain")
 	}
 	if err := nw.Validate(); err != nil {
@@ -265,15 +278,15 @@ func TestResolveRandomNetworks(t *testing.T) {
 			t.Fatalf("iter %d: generated network invalid: %v", iter, err)
 		}
 		spec := secspec.Generate(len(nw.Modules), secspec.DefaultGenConfig(), rng.Int63())
-		before := len(ViolatingRegisters(nw, spec))
-		res, err := Resolve(nw, spec, engine.Options{})
+		before := len(violatingRegisters(nw, spec))
+		res, err := hybrid.ResolvePure(nw, spec, engine.Options{})
 		if err != nil {
 			t.Fatalf("iter %d: %v", iter, err)
 		}
 		if err := nw.Validate(); err != nil {
 			t.Fatalf("iter %d: invalid after resolve: %v", iter, err)
 		}
-		if v := ViolatingRegisters(nw, spec); len(v) != 0 {
+		if v := violatingRegisters(nw, spec); len(v) != 0 {
 			t.Fatalf("iter %d: %d violations remain", iter, len(v))
 		}
 		if len(nw.Registers) != nRegs {
@@ -302,7 +315,7 @@ func TestChangeCostAndString(t *testing.T) {
 	// The changes the pure stage reports carry the same cost and
 	// description as any other rsn.Change.
 	nw, spec := chainSpec()
-	res, err := Resolve(nw, spec, engine.Options{})
+	res, err := hybrid.ResolvePure(nw, spec, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

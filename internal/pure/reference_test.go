@@ -4,12 +4,13 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/hybrid"
 	"repro/internal/rsn"
 	"repro/internal/secspec"
 )
 
 // This file keeps the former from-scratch pure-path engine as the
-// differential reference for the dirty-cone resolver: every round
+// differential reference for hybrid.ResolvePure: every round
 // re-propagates the whole network in ElementTopoOrder, and every
 // candidate trial is a deep clone propagated from scratch.
 
@@ -72,24 +73,26 @@ func referencePropagate(nw *rsn.Network, spec *secspec.Spec) *refPropagation {
 
 // referenceResolve is the former Resolve: a full propagation per round
 // and per candidate trial.
-func referenceResolve(nw *rsn.Network, spec *secspec.Spec) (*Result, error) {
-	res := &Result{}
+func referenceResolve(nw *rsn.Network, spec *secspec.Spec) (*hybrid.Result, error) {
+	res := &hybrid.Result{}
 	first := true
 	for round := 0; ; round++ {
 		p := referencePropagate(nw, spec)
 		if first {
-			res.ViolatingBefore = len(p.Violating)
+			res.ViolationsBefore = len(p.Violating)
 			first = false
 		}
 		if len(p.Violating) == 0 {
 			return res, nil
 		}
 		y := p.Violating[0]
-		x, ok := FindCulprit(nw, spec, y, nw.PurePredecessors(y, new(rsn.Marks)))
+		x, ok := hybrid.FindCulprit(nw, spec, y, nw.PurePredecessors(y, new(rsn.Marks)))
 		if !ok {
 			return res, fmt.Errorf("pure: register R%d violates but no culprit found", y)
 		}
-		ch, err := referenceResolveOne(nw, spec, p, x, y, round >= maxRounds(nw))
+		// Past the resolver's round bound only the scan-in fallback is
+		// tried.
+		ch, err := referenceResolveOne(nw, spec, p, x, y, round >= 4*len(nw.Registers)+16)
 		if err != nil {
 			return res, err
 		}

@@ -192,9 +192,10 @@ func (s *Server) serveOrSchedule(w http.ResponseWriter, r *http.Request, a *anal
 
 // parentReport extracts the run report stored under the base key —
 // either a plain run-report document (the chain's root) or the report
-// embedded in a previous delta document (mid-chain).
+// embedded in a previous delta document (mid-chain). The lookup is
+// internal, so it counts neither a hit nor a miss.
 func (s *Server) parentReport(baseKey string) (*obs.RunReport, error) {
-	data, ok := s.store.Get(baseKey)
+	data, ok := s.store.find(baseKey, false)
 	if !ok {
 		return nil, fmt.Errorf("parent report %s not in store", shortKey(baseKey))
 	}

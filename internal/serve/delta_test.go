@@ -276,6 +276,45 @@ func TestDeltaEndToEndRealEngine(t *testing.T) {
 	}
 }
 
+// TestStoreCountersCountSubmissionsOnly checks that the store's hit and
+// miss counters move only for submissions: after a base run, a delta
+// submission changes them by its own lookup alone — one miss, since the
+// delta was never run — not by the parent-report read of its job, and a
+// session re-hydration from the persisted record changes neither.
+func TestStoreCountersCountSubmissionsOnly(t *testing.T) {
+	reg := obs.NewRegistry()
+	srv, ts := testServer(t, Config{Registry: reg, Store: StoreConfig{Dir: t.TempDir()}}, nil)
+	body, _ := json.Marshal(AnalysisRequest{ICL: serveICLSample})
+	code, _, data := postJSON(t, ts.URL+"/v1/analyses", string(body))
+	if code != http.StatusAccepted {
+		t.Fatalf("icl submit: HTTP %d: %s", code, data)
+	}
+	st := pollDone(t, ts.URL, decodeStatus(t, data).ID)
+	if st.State != StateDone {
+		t.Fatalf("icl run: %+v", st)
+	}
+	hits, misses := reg.Counter("serve_store_hits_total"), reg.Counter("serve_store_misses_total")
+	h0, m0 := hits.Value(), misses.Value()
+	_, _, key := runDelta(t, ts.URL, st.ID, deltaBody(`{"op":"cut-reconnect","pin":"R2","src":"SI"}`))
+	if dh, dm := hits.Value()-h0, misses.Value()-m0; dh != 0 || dm != 1 {
+		t.Fatalf("delta submission moved hits/misses by %d/%d, want 0/1", dh, dm)
+	}
+
+	// Forget the live session: the next use re-hydrates it from the
+	// persisted record.
+	srv.sessMu.Lock()
+	delete(srv.sessions, key)
+	srv.sessMu.Unlock()
+	h1, m1 := hits.Value(), misses.Value()
+	sess, err := srv.sessionFor(context.Background(), key)
+	if err != nil || !sess.hydrated {
+		t.Fatalf("re-hydration: %v", err)
+	}
+	if dh, dm := hits.Value()-h1, misses.Value()-m1; dh != 0 || dm != 0 {
+		t.Fatalf("session re-hydration moved hits/misses by %d/%d, want 0/0", dh, dm)
+	}
+}
+
 // benchRow strips the timing fields from a report row, leaving the
 // deterministic outcome (structure and change counts).
 func benchRow(doc *reportdiff.DeltaDoc) string {

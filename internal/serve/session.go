@@ -178,10 +178,10 @@ func (s *Server) sessionFor(ctx context.Context, key string) (*session, error) {
 	return sess, nil
 }
 
-// hydrateSession fills a stub session from its persisted record.
-// Called with sess.mu held.
+// hydrateSession fills a stub session from its persisted record, read
+// without counting a store hit or miss. Called with sess.mu held.
 func (s *Server) hydrateSession(ctx context.Context, sess *session) error {
-	data, ok := s.store.Get(sess.key + sessionSuffix)
+	data, ok := s.store.find(sess.key+sessionSuffix, false)
 	if !ok {
 		return fmt.Errorf("no session record for analysis %s (memory-only store, or the base was never analyzed here)", shortKey(sess.key))
 	}
