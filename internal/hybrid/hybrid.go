@@ -470,12 +470,15 @@ func (a *Analysis) srcIdx(ref rsn.Ref) int {
 // wiring is the reverse adjacency of a network's inter-register
 // connections: sinks(s) lists, ascending, the propagation nodes (bit-0
 // scan flip-flops and mux pseudo-nodes) to re-evaluate when node s's
-// out-attribute changes. The fixed path edges are not included; they
-// are read from the CSR arrays. A trial wiring derived by trialWiring
-// shares its parent's rows and overrides only the rows of sources whose
-// sinks changed.
+// out-attribute changes, a mux listing s twice listed twice. The fixed
+// path edges are not included; they are read from the CSR arrays. A
+// resolution's wiring is edited in place (commit): own holds, by node,
+// the rows that replaced rows's, and is allocated on the first edit. A
+// trial wiring derived by trialWiring shares its parent's rows and own
+// and overrides only the rows of sources whose sinks changed.
 type wiring struct {
 	rows     graph.CSR
+	own      [][]int32
 	patchSrc []int32
 	patchRow [][]int32
 }
@@ -487,10 +490,25 @@ func (w *wiring) sinks(s int) []int32 {
 			return w.patchRow[i]
 		}
 	}
+	if s < len(w.own) && w.own[s] != nil {
+		return w.own[s]
+	}
 	if s < w.rows.Len() {
 		return w.rows.Row(s)
 	}
 	return nil
+}
+
+// commit makes tw, a trial wiring derived from w whose change was
+// applied, w's own: its patched rows, never nil, replace w's. Nodes of
+// inserted muxes need no growth of rows: they start with no sinks.
+func (w *wiring) commit(tw *wiring) {
+	for i, s := range tw.patchSrc {
+		if n := int(s) + 1; n > len(w.own) {
+			w.own = append(w.own, make([][]int32, max(n, w.rows.Len())-len(w.own))...)
+		}
+		w.own[s] = tw.patchRow[i]
+	}
 }
 
 // buildWiring derives the reverse wiring adjacency of the network's
@@ -547,12 +565,12 @@ func (a *Analysis) trialWiring(pw *wiring, nw *rsn.Network, rw rsn.Rewiring) (*w
 	for _, c := range changed {
 		a.forSources(nw, int(c), func(s int32) { srcs = append(srcs, s) })
 	}
-	w := &wiring{rows: pw.rows}
+	w := &wiring{rows: pw.rows, own: pw.own}
 	for _, s := range srcs {
 		if slices.Contains(w.patchSrc, s) {
 			continue
 		}
-		var row []int32
+		row := []int32{} // not nil: commit marks own rows by it
 		for _, d := range pw.sinks(int(s)) {
 			if !slices.Contains(changed, d) {
 				row = append(row, d)

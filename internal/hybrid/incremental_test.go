@@ -335,7 +335,8 @@ func TestIncrementalPropagateMatchesFull(t *testing.T) {
 
 // resolveStep runs one resolveOne round outside a resolve stage.
 func resolveStep(a *Analysis, nw *rsn.Network, cur *propagation, rs *roundState, u, v int, hops []hop, before int) (*propagation, error) {
-	_, next, err := a.resolveOne(engine.Stage{}, nw, cur, rs, u, v, hops, before)
+	w := a.buildWiring(nw)
+	_, next, _, err := a.resolveOne(engine.Stage{}, nw, cur, rs, w, a.rounds(nw, w, 1), u, v, hops, before)
 	return next, err
 }
 

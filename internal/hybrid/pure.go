@@ -72,10 +72,11 @@ func maxRounds(nw *rsn.Network) int { return 4*len(nw.Registers) + 16 }
 // network valid. The register view is propagated once up front; every
 // candidate trial is a witness repair of the round's fixed point
 // (delta), fanned out over opts' workers, and only the winner's is
-// materialised. A cyclic network is refused; a cyclic trial wiring
-// still repairs to a fixed point, and ApplyBest's validation never
-// applies it. opts' context is checked every round, and the stage
-// "pure-resolve" is reported through opts' stats and tracer.
+// materialised, with Resolve's committed wiring and clones. A cyclic
+// network is refused; a cyclic trial wiring still repairs to a fixed
+// point, and ApplyRound's validation never applies it. opts' context
+// is checked every round, and the stage "pure-resolve" is reported
+// through opts' stats and tracer.
 func ResolvePure(nw *rsn.Network, spec *secspec.Spec, opts engine.Options) (*Result, error) {
 	stage := opts.Begin("pure-resolve")
 	defer stage.End()
@@ -85,13 +86,16 @@ func ResolvePure(nw *rsn.Network, spec *secspec.Spec, opts engine.Options) (*Res
 			obs.Int("changes", int64(len(res.Changes))))
 	}()
 	a := newRegisterView(nw, spec)
-	if !acyclic(a.buildWiring(nw)) {
+	w := a.buildWiring(nw)
+	if !acyclic(w) {
 		return res, fmt.Errorf("pure: scan network %q is cyclic", nw.Name)
 	}
 	cur := a.propagate(nw)
-	res.ViolationsBefore = len(a.violationsFrom(cur))
+	viols := len(a.violationsFrom(cur))
+	res.ViolationsBefore = viols
 	rs := getRoundState()
 	defer roundPool.Put(rs)
+	rr := a.rounds(nw, w, opts.WorkerCount())
 	for round := 0; ; round++ {
 		if err := opts.Err(); err != nil {
 			return res, err
@@ -107,30 +111,35 @@ func ResolvePure(nw *rsn.Network, spec *secspec.Spec, opts engine.Options) (*Res
 		if !ok {
 			return res, fmt.Errorf("pure: register R%d violates but no culprit found", y)
 		}
-		ch, next, err := a.resolvePureOne(nw, cur, rs, preds, x, y, round >= maxRounds(nw), opts.WorkerCount())
+		ch, next, dv, err := a.resolvePureOne(nw, cur, rs, w, rr, preds, x, y, round >= maxRounds(nw))
 		if err != nil {
 			return res, err
 		}
 		res.Changes = append(res.Changes, ch)
-		cur = next
+		cur, viols = next, viols+dv
+		if roundCheck != nil {
+			roundCheck(a, nw, w, rr, cur, viols)
+		}
 	}
 }
 
 // pureScore is one accepted pure trial: its structural cost, its change
-// in the number of violating registers and its fixed point's difference
-// from the round's.
+// in the number of violating registers, its fixed point's difference
+// from the round's and its wiring.
 type pureScore struct {
 	cost, dv int
 	diff     *attrDiff
+	tw       *wiring
 }
 
 // resolvePureOne repairs the flow from register x into register y by
 // cutting y's input and re-connecting the separated segments. cur is
-// the fixed point of nw's current wiring and preds y's pure-path
-// predecessors; the returned fixed point, with its levels, is the
-// applied change's and lives in rs. With fallbackOnly set, only the
+// the fixed point of nw's current wiring w and preds y's pure-path
+// predecessors; the returned fixed point, with its levels and its
+// change in violating registers, is the applied change's and lives in
+// rs, and w is edited to its wiring. With fallbackOnly set, only the
 // always-valid candidate (connect y to the scan-in port) is considered.
-func (a *Analysis) resolvePureOne(nw *rsn.Network, cur *propagation, rs *roundState, preds []int, x, y int, fallbackOnly bool, workers int) (rsn.Change, *propagation, error) {
+func (a *Analysis) resolvePureOne(nw *rsn.Network, cur *propagation, rs *roundState, w *wiring, rr *rsn.Rounds, preds []int, x, y int, fallbackOnly bool) (rsn.Change, *propagation, int, error) {
 	// Every predecessor of a deep chain position would cost a trial
 	// each, so the predecessor candidates are capped.
 	limit := 6
@@ -141,7 +150,6 @@ func (a *Analysis) resolvePureOne(nw *rsn.Network, cur *propagation, rs *roundSt
 	cands := rsn.AppendCandidates(nil, y, preds, nw.Registers[y].In, limit, func(pr int) bool {
 		return cur.attrOut[pr].Has(trust)
 	})
-	w := a.buildWiring(nw)
 	defer rs.release()
 	trial := func(net *rsn.Network, rw rsn.Rewiring) (pureScore, bool) {
 		tw, seeds := a.trialWiring(w, net, rw)
@@ -152,17 +160,18 @@ func (a *Analysis) resolvePureOne(nw *rsn.Network, cur *propagation, rs *roundSt
 		if (!in.Has(trust) && net.PureReaches(rsn.Reg(x), rsn.Reg(y))) || dv > 0 {
 			return pureScore{}, false
 		}
-		return pureScore{1 + len(net.Muxes) - rw.Muxes, dv, d}, true
+		return pureScore{1 + len(net.Muxes) - rw.Muxes, dv, d, tw}, true
 	}
-	ch, best, ok := rsn.ApplyBest(nw, cands, workers, trial, func(s, t pureScore) bool {
+	ch, best, ok := rsn.ApplyRound(rr, cands, trial, func(s, t pureScore) bool {
 		return s.cost < t.cost || (s.cost == t.cost && s.dv < t.dv)
 	})
 	if !ok {
 		// The fallback candidate cannot fail validation; reaching this
 		// point indicates an internal inconsistency.
-		return rsn.Change{}, nil, fmt.Errorf("pure: no valid candidate to separate R%d from R%d", x, y)
+		return rsn.Change{}, nil, 0, fmt.Errorf("pure: no valid candidate to separate R%d from R%d", x, y)
 	}
+	w.commit(best.tw)
 	size := a.total + len(nw.Muxes)
 	next, nlv := rs.next(size * a.ncat())
-	return ch, a.materialise(next, cur, cur.lv, best.diff, size, nlv), nil
+	return ch, a.materialise(next, cur, cur.lv, best.diff, size, nlv), best.dv, nil
 }

@@ -100,7 +100,8 @@ func referenceResolve(a *Analysis, nw *rsn.Network) ([]rsn.Change, error) {
 // Resolve at 1 and 4 workers with the identical change list the
 // reference applies. FlexScan at scale 0.01, perfbench's flexscan
 // shape, is also run with the circuit attached under each of
-// flexScanSeeds.
+// flexScanSeeds. Every round of both stages runs under the every-round
+// oracle (checkRounds).
 func TestHybridResolveMatchesReference(t *testing.T) {
 	type tcase struct {
 		name   string
@@ -118,6 +119,7 @@ func TestHybridResolveMatchesReference(t *testing.T) {
 		}
 		cases = append(cases, tcase{b.Name, b.ScaleForTarget(700), 1})
 	}
+	rounds := checkRounds(t)
 	total := 0
 	for _, c := range cases {
 		b, _ := bench.ByName(c.name)
@@ -163,5 +165,5 @@ func TestHybridResolveMatchesReference(t *testing.T) {
 	if total == 0 {
 		t.Fatal("no changes compared")
 	}
-	t.Logf("%d changes compared", total)
+	t.Logf("%d changes compared, %d rounds checked", total, *rounds)
 }

@@ -132,10 +132,11 @@ func maxChanges(nw *rsn.Network) int { return 8*len(nw.Registers) + 64 }
 // the changed wiring breaks or creates are re-derived) into an overlay
 // that yields the trial's score and a compact diff, and only the
 // winning candidate's diff is materialised as the next iteration's
-// fixed point (rsn.ApplyBest applies the winner with the same Rewire
-// its trial used). Candidate trials fan out over the engine's worker
-// pool; the unique greatest fixed point and the strict tie-break in
-// candidate order keep the applied changes byte-identical to the
+// fixed point, with its violation count (rsn.ApplyRound applies the
+// winner with the same rewiring its trial used, and the wiring, built
+// once, is edited to it). Candidate trials fan out over the engine's
+// worker pool; the unique greatest fixed point and the strict tie-break
+// in candidate order keep the applied changes byte-identical to the
 // sequential evaluation at any worker count. The analysis's engine
 // context is honored between iterations, and the stage's wall time and
 // change count are reported through its engine stats.
@@ -150,48 +151,71 @@ func Resolve(a *Analysis, nw *rsn.Network) (*Result, error) {
 	}()
 	ctx := a.eng.Ctx()
 	cur := a.fixedPoint(nw)
-	res.ViolationsBefore = len(a.violationsFrom(cur))
+	viols := len(a.violationsFrom(cur))
+	res.ViolationsBefore = viols
 	rs := getRoundState()
 	defer roundPool.Put(rs)
+	var w *wiring
+	var rr *rsn.Rounds
 	for {
 		if err := ctx.Err(); err != nil {
 			return res, err
 		}
-		viols := a.violationsFrom(cur)
-		if len(viols) == 0 {
+		v := a.firstViolation(cur)
+		if v < 0 {
 			return res, nil
 		}
 		if len(res.Changes) >= maxChanges(nw) {
-			return res, fmt.Errorf("hybrid: resolution did not converge after %d changes (%d violations left)", len(res.Changes), len(viols))
+			return res, fmt.Errorf("hybrid: resolution did not converge after %d changes (%d violations left)", len(res.Changes), viols)
 		}
-		v := viols[0].Node
 		u, _, hops, err := a.flowChain(nw, v, &rs.chain)
 		if err != nil {
 			return res, err
 		}
-		ch, next, err := a.resolveOne(stage, nw, cur, rs, u, v, hops, len(viols))
+		if w == nil {
+			w = a.buildWiring(nw)
+			rr = a.rounds(nw, w, a.eng.WorkerCount())
+		}
+		ch, next, after, err := a.resolveOne(stage, nw, cur, rs, w, rr, u, v, hops, viols)
 		if err != nil {
 			return res, err
 		}
 		res.Changes = append(res.Changes, ch)
-		cur = next
+		cur, viols = next, after
+		if roundCheck != nil {
+			roundCheck(a, nw, w, rr, cur, viols)
+		}
 	}
 }
 
+// roundCheck, when set (by the package's tests), runs after every
+// change a resolution applies, on the state the next round starts from.
+var roundCheck func(a *Analysis, nw *rsn.Network, w *wiring, rr *rsn.Rounds, cur *propagation, viols int)
+
+// rounds returns the round state of a resolution of nw whose current
+// wiring is w: the pins a source feeds are its row's length, and the
+// candidates come from rsn.AppendCandidates.
+func (a *Analysis) rounds(nw *rsn.Network, w *wiring, workers int) *rsn.Rounds {
+	fed := func(src rsn.Ref) int { return len(w.sinks(a.srcIdx(src))) }
+	return &rsn.Rounds{Net: nw, Workers: workers, Fed: fed, Upstream: true}
+}
+
 // hybridScore is one accepted trial: whether it removes the targeted
-// violation, the number of violations after it, its inserted muxes and
-// its fixed point's difference from the round's.
+// violation, the number of violations after it, its inserted muxes,
+// its fixed point's difference from the round's and its wiring.
 type hybridScore struct {
 	removed      bool
 	after, muxes int
 	diff         *attrDiff
+	tw           *wiring
 }
 
 // resolveOne cuts one wiring hop of the violating flow and re-connects
 // the separated segments, applying the best acceptable candidate. cur
-// is the fixed point of nw's current wiring; the returned fixed point,
-// with its levels, is the applied change's and lives in rs.
-func (a *Analysis) resolveOne(stage engine.Stage, nw *rsn.Network, cur *propagation, rs *roundState, u, v int, hops []hop, before int) (rsn.Change, *propagation, error) {
+// is the fixed point of nw's current wiring w, with before violations;
+// the returned fixed point, with its levels and violation count, is the
+// applied change's and lives in rs, and w is edited to its wiring.
+func (a *Analysis) resolveOne(stage engine.Stage, nw *rsn.Network, cur *propagation, rs *roundState, w *wiring, rr *rsn.Rounds, u, v int, hops []hop, before int) (rsn.Change, *propagation, int, error) {
 	var cands []rsn.Candidate
 	for _, h := range hops {
 		trust := a.Spec.Trust[a.regModule[h.To]]
@@ -200,15 +224,13 @@ func (a *Analysis) resolveOne(stage engine.Stage, nw *rsn.Network, cur *propagat
 		})
 	}
 	stage.AddItems(int64(len(cands)))
-	// The current wiring's reverse adjacency, built once per round; each
-	// trial patches only the sinks its cut/reconnect changed. The
+	// Each trial patches only the sinks its cut/reconnect changed. The
 	// witness levels are cur's — the previous winner's repaired ones,
 	// or the cached fixed point's — or, when it has none, a level BFS's.
-	// Trials are overlays that return their
-	// score and diff, and only the winner's diff is materialised. The
-	// repair reproduces the unique greatest fixed point, so the worker
-	// count cannot change any score.
-	w := a.buildWiring(nw)
+	// Trials are overlays that return their score and diff, and only
+	// the winner's diff is materialised. The repair reproduces the
+	// unique greatest fixed point, so the worker count cannot change
+	// any score.
 	lv := cur.lv
 	if lv == nil {
 		_, lv = rs.next(len(cur.attrOut) * a.ncat())
@@ -220,9 +242,9 @@ func (a *Analysis) resolveOne(stage engine.Stage, nw *rsn.Network, cur *propagat
 		tw, seeds := a.trialWiring(w, net, rw)
 		d := rs.diff()
 		dv, in := a.delta(cur, lv, tw, net, seeds, v, d)
-		return hybridScore{in.Has(trust), before + dv, len(net.Muxes) - rw.Muxes, d}, dv <= 0
+		return hybridScore{in.Has(trust), before + dv, len(net.Muxes) - rw.Muxes, d, tw}, dv <= 0
 	}
-	ch, best, ok := rsn.ApplyBest(nw, cands, a.eng.WorkerCount(), trial, func(s, t hybridScore) bool {
+	ch, best, ok := rsn.ApplyRound(rr, cands, trial, func(s, t hybridScore) bool {
 		if s.removed != t.removed {
 			return s.removed
 		}
@@ -232,9 +254,10 @@ func (a *Analysis) resolveOne(stage engine.Stage, nw *rsn.Network, cur *propagat
 		return s.muxes < t.muxes
 	})
 	if !ok {
-		return rsn.Change{}, nil, fmt.Errorf("hybrid: no valid candidate to sever flow %s -> %s", a.NodeName(u), a.NodeName(v))
+		return rsn.Change{}, nil, 0, fmt.Errorf("hybrid: no valid candidate to sever flow %s -> %s", a.NodeName(u), a.NodeName(v))
 	}
+	w.commit(best.tw)
 	size := a.total + len(nw.Muxes)
 	next, nlv := rs.next(size * a.ncat())
-	return ch, a.materialise(next, cur, lv, best.diff, size, nlv), nil
+	return ch, a.materialise(next, cur, lv, best.diff, size, nlv), best.after, nil
 }

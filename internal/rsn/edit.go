@@ -54,16 +54,32 @@ type Rewiring struct {
 // score a candidate change by applying it in place, evaluating, and
 // undoing it, instead of cloning the network per candidate.
 func (nw *Network) Rewire(pin Sink, newSrc Ref) (Rewiring, error) {
+	return nw.rewire(pin, newSrc, nil)
+}
+
+// rewire is Rewire deciding with drivesAfter whether the cut left the
+// old source driving nothing.
+func (nw *Network) rewire(pin Sink, newSrc Ref, fed func(Ref) int) (Rewiring, error) {
 	oldSrc := nw.SinkSource(pin)
 	if oldSrc == newSrc {
 		return Rewiring{}, fmt.Errorf("rsn: cut would not change pin of %v", pin.Elem)
 	}
 	rw := Rewiring{Muxes: len(nw.Muxes)}
 	rw.set(nw, pin, newSrc)
-	if (oldSrc.Kind == KRegister || oldSrc.Kind == KMux) && !nw.drives(oldSrc) {
+	if (oldSrc.Kind == KRegister || oldSrc.Kind == KMux) && !nw.drivesAfter(oldSrc, pin, fed) {
 		nw.reattach(oldSrc, &rw)
 	}
 	return rw, nil
+}
+
+// drivesAfter reports whether src, just cut from pin, still feeds an
+// input pin: with fed (see Rounds.Fed), whether its round-start count
+// less pin leaves one, or it drives scan-out; otherwise by a scan.
+func (nw *Network) drivesAfter(src Ref, pin Sink, fed func(Ref) int) bool {
+	if fed == nil {
+		return nw.drives(src)
+	}
+	return fed(src) > 1 || fed(src) == 1 && pin.Elem.Kind == KScanOut || nw.OutSrc == src
 }
 
 // set rewires one pin, recording its previous source.

@@ -1,6 +1,7 @@
 package rsn
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -35,58 +36,91 @@ func AppendCandidates(dst []Candidate, reg int, preds []int, skip Ref, limit int
 	return append(dst, Candidate{pin, ScanIn})
 }
 
-// ApplyBest runs one resolution round over cands and applies the
-// winner to nw. Each candidate is applied in place with Rewire, scored
-// by trial and undone; trial reports false to reject it. With workers
-// > 1 the trials fan out over nw and workers−1 clones of its wiring
+// Rounds is the state successive resolution rounds on one network
+// share: the workers' wiring clones, made once and kept in step with
+// Net by replaying each applied change, and whether Net is settled, so
+// that winners are validated locally. The zero values of the fields
+// give ApplyBest's behaviour. Net must change only through ApplyRound.
+type Rounds struct {
+	Net *Network
+	// Workers is the number of goroutines the trials fan out over.
+	Workers int
+	// Fed, when set, returns the number of register and mux input pins
+	// src feeds at round start, a mux listing src twice counting twice;
+	// trials then decide "drives nothing" without scanning the network.
+	Fed func(src Ref) int
+	// Upstream promises that every candidate's source is scan-in or a
+	// pure-path predecessor of its pin's element (AppendCandidates'),
+	// so that its edge closes no cycle on a valid network.
+	Upstream bool
+
+	clones         []*Network
+	checked, valid bool
+}
+
+// Clones returns the worker clones made so far; between rounds each
+// has Net's wiring.
+func (r *Rounds) Clones() []*Network { return r.clones }
+
+// ApplyBest runs one resolution round over cands on nw with a fresh
+// Rounds: clones for this round only, the network scanned for
+// consumers and any register or mux source walked for a cycle.
+func ApplyBest[S any](nw *Network, cands []Candidate, workers int, trial func(net *Network, rw Rewiring) (S, bool), better func(s, t S) bool) (Change, S, bool) {
+	return ApplyRound(&Rounds{Net: nw, Workers: workers}, cands, trial, better)
+}
+
+// ApplyRound runs one resolution round over cands and applies the
+// winner to r.Net. Each candidate is applied in place with Rewire,
+// scored by trial and undone; trial reports false to reject it. With
+// more than one worker the trials fan out over r.Net and wiring clones
 // (which share the registers' Capture/Update links and the modules, so
 // trial must not write those) into candidate-order slots, so the
 // winner does not depend on scheduling as long as trial's score
 // depends only on the wiring. The winner is the best accepted score
 // under the strict order better, the earliest candidate among equals.
 //
-// Structural validation is deferred to winner selection: candidates
-// rarely fail it, so scoring first and validating only the prospective
-// winner trades a graph traversal per candidate for one per change. A
-// winner that fails Validate is undone and discarded and the scan
-// repeated, which selects exactly the best valid candidate. ApplyBest
-// returns the applied change with the winner's score, or false if no
-// candidate is accepted and valid, leaving nw unchanged.
-func ApplyBest[S any](nw *Network, cands []Candidate, workers int, trial func(net *Network, rw Rewiring) (S, bool), better func(s, t S) bool) (Change, S, bool) {
+// Only the prospective winner is validated (keepsValid; Net itself in
+// full on the first round); one that fails is undone and discarded and
+// the scan repeated, which selects exactly the best valid candidate.
+// The applied change is replayed on every clone. ApplyRound returns it
+// with the winner's score, or false if no candidate is accepted and
+// valid, leaving Net unchanged.
+func ApplyRound[S any](r *Rounds, cands []Candidate, trial func(net *Network, rw Rewiring) (S, bool), better func(s, t S) bool) (Change, S, bool) {
+	nw := r.Net
+	if !r.checked {
+		r.checked, r.valid = true, nw.settled()
+	}
 	scores := make([]S, len(cands))
 	ok := make([]bool, len(cands))
 	try := func(net *Network, i int) {
-		rw, err := net.Rewire(cands[i].Pin, cands[i].NewSrc)
+		rw, err := net.rewire(cands[i].Pin, cands[i].NewSrc, r.Fed)
 		if err != nil {
 			return
 		}
 		scores[i], ok[i] = trial(net, rw)
 		net.Undo(rw)
 	}
-	if workers = min(workers, len(cands)); workers > 1 {
-		// nw serves one worker; the others run on wiring clones, taken
-		// before any trial rewires nw.
-		nets := []*Network{nw}
-		for range workers - 1 {
-			nets = append(nets, nw.cloneWiring())
-		}
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for _, net := range nets {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := int(next.Add(1)) - 1; i < len(cands); i = int(next.Add(1)) - 1 {
-					try(net, i)
-				}
-			}()
-		}
-		wg.Wait()
-	} else {
-		for i := range cands {
-			try(nw, i)
+	var next atomic.Int64
+	work := func(net *Network) {
+		for i := int(next.Add(1)) - 1; i < len(cands); i = int(next.Add(1)) - 1 {
+			try(net, i)
 		}
 	}
+	// The calling goroutine works on nw; the others on the clones.
+	var wg sync.WaitGroup
+	for k := range min(r.Workers, len(cands)) - 1 {
+		if k == len(r.clones) {
+			r.clones = append(r.clones, nw.cloneWiring())
+		}
+		cp := r.clones[k]
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work(cp)
+		}()
+	}
+	work(nw)
+	wg.Wait()
 	for {
 		best := -1
 		for i := range cands {
@@ -100,12 +134,59 @@ func ApplyBest[S any](nw *Network, cands []Candidate, workers int, trial func(ne
 		}
 		c := cands[best]
 		oldSrc := nw.SinkSource(c.Pin)
-		if rw, err := nw.Rewire(c.Pin, c.NewSrc); err == nil {
-			if nw.Validate() == nil {
+		if rw, err := nw.rewire(c.Pin, c.NewSrc, r.Fed); err == nil {
+			if r.keepsValid(c) {
+				r.replay(rw)
 				return Change{Cut: c.Pin, OldSrc: oldSrc, NewSrc: c.NewSrc, NewMuxes: len(nw.Muxes) - rw.Muxes}, scores[best], true
 			}
 			nw.Undo(rw)
 		}
 		ok[best] = false
+	}
+}
+
+// keepsValid reports whether Net is valid after candidate c was
+// applied. When Net was settled before, that holds exactly when the
+// new source is in range and the new edge closes no cycle (DESIGN.md,
+// "Resolve loop at change cost", gives the argument), which it does
+// exactly when the pin's element reaches the source. The change keeps
+// Net settled.
+func (r *Rounds) keepsValid(c Candidate) bool {
+	nw := r.Net
+	switch src := c.NewSrc; {
+	case !r.valid:
+	case src == ScanIn:
+		return true
+	case src.Kind == KRegister && src.ID >= 0 && int(src.ID) < len(nw.Registers),
+		src.Kind == KMux && src.ID >= 0 && int(src.ID) < len(nw.Muxes):
+		return r.Upstream || !nw.PureReaches(c.Pin.Elem, src)
+	}
+	return nw.Validate() == nil
+}
+
+// settled reports whether nw is valid and every mux, like every
+// register, reaches scan-out: then a source that keeps a consumer
+// after a cut keeps its path to scan-out.
+func (nw *Network) settled() bool {
+	s := searchPool.Get().(*searchScratch)
+	defer searchPool.Put(s)
+	ok := nw.Validate() == nil && nw.searchInputs(s, false) == ""
+	for m := range nw.Muxes {
+		ok = ok && s.state[nw.RefIndex(Mx(m))]&toScanOut != 0
+	}
+	return ok
+}
+
+// replay applies rw, the change just applied to Net, to every clone:
+// the inserted muxes, then the rewired pins' new sources.
+func (r *Rounds) replay(rw Rewiring) {
+	nw := r.Net
+	for _, cp := range r.clones {
+		for _, m := range nw.Muxes[rw.Muxes:] {
+			cp.Muxes = append(cp.Muxes, Mux{Name: m.Name, Inputs: slices.Clone(m.Inputs)})
+		}
+		for _, p := range rw.Pins {
+			cp.SetSink(p, nw.SinkSource(p))
+		}
 	}
 }
