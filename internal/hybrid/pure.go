@@ -91,8 +91,7 @@ func ResolvePure(nw *rsn.Network, spec *secspec.Spec, opts engine.Options) (*Res
 		return res, fmt.Errorf("pure: scan network %q is cyclic", nw.Name)
 	}
 	cur := a.propagate(nw)
-	viols := len(a.violationsFrom(cur))
-	res.ViolationsBefore = viols
+	res.ViolationsBefore = len(a.violationsFrom(cur))
 	rs := getRoundState()
 	defer roundPool.Put(rs)
 	rr := a.rounds(nw, w, opts.WorkerCount())
@@ -111,14 +110,14 @@ func ResolvePure(nw *rsn.Network, spec *secspec.Spec, opts engine.Options) (*Res
 		if !ok {
 			return res, fmt.Errorf("pure: register R%d violates but no culprit found", y)
 		}
-		ch, next, dv, err := a.resolvePureOne(nw, cur, rs, w, rr, preds, x, y, round >= maxRounds(nw))
+		ch, next, err := a.resolvePureOne(nw, cur, rs, w, rr, preds, x, y, round >= maxRounds(nw))
 		if err != nil {
 			return res, err
 		}
 		res.Changes = append(res.Changes, ch)
-		cur, viols = next, viols+dv
+		cur = next
 		if roundCheck != nil {
-			roundCheck(a, nw, w, rr, cur, viols)
+			roundCheck(a, nw, w, rr, cur, -1)
 		}
 	}
 }
@@ -135,11 +134,11 @@ type pureScore struct {
 // resolvePureOne repairs the flow from register x into register y by
 // cutting y's input and re-connecting the separated segments. cur is
 // the fixed point of nw's current wiring w and preds y's pure-path
-// predecessors; the returned fixed point, with its levels and its
-// change in violating registers, is the applied change's and lives in
-// rs, and w is edited to its wiring. With fallbackOnly set, only the
-// always-valid candidate (connect y to the scan-in port) is considered.
-func (a *Analysis) resolvePureOne(nw *rsn.Network, cur *propagation, rs *roundState, w *wiring, rr *rsn.Rounds, preds []int, x, y int, fallbackOnly bool) (rsn.Change, *propagation, int, error) {
+// predecessors; the returned fixed point, with its levels, is the
+// applied change's and lives in rs, and w is edited to its wiring.
+// With fallbackOnly set, only the always-valid candidate (connect y to
+// the scan-in port) is considered.
+func (a *Analysis) resolvePureOne(nw *rsn.Network, cur *propagation, rs *roundState, w *wiring, rr *rsn.Rounds, preds []int, x, y int, fallbackOnly bool) (rsn.Change, *propagation, error) {
 	// Every predecessor of a deep chain position would cost a trial
 	// each, so the predecessor candidates are capped.
 	limit := 6
@@ -168,10 +167,10 @@ func (a *Analysis) resolvePureOne(nw *rsn.Network, cur *propagation, rs *roundSt
 	if !ok {
 		// The fallback candidate cannot fail validation; reaching this
 		// point indicates an internal inconsistency.
-		return rsn.Change{}, nil, 0, fmt.Errorf("pure: no valid candidate to separate R%d from R%d", x, y)
+		return rsn.Change{}, nil, fmt.Errorf("pure: no valid candidate to separate R%d from R%d", x, y)
 	}
 	w.commit(best.tw)
 	size := a.total + len(nw.Muxes)
 	next, nlv := rs.next(size * a.ncat())
-	return ch, a.materialise(next, cur, cur.lv, best.diff, size, nlv), best.dv, nil
+	return ch, a.materialise(next, cur, cur.lv, best.diff, size, nlv), nil
 }

@@ -189,7 +189,9 @@ func Resolve(a *Analysis, nw *rsn.Network) (*Result, error) {
 }
 
 // roundCheck, when set (by the package's tests), runs after every
-// change a resolution applies, on the state the next round starts from.
+// change a resolution applies, on the state the next round starts from;
+// viols is the carried violation count, -1 in ResolvePure, which
+// carries none.
 var roundCheck func(a *Analysis, nw *rsn.Network, w *wiring, rr *rsn.Rounds, cur *propagation, viols int)
 
 // rounds returns the round state of a resolution of nw whose current
@@ -197,7 +199,7 @@ var roundCheck func(a *Analysis, nw *rsn.Network, w *wiring, rr *rsn.Rounds, cur
 // candidates come from rsn.AppendCandidates.
 func (a *Analysis) rounds(nw *rsn.Network, w *wiring, workers int) *rsn.Rounds {
 	fed := func(src rsn.Ref) int { return len(w.sinks(a.srcIdx(src))) }
-	return &rsn.Rounds{Net: nw, Workers: workers, Fed: fed, Upstream: true}
+	return &rsn.Rounds{Net: nw, Workers: workers, Fed: fed}
 }
 
 // hybridScore is one accepted trial: whether it removes the targeted

@@ -16,8 +16,8 @@ import (
 // rest of tb: after every change a resolution applies, the committed
 // wiring must equal buildWiring's row for row, the network must pass
 // Validate, every worker clone must have the network's wiring and the
-// carried violation count must equal a fresh count. It returns the
-// number of rounds checked so far.
+// carried violation count, where there is one (viols >= 0), must equal
+// a fresh count. It returns the number of rounds checked so far.
 func checkRounds(tb testing.TB) *int {
 	tb.Helper()
 	n := new(int)
@@ -32,7 +32,7 @@ func checkRounds(tb testing.TB) *int {
 				tb.Fatalf("round %d: clone %d differs from the network at %v (%d muxes, network %d)", *n, i, d, len(cp.Muxes), len(nw.Muxes))
 			}
 		}
-		if got := len(a.violationsFrom(cur)); got != viols {
+		if got := len(a.violationsFrom(cur)); viols >= 0 && got != viols {
 			tb.Fatalf("round %d: carried violation count %d, fresh count %d", *n, viols, got)
 		}
 		*n++

@@ -39,8 +39,8 @@ func AppendCandidates(dst []Candidate, reg int, preds []int, skip Ref, limit int
 // Rounds is the state successive resolution rounds on one network
 // share: the workers' wiring clones, made once and kept in step with
 // Net by replaying each applied change, and whether Net is settled, so
-// that winners are validated locally. The zero values of the fields
-// give ApplyBest's behaviour. Net must change only through ApplyRound.
+// that winners are validated locally. Net must change only through
+// ApplyRound.
 type Rounds struct {
 	Net *Network
 	// Workers is the number of goroutines the trials fan out over.
@@ -49,10 +49,6 @@ type Rounds struct {
 	// src feeds at round start, a mux listing src twice counting twice;
 	// trials then decide "drives nothing" without scanning the network.
 	Fed func(src Ref) int
-	// Upstream promises that every candidate's source is scan-in or a
-	// pure-path predecessor of its pin's element (AppendCandidates'),
-	// so that its edge closes no cycle on a valid network.
-	Upstream bool
 
 	clones         []*Network
 	checked, valid bool
@@ -62,22 +58,23 @@ type Rounds struct {
 // has Net's wiring.
 func (r *Rounds) Clones() []*Network { return r.clones }
 
-// ApplyBest runs one resolution round over cands on nw with a fresh
-// Rounds: clones for this round only, the network scanned for
-// consumers and any register or mux source walked for a cycle.
+// ApplyBest runs one resolution round over cands, which may come from
+// anywhere, on nw: clones for this round only, the network scanned for
+// consumers and every prospective winner validated in full.
 func ApplyBest[S any](nw *Network, cands []Candidate, workers int, trial func(net *Network, rw Rewiring) (S, bool), better func(s, t S) bool) (Change, S, bool) {
-	return ApplyRound(&Rounds{Net: nw, Workers: workers}, cands, trial, better)
+	return ApplyRound(&Rounds{Net: nw, Workers: workers, checked: true}, cands, trial, better)
 }
 
-// ApplyRound runs one resolution round over cands and applies the
-// winner to r.Net. Each candidate is applied in place with Rewire,
-// scored by trial and undone; trial reports false to reject it. With
-// more than one worker the trials fan out over r.Net and wiring clones
-// (which share the registers' Capture/Update links and the modules, so
-// trial must not write those) into candidate-order slots, so the
-// winner does not depend on scheduling as long as trial's score
-// depends only on the wiring. The winner is the best accepted score
-// under the strict order better, the earliest candidate among equals.
+// ApplyRound runs one resolution round over cands, which come from
+// AppendCandidates, and applies the winner to r.Net. Each candidate is
+// applied in place with Rewire, scored by trial and undone; trial
+// reports false to reject it. With more than one worker the trials fan
+// out over r.Net and wiring clones (which share the registers'
+// Capture/Update links and the modules, so trial must not write those)
+// into candidate-order slots, so the winner does not depend on
+// scheduling as long as trial's score depends only on the wiring. The
+// winner is the best accepted score under the strict order better, the
+// earliest candidate among equals.
 //
 // Only the prospective winner is validated (keepsValid; Net itself in
 // full on the first round); one that fails is undone and discarded and
@@ -146,22 +143,17 @@ func ApplyRound[S any](r *Rounds, cands []Candidate, trial func(net *Network, rw
 }
 
 // keepsValid reports whether Net is valid after candidate c was
-// applied. When Net was settled before, that holds exactly when the
-// new source is in range and the new edge closes no cycle (DESIGN.md,
-// "Resolve loop at change cost", gives the argument), which it does
-// exactly when the pin's element reaches the source. The change keeps
-// Net settled.
+// applied. When Net was settled before, that holds when the new source
+// is in range and the new edge closes no cycle (DESIGN.md, "Resolve
+// loop at change cost", gives the argument); an AppendCandidates
+// source, scan-in or a pure-path predecessor of the pin's register,
+// closes none. The change keeps Net settled.
 func (r *Rounds) keepsValid(c Candidate) bool {
-	nw := r.Net
-	switch src := c.NewSrc; {
-	case !r.valid:
-	case src == ScanIn:
+	src := c.NewSrc
+	if r.valid && (src == ScanIn || src.Kind == KRegister && src.ID >= 0 && int(src.ID) < len(r.Net.Registers)) {
 		return true
-	case src.Kind == KRegister && src.ID >= 0 && int(src.ID) < len(nw.Registers),
-		src.Kind == KMux && src.ID >= 0 && int(src.ID) < len(nw.Muxes):
-		return r.Upstream || !nw.PureReaches(c.Pin.Elem, src)
 	}
-	return nw.Validate() == nil
+	return r.Net.Validate() == nil
 }
 
 // settled reports whether nw is valid and every mux, like every

@@ -137,54 +137,53 @@ func TestRewireFedMatchesScan(t *testing.T) {
 }
 
 // TestKeepsValidMatchesValidate checks the local winner validation
-// against a full Validate: for every pin and source of the edge-case
-// and random networks the change is applied and keepsValid must agree
-// with Validate, with Upstream for AppendCandidates' candidates and
-// without it for all; on the unconnected-input network, whose input is
-// invalid, it must fall back to Validate.
+// against a full Validate: for every AppendCandidates candidate of
+// every register of the edge-case and random networks the change is
+// applied and keepsValid must agree with Validate, locally on settled
+// networks and by falling back to Validate on the others (the
+// unconnected-input network, whose input is invalid, and the network
+// whose mux feeds nothing).
 func TestKeepsValidMatchesValidate(t *testing.T) {
 	nets := edgeNetworks()
 	rng := rand.New(rand.NewSource(33))
 	for i := range 200 {
 		nets["random"+string(rune('a'+i%26))+string(rune('0'+i/26))] = randomAccessNetwork(rng, 2+rng.Intn(10))
 	}
-	checked, cyclic := 0, 0
+	local, fallback := 0, 0
 	for name, nw := range nets {
-		var upstream []Candidate
+		var cands []Candidate
 		for y := range nw.Registers {
-			upstream = AppendCandidates(upstream, y, nw.PurePredecessors(y, new(Marks)), nw.Registers[y].In, len(nw.Registers), func(int) bool { return true })
+			cands = AppendCandidates(cands, y, nw.PurePredecessors(y, new(Marks)), nw.Registers[y].In, len(nw.Registers), func(int) bool { return true })
 		}
-		for _, set := range []struct {
-			cands    []Candidate
-			upstream bool
-		}{{allCandidates(nw), false}, {upstream, true}} {
-			for _, c := range set.cands {
-				run := nw.cloneWiring()
-				r := &Rounds{Net: run, Upstream: set.upstream, checked: true, valid: run.settled()}
-				rw, err := run.rewire(c.Pin, c.NewSrc, pinsFed(run))
-				if err != nil {
-					continue
-				}
-				want := run.Validate()
-				if got := r.keepsValid(c); got != (want == nil) {
-					t.Fatalf("%s %v (upstream %v): keepsValid %v, Validate %v", name, c, set.upstream, got, want)
-				}
-				if want != nil && r.valid {
-					cyclic++
-				}
-				run.Undo(rw)
-				checked++
+		for _, c := range cands {
+			run := nw.cloneWiring()
+			r := &Rounds{Net: run, checked: true, valid: run.settled()}
+			rw, err := run.rewire(c.Pin, c.NewSrc, pinsFed(run))
+			if err != nil {
+				continue
 			}
+			want := run.Validate()
+			if got := r.keepsValid(c); got != (want == nil) {
+				t.Fatalf("%s %v (settled %v): keepsValid %v, Validate %v", name, c, r.valid, got, want)
+			}
+			if r.valid {
+				local++
+			} else {
+				fallback++
+			}
+			run.Undo(rw)
 		}
 	}
-	if checked == 0 || cyclic == 0 {
-		t.Fatalf("%d changes checked, %d rejected on a valid network", checked, cyclic)
+	if local == 0 || fallback == 0 {
+		t.Fatalf("%d changes checked locally, %d by Validate", local, fallback)
 	}
 }
 
-// TestApplyRoundLocalValidation runs rounds on persistent Rounds: the
-// diamond's foreign cyclic candidate A <- C is rejected by the walk
-// (C <- B applied instead), with the clones replayed; and on the
+// TestApplyRoundLocalValidation runs rounds on persistent Rounds: on
+// the diamond two rounds of AppendCandidates candidates are validated
+// locally, with the clones made once and replayed; ApplyBest rejects
+// the foreign cyclic candidate A <- C, and ApplyRound the mux source of
+// A <- M0, by a full Validate; and on the
 // unconnected-input network a scan-in candidate that leaves the input
 // unconnected is rejected by the full Validate the invalid input
 // keeps (C <- SI), and the one connecting it (B <- A) is applied.
@@ -194,10 +193,11 @@ func TestApplyRoundLocalValidation(t *testing.T) {
 		return int(src.ID), true
 	}
 	better := func(s, t int) bool { return s > t }
+	all := func(int) bool { return true }
 	for _, workers := range []int{1, 3} {
 		nw := buildDiamond()
 		r := &Rounds{Net: nw, Workers: workers}
-		cands := []Candidate{{Sink{Elem: Reg(0)}, Reg(2)}, {Sink{Elem: Reg(2)}, Reg(1)}, {Sink{Elem: Reg(2)}, ScanIn}}
+		cands := AppendCandidates(nil, 2, nw.PurePredecessors(2, new(Marks)), Mx(0), 6, all)
 		ch, _, ok := ApplyRound(r, cands, trial, better)
 		want := Change{Cut: Sink{Elem: Reg(2)}, OldSrc: Mx(0), NewSrc: Reg(1), NewMuxes: 1}
 		if !ok || ch != want || !r.valid {
@@ -217,9 +217,9 @@ func TestApplyRoundLocalValidation(t *testing.T) {
 				t.Fatalf("workers=%d: clone not replayed", workers)
 			}
 		}
-		cands = []Candidate{{Sink{Elem: Reg(1)}, Reg(2)}, {Sink{Elem: Reg(1)}, ScanIn}}
-		if ch, _, ok = ApplyRound(r, cands, trial, better); !ok || ch.NewSrc != ScanIn {
-			t.Fatalf("workers=%d: second round applied %v (ok %v), want B <- SI", workers, ch, ok)
+		cands = AppendCandidates(nil, 2, nw.PurePredecessors(2, new(Marks)), Reg(1), 6, all)
+		if ch, _, ok = ApplyRound(r, cands, trial, better); !ok || ch.NewSrc != Reg(0) || nw.Validate() != nil {
+			t.Fatalf("workers=%d: second round applied %v (ok %v), want C <- A", workers, ch, ok)
 		}
 		if !slices.Equal(clones, r.Clones()[:len(clones)]) {
 			t.Fatalf("workers=%d: clones were remade", workers)
@@ -229,10 +229,25 @@ func TestApplyRoundLocalValidation(t *testing.T) {
 				t.Fatalf("workers=%d: clone not replayed after the second round", workers)
 			}
 		}
+
+		// A foreign candidate may close a cycle: ApplyBest validates
+		// its favourite, A <- C, in full and applies C <- SI instead.
+		nw = buildDiamond()
+		cands = []Candidate{{Sink{Elem: Reg(0)}, Reg(2)}, {Sink{Elem: Reg(2)}, ScanIn}}
+		if ch, _, ok = ApplyBest(nw, cands, workers, trial, better); !ok || ch.NewSrc != ScanIn || nw.Validate() != nil {
+			t.Fatalf("workers=%d: ApplyBest applied %v (ok %v), want C <- SI", workers, ch, ok)
+		}
+
+		// A mux source is no AppendCandidates candidate: ApplyRound
+		// validates it in full, and A <- M0 closes a cycle.
+		nw = buildDiamond()
+		if ch, _, ok = ApplyRound(&Rounds{Net: nw, Workers: workers}, []Candidate{{Sink{Elem: Reg(0)}, Mx(0)}}, trial, better); ok || nw.Validate() != nil {
+			t.Fatalf("workers=%d: ApplyRound applied the cyclic %v", workers, ch)
+		}
 	}
 
 	open := edgeNetworks()["open"]
-	r := &Rounds{Net: open, Fed: pinsFed(open), Upstream: true}
+	r := &Rounds{Net: open, Fed: pinsFed(open)}
 	cut := Candidate{Sink{Elem: Reg(2)}, ScanIn}
 	if _, _, ok := ApplyRound(r, []Candidate{cut}, trial, better); ok || r.valid {
 		t.Fatal("a change leaving the input unconnected was applied")
