@@ -228,7 +228,7 @@ func TestIncrementalPropagateMatchesFull(t *testing.T) {
 			p0 := a.propagate(nw)
 			nw0 := nw.Clone()
 			// rolling follows the applied changes by propagateDelta
-			// alone, and cur by resolveOne alone, so their levels are
+			// alone, and cur by resolveStep alone, so their levels are
 			// repaired ones, never a BFS's.
 			rolling, rollingNW := p0, nw0
 			rs := &roundState{}
@@ -244,7 +244,7 @@ func TestIncrementalPropagateMatchesFull(t *testing.T) {
 					break
 				}
 				v := viols[0].Node
-				u, _, hops, err := a.flowChain(nw, v, new(chainScratch))
+				_, _, hops, err := a.flowChain(nw, v, new(chainScratch))
 				if err != nil {
 					break // insecure-logic flow: nothing to transform
 				}
@@ -313,7 +313,7 @@ func TestIncrementalPropagateMatchesFull(t *testing.T) {
 						}
 					}
 				}
-				next, err := resolveStep(a, nw, cur, rs, u, v, hops, len(viols))
+				next, err := resolveStep(a, nw, cur, rs, v)
 				if err != nil {
 					break
 				}
@@ -333,11 +333,20 @@ func TestIncrementalPropagateMatchesFull(t *testing.T) {
 	}
 }
 
-// resolveStep runs one resolveOne round outside a resolve stage.
-func resolveStep(a *Analysis, nw *rsn.Network, cur *propagation, rs *roundState, u, v int, hops []hop, before int) (*propagation, error) {
+// resolveStep runs one round of Resolve's plan, targeting violating
+// node v, outside a resolve stage.
+func resolveStep(a *Analysis, nw *rsn.Network, cur *propagation, rs *roundState, v int) (*propagation, error) {
 	w := a.buildWiring(nw)
-	_, next, _, err := a.resolveOne(engine.Stage{}, nw, cur, rs, w, a.rounds(nw, w, 1), u, v, hops, before)
-	return next, err
+	p := a.hybridPlan(nw, engine.Stage{})
+	u, cands, err := p.candidates(cur, v, &rs.chain, nil)
+	if err != nil {
+		return nil, err
+	}
+	_, _, next, ok := a.step(nw, cur, rs, w, a.rounds(nw, w, 1), cands, v, p.better)
+	if !ok {
+		return nil, p.stuck(u, v)
+	}
+	return next, nil
 }
 
 // TestFixedPointCache checks the cache semantics: identical wiring is

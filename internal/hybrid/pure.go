@@ -5,7 +5,6 @@ import (
 	"slices"
 
 	"repro/internal/engine"
-	"repro/internal/obs"
 	"repro/internal/rsn"
 	"repro/internal/secspec"
 )
@@ -59,118 +58,52 @@ func FindCulprit(nw *rsn.Network, spec *secspec.Spec, y int, preds []int) (int, 
 	return 0, false
 }
 
-// maxRounds bounds the pure resolve loop; beyond it only the provably
-// terminating scan-in fallback candidate is used.
-func maxRounds(nw *rsn.Network) int { return 4*len(nw.Registers) + 16 }
-
 // ResolvePure repeatedly finds and repairs pure-path violations until
 // the network is pure-path secure. It mutates nw and returns the
 // applied changes; ViolationsBefore counts violating registers. Each
 // round cuts the input of the lowest violating register and re-connects
-// the separated segments, choosing the cheapest candidate that removes
-// the targeted flow without adding violations and that keeps the
-// network valid. The register view is propagated once up front; every
-// candidate trial is a witness repair of the round's fixed point
-// (delta), fanned out over opts' workers, and only the winner's is
-// materialised, with Resolve's committed wiring and clones. A cyclic
-// network is refused; a cyclic trial wiring still repairs to a fixed
-// point, and ApplyRound's validation never applies it. opts' context
-// is checked every round, and the stage "pure-resolve" is reported
-// through opts' stats and tracer.
+// the separated segments, choosing the cheapest candidate, then the
+// one leaving fewest violations, among those that add no violation and
+// keep the network valid. It runs resolve's loop over the register
+// view, propagated once up front; every candidate trial is a witness
+// repair of the round's fixed point, fanned out over opts' workers. A
+// cyclic network is refused; a cyclic trial wiring still repairs to a
+// fixed point, and ApplyRound's validation never applies it. opts'
+// context is checked every round, and the stage "pure-resolve" is
+// reported through opts' stats and tracer; it counts no items or
+// queries.
 func ResolvePure(nw *rsn.Network, spec *secspec.Spec, opts engine.Options) (*Result, error) {
 	stage := opts.Begin("pure-resolve")
 	defer stage.End()
-	res := &Result{}
-	defer func() {
-		stage.SetAttrs(obs.Int("violations_before", int64(res.ViolationsBefore)),
-			obs.Int("changes", int64(len(res.Changes))))
-	}()
 	a := newRegisterView(nw, spec)
 	w := a.buildWiring(nw)
 	if !acyclic(w) {
-		return res, fmt.Errorf("pure: scan network %q is cyclic", nw.Name)
+		return &Result{}, fmt.Errorf("pure: scan network %q is cyclic", nw.Name)
 	}
-	cur := a.propagate(nw)
-	res.ViolationsBefore = len(a.violationsFrom(cur))
-	rs := getRoundState()
-	defer roundPool.Put(rs)
-	rr := a.rounds(nw, w, opts.WorkerCount())
-	for round := 0; ; round++ {
-		if err := opts.Err(); err != nil {
-			return res, err
-		}
-		y := a.firstViolation(cur)
-		if y < 0 {
-			return res, nil
-		}
+	return a.resolve(nw, a.propagate(nw), w, opts, stage, &plan{
+		name: "pure",
 		// One predecessor walk per round serves the culprit search and
-		// the candidates.
-		preds := nw.PurePredecessors(y, &rs.chain.marks)
-		x, ok := FindCulprit(nw, spec, y, preds)
-		if !ok {
-			return res, fmt.Errorf("pure: register R%d violates but no culprit found", y)
-		}
-		ch, next, err := a.resolvePureOne(nw, cur, rs, w, rr, preds, x, y, round >= maxRounds(nw))
-		if err != nil {
-			return res, err
-		}
-		res.Changes = append(res.Changes, ch)
-		cur = next
-		if roundCheck != nil {
-			roundCheck(a, nw, w, rr, cur, -1)
-		}
-	}
+		// the candidates. Every predecessor of a deep chain position
+		// would cost a trial each, so the predecessor candidates are
+		// capped.
+		candidates: func(cur *propagation, y int, sc *chainScratch, dst []rsn.Candidate) (int, []rsn.Candidate, error) {
+			preds := nw.PurePredecessors(y, &sc.marks)
+			x, ok := FindCulprit(nw, spec, y, preds)
+			if !ok {
+				return 0, dst, fmt.Errorf("pure: register R%d violates but no culprit found", y)
+			}
+			trust := spec.Trust[nw.Registers[y].Module]
+			return x, rsn.AppendCandidates(dst, y, preds, nw.Registers[y].In, 6, func(pr int) bool {
+				return cur.attrOut[pr].Has(trust)
+			}), nil
+		},
+		stuck: func(x, y int) error {
+			return fmt.Errorf("pure: no valid candidate to separate R%d from R%d", x, y)
+		},
+		better: byCost,
+	})
 }
 
-// pureScore is one accepted pure trial: its structural cost, its change
-// in the number of violating registers, its fixed point's difference
-// from the round's and its wiring.
-type pureScore struct {
-	cost, dv int
-	diff     *attrDiff
-	tw       *wiring
-}
-
-// resolvePureOne repairs the flow from register x into register y by
-// cutting y's input and re-connecting the separated segments. cur is
-// the fixed point of nw's current wiring w and preds y's pure-path
-// predecessors; the returned fixed point, with its levels, is the
-// applied change's and lives in rs, and w is edited to its wiring.
-// With fallbackOnly set, only the always-valid candidate (connect y to
-// the scan-in port) is considered.
-func (a *Analysis) resolvePureOne(nw *rsn.Network, cur *propagation, rs *roundState, w *wiring, rr *rsn.Rounds, preds []int, x, y int, fallbackOnly bool) (rsn.Change, *propagation, error) {
-	// Every predecessor of a deep chain position would cost a trial
-	// each, so the predecessor candidates are capped.
-	limit := 6
-	if fallbackOnly {
-		limit = 0
-	}
-	trust := a.Spec.Trust[a.nodeModule[y]]
-	cands := rsn.AppendCandidates(nil, y, preds, nw.Registers[y].In, limit, func(pr int) bool {
-		return cur.attrOut[pr].Has(trust)
-	})
-	defer rs.release()
-	trial := func(net *rsn.Network, rw rsn.Rewiring) (pureScore, bool) {
-		tw, seeds := a.trialWiring(w, net, rw)
-		d := rs.diff()
-		dv, in := a.delta(cur, cur.lv, tw, net, seeds, y, d)
-		// The targeted violation must be gone, or x no longer reach y,
-		// and the number of violating registers must not grow.
-		if (!in.Has(trust) && net.PureReaches(rsn.Reg(x), rsn.Reg(y))) || dv > 0 {
-			return pureScore{}, false
-		}
-		return pureScore{1 + len(net.Muxes) - rw.Muxes, dv, d, tw}, true
-	}
-	ch, best, ok := rsn.ApplyRound(rr, cands, trial, func(s, t pureScore) bool {
-		return s.cost < t.cost || (s.cost == t.cost && s.dv < t.dv)
-	})
-	if !ok {
-		// The fallback candidate cannot fail validation; reaching this
-		// point indicates an internal inconsistency.
-		return rsn.Change{}, nil, fmt.Errorf("pure: no valid candidate to separate R%d from R%d", x, y)
-	}
-	w.commit(best.tw)
-	size := a.total + len(nw.Muxes)
-	next, nlv := rs.next(size * a.ncat())
-	return ch, a.materialise(next, cur, cur.lv, best.diff, size, nlv), nil
-}
+// byCost ranks pure trials by structural cost (rsn.Change.Cost, one
+// plus the inserted muxes), then by the violations left.
+func byCost(s, t score) bool { return s.muxes < t.muxes || s.muxes == t.muxes && s.dv < t.dv }

@@ -120,45 +120,118 @@ func (a *Analysis) flowChain(nw *rsn.Network, v int, sc *chainScratch) (int, []i
 	return culprit, chain, hops, nil
 }
 
-// maxChanges bounds the resolve loop against pathological oscillation.
+// maxChanges bounds a resolution against pathological oscillation. The
+// pure stage never reaches it: each of its rounds removes at least one
+// violating register (DESIGN.md, "Pure stage on the hybrid engine").
 func maxChanges(nw *rsn.Network) int { return 8*len(nw.Registers) + 64 }
 
 // Resolve repeatedly detects and repairs hybrid-path violations until
 // the network is secure. It mutates nw and returns the applied changes.
-//
-// Violation checking is incremental: the fixed point of the current
-// wiring is computed once and threaded through the loop, each candidate
-// cut/reconnect is evaluated by repairing it (delta: only the witnesses
-// the changed wiring breaks or creates are re-derived) into an overlay
-// that yields the trial's score and a compact diff, and only the
-// winning candidate's diff is materialised as the next iteration's
-// fixed point, with its violation count (rsn.ApplyRound applies the
-// winner with the same rewiring its trial used, and the wiring, built
-// once, is edited to it). Candidate trials fan out over the engine's
-// worker pool; the unique greatest fixed point and the strict tie-break
-// in candidate order keep the applied changes byte-identical to the
-// sequential evaluation at any worker count. The analysis's engine
-// context is honored between iterations, and the stage's wall time and
-// change count are reported through its engine stats.
+// Each round finds the violating flow into the lowest violating node
+// (flowChain), tries cutting each wiring hop on it and re-feeding the
+// cut register from up to 4 compatible pure-path predecessors or the
+// scan-in port, and applies the trial that removes the targeted
+// violation, then leaves fewest violations, then inserts fewest muxes
+// (resolve's loop). The fixed point of the current wiring is computed
+// once (through the analysis's cache) and threaded through the loop.
+// The analysis's engine context is honored between rounds, and the
+// stage "resolve" counts candidates as items and changes as queries.
 func Resolve(a *Analysis, nw *rsn.Network) (*Result, error) {
 	stage := a.eng.Begin("resolve")
 	defer stage.End()
+	return a.resolve(nw, a.fixedPoint(nw), nil, a.eng, stage, a.hybridPlan(nw, stage))
+}
+
+// hybridPlan returns Resolve's plan for nw, reporting its counters to
+// counters.
+func (a *Analysis) hybridPlan(nw *rsn.Network, counters engine.Stage) *plan {
+	return &plan{
+		name: "hybrid",
+		candidates: func(cur *propagation, v int, sc *chainScratch, dst []rsn.Candidate) (int, []rsn.Candidate, error) {
+			u, _, hops, err := a.flowChain(nw, v, sc)
+			if err != nil {
+				return u, dst, err
+			}
+			for _, h := range hops {
+				trust := a.Spec.Trust[a.regModule[h.To]]
+				dst = rsn.AppendCandidates(dst, h.To, nw.PurePredecessors(h.To, &sc.marks), rsn.Reg(h.From), 4, func(pr int) bool {
+					return cur.attrOut[a.lastIndex(pr)].Has(trust)
+				})
+			}
+			return u, dst, nil
+		},
+		stuck: func(u, v int) error {
+			return fmt.Errorf("hybrid: no valid candidate to sever flow %s -> %s", a.NodeName(u), a.NodeName(v))
+		},
+		better:   byRemoved,
+		counters: counters,
+	}
+}
+
+// byRemoved ranks hybrid trials: the targeted violation removed, then
+// fewer violations left, then fewer inserted muxes.
+func byRemoved(s, t score) bool {
+	if s.removed != t.removed {
+		return s.removed
+	}
+	if s.dv != t.dv {
+		return s.dv < t.dv
+	}
+	return s.muxes < t.muxes
+}
+
+// plan is what a resolution stage brings to resolve's loop.
+type plan struct {
+	// name prefixes the loop's own errors.
+	name string
+	// candidates finds the culprit u of the flow into violating node v
+	// under cur, the round's fixed point, and appends the round's
+	// candidates to dst; sc is the round state's search scratch.
+	candidates func(cur *propagation, v int, sc *chainScratch, dst []rsn.Candidate) (u int, cands []rsn.Candidate, err error)
+	// stuck returns the error of a round in which no candidate to sever
+	// the flow from u to v is accepted and valid.
+	stuck func(u, v int) error
+	// better is the strict order that ranks accepted trials.
+	better func(s, t score) bool
+	// counters receives each round's candidates as items and the
+	// applied changes as queries.
+	counters engine.Stage
+}
+
+// score is one accepted trial: whether it removes the targeted
+// violation, its change in the number of violations, its inserted
+// muxes, its fixed point's difference from the round's and its wiring.
+type score struct {
+	removed   bool
+	dv, muxes int
+	diff      *attrDiff
+	tw        *wiring
+}
+
+// resolve runs p's resolution of nw, whose fixed point is cur, until no
+// violation is left, reporting the violations before and the applied
+// changes on stage's span. Each round targets the lowest violating node
+// and applies the best of p's candidates (step); the violation count is
+// carried from round to round by the winners' deltas. w is nw's wiring,
+// or nil to build it on the first round that has candidates; either
+// way it is built once per resolution and edited to each winner's.
+// opts' context is checked every round, and its workers run the
+// trials.
+func (a *Analysis) resolve(nw *rsn.Network, cur *propagation, w *wiring, opts engine.Options, stage engine.Stage, p *plan) (*Result, error) {
 	res := &Result{}
 	defer func() {
-		stage.AddQueries(int64(len(res.Changes)))
+		p.counters.AddQueries(int64(len(res.Changes)))
 		stage.SetAttrs(obs.Int("violations_before", int64(res.ViolationsBefore)),
 			obs.Int("changes", int64(len(res.Changes))))
 	}()
-	ctx := a.eng.Ctx()
-	cur := a.fixedPoint(nw)
 	viols := len(a.violationsFrom(cur))
 	res.ViolationsBefore = viols
 	rs := getRoundState()
 	defer roundPool.Put(rs)
-	var w *wiring
 	var rr *rsn.Rounds
+	var cands []rsn.Candidate
 	for {
-		if err := ctx.Err(); err != nil {
+		if err := opts.Err(); err != nil {
 			return res, err
 		}
 		v := a.firstViolation(cur)
@@ -166,33 +239,37 @@ func Resolve(a *Analysis, nw *rsn.Network) (*Result, error) {
 			return res, nil
 		}
 		if len(res.Changes) >= maxChanges(nw) {
-			return res, fmt.Errorf("hybrid: resolution did not converge after %d changes (%d violations left)", len(res.Changes), viols)
+			return res, fmt.Errorf("%s: resolution did not converge after %d changes (%d violations left)", p.name, len(res.Changes), viols)
 		}
-		u, _, hops, err := a.flowChain(nw, v, &rs.chain)
+		u, cs, err := p.candidates(cur, v, &rs.chain, cands[:0])
 		if err != nil {
 			return res, err
 		}
-		if w == nil {
-			w = a.buildWiring(nw)
-			rr = a.rounds(nw, w, a.eng.WorkerCount())
+		cands = cs
+		p.counters.AddItems(int64(len(cands)))
+		if rr == nil {
+			if w == nil {
+				w = a.buildWiring(nw)
+			}
+			rr = a.rounds(nw, w, opts.WorkerCount())
 		}
-		ch, next, after, err := a.resolveOne(stage, nw, cur, rs, w, rr, u, v, hops, viols)
-		if err != nil {
-			return res, err
+		ch, s, next, ok := a.step(nw, cur, rs, w, rr, cands, v, p.better)
+		if !ok {
+			return res, p.stuck(u, v)
 		}
 		res.Changes = append(res.Changes, ch)
-		cur, viols = next, after
+		cur, viols = next, viols+s.dv
 		if roundCheck != nil {
-			roundCheck(a, nw, w, rr, cur, viols)
+			roundCheck(a, nw, p, w, rr, cur, v, viols-s.dv, viols)
 		}
 	}
 }
 
 // roundCheck, when set (by the package's tests), runs after every
-// change a resolution applies, on the state the next round starts from;
-// viols is the carried violation count, -1 in ResolvePure, which
-// carries none.
-var roundCheck func(a *Analysis, nw *rsn.Network, w *wiring, rr *rsn.Rounds, cur *propagation, viols int)
+// change a resolution applies, on the state the next round starts from:
+// p is the stage's plan, v the round's target, and before and viols
+// the carried violation counts before and after the change.
+var roundCheck func(a *Analysis, nw *rsn.Network, p *plan, w *wiring, rr *rsn.Rounds, cur *propagation, v, before, viols int)
 
 // rounds returns the round state of a resolution of nw whose current
 // wiring is w: the pins a source feeds are its row's length, and the
@@ -202,37 +279,19 @@ func (a *Analysis) rounds(nw *rsn.Network, w *wiring, workers int) *rsn.Rounds {
 	return &rsn.Rounds{Net: nw, Workers: workers, Fed: fed}
 }
 
-// hybridScore is one accepted trial: whether it removes the targeted
-// violation, the number of violations after it, its inserted muxes,
-// its fixed point's difference from the round's and its wiring.
-type hybridScore struct {
-	removed      bool
-	after, muxes int
-	diff         *attrDiff
-	tw           *wiring
-}
-
-// resolveOne cuts one wiring hop of the violating flow and re-connects
-// the separated segments, applying the best acceptable candidate. cur
-// is the fixed point of nw's current wiring w, with before violations;
-// the returned fixed point, with its levels and violation count, is the
-// applied change's and lives in rs, and w is edited to its wiring.
-func (a *Analysis) resolveOne(stage engine.Stage, nw *rsn.Network, cur *propagation, rs *roundState, w *wiring, rr *rsn.Rounds, u, v int, hops []hop, before int) (rsn.Change, *propagation, int, error) {
-	var cands []rsn.Candidate
-	for _, h := range hops {
-		trust := a.Spec.Trust[a.regModule[h.To]]
-		cands = rsn.AppendCandidates(cands, h.To, nw.PurePredecessors(h.To, &rs.chain.marks), rsn.Reg(h.From), 4, func(pr int) bool {
-			return cur.attrOut[a.lastIndex(pr)].Has(trust)
-		})
-	}
-	stage.AddItems(int64(len(cands)))
-	// Each trial patches only the sinks its cut/reconnect changed. The
-	// witness levels are cur's — the previous winner's repaired ones,
-	// or the cached fixed point's — or, when it has none, a level BFS's.
-	// Trials are overlays that return their score and diff, and only
-	// the winner's diff is materialised. The repair reproduces the
-	// unique greatest fixed point, so the worker count cannot change
-	// any score.
+// step runs one round over cands on nw, whose fixed point is cur and
+// whose wiring is w, targeting violating node v. Each trial patches
+// only the sinks its cut/reconnect changed (trialWiring) and repairs
+// cur's witnesses for them into a diff (delta); it is accepted when it
+// adds no violation. The witness levels are cur's — the previous
+// winner's repaired ones, or the cached fixed point's — or, when it has
+// none, a level BFS's. rsn.ApplyRound applies the best accepted valid
+// trial under better, w is edited to its wiring and its diff alone is
+// materialised, with its levels, into rs. The repair reproduces the
+// unique greatest fixed point, so the worker count cannot change any
+// score. step returns the change, its score and its fixed point, or
+// false if no candidate is accepted and valid.
+func (a *Analysis) step(nw *rsn.Network, cur *propagation, rs *roundState, w *wiring, rr *rsn.Rounds, cands []rsn.Candidate, v int, better func(s, t score) bool) (rsn.Change, score, *propagation, bool) {
 	lv := cur.lv
 	if lv == nil {
 		_, lv = rs.next(len(cur.attrOut) * a.ncat())
@@ -240,26 +299,18 @@ func (a *Analysis) resolveOne(stage engine.Stage, nw *rsn.Network, cur *propagat
 	}
 	trust := a.Spec.Trust[a.nodeModule[v]]
 	defer rs.release()
-	trial := func(net *rsn.Network, rw rsn.Rewiring) (hybridScore, bool) {
+	trial := func(net *rsn.Network, rw rsn.Rewiring) (score, bool) {
 		tw, seeds := a.trialWiring(w, net, rw)
 		d := rs.diff()
 		dv, in := a.delta(cur, lv, tw, net, seeds, v, d)
-		return hybridScore{in.Has(trust), before + dv, len(net.Muxes) - rw.Muxes, d, tw}, dv <= 0
+		return score{in.Has(trust), dv, len(net.Muxes) - rw.Muxes, d, tw}, dv <= 0
 	}
-	ch, best, ok := rsn.ApplyRound(rr, cands, trial, func(s, t hybridScore) bool {
-		if s.removed != t.removed {
-			return s.removed
-		}
-		if s.after != t.after {
-			return s.after < t.after
-		}
-		return s.muxes < t.muxes
-	})
+	ch, best, ok := rsn.ApplyRound(rr, cands, trial, better)
 	if !ok {
-		return rsn.Change{}, nil, 0, fmt.Errorf("hybrid: no valid candidate to sever flow %s -> %s", a.NodeName(u), a.NodeName(v))
+		return ch, best, nil, false
 	}
 	w.commit(best.tw)
 	size := a.total + len(nw.Muxes)
 	next, nlv := rs.next(size * a.ncat())
-	return ch, a.materialise(next, cur, lv, best.diff, size, nlv), best.after, nil
+	return ch, best, a.materialise(next, cur, lv, best.diff, size, nlv), true
 }

@@ -16,12 +16,16 @@ import (
 // rest of tb: after every change a resolution applies, the committed
 // wiring must equal buildWiring's row for row, the network must pass
 // Validate, every worker clone must have the network's wiring and the
-// carried violation count, where there is one (viols >= 0), must equal
-// a fresh count. It returns the number of rounds checked so far.
+// carried violation count must equal a fresh count. A pure round must
+// also remove its target's violation and lower the number of violating
+// registers by at least one: that is why the pure stage needs no
+// acceptance test beyond "adds no violation" and never reaches the
+// round bound (DESIGN.md, "Pure stage on the hybrid engine"). It
+// returns the number of rounds checked so far.
 func checkRounds(tb testing.TB) *int {
 	tb.Helper()
 	n := new(int)
-	roundCheck = func(a *Analysis, nw *rsn.Network, w *wiring, rr *rsn.Rounds, cur *propagation, viols int) {
+	roundCheck = func(a *Analysis, nw *rsn.Network, p *plan, w *wiring, rr *rsn.Rounds, cur *propagation, v, before, viols int) {
 		tb.Helper()
 		wiringEqual(tb, a, nw, w)
 		if err := nw.Validate(); err != nil {
@@ -32,8 +36,16 @@ func checkRounds(tb testing.TB) *int {
 				tb.Fatalf("round %d: clone %d differs from the network at %v (%d muxes, network %d)", *n, i, d, len(cp.Muxes), len(nw.Muxes))
 			}
 		}
-		if got := len(a.violationsFrom(cur)); viols >= 0 && got != viols {
+		if got := len(a.violationsFrom(cur)); got != viols {
 			tb.Fatalf("round %d: carried violation count %d, fresh count %d", *n, viols, got)
+		}
+		if p.name == "pure" {
+			if !cur.attrIn[v].Has(a.Spec.Trust[a.nodeModule[v]]) {
+				tb.Fatalf("round %d: pure change left its target R%d violating", *n, v)
+			}
+			if viols > before-1 {
+				tb.Fatalf("round %d: pure change took the violating registers from %d to %d", *n, before, viols)
+			}
 		}
 		*n++
 	}

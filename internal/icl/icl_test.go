@@ -332,3 +332,73 @@ func TestIdentClassesMatchUnicode(t *testing.T) {
 		}
 	}
 }
+
+// TestWriteNamesVerbatim checks that names are written as they are
+// between quotes, backslashes and non-ASCII runes included, and read
+// back unchanged, and that a name holding a quote or a newline, which
+// the dialect cannot write, is refused at each place a name is written.
+func TestWriteNamesVerbatim(t *testing.T) {
+	build := func(names map[string]string) *rsn.Network {
+		name := func(key string) string {
+			if s, ok := names[key]; ok {
+				return s
+			}
+			return key
+		}
+		nw := rsn.New(name("net"))
+		m := nw.AddModule(name("mod"))
+		a := nw.AddRegister(name("A"), 2, m)
+		b := nw.AddRegister(name("B"), 1, m)
+		nw.Connect(a, rsn.ScanIn)
+		nw.Connect(b, rsn.Mx(nw.AddMux(name("M"), rsn.Reg(a), rsn.ScanIn)))
+		nw.ConnectOut(rsn.Reg(b))
+		nw.SetCapture(a, 0, 0)
+		nw.SetUpdate(a, 1, 1)
+		return nw
+	}
+	ffs := []string{"ff0", "ff1"}
+	ffName := func(f netlist.FFID) string { return ffs[f] }
+	odd := map[string]string{"net": `n\et`, "mod": `m\\od`, "A": `R\0ä`, "B": "B\tx", "M": `M\`}
+	var sb strings.Builder
+	if err := Write(&sb, build(odd), ffName); err != nil {
+		t.Fatal(err)
+	}
+	for key, s := range odd {
+		if !strings.Contains(sb.String(), `"`+s+`"`) {
+			t.Fatalf("%s: name %q not written verbatim:\n%s", key, s, sb.String())
+		}
+	}
+	lookup := func(s string) (netlist.FFID, bool) {
+		for i, n := range ffs {
+			if n == s {
+				return netlist.FFID(i), true
+			}
+		}
+		return 0, false
+	}
+	nw, err := ParseNetwork(sb.String(), lookup)
+	if err != nil {
+		t.Fatalf("written form does not parse: %v\n%s", err, sb.String())
+	}
+	if nw.Name != odd["net"] || nw.Modules[0] != odd["mod"] || nw.Registers[0].Name != odd["A"] ||
+		nw.Registers[1].Name != odd["B"] || nw.Muxes[0].Name != odd["M"] {
+		t.Fatalf("names changed in the round trip: %q %q %q %q %q", nw.Name, nw.Modules[0], nw.Registers[0].Name, nw.Registers[1].Name, nw.Muxes[0].Name)
+	}
+	for _, key := range []string{"net", "mod", "A", "B", "M", "ff0", "ff1"} {
+		for _, bad := range []string{`a"b`, "a\nb"} {
+			names := map[string]string{key: bad}
+			ffs = []string{"ff0", "ff1"}
+			if f, ok := map[string]int{"ff0": 0, "ff1": 1}[key]; ok {
+				ffs[f] = bad
+			}
+			var sb strings.Builder
+			err := Write(&sb, build(names), ffName)
+			if err == nil || !strings.Contains(err.Error(), "quote or a newline") {
+				t.Fatalf("%s named %q: err = %v", key, bad, err)
+			}
+			if sb.Len() != 0 {
+				t.Fatalf("%s named %q: wrote %d bytes before refusing", key, bad, sb.Len())
+			}
+		}
+	}
+}

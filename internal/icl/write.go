@@ -20,33 +20,44 @@ func Write(w io.Writer, nw *rsn.Network, ffName func(netlist.FFID) string) error
 
 // WriteWithSpec renders a network together with its security
 // specification: module declarations carry Trust/Accepts attributes and
-// the file declares the category universe.
+// the file declares the category universe. Names are written verbatim
+// between quotes, since the dialect has no escapes; a name containing a
+// quote or a newline cannot be written and is an error.
 func WriteWithSpec(w io.Writer, nw *rsn.Network, spec *secspec.Spec, ffName func(netlist.FFID) string) error {
 	if spec != nil && spec.NumModules() != len(nw.Modules) {
 		return fmt.Errorf("icl: specification covers %d modules, network has %d", spec.NumModules(), len(nw.Modules))
 	}
 	var sb strings.Builder
+	// q returns a name to write verbatim between quotes, noting the
+	// first that cannot be.
+	bad := ""
+	q := func(name string) string {
+		if bad == "" && strings.ContainsAny(name, "\"\n") {
+			bad = name
+		}
+		return name
+	}
 	ref := func(r rsn.Ref) string {
 		switch r.Kind {
 		case rsn.KScanIn:
 			return "SI"
 		case rsn.KRegister:
-			return fmt.Sprintf("Register %q", nw.Registers[r.ID].Name)
+			return `Register "` + q(nw.Registers[r.ID].Name) + `"`
 		case rsn.KMux:
-			return fmt.Sprintf("Mux %q", nw.Muxes[r.ID].Name)
+			return `Mux "` + q(nw.Muxes[r.ID].Name) + `"`
 		}
 		return "SI"
 	}
-	fmt.Fprintf(&sb, "ScanNetwork %q {\n", nw.Name)
+	fmt.Fprintf(&sb, "ScanNetwork \"%s\" {\n", q(nw.Name))
 	if spec != nil {
 		fmt.Fprintf(&sb, "  Categories %d;\n", spec.NumCategories)
 	}
 	for mi, m := range nw.Modules {
 		if spec == nil {
-			fmt.Fprintf(&sb, "  Module %q;\n", m)
+			fmt.Fprintf(&sb, "  Module \"%s\";\n", q(m))
 			continue
 		}
-		fmt.Fprintf(&sb, "  Module %q { Trust %d; Accepts ", m, spec.Trust[mi])
+		fmt.Fprintf(&sb, "  Module \"%s\" { Trust %d; Accepts ", q(m), spec.Trust[mi])
 		first := true
 		for c := secspec.Category(0); int(c) < spec.NumCategories; c++ {
 			if spec.Accepts[mi].Has(c) {
@@ -61,11 +72,11 @@ func WriteWithSpec(w io.Writer, nw *rsn.Network, spec *secspec.Spec, ffName func
 	}
 	for i := range nw.Registers {
 		r := &nw.Registers[i]
-		fmt.Fprintf(&sb, "  ScanRegister %q {\n", r.Name)
+		fmt.Fprintf(&sb, "  ScanRegister \"%s\" {\n", q(r.Name))
 		fmt.Fprintf(&sb, "    Length %d;\n", r.Len)
 		fmt.Fprintf(&sb, "    ScanInSource %s;\n", ref(r.In))
 		if len(nw.Modules) > 0 {
-			fmt.Fprintf(&sb, "    Module %q;\n", nw.Modules[r.Module])
+			fmt.Fprintf(&sb, "    Module \"%s\";\n", q(nw.Modules[r.Module]))
 		}
 		for bit, ff := range r.Capture {
 			if ff == netlist.NoFF {
@@ -74,7 +85,7 @@ func WriteWithSpec(w io.Writer, nw *rsn.Network, spec *secspec.Spec, ffName func
 			if ffName == nil {
 				return fmt.Errorf("icl: register %q has capture links but no ffName function was given", r.Name)
 			}
-			fmt.Fprintf(&sb, "    CaptureSource %d %q;\n", bit, ffName(ff))
+			fmt.Fprintf(&sb, "    CaptureSource %d \"%s\";\n", bit, q(ffName(ff)))
 		}
 		for bit, ff := range r.Update {
 			if ff == netlist.NoFF {
@@ -83,13 +94,13 @@ func WriteWithSpec(w io.Writer, nw *rsn.Network, spec *secspec.Spec, ffName func
 			if ffName == nil {
 				return fmt.Errorf("icl: register %q has update links but no ffName function was given", r.Name)
 			}
-			fmt.Fprintf(&sb, "    UpdateSink %d %q;\n", bit, ffName(ff))
+			fmt.Fprintf(&sb, "    UpdateSink %d \"%s\";\n", bit, q(ffName(ff)))
 		}
 		fmt.Fprintf(&sb, "  }\n")
 	}
 	for i := range nw.Muxes {
 		m := &nw.Muxes[i]
-		fmt.Fprintf(&sb, "  ScanMux %q {\n", m.Name)
+		fmt.Fprintf(&sb, "  ScanMux \"%s\" {\n", q(m.Name))
 		for _, in := range m.Inputs {
 			fmt.Fprintf(&sb, "    Input %s;\n", ref(in))
 		}
@@ -97,6 +108,9 @@ func WriteWithSpec(w io.Writer, nw *rsn.Network, spec *secspec.Spec, ffName func
 	}
 	fmt.Fprintf(&sb, "  ScanOutSource %s;\n", ref(nw.OutSrc))
 	fmt.Fprintf(&sb, "}\n")
+	if bad != "" {
+		return fmt.Errorf("icl: name %q contains a quote or a newline, which the dialect cannot write", bad)
+	}
 	_, err := io.WriteString(w, sb.String())
 	return err
 }

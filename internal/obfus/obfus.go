@@ -256,17 +256,6 @@ func keyOfUint(v uint64, n int) []bool {
 	return key
 }
 
-// uintOfKey packs key bits into an integer (bit i at weight 2^i).
-func uintOfKey(key []bool) uint64 {
-	var v uint64
-	for i, b := range key {
-		if b {
-			v |= 1 << i
-		}
-	}
-	return v
-}
-
 // checkAttackable validates the network/overlay pair for attack runs.
 func checkAttackable(nw *rsn.Network, ov *rsn.Obfuscation) error {
 	if err := nw.Validate(); err != nil {

@@ -220,9 +220,6 @@ func NewKeyedSimulator(nw *Network, ov *Obfuscation, key []bool) (*KeyedSimulato
 // ScanFF returns the current value of scan FF i of register reg.
 func (s *KeyedSimulator) ScanFF(reg, i int) bool { return s.scan[reg][i] }
 
-// KeyState returns a copy of the current key schedule state.
-func (s *KeyedSimulator) KeyState() []bool { return append([]bool(nil), s.ks...) }
-
 // Shift runs one keyed shift cycle under the attacker-visible
 // configuration cfg and returns the scan-out bit.
 func (s *KeyedSimulator) Shift(cfg Config, in bool) (out bool, err error) {

@@ -14,23 +14,20 @@ type Candidate struct {
 }
 
 // AppendCandidates appends the candidates that re-feed register reg:
-// up to limit of preds, its pure-path predecessors in PurePredecessors
-// order, skipping skip and every predecessor compatible rejects
-// (re-connecting to one keeps the segment deep in the network), then
-// the scan-in port, which is always valid and provably terminating.
-// With limit 0 preds is not read.
+// up to limit (at least one) of preds, its pure-path predecessors in
+// PurePredecessors order, skipping skip and every predecessor
+// compatible rejects (re-connecting to one keeps the segment deep in
+// the network), then the scan-in port, which is always valid.
 func AppendCandidates(dst []Candidate, reg int, preds []int, skip Ref, limit int, compatible func(pred int) bool) []Candidate {
 	pin := Sink{Elem: Reg(reg)}
-	if limit > 0 {
-		taken := 0
-		for _, pr := range preds {
-			if Reg(pr) == skip || !compatible(pr) {
-				continue
-			}
-			dst = append(dst, Candidate{pin, Reg(pr)})
-			if taken++; taken >= limit {
-				break
-			}
+	taken := 0
+	for _, pr := range preds {
+		if Reg(pr) == skip || !compatible(pr) {
+			continue
+		}
+		dst = append(dst, Candidate{pin, Reg(pr)})
+		if taken++; taken >= limit {
+			break
 		}
 	}
 	return append(dst, Candidate{pin, ScanIn})

@@ -20,7 +20,6 @@ func TestAppendCandidates(t *testing.T) {
 		{"limit", Mx(0), 1, all, []Ref{Reg(0), ScanIn}},
 		{"skip", Reg(0), 6, all, []Ref{Reg(1), ScanIn}},
 		{"incompatible", Mx(0), 6, func(pr int) bool { return pr != 1 }, []Ref{Reg(0), ScanIn}},
-		{"fallback only", Mx(0), 0, func(int) bool { t.Fatal("limit 0 walked the predecessors"); return true }, []Ref{ScanIn}},
 	} {
 		prefix := []Candidate{{Sink{Elem: Reg(1)}, ScanIn}}
 		got := AppendCandidates(slices.Clone(prefix), 2, nw.PurePredecessors(2, new(Marks)), tc.skip, tc.limit, tc.compatible)
