@@ -299,7 +299,6 @@ func TestIncrementalPropagateMatchesFull(t *testing.T) {
 							}{
 								{"parent delta", parent, parentNW},
 								{"ancestor delta", p0, nw0},
-								{"ancestor delta without levels", &propagation{attrIn: p0.attrIn, attrOut: p0.attrOut}, nw0},
 							} {
 								q := a.propagateDelta(parents.p, parents.nw, nw)
 								propEqual(t, parents.name, full, q)

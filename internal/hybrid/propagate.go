@@ -33,8 +33,8 @@ type propagation struct {
 	// node: lv[n*ncat+c], for a category c missing from attrOut[n], is
 	// 0 at a blocker and otherwise above the level of some input of n
 	// missing c (BFS levels satisfy this; repaired levels keep it). It
-	// is nil when the state arrived without levels (a restored
-	// snapshot, a resolution round's); a repair computes them then.
+	// is never nil: propagate, propagateDelta and every resolution
+	// round build a fixed point together with its levels.
 	lv []int32
 }
 
@@ -112,12 +112,10 @@ func (a *Analysis) forSuccs(w *wiring, n int, f func(d int32)) {
 }
 
 // bfsScratch is the state of levelBFS, reusable across calls: the
-// frontiers and their masks, and a missing-set array for a caller that
-// keeps none.
+// frontiers and their masks.
 type bfsScratch struct {
 	front, next  []int32
 	fmask, nmask []secspec.CatSet
-	miss         []secspec.CatSet
 }
 
 // levelBFS runs the bit-parallel BFS from the blockers of every
@@ -208,20 +206,6 @@ func (a *Analysis) propagate(nw *rsn.Network) *propagation {
 	}
 	stage.AddQueries(visits + int64(a.activeCount(nw)))
 	return p
-}
-
-// levels computes the witness levels of p, the fixed point of nw's
-// wiring w, into lv (ncat entries per node) by a level BFS, accounted
-// to the propagate stage, and returns lv.
-func (a *Analysis) levels(p *propagation, nw *rsn.Network, w *wiring, lv []int32, sc *bfsScratch) []int32 {
-	stage := a.eng.Begin("propagate")
-	defer stage.End()
-	size := len(p.attrOut)
-	if cap(sc.miss) < size {
-		sc.miss = make([]secspec.CatSet, size+size/4)
-	}
-	stage.AddQueries(a.levelBFS(nw, w, sc.miss[:size], lv, sc))
-	return lv
 }
 
 // grow returns b resized to n entries, reallocated only when its
@@ -571,21 +555,15 @@ func (a *Analysis) delta(parent *propagation, plv []int32, w *wiring, nw *rsn.Ne
 
 // propagateDelta computes the fixed point of nw's wiring, with its
 // witness levels, by repairing the parent network's fixed point (see
-// delta); a level BFS computes the parent's levels first when it has
-// none.
+// delta).
 func (a *Analysis) propagateDelta(parent *propagation, parentNW, nw *rsn.Network) *propagation {
 	rs := getRoundState()
 	defer roundPool.Put(rs)
-	plv := parent.lv
-	if plv == nil {
-		_, plv = rs.next(len(parent.attrOut) * a.ncat())
-		a.levels(parent, parentNW, a.buildWiring(parentNW), plv, &rs.sc)
-	}
 	d := rs.diff()
 	defer rs.release()
-	a.delta(parent, plv, a.buildWiring(nw), nw, a.seeds(nw.ChangedInputs(parentNW)), 0, d)
+	a.delta(parent, parent.lv, a.buildWiring(nw), nw, a.seeds(nw.ChangedInputs(parentNW)), 0, d)
 	size := a.total + len(nw.Muxes)
-	return a.materialise(&propagation{}, parent, plv, d, size, make([]int32, size*a.ncat()))
+	return a.materialise(&propagation{}, parent, parent.lv, d, size, make([]int32, size*a.ncat()))
 }
 
 // roundState is the state a resolution carries from round to round,

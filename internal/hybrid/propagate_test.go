@@ -180,7 +180,9 @@ func (a *Analysis) violates(p *propagation, n int) bool {
 
 // levelsOf returns the BFS witness levels of p under nw's wiring.
 func levelsOf(a *Analysis, p *propagation, nw *rsn.Network) []int32 {
-	return a.levels(p, nw, a.buildWiring(nw), make([]int32, len(p.attrOut)*a.ncat()), &bfsScratch{})
+	lv := make([]int32, len(p.attrOut)*a.ncat())
+	a.levelBFS(nw, a.buildWiring(nw), make([]secspec.CatSet, len(p.attrOut)), lv, &bfsScratch{})
+	return lv
 }
 
 // checkLevels asserts the witness invariant of levels lv of p under

@@ -283,26 +283,21 @@ func (a *Analysis) rounds(nw *rsn.Network, w *wiring, workers int) *rsn.Rounds {
 // whose wiring is w, targeting violating node v. Each trial patches
 // only the sinks its cut/reconnect changed (trialWiring) and repairs
 // cur's witnesses for them into a diff (delta); it is accepted when it
-// adds no violation. The witness levels are cur's — the previous
-// winner's repaired ones, or the cached fixed point's — or, when it has
-// none, a level BFS's. rsn.ApplyRound applies the best accepted valid
-// trial under better, w is edited to its wiring and its diff alone is
+// adds no violation. The witness levels are cur's: the previous
+// winner's repaired ones, or those of the fixed point the resolution
+// started from. rsn.ApplyRound applies the best accepted valid trial
+// under better, w is edited to its wiring and its diff alone is
 // materialised, with its levels, into rs. The repair reproduces the
 // unique greatest fixed point, so the worker count cannot change any
 // score. step returns the change, its score and its fixed point, or
 // false if no candidate is accepted and valid.
 func (a *Analysis) step(nw *rsn.Network, cur *propagation, rs *roundState, w *wiring, rr *rsn.Rounds, cands []rsn.Candidate, v int, better func(s, t score) bool) (rsn.Change, score, *propagation, bool) {
-	lv := cur.lv
-	if lv == nil {
-		_, lv = rs.next(len(cur.attrOut) * a.ncat())
-		a.levels(cur, nw, w, lv, &rs.sc)
-	}
 	trust := a.Spec.Trust[a.nodeModule[v]]
 	defer rs.release()
 	trial := func(net *rsn.Network, rw rsn.Rewiring) (score, bool) {
 		tw, seeds := a.trialWiring(w, net, rw)
 		d := rs.diff()
-		dv, in := a.delta(cur, lv, tw, net, seeds, v, d)
+		dv, in := a.delta(cur, cur.lv, tw, net, seeds, v, d)
 		return score{in.Has(trust), dv, len(net.Muxes) - rw.Muxes, d, tw}, dv <= 0
 	}
 	ch, best, ok := rsn.ApplyRound(rr, cands, trial, better)
@@ -312,5 +307,5 @@ func (a *Analysis) step(nw *rsn.Network, cur *propagation, rs *roundState, w *wi
 	w.commit(best.tw)
 	size := a.total + len(nw.Muxes)
 	next, nlv := rs.next(size * a.ncat())
-	return ch, best, a.materialise(next, cur, lv, best.diff, size, nlv), true
+	return ch, best, a.materialise(next, cur, cur.lv, best.diff, size, nlv), true
 }

@@ -15,8 +15,9 @@ import (
 // checkRounds installs the every-round oracle on roundCheck for the
 // rest of tb: after every change a resolution applies, the committed
 // wiring must equal buildWiring's row for row, the network must pass
-// Validate, every worker clone must have the network's wiring and the
-// carried violation count must equal a fresh count. A pure round must
+// Validate, every worker clone must have the network's wiring, the
+// fixed point must carry valid witness levels and the carried violation
+// count must equal a fresh count. A pure round must
 // also remove its target's violation and lower the number of violating
 // registers by at least one: that is why the pure stage needs no
 // acceptance test beyond "adds no violation" and never reaches the
@@ -36,6 +37,10 @@ func checkRounds(tb testing.TB) *int {
 				tb.Fatalf("round %d: clone %d differs from the network at %v (%d muxes, network %d)", *n, i, d, len(cp.Muxes), len(nw.Muxes))
 			}
 		}
+		if len(cur.lv) != len(cur.attrOut)*a.ncat() {
+			tb.Fatalf("round %d: fixed point carries %d levels, want %d", *n, len(cur.lv), len(cur.attrOut)*a.ncat())
+		}
+		checkLevels(tb, fmt.Sprintf("round %d", *n), a, nw, cur, cur.lv)
 		if got := len(a.violationsFrom(cur)); got != viols {
 			tb.Fatalf("round %d: carried violation count %d, fresh count %d", *n, viols, got)
 		}

@@ -406,6 +406,93 @@ func TestDeltaRestartResume(t *testing.T) {
 	}
 }
 
+// outcomeJSON encodes a delta document without its wall-clock fields:
+// the benchmark rows' timings and the diff entries on timing paths.
+// What is left is the deterministic part of the document.
+func outcomeJSON(t *testing.T, doc *reportdiff.DeltaDoc) []byte {
+	t.Helper()
+	for i := range doc.Report.Benchmarks {
+		b := &doc.Report.Benchmarks[i]
+		b.AvgDepNS, b.AvgPureNS, b.AvgHybridNS, b.AvgTotalNS = 0, 0, 0, 0
+	}
+	var deltas []reportdiff.Delta
+	for _, d := range doc.Diff.Deltas {
+		if !strings.HasSuffix(d.Path, "_ns") {
+			deltas = append(deltas, d)
+		}
+	}
+	doc.Diff.Deltas = deltas
+	data, err := json.Marshal(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// TestSessionRecordWithSnapshotHydrates checks that a session record in
+// the earlier form, which also carried the fixed point as a "snapshot"
+// field, still hydrates: a delta built on it gives the same document as
+// one built on a live session, and the records written from then on
+// carry no snapshot.
+func TestSessionRecordWithSnapshotHydrates(t *testing.T) {
+	body, _ := json.Marshal(AnalysisRequest{ICL: serveICLSample})
+	d1 := deltaBody(`{"op":"cut-reconnect","pin":"R2","src":"SI"}`)
+	base := func(ts string) string {
+		code, _, data := postJSON(t, ts+"/v1/analyses", string(body))
+		if code != http.StatusAccepted {
+			t.Fatalf("icl submit: HTTP %d: %s", code, data)
+		}
+		st := pollDone(t, ts, decodeStatus(t, data).ID)
+		if st.State != StateDone {
+			t.Fatalf("icl run: %+v", st)
+		}
+		return contentKey(st.Key)
+	}
+
+	_, live := testServer(t, Config{Store: StoreConfig{Dir: t.TempDir()}}, nil)
+	liveDoc, _, _ := runDelta(t, live.URL, base(live.URL), d1)
+
+	srv, ts := testServer(t, Config{Store: StoreConfig{Dir: t.TempDir()}}, nil)
+	key := base(ts.URL)
+	data, ok := srv.store.find(key+sessionSuffix, false)
+	if !ok {
+		t.Fatal("no session record for the base analysis")
+	}
+	var rec sessionRecord
+	if err := json.Unmarshal(data, &rec); err != nil {
+		t.Fatal(err)
+	}
+	old, err := json.Marshal(struct {
+		sessionRecord
+		Snapshot []byte `json:"snapshot"`
+	}{rec, []byte("\x19rsnsec.hybrid-snapshot/v1\x40")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(old, []byte(`"snapshot":"`)) {
+		t.Fatalf("old-form record lacks its snapshot field: %s", old)
+	}
+	if err := srv.store.Put(key+sessionSuffix, old); err != nil {
+		t.Fatal(err)
+	}
+	// Forget the live session, so the delta hydrates from the record.
+	srv.sessMu.Lock()
+	delete(srv.sessions, key)
+	srv.sessMu.Unlock()
+	doc, _, dkey := runDelta(t, ts.URL, key, d1)
+
+	if got, want := outcomeJSON(t, doc), outcomeJSON(t, liveDoc); !bytes.Equal(got, want) {
+		t.Fatalf("delta on an old-form record diverges from the live session's:\n old  %s\n live %s", got, want)
+	}
+	derived, ok := srv.store.find(contentKey(dkey)+sessionSuffix, false)
+	if !ok {
+		t.Fatal("no session record for the delta")
+	}
+	if bytes.Contains(derived, []byte(`"snapshot"`)) {
+		t.Fatalf("new session record carries a snapshot: %s", derived)
+	}
+}
+
 // TestSessionRegisterEviction checks the live-session LRU: the cap
 // holds, the newest session survives, and eviction only forgets the
 // in-memory state (persisted records keep the key delta-capable).

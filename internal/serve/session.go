@@ -26,22 +26,22 @@ const sessionSchema = "rsnsec.session/v1"
 // report, via the same atomic temp-file + rename path.
 const sessionSuffix = ".session"
 
-// sessionRecord is the durable form of an analysis session: everything
-// needed to rebuild the live state after eviction or a restart. The
-// sources (ICL + optional bench) re-parse into the exact flip-flop
-// numbering the snapshot's attribute arrays are indexed by, the script
-// chain replays the base network into the session's derived wiring,
-// and the snapshot skips re-propagation entirely. Snapshot is the
-// hybrid.SnapshotSchema encoding (JSON carries it base64).
+// sessionRecord is the durable form of an analysis session: what the
+// live state cannot be derived from. The sources (ICL + optional
+// bench) re-parse into the same network, circuit and flip-flop
+// numbering, and the script chain replays the base network into the
+// session's derived wiring; the analysis and its fixed point are
+// rebuilt from them. Records written with a "snapshot" field (an
+// earlier form that persisted the fixed point) still decode: the JSON
+// decoder ignores the field.
 type sessionRecord struct {
-	Schema   string            `json:"schema"`
-	Key      string            `json:"key"`
-	Label    string            `json:"label"`
-	Mode     string            `json:"mode"`
-	ICL      string            `json:"icl"`
-	Bench    string            `json:"bench,omitempty"`
-	Scripts  []*rsn.EditScript `json:"scripts,omitempty"`
-	Snapshot []byte            `json:"snapshot"`
+	Schema  string            `json:"schema"`
+	Key     string            `json:"key"`
+	Label   string            `json:"label"`
+	Mode    string            `json:"mode"`
+	ICL     string            `json:"icl"`
+	Bench   string            `json:"bench,omitempty"`
+	Scripts []*rsn.EditScript `json:"scripts,omitempty"`
 }
 
 // session is the live state of one analysis a delta can build on. The
@@ -110,19 +110,12 @@ func (s *Server) registerSession(sess *session) {
 
 // saveSession persists the session record through the store (memory
 // LRU + atomic disk write when a store dir is configured) and
-// registers the live session. The snapshot is the fixed point of the
-// session's derived input wiring — exactly the seed the next delta's
-// incremental repair needs.
+// registers the live session.
 func (s *Server) saveSession(sess *session) {
-	snap, err := sess.an.Snapshot(sess.nw)
-	if err != nil {
-		s.log.Warn("session snapshot failed", "key", shortKey(sess.key), "err", err)
-		return
-	}
 	rec := sessionRecord{
 		Schema: sessionSchema, Key: sess.key, Label: sess.label,
 		Mode: modeName(sess.mode), ICL: sess.iclText, Bench: sess.benchText,
-		Scripts: sess.scripts, Snapshot: snap.Encode(),
+		Scripts: sess.scripts,
 	}
 	data, err := json.Marshal(&rec)
 	if err != nil {
@@ -146,10 +139,11 @@ func (s *Server) hasSession(key string) bool {
 
 // sessionFor returns the hydrated live session of a content key,
 // re-hydrating it from the persisted record when needed: re-parse the
-// recorded sources, replay the script chain, rebuild the dependency
-// analysis once, and restore the persisted fixed point — after which
-// the chain continues incrementally as if the process had never
-// stopped. ctx cancels the dependency rebuild.
+// recorded sources, replay the script chain and rebuild the dependency
+// analysis once. The first run then propagates the fixed point from
+// scratch, and the chain continues incrementally from there with the
+// same results as if the process had never stopped. ctx cancels the
+// dependency rebuild.
 func (s *Server) sessionFor(ctx context.Context, key string) (*session, error) {
 	s.sessMu.Lock()
 	sess, ok := s.sessions[key]
@@ -217,13 +211,6 @@ func (s *Server) hydrateSession(ctx context.Context, sess *session) error {
 	// context) via WithEngine; the long-lived analysis must not retain
 	// this hydration's context.
 	an = an.WithEngine(engine.Options{Workers: s.cfg.EngineWorkers, Stats: s.stats})
-	snap, err := hybrid.InitFrom(nw, rec.Snapshot)
-	if err != nil {
-		return fmt.Errorf("session record %s: %w", shortKey(sess.key), err)
-	}
-	if err := an.Restore(snap); err != nil {
-		return fmt.Errorf("session record %s: %w", shortKey(sess.key), err)
-	}
 	sess.label = rec.Label
 	sess.mode = mode
 	sess.iclText = rec.ICL

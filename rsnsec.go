@@ -377,11 +377,11 @@ func NewAnalysisOpts(nw *Network, circuit *Netlist, internal []FFID, spec *Spec,
 }
 
 // Incremental analysis sessions: first-class edit scripts over the
-// scan network, snapshot/restore of an Analysis's propagated fixed
-// point, and the incremental re-secure path that skips the dependency
-// calculation for wiring-only edits. The aliased Analysis type carries
-// the session methods directly: Snapshot, Restore, ApplyDelta and
-// WithEngine.
+// scan network and the incremental re-secure path that skips the
+// dependency calculation for wiring-only edits. rsnserved persists a
+// session as its sources and script chain and rebuilds the analysis and
+// its fixed point from them. The aliased Analysis type carries the
+// session methods directly: ApplyDelta and WithEngine.
 type (
 	// EditScript is an ordered list of structural edit operations on a
 	// network, with a canonical content-addressable encoding
@@ -390,10 +390,6 @@ type (
 	EditScript = rsn.EditScript
 	// EditOp is one edit-script operation.
 	EditOp = rsn.EditOp
-	// AnalysisSnapshot is the serializable propagated fixed point of an
-	// Analysis over one network wiring (Encode/ReadAnalysisSnapshot
-	// round trip, Analysis.Restore to install).
-	AnalysisSnapshot = hybrid.Snapshot
 	// DeltaResult is the outcome of one incremental SecureDelta run.
 	DeltaResult = exp.DeltaResult
 	// DeltaDoc pairs a delta run's report with the structured diff
@@ -411,11 +407,8 @@ const (
 	OpAddRegister  = rsn.OpAddRegister
 )
 
-// Schema identifiers of the incremental-session documents.
-const (
-	AnalysisSnapshotSchema = hybrid.SnapshotSchema
-	DeltaReportSchema      = reportdiff.DeltaSchema
-)
+// DeltaReportSchema identifies the incremental-session delta document.
+const DeltaReportSchema = reportdiff.DeltaSchema
 
 // ErrStructuralDelta reports that an edit script changed the register
 // set, so the fixed analysis infrastructure cannot absorb it and a
@@ -452,12 +445,6 @@ func SecureDelta(tool, label string, an *Analysis, base *Network, script *EditSc
 // rsnsec.run-report/v1 document (stats may be nil).
 func SecureRunReport(tool, name string, mode Mode, st NetworkStats, rep *Report, stats *EngineStats) *RunReport {
 	return exp.SecureReport(tool, name, mode, st, rep, stats)
-}
-
-// ReadAnalysisSnapshot decodes a snapshot against the network it was
-// taken over, verifying schema, wiring hash and framing.
-func ReadAnalysisSnapshot(nw *Network, data []byte) (*AnalysisSnapshot, error) {
-	return hybrid.InitFrom(nw, data)
 }
 
 // NewDeltaDoc assembles a delta document, computing the diff of the

@@ -258,18 +258,6 @@ func TestFacadeIncrementalSession(t *testing.T) {
 		t.Fatal("CompareRunReports returned nil")
 	}
 
-	// Snapshot round trip through the facade seam.
-	snap, err := res.Analysis.Snapshot(res.Derived)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap2, err := ReadAnalysisSnapshot(res.Derived, snap.Encode())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := res.Analysis.Restore(snap2); err != nil {
-		t.Fatal(err)
-	}
 	// A wiring-only script must NOT be structural and must reuse the
 	// caller's analysis.
 	wiring := &EditScript{Ops: []EditOp{{Op: OpCutReconnect, Pin: "R0", Src: "R1"}}}
